@@ -9,13 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArgumentError, ProtocolError
-from .params import (
-    ParameterSet,
-    Tensor,
-    _frozen_view,
-    add_delta,
-    check_compatible,
-)
+from .params import ParameterSet, add_delta, check_compatible, weighted_sum
 
 KIND_FULL = "full"
 KIND_DELTA = "delta"
@@ -89,23 +83,18 @@ def fedavg_aggregate(updates: list[ClientUpdate]) -> ParameterSet:
     first = updates[0].params
     for u in updates[1:]:
         check_compatible(first, u.params)
-    ws = _weights(updates, "samples")
-    out = []
-    for name, t, flag in first.items():
-        if flag:
-            acc = t.data * ws[0]
-            for u, w in zip(updates[1:], ws[1:]):
-                acc = acc + u.params.tensor(name).data * w
-            out.append((name, Tensor(t.shape, _frozen_view(acc)), True))
-        else:
-            for u in updates[1:]:
-                if u.params.tensor(name).data.tobytes() != t.data.tobytes():
-                    raise ProtocolError(
-                        f"frozen entry {name!r} differs between clients "
-                        f"{updates[0].client_id} and {u.client_id}"
-                    )
-            out.append((name, t, False))
-    return ParameterSet(out)
+    mean = weighted_sum(
+        [u.params.trainable_subset() for u in updates], _weights(updates, "samples")
+    )
+    frozen = first.drop(mean.names())
+    for name, t, _ in frozen.items():
+        for u in updates[1:]:
+            if u.params.tensor(name).data.tobytes() != t.data.tobytes():
+                raise ProtocolError(
+                    f"frozen entry {name!r} differs between clients "
+                    f"{updates[0].client_id} and {u.client_id}"
+                )
+    return frozen.merged_with(mean)
 
 
 def mean_delta(updates: list[ClientUpdate], weighting: str = "uniform") -> ParameterSet:
@@ -114,17 +103,7 @@ def mean_delta(updates: list[ClientUpdate], weighting: str = "uniform") -> Param
     forms = {u.form for u in updates}
     if len(forms) > 1:
         raise ProtocolError(f"updates mix delta forms {sorted(forms)}")
-    first = updates[0].params
-    for u in updates[1:]:
-        check_compatible(first, u.params)
-    ws = _weights(updates, weighting)
-    out = []
-    for name, t, flag in first.items():
-        acc = t.data * ws[0]
-        for u, w in zip(updates[1:], ws[1:]):
-            acc = acc + u.params.tensor(name).data * w
-        out.append((name, Tensor(t.shape, _frozen_view(acc)), flag))
-    return ParameterSet(out)
+    return weighted_sum([u.params for u in updates], _weights(updates, weighting))
 
 
 def _check_coverage(global_: ParameterSet, update: ClientUpdate) -> None:

@@ -2,9 +2,10 @@
 
 The three modes share corpus ingestion, partitioning, and the per-round step
 budget so their loss curves sit on the same axis. Central mode is not a
-shortcut implementation: it replays the exact federated single-client code
-path, including the f32 wire round trips, so a K=1 federated run and a
-central run produce bitwise-identical parameters.
+shortcut implementation: it runs the protocol's own round functions as
+client 0, with no channel and no thread, on the whole training split at the
+summed step budget. Every value still takes the f32 wire casts, so a K=1
+federated run and a central run produce bitwise-identical parameters.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import ClientUpdate, fedavg_aggregate, gradualdiff_aggregate, mean_delta
 from .config import ExperimentConfig, override
 from .data import corpus_tokens, partition_iid, sequences_of, split_stream
 from .lora import attach
-from .metrics import MODES, RoundRecord, bleu, emit_report
+from .metrics import MODES, RoundRecord, bleu, emit_report, format_rows, mode_totals
 from .model import (
-    SEED_CLIENT,
     LmConfig,
     LmModel,
     Vocab,
@@ -33,18 +32,17 @@ from .model import (
     perplexity_of,
 )
 from .optim import OptimizerConfig, init_state, local_train_round
-from .params import subtract_trainable
 from .protocol import (
     ClientTask,
     ProtocolConfig,
     TrafficLedger,
-    apply_dense,
-    dense_delta,
+    answer_broadcast,
+    broadcast,
+    fold_updates,
     run_client,
     run_server,
 )
 from .transport import TcpListener, memory_pairs, tcp_connect
-from .wire import deserialize_params, serialize_params
 
 BLEU_SAMPLES = 24
 
@@ -106,14 +104,15 @@ def _protocol_config(cfg: ExperimentConfig) -> ProtocolConfig:
     )
 
 
-def _opt_config(cfg: ExperimentConfig, steps_per_round: int) -> OptimizerConfig:
-    return OptimizerConfig(
+def _client_task(cfg: ExperimentConfig, client_id: int, shard: list, steps: int) -> ClientTask:
+    opt_cfg = OptimizerConfig(
         lr=cfg.lr,
-        total_steps=cfg.rounds * steps_per_round,
+        total_steps=cfg.rounds * steps,
         weight_decay=cfg.weight_decay,
         max_grad_norm=cfg.max_grad_norm,
         warmup_ratio=cfg.warmup_ratio,
     )
+    return ClientTask(client_id, shard, opt_cfg, cfg.batch_size, steps, cfg.seed)
 
 
 def _eval_ppl(model: LmModel, setup: _Setup, cfg: ExperimentConfig) -> float:
@@ -174,14 +173,7 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
 
     pcfg = _protocol_config(cfg)
     tasks = [
-        ClientTask(
-            client_id=i,
-            shard=setup.shards[i],
-            opt_cfg=_opt_config(cfg, setup.steps[i]),
-            batch_size=cfg.batch_size,
-            steps_per_round=setup.steps[i],
-            seed=cfg.seed,
-        )
+        _client_task(cfg, i, setup.shards[i], setup.steps[i])
         for i in range(cfg.clients)
     ]
 
@@ -251,98 +243,39 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
 # -- central -----------------------------------------------------------------
 
 
-def _wire_round_trip(params, subset, trainable=None, quantize=False):
-    data = serialize_params(params, subset, quantize_payload=quantize)
-    return deserialize_params(data, trainable=trainable)
-
-
 def run_central(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
     """One trainer on the full training split at the federated step budget.
 
-    Every value that would have crossed the wire in a federated run goes
-    through the same serialize/deserialize casts here, so central is the
-    exact K=1 trajectory rather than an approximation of it.
+    The rounds are the federation's own, played as client 0 without a
+    channel, so central is the exact K=1 trajectory rather than an
+    approximation of it. Its records carry no bytes.
     """
     setup = setup or _setup(cfg)
     if cfg.rounds == 0:
         return _eval_only_result("central", setup, cfg)
 
     pcfg = _protocol_config(cfg)
-    data = partition_iid(setup.sequences, 1, cfg.seed)[0]
-    steps_per_round = sum(setup.steps.values())
-    n_total = sum(setup.counts.values())
-    opt_cfg = _opt_config(cfg, steps_per_round)
-    rng = np.random.default_rng([cfg.seed, SEED_CLIENT, 0])
-    trainable_names = set(setup.model.params.trainable_names())
-
-    global_model = setup.model
-    worker = setup.model
+    shard = partition_iid(setup.sequences, 1, cfg.seed)[0]
+    task = _client_task(cfg, 0, shard, sum(setup.steps.values()))
+    counts = {0: sum(setup.counts.values())}
+    rng = task.rng()
+    model = worker = setup.model
     state = init_state(worker.params)
     records = []
 
     for t in range(1, cfg.rounds + 1):
         start = time.perf_counter()
-        if t == 1 or not pcfg.trainable_only_broadcasts:
-            worker = worker.with_params(
-                _wire_round_trip(global_model.params, "all", trainable_names)
-            )
-        else:
-            incoming = _wire_round_trip(
-                global_model.params, "trainable", trainable_names
-            )
-            worker = worker.with_params(
-                worker.params.replace_values(
-                    {n: incoming.array(n) for n in incoming.names()}
-                )
-            )
-        start_params = worker.params
-
-        worker, state, loss = local_train_round(
-            worker,
-            state,
-            data,
-            opt_cfg,
-            rng,
-            batch_size=cfg.batch_size,
-            steps=steps_per_round,
+        worker, state, loss, update = answer_broadcast(
+            broadcast(model, t, pcfg), worker, state, task, pcfg, rng
         )
-
-        if cfg.aggregation == "fedavg":
-            up = _wire_round_trip(worker.params, "all", trainable_names)
-            new_params = fedavg_aggregate(
-                [ClientUpdate(0, t, n_total, "full", up)]
-            )
-        elif cfg.delta_form == "factors":
-            delta = _wire_round_trip(
-                subtract_trainable(worker.params, start_params),
-                "all",
-                quantize=cfg.quantize_payload,
-            )
-            new_params = gradualdiff_aggregate(
-                global_model.params,
-                [ClientUpdate(0, t, n_total, "delta", delta, form="factors")],
-                cfg.delta_weighting,
-            )
-        else:
-            delta = _wire_round_trip(
-                dense_delta(worker, start_params),
-                "all",
-                quantize=cfg.quantize_payload,
-            )
-            update = ClientUpdate(0, t, n_total, "delta", delta, form="dense")
-            new_params = apply_dense(
-                global_model.params, mean_delta([update], cfg.delta_weighting)
-            )
-        global_model = global_model.with_params(new_params)
+        model = fold_updates(model, t, [(0, update)], pcfg, counts)
         wall_ms = int((time.perf_counter() - start) * 1000.0)
         records.append(
-            RoundRecord(
-                t, "central", loss, _eval_ppl(global_model, setup, cfg), wall_ms, 0, 0
-            )
+            RoundRecord(t, "central", loss, _eval_ppl(model, setup, cfg), wall_ms, 0, 0)
         )
 
-    extras = {"bleu": bleu_of(global_model, setup, cfg)}
-    return ExperimentResult(global_model, records, extras)
+    extras = {"bleu": bleu_of(model, setup, cfg)}
+    return ExperimentResult(model, records, extras)
 
 
 # -- local -------------------------------------------------------------------
@@ -360,20 +293,20 @@ def run_local(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentR
     models: list[LmModel] = []
 
     for i in range(cfg.clients):
-        rng = np.random.default_rng([cfg.seed, SEED_CLIENT, i])
+        task = _client_task(cfg, i, setup.shards[i], setup.steps[i])
+        rng = task.rng()
         worker = setup.model
         state = init_state(worker.params)
-        opt_cfg = _opt_config(cfg, setup.steps[i])
         for t in range(cfg.rounds):
             start = time.perf_counter()
             worker, state, loss = local_train_round(
                 worker,
                 state,
-                setup.shards[i],
-                opt_cfg,
+                task.shard,
+                task.opt_cfg,
                 rng,
-                batch_size=cfg.batch_size,
-                steps=setup.steps[i],
+                batch_size=task.batch_size,
+                steps=task.steps_per_round,
             )
             walls[i, t] = (time.perf_counter() - start) * 1000.0
             losses[i, t] = loss
@@ -425,10 +358,6 @@ def run_experiment(cfg: ExperimentConfig, report: bool = True) -> ExperimentResu
 COMPARE_COLUMNS = ("round", "mode", "train_loss", "perplexity", "uplink_bytes", "downlink_bytes")
 
 
-def _cell(x: float | None) -> str:
-    return "" if x is None else f"{x:.9g}"
-
-
 def compare_modes(cfg: ExperimentConfig, out_dir: str | Path | None = None):
     """Run all three modes on identical data and seed; -> (csv, json) paths.
 
@@ -440,32 +369,16 @@ def compare_modes(cfg: ExperimentConfig, out_dir: str | Path | None = None):
         mode: run_experiment(override(cfg, mode=mode), report=False)
         for mode in MODES
     }
+    records = [rec for mode in MODES for rec in results[mode].records]
 
-    rows = [",".join(COMPARE_COLUMNS)]
-    for mode in MODES:
-        for rec in results[mode].records:
-            rows.append(
-                f"{rec.round},{rec.mode},{_cell(rec.train_loss)},"
-                f"{_cell(rec.perplexity)},{rec.uplink_bytes},{rec.downlink_bytes}"
-            )
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "compare.csv"
-    csv_path.write_text("\n".join(rows) + "\n")
+    csv_path.write_text("\n".join(format_rows(records, COMPARE_COLUMNS)) + "\n")
 
-    summary = {"config": asdict(cfg), "modes": {}}
+    modes = mode_totals(records)
     for mode in MODES:
-        recs = results[mode].records
-        summary["modes"][mode] = {
-            "rounds": len(recs),
-            "final_train_loss": None
-            if math.isnan(recs[-1].train_loss)
-            else recs[-1].train_loss,
-            "final_perplexity": recs[-1].perplexity,
-            "total_uplink_bytes": sum(r.uplink_bytes for r in recs),
-            "total_downlink_bytes": sum(r.downlink_bytes for r in recs),
-            "total_wall_ms": sum(r.wall_ms for r in recs),
-            "bleu": results[mode].extras["bleu"],
-        }
+        modes[mode]["bleu"] = results[mode].extras["bleu"]
+    summary = {"config": asdict(cfg), "modes": modes}
     json_path = out / "compare_summary.json"
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return csv_path, json_path

@@ -115,18 +115,18 @@ class RoundRecord:
             raise ArgumentError("byte counts must be >= 0")
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else f"{x:.9g}"
+def _fmt(x: float | int | None) -> str:
+    if x is None:
+        return ""
+    return f"{x:.9g}" if isinstance(x, float) else str(x)
 
 
-def format_rows(records: list[RoundRecord]) -> list[str]:
-    rows = [",".join(CSV_COLUMNS)]
+def format_rows(
+    records: list[RoundRecord], columns: tuple[str, ...] = CSV_COLUMNS
+) -> list[str]:
+    rows = [",".join(columns)]
     for rec in records:
-        rows.append(
-            f"{rec.round},{rec.mode},{_fmt(rec.train_loss)},"
-            f"{_fmt(rec.perplexity)},{rec.wall_ms},{rec.uplink_bytes},"
-            f"{rec.downlink_bytes}"
-        )
+        rows.append(",".join(_fmt(getattr(rec, c)) for c in columns))
     return rows
 
 
@@ -165,21 +165,8 @@ def _check_contiguous(records: list[RoundRecord]) -> None:
             )
 
 
-def emit_report(
-    records: list[RoundRecord],
-    out_dir: str | Path,
-    summary_extra: dict | None = None,
-) -> tuple[Path, Path]:
-    """Write rounds.csv and summary.json; -> (csv_path, json_path)."""
-    if not records:
-        raise ArgumentError("no records to report")
-    _check_contiguous(records)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    csv_path = out / "rounds.csv"
-    csv_path.write_text("\n".join(format_rows(records)) + "\n")
-
+def mode_totals(records: list[RoundRecord]) -> dict[str, dict]:
+    """Per mode: round count, final loss and perplexity, summed bytes and wall."""
     modes: dict[str, dict] = {}
     for rec in records:
         slot = modes.setdefault(
@@ -203,8 +190,25 @@ def emit_report(
         slot["total_uplink_bytes"] += rec.uplink_bytes
         slot["total_downlink_bytes"] += rec.downlink_bytes
         slot["total_wall_ms"] += rec.wall_ms
+    return modes
 
-    summary = {"modes": modes}
+
+def emit_report(
+    records: list[RoundRecord],
+    out_dir: str | Path,
+    summary_extra: dict | None = None,
+) -> tuple[Path, Path]:
+    """Write rounds.csv and summary.json; -> (csv_path, json_path)."""
+    if not records:
+        raise ArgumentError("no records to report")
+    _check_contiguous(records)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    csv_path = out / "rounds.csv"
+    csv_path.write_text("\n".join(format_rows(records)) + "\n")
+
+    summary = {"modes": mode_totals(records)}
     if summary_extra:
         overlap = set(summary_extra) & set(summary)
         if overlap:

@@ -6,24 +6,32 @@ deltas), block until all K clients answer for round t, aggregate, advance.
 Join handshakes are acks for round 0; the final shutdown is ledgered under
 round T+1. All byte counts are taken on encoded messages, so memory and TCP
 transports account identically.
+
+A round is three functions: the server's `broadcast`, each client's
+`answer_broadcast` and the server's `fold_updates`. `run_server` and
+`run_client` call them over channels; central mode calls them directly. What
+depends on aggregation and delta form is one `RoundPolicy` table entry.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .aggregate import (
     FORM_DENSE,
     FORM_FACTORS,
+    KIND_DELTA,
+    KIND_FULL,
     ClientUpdate,
     fedavg_aggregate,
     gradualdiff_aggregate,
     mean_delta,
 )
-from .errors import ArgumentError, ProtocolError
+from .errors import ArgumentError, ProtocolError, StructureError
 from .model import SEED_CLIENT, LmModel
 from .optim import OptimizerConfig, OptimizerState, init_state, local_train_round
 from .params import ParameterSet, Tensor, check_compatible, subtract_trainable
@@ -69,8 +77,8 @@ class ProtocolConfig:
             )
 
     @property
-    def trainable_only_broadcasts(self) -> bool:
-        return self.aggregation == AGG_GRADUALDIFF and self.delta_form == FORM_FACTORS
+    def policy(self) -> RoundPolicy:
+        return _POLICIES[(self.aggregation, self.delta_form)]
 
 
 class TrafficLedger:
@@ -175,6 +183,156 @@ def _recv(channel, ledger: TrafficLedger) -> bytes:
         raise
 
 
+@dataclass(frozen=True)
+class RoundPolicy:
+    """What one (aggregation, delta_form) pair sends, and how it is folded."""
+
+    factor_broadcasts: bool  # rounds >= 2 broadcast the trainable entries only
+    uplink_kind: int
+    uplink_flags: int  # FLAG_QUANTIZED is added when a delta is quantized
+    form: str | None  # the uplink's delta form; None for full models
+    encode: Callable  # (trained model, round-start params) -> uplinked params
+    fold: Callable  # (global params, [ClientUpdate], weighting, ledger) -> params
+
+
+def _fold_fedavg(global_, updates, weighting, ledger) -> ParameterSet:
+    for u in updates:
+        try:
+            check_compatible(global_, u.params)
+        except StructureError as e:
+            raise ProtocolError(
+                f"full model from client {u.client_id} does not match the "
+                f"global model: {e}",
+                ledger=ledger,
+            ) from e
+    return fedavg_aggregate(updates)
+
+
+def _fold_factors(global_, updates, weighting, ledger) -> ParameterSet:
+    return gradualdiff_aggregate(global_, updates, weighting)
+
+
+def _fold_dense(global_, updates, weighting, ledger) -> ParameterSet:
+    return apply_dense(global_, mean_delta(updates, weighting), ledger)
+
+
+# Full models carry no delta form, so both fedavg keys share one entry.
+_FEDAVG = RoundPolicy(
+    False, KIND_FULL_MODEL_UPDATE, 0, None,
+    lambda model, start: model.params, _fold_fedavg,
+)
+_POLICIES = {
+    (AGG_GRADUALDIFF, FORM_FACTORS): RoundPolicy(
+        True, KIND_DELTA_UPDATE, FLAG_FACTORS, FORM_FACTORS,
+        lambda model, start: subtract_trainable(model.params, start), _fold_factors,
+    ),
+    (AGG_GRADUALDIFF, FORM_DENSE): RoundPolicy(
+        False, KIND_DELTA_UPDATE, 0, FORM_DENSE,
+        lambda model, start: dense_delta(model, start), _fold_dense,
+    ),
+    (AGG_FEDAVG, FORM_FACTORS): _FEDAVG,
+    (AGG_FEDAVG, FORM_DENSE): _FEDAVG,
+}
+
+
+def broadcast(model: LmModel, rnd: int, pcfg: ProtocolConfig) -> WireMessage:
+    """The server's round-`rnd` broadcast of the global model."""
+    factors_only = pcfg.policy.factor_broadcasts
+    subset = "trainable" if factors_only and rnd > 1 else "all"
+    flags = FLAG_FACTORS if factors_only else 0
+    payload = serialize_params(model.params, subset)
+    return WireMessage(KIND_GLOBAL_BROADCAST, rnd, SERVER_SENDER, flags, payload)
+
+
+def answer_broadcast(
+    msg: WireMessage,
+    model: LmModel,
+    state: OptimizerState,
+    task: ClientTask,
+    pcfg: ProtocolConfig,
+    rng: np.random.Generator,
+) -> tuple[LmModel, OptimizerState, float, WireMessage]:
+    """A client's round: install the broadcast, train, encode the update.
+
+    -> (trained model, optimizer state, mean train loss, update message).
+    """
+    policy = pcfg.policy
+    trainable = set(model.params.trainable_names())
+    incoming = deserialize_params(msg.payload, trainable=trainable)
+    if msg.round == 1 or not policy.factor_broadcasts:
+        check_compatible(model.params, incoming)
+        model = model.with_params(incoming)
+    else:
+        values = {n: incoming.array(n) for n in incoming.names()}
+        model = model.with_params(model.params.replace_values(values))
+    start_params = model.params
+
+    model, state, loss = local_train_round(
+        model,
+        state,
+        task.shard,
+        task.opt_cfg,
+        rng,
+        batch_size=task.batch_size,
+        steps=task.steps_per_round,
+    )
+
+    quantize = pcfg.quantize_payload and policy.form is not None  # never full models
+    uplink = policy.encode(model, start_params)
+    payload = serialize_params(uplink, "all", quantize_payload=quantize)
+    flags = policy.uplink_flags | (FLAG_QUANTIZED if quantize else 0)
+    update = WireMessage(policy.uplink_kind, msg.round, task.client_id, flags, payload)
+    return model, state, loss, update
+
+
+def fold_updates(
+    model: LmModel,
+    rnd: int,
+    updates: Iterable[tuple[int, WireMessage]],
+    pcfg: ProtocolConfig,
+    sample_counts: dict[int, int],
+    ledger: TrafficLedger | None = None,
+) -> LmModel:
+    """The server's round end: check and decode each (client id, update) as
+    it arrives, then fold them all into the global model."""
+    policy = pcfg.policy
+    # a full model takes its trainable flags from the global model
+    full = policy.form is None
+    trainable = set(model.params.trainable_names()) if full else None
+    kind = KIND_FULL if full else KIND_DELTA
+    received = []
+    for cid, msg in updates:
+        _expect(
+            msg.round == rnd,
+            f"client {cid} answered for round {msg.round}, expected {rnd}",
+            ledger,
+        )
+        _expect(
+            msg.sender_id == cid,
+            f"update on client {cid}'s channel claims sender {msg.sender_id}",
+            ledger,
+        )
+        _expect(
+            msg.kind == policy.uplink_kind,
+            f"client {cid} sent kind {msg.kind}, expected {policy.uplink_kind}",
+            ledger,
+        )
+        params = deserialize_params(msg.payload, trainable=trainable)
+        received.append(
+            ClientUpdate(cid, rnd, sample_counts[cid], kind, params, form=policy.form)
+        )
+    folded = policy.fold(model.params, received, pcfg.delta_weighting, ledger)
+    return model.with_params(folded)
+
+
+def _receive_updates(by_client: dict, rnd: int, ledger: TrafficLedger):
+    for cid in sorted(by_client):
+        raw = _recv(by_client[cid], ledger)
+        msg = decode_message(raw)
+        ledger.add_up(rnd, cid, len(raw))
+        yield cid, msg
+
+
 def run_server(
     model: LmModel,
     channels: list,
@@ -192,7 +350,6 @@ def run_server(
     if pcfg.rounds == 0 or not channels:
         return model, ledger
 
-    k = len(channels)
     by_client: dict[int, object] = {}
     for ch in channels:
         raw = _recv(ch, ledger)
@@ -215,73 +372,15 @@ def run_server(
     for cid in client_ids:
         _expect(cid in counts, f"no sample count for client {cid}", ledger)
 
-    expect_kind = (
-        KIND_DELTA_UPDATE
-        if pcfg.aggregation == AGG_GRADUALDIFF
-        else KIND_FULL_MODEL_UPDATE
-    )
-    trainable_names = set(model.params.trainable_names())
-
     for t in range(1, pcfg.rounds + 1):
         start = time.perf_counter()
-        subset = "all" if t == 1 or not pcfg.trainable_only_broadcasts else "trainable"
-        flags = FLAG_FACTORS if pcfg.trainable_only_broadcasts else 0
-        raw = encode_message(
-            WireMessage(
-                KIND_GLOBAL_BROADCAST,
-                t,
-                SERVER_SENDER,
-                flags,
-                serialize_params(model.params, subset),
-            )
-        )
+        raw = encode_message(broadcast(model, t, pcfg))
         for cid in client_ids:
             by_client[cid].send(raw)
             ledger.add_down(t, cid, len(raw))
-
-        updates = []
-        for cid in client_ids:
-            raw = _recv(by_client[cid], ledger)
-            msg = decode_message(raw)
-            ledger.add_up(t, cid, len(raw))
-            _expect(
-                msg.round == t,
-                f"client {cid} answered for round {msg.round}, expected {t}",
-                ledger,
-            )
-            _expect(
-                msg.sender_id == cid,
-                f"update on client {cid}'s channel claims sender "
-                f"{msg.sender_id}",
-                ledger,
-            )
-            _expect(
-                msg.kind == expect_kind,
-                f"client {cid} sent kind {msg.kind}, expected {expect_kind}",
-                ledger,
-            )
-            if pcfg.aggregation == AGG_FEDAVG:
-                params = deserialize_params(msg.payload, trainable=trainable_names)
-                updates.append(ClientUpdate(cid, t, counts[cid], "full", params))
-            else:
-                params = deserialize_params(msg.payload)
-                updates.append(
-                    ClientUpdate(
-                        cid, t, counts[cid], "delta", params, form=pcfg.delta_form
-                    )
-                )
-
-        if pcfg.aggregation == AGG_FEDAVG:
-            new_params = fedavg_aggregate(updates)
-        elif pcfg.delta_form == FORM_FACTORS:
-            new_params = gradualdiff_aggregate(
-                model.params, updates, pcfg.delta_weighting
-            )
-        else:
-            new_params = apply_dense(
-                model.params, mean_delta(updates, pcfg.delta_weighting), ledger
-            )
-        model = model.with_params(new_params)
+        model = fold_updates(
+            model, t, _receive_updates(by_client, t, ledger), pcfg, counts, ledger
+        )
         ledger.set_wall_ms(t, (time.perf_counter() - start) * 1000.0)
         if on_round is not None:
             on_round(t, model)
@@ -328,6 +427,9 @@ class ClientTask:
     steps_per_round: int
     seed: int
 
+    def rng(self) -> np.random.Generator:
+        return np.random.default_rng([self.seed, SEED_CLIENT, self.client_id])
+
 
 @dataclass
 class ClientResult:
@@ -357,10 +459,9 @@ def run_client(
 ) -> ClientResult:
     """Mirror of the server loop for one client; runs until shutdown."""
     ledger = TrafficLedger()
-    rng = np.random.default_rng([task.seed, SEED_CLIENT, task.client_id])
+    rng = task.rng()
     state = init_state(model.params)
     losses: list[float] = []
-    trainable_names = set(model.params.trainable_names())
 
     raw = encode_message(WireMessage(KIND_ROUND_ACK, 0, task.client_id))
     channel.send(raw)
@@ -384,50 +485,11 @@ def run_client(
                 f"{msg.kind} round {msg.round}",
                 ledger=ledger,
             )
-        incoming = deserialize_params(msg.payload, trainable=trainable_names)
-        if expected == 1 or not pcfg.trainable_only_broadcasts:
-            check_compatible(model.params, incoming)
-            new_params = incoming
-        else:
-            new_params = model.params.replace_values(
-                {n: incoming.array(n) for n in incoming.names()}
-            )
-        model = model.with_params(new_params)
-        start_params = model.params
-
-        model, state, loss = local_train_round(
-            model,
-            state,
-            task.shard,
-            task.opt_cfg,
-            rng,
-            batch_size=task.batch_size,
-            steps=task.steps_per_round,
+        model, state, loss, update = answer_broadcast(
+            msg, model, state, task, pcfg, rng
         )
         losses.append(loss)
-
-        if pcfg.aggregation == AGG_FEDAVG:
-            kind = KIND_FULL_MODEL_UPDATE
-            flags = 0
-            payload = serialize_params(model.params, "all")
-        elif pcfg.delta_form == FORM_FACTORS:
-            kind = KIND_DELTA_UPDATE
-            flags = FLAG_FACTORS | (FLAG_QUANTIZED if pcfg.quantize_payload else 0)
-            delta = subtract_trainable(model.params, start_params)
-            payload = serialize_params(
-                delta, "all", quantize_payload=pcfg.quantize_payload
-            )
-        else:
-            kind = KIND_DELTA_UPDATE
-            flags = FLAG_QUANTIZED if pcfg.quantize_payload else 0
-            payload = serialize_params(
-                dense_delta(model, start_params),
-                "all",
-                quantize_payload=pcfg.quantize_payload,
-            )
-        raw = encode_message(
-            WireMessage(kind, expected, task.client_id, flags, payload)
-        )
+        raw = encode_message(update)
         channel.send(raw)
         ledger.add_up(expected, task.client_id, len(raw))
         expected += 1

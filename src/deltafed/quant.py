@@ -29,15 +29,6 @@ _LEVELS = 15  # codes span 0..15
 
 
 @dataclass(frozen=True)
-class QuantBlock:
-    """One quantized block: positive f32 scale, zero point in [0, 15]."""
-
-    scale: float
-    zero_point: int
-    codes: np.ndarray  # uint8, one code per element, values 0..15
-
-
-@dataclass(frozen=True)
 class QuantizedTensor:
     shape: tuple[int, ...]
     block: int
@@ -48,15 +39,6 @@ class QuantizedTensor:
     @property
     def n(self) -> int:
         return int(self.codes.size)
-
-    def blocks(self) -> list[QuantBlock]:
-        out = []
-        for i in range(self.scales.size):
-            lo, hi = i * self.block, min((i + 1) * self.block, self.n)
-            out.append(
-                QuantBlock(float(self.scales[i]), int(self.zero_points[i]), self.codes[lo:hi])
-            )
-        return out
 
 
 def _quantize_block(x: np.ndarray) -> tuple[np.float32, int, np.ndarray]:

@@ -111,12 +111,20 @@ class TestEquivalence:
         yield {"quantize_payload": True}
         yield {"delta_form": "dense"}
         yield {"aggregation": "fedavg"}
+        yield {"aggregation": "fedavg", "quantize_payload": True}
+        yield {"aggregation": "fedavg", "delta_form": "dense"}
 
     def test_k1_federated_matches_central_bitwise(self, corpus_path):
         for kw in self.variants():
             cfg = small_cfg(corpus_path, clients=1, **kw)
             fed = run_experiment(cfg, report=False)
             cen = run_experiment(override(cfg, mode="central"), report=False)
+            assert params_bytes(fed.model) == params_bytes(cen.model), kw
+
+            # at batch size 1 the summed K=3 budget is the K=1 budget
+            cfg = small_cfg(corpus_path, clients=1, batch_size=1, rounds=2, **kw)
+            fed = run_experiment(cfg, report=False)
+            cen = run_experiment(override(cfg, mode="central", clients=3), report=False)
             assert params_bytes(fed.model) == params_bytes(cen.model), kw
 
     def test_seed_repeat_is_bitwise(self, corpus_path):

@@ -22,6 +22,7 @@ from deltafed.wire import (
     FLAG_FACTORS,
     HEADER_LEN,
     KIND_DELTA_UPDATE,
+    KIND_FULL_MODEL_UPDATE,
     KIND_ROUND_ACK,
     WireMessage,
     encode_message,
@@ -183,6 +184,26 @@ class TestScriptedServer:
             run_server(
                 model, server_chs, ProtocolConfig(rounds=1, aggregation="fedavg")
             )
+
+    def test_fedavg_rejects_full_model_unlike_global(self):
+        model = adapted_model()
+        reshaped = ParameterSet([("rnn.U", Tensor.from_array(np.zeros((2, 2))), False)])
+        for bad, entry in (
+            (model.params.drop(["rnn.b"]), "rnn.b"),
+            (model.params.drop(["rnn.U"]).merged_with(reshaped), "rnn.U"),
+        ):
+            server_chs, client_chs = memory_pairs(1, timeout=1.0)
+            scripted_join(client_chs[0], 0)
+            client_chs[0].send(
+                encode_message(
+                    WireMessage(KIND_FULL_MODEL_UPDATE, 1, 0, 0, serialize_params(bad))
+                )
+            )
+            with pytest.raises(ProtocolError, match=f"client 0 .*'{entry}'") as exc:
+                run_server(
+                    model, server_chs, ProtocolConfig(rounds=1, aggregation="fedavg")
+                )
+            assert exc.value.ledger is not None
 
     def test_duplicate_join_rejected(self):
         model = adapted_model()
