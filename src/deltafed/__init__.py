@@ -6,6 +6,7 @@ from .errors import (
     ConfigError,
     DeltaFedError,
     FormatError,
+    NumericalError,
     ProtocolError,
     StructureError,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "FormatError",
+    "NumericalError",
     "ParameterSet",
     "ProtocolError",
     "StructureError",

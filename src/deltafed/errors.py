@@ -37,6 +37,12 @@ class ProtocolError(DeltaFedError):
         self.ledger = ledger
 
 
+class NumericalError(DeltaFedError):
+    """Training produced a non-finite loss or gradient."""
+
+    category = "numerical"
+
+
 class ConfigError(DeltaFedError):
     """An experiment config file is malformed or references missing paths."""
 

@@ -117,10 +117,39 @@ def _check_ids(cfg: LmConfig, ids: np.ndarray) -> None:
         raise ArgumentError("token id out of range for the model vocabulary")
 
 
-def _adapter_product(params: ParameterSet, target: str, scaling: float) -> np.ndarray:
-    a = params.array(f"{target}.lora.A")
-    b = params.array(f"{target}.lora.B")
-    return scaling * (a @ b)
+def _length_groups(cfg: LmConfig, batch: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """The batch as one (count, length) id matrix per distinct length, shortest
+    first, each sequence kept in batch order within its matrix."""
+    if not len(batch):
+        raise ArgumentError("batch must be non-empty")
+    by_len: dict[int, list] = {}
+    for s in batch:
+        by_len.setdefault(len(s), []).append(s)
+    groups = []
+    for length in sorted(by_len):
+        if length < 2:
+            raise ArgumentError("every sequence must be 1-D with length >= 2")
+        if length > cfg.context + 1:
+            raise ArgumentError(
+                f"sequence length {length} exceeds context+1 = {cfg.context + 1}"
+            )
+        try:
+            x = np.asarray(by_len[length], dtype=np.int64)
+        except (TypeError, ValueError):
+            x = None
+        if x is None or x.ndim != 2:
+            raise ArgumentError("every sequence must be 1-D with length >= 2")
+        _check_ids(cfg, x)
+        groups.append(x)
+    return groups
+
+
+def _values(params: ParameterSet) -> dict[str, np.ndarray]:
+    return {name: params.array(name) for name in params.names()}
+
+
+def _adapter_product(values: Mapping[str, np.ndarray], target: str, scaling: float) -> np.ndarray:
+    return scaling * (values[f"{target}.lora.A"] @ values[f"{target}.lora.B"])
 
 
 def _dropout_mask(rng, size: int, p: float) -> np.ndarray:
@@ -143,15 +172,15 @@ class _Effective:
     mask_u: np.ndarray | None = None       # over embed columns
 
 
-def _effective(model: LmModel, rng=None) -> _Effective:
-    p = model.params
-    w = p.array("embed.W")
-    u = p.array("rnn.U")
-    eff = _Effective(w, w, u, p.array("rnn.b"), p.array("out.b"))
+def _effective(model: LmModel, values: Mapping[str, np.ndarray], rng=None) -> _Effective:
+    """Effective weights from `values` (entry name -> shaped array)."""
+    w = values["embed.W"]
+    u = values["rnn.U"]
+    eff = _Effective(w, w, u, values["rnn.b"], values["out.b"])
 
     ad_w = model.adapters.get("embed.W")
     if ad_w is not None:
-        prod = _adapter_product(p, "embed.W", ad_w.scaling)
+        prod = _adapter_product(values, "embed.W", ad_w.scaling)
         if rng is not None and ad_w.dropout_p > 0:
             eff.mask_lookup = _dropout_mask(rng, w.shape[0], ad_w.dropout_p)
             eff.mask_out = _dropout_mask(rng, w.shape[1], ad_w.dropout_p)
@@ -162,7 +191,7 @@ def _effective(model: LmModel, rng=None) -> _Effective:
 
     ad_u = model.adapters.get("rnn.U")
     if ad_u is not None:
-        prod = _adapter_product(p, "rnn.U", ad_u.scaling)
+        prod = _adapter_product(values, "rnn.U", ad_u.scaling)
         if rng is not None and ad_u.dropout_p > 0:
             eff.mask_u = _dropout_mask(rng, u.shape[1], ad_u.dropout_p)
             eff.u = u + prod * eff.mask_u[None, :]
@@ -172,22 +201,41 @@ def _effective(model: LmModel, rng=None) -> _Effective:
     return eff
 
 
-def _recur(eff: _Effective, x: np.ndarray) -> np.ndarray:
-    """Hidden states for a (batch, steps) id matrix; returns (batch, steps, d)."""
-    bsz, steps = x.shape
-    d = eff.u.shape[0]
-    hs = np.empty((bsz, steps, d))
-    h = np.zeros((bsz, d))
-    emb = eff.w_lookup[x]
-    for i in range(steps):
-        h = np.tanh(h @ eff.u.T + emb[:, i] + eff.b)
-        hs[:, i] = h
+def _recur(eff: _Effective, xt: np.ndarray) -> np.ndarray:
+    """Hidden states for a time-major (steps, batch) id matrix; returns
+    (steps, batch, d)."""
+    steps, bsz = xt.shape
+    hs = np.empty((steps, bsz, eff.u.shape[0]))
+    pre = eff.w_lookup[xt] + eff.b  # input term of every step at once
+    u_t = eff.u.T
+    np.tanh(pre[0], out=hs[0])
+    for i in range(1, steps):
+        np.tanh(hs[i - 1] @ u_t + pre[i], out=hs[i])
     return hs
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     m = z.max(axis=-1, keepdims=True)
     return z - m - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
+
+
+def _nll(eff: _Effective, x: np.ndarray):
+    """Summed next-token NLL of a (batch, length) id matrix.
+
+    -> (nll, hidden states (length-1, batch, d) that emit the predictions,
+    exp of the max-shifted logits (n, V) with n = (length-1) * batch, their
+    row sums (n, 1), target ids (n,)), all rows in time-major order.
+    """
+    xt = x.T
+    hs = _recur(eff, xt[:-1])
+    n = hs.shape[0] * hs.shape[1]
+    targets = xt[1:].reshape(n)
+    z = hs.reshape(n, -1) @ eff.w_out.T + eff.c
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=1, keepdims=True)
+    nll = float(np.log(s).sum() - z[np.arange(n), targets].sum())
+    return nll, hs, e, s, targets
 
 
 def forward(model: LmModel, tokens: Sequence[int]) -> tuple[np.ndarray, dict]:
@@ -204,87 +252,92 @@ def forward(model: LmModel, tokens: Sequence[int]) -> tuple[np.ndarray, dict]:
             f"sequence length {ids.size} exceeds context {model.cfg.context}"
         )
     _check_ids(model.cfg, ids)
-    eff = _effective(model)
-    hs = _recur(eff, ids[None, :])[0]
+    eff = _effective(model, _values(model.params))
+    hs = _recur(eff, ids[:, None])[:, 0]
     logits = hs @ eff.w_out.T + eff.c
     probs = np.exp(_log_softmax(logits))
     return probs, {"hidden": hs, "logits": logits}
 
 
-def loss_and_grad(model: LmModel, batch: Sequence[Sequence[int]], rng=None):
-    """Mean NLL over all predicted positions, plus analytic gradients.
+def trainable_loss_and_grad(
+    model: LmModel,
+    batch: Sequence[Sequence[int]],
+    rng=None,
+    values: Mapping[str, np.ndarray] | None = None,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean NLL over all predicted positions, plus the analytic gradient of
+    every trainable entry as a shaped array.
 
-    Gradients come back as a ParameterSet shaped like model.params, exactly
-    zero on frozen entries. Pass rng to enable adapter dropout (training);
-    without it the pass is deterministic.
+    `values` (entry name -> shaped array) stands in for model.params' values,
+    so a training loop can pass views of its own buffers; model.params still
+    supplies the shapes and trainable flags. Pass rng to enable adapter
+    dropout (training); without it the pass is deterministic.
     """
-    if not len(batch):
-        raise ArgumentError("batch must be non-empty")
-    seqs = [np.asarray(s, dtype=np.int64) for s in batch]
-    for s in seqs:
-        if s.ndim != 1 or s.size < 2:
-            raise ArgumentError("every sequence must be 1-D with length >= 2")
-        if s.size > model.cfg.context + 1:
-            raise ArgumentError(
-                f"sequence length {s.size} exceeds context+1 = {model.cfg.context + 1}"
-            )
-        _check_ids(model.cfg, s)
-
-    eff = _effective(model, rng=rng)
+    groups = _length_groups(model.cfg, batch)
+    if values is None:
+        values = _values(model.params)
+    eff = _effective(model, values, rng)
     v, d = eff.w_lookup.shape
 
     total_nll = 0.0
-    total_positions = 0
+    inv = 1.0 / sum(x.size - x.shape[0] for x in groups)
     d_w_lookup = np.zeros((v, d))
     d_w_out = np.zeros((v, d))
     d_u = np.zeros((d, d))
     d_b = np.zeros(d)
     d_c = np.zeros(v)
 
-    # group equal lengths so each group runs as one vectorized pass
-    by_len: dict[int, list[np.ndarray]] = {}
-    for s in seqs:
-        by_len.setdefault(s.size, []).append(s)
+    for x in groups:
+        nll, hs, dz, s, targets = _nll(eff, x)
+        total_nll += nll
+        steps, bsz = hs.shape[:2]
+        n = steps * bsz
+        hm = hs.reshape(n, d)
+        # softmax minus one-hot, already divided by the position count
+        dz *= inv / s
+        dz[np.arange(n), targets] -= inv
+        d_c += dz.sum(axis=0)
+        d_w_out += dz.T @ hm
+        dh_out = (dz @ eff.w_out).reshape(steps, bsz, d)
+        gate = 1.0 - hs * hs
 
-    for length in sorted(by_len):
-        x = np.stack(by_len[length])
-        bsz = x.shape[0]
-        hs = _recur(eff, x)
-        hm = hs[:, :-1]                      # states that emit predictions
-        targets = x[:, 1:]
-        logits = hm @ eff.w_out.T + eff.c    # (bsz, length-1, V)
-        logp = _log_softmax(logits)
-        bi = np.arange(bsz)[:, None]
-        si = np.arange(length - 1)[None, :]
-        total_nll += -float(logp[bi, si, targets].sum())
-        total_positions += bsz * (length - 1)
+        # only the carry recursion runs step by step
+        da = np.empty_like(gate)
+        carry = dh_out[-1]
+        for i in range(steps - 1, 0, -1):
+            np.multiply(carry, gate[i], out=da[i])
+            carry = dh_out[i - 1] + da[i] @ eff.u
+        np.multiply(carry, gate[0], out=da[0])
 
-        dz = np.exp(logp)
-        dz[bi, si, targets] -= 1.0
-        d_c += dz.sum(axis=(0, 1))
-        d_w_out += np.einsum("bsv,bsd->vd", dz, hm)
-        dh_out = dz @ eff.w_out              # (bsz, length-1, d)
+        da2 = da.reshape(n, d)
+        d_b += da2.sum(axis=0)
+        d_u += da[1:].reshape(-1, d).T @ hs[:-1].reshape(-1, d)
+        # scatter-add of every step's da onto its input row, as one matmul
+        # with the one-hot input matrix (several times faster than np.add.at)
+        onehot = np.zeros((n, v))
+        onehot[np.arange(n), x.T[:-1].reshape(n)] = 1.0
+        d_w_lookup += onehot.T @ da2
 
-        carry = np.zeros((bsz, d))
-        for i in range(length - 2, -1, -1):
-            dh = dh_out[:, i] + carry
-            da = dh * (1.0 - hs[:, i] ** 2)
-            d_b += da.sum(axis=0)
-            if i > 0:
-                d_u += da.T @ hs[:, i - 1]
-            np.add.at(d_w_lookup, x[:, i], da)
-            carry = da @ eff.u
-
-    loss = total_nll / total_positions
-    inv = 1.0 / total_positions
     computed = _assemble_grads(
-        model, eff, d_w_lookup * inv, d_w_out * inv, d_u * inv, d_b * inv, d_c * inv
+        model, eff, values, d_w_lookup, d_w_out, d_u, d_b, d_c
     )
-    grads = ParameterSet(
+    p = model.params
+    grads = {
+        name: computed[name] if name in computed else np.zeros(p.tensor(name).shape)
+        for name in p.trainable_names()
+    }
+    return total_nll * inv, grads
+
+
+def loss_and_grad(model: LmModel, batch: Sequence[Sequence[int]], rng=None):
+    """trainable_loss_and_grad with the gradient as a ParameterSet shaped
+    like model.params, exactly zero on frozen entries."""
+    loss, grads = trainable_loss_and_grad(model, batch, rng=rng)
+    return loss, ParameterSet(
         [
             (
                 name,
-                Tensor.from_array(computed[name])
+                Tensor.from_array(grads[name])
                 if flag
                 else Tensor(t.shape, _zeros(t.size)),
                 flag,
@@ -292,7 +345,6 @@ def loss_and_grad(model: LmModel, batch: Sequence[Sequence[int]], rng=None):
             for name, t, flag in model.params.items()
         ]
     )
-    return loss, grads
 
 
 def _zeros(n: int) -> np.ndarray:
@@ -301,34 +353,31 @@ def _zeros(n: int) -> np.ndarray:
     return z
 
 
-def _assemble_grads(model, eff, d_w_lookup, d_w_out, d_u, d_b, d_c) -> dict:
-    p = model.params
+def _assemble_grads(model, eff, values, d_w_lookup, d_w_out, d_u, d_b, d_c) -> dict:
+    """Gradients of the effective weights -> gradients of the stored entries.
+
+    An adapted base entry gets none: only its factors see the gradient.
+    """
     out: dict[str, np.ndarray] = {"rnn.b": d_b, "out.b": d_c}
 
     ad_w = model.adapters.get("embed.W")
     if ad_w is None:
         out["embed.W"] = d_w_lookup + d_w_out
     else:
-        out["embed.W"] = np.zeros_like(d_w_lookup)
         dp = d_w_lookup * (eff.mask_lookup[:, None] if eff.mask_lookup is not None else 1.0)
         dp = dp + d_w_out * (eff.mask_out[None, :] if eff.mask_out is not None else 1.0)
         dp *= ad_w.scaling
-        a = p.array("embed.W.lora.A")
-        b = p.array("embed.W.lora.B")
-        out["embed.W.lora.A"] = dp @ b.T
-        out["embed.W.lora.B"] = a.T @ dp
+        out["embed.W.lora.A"] = dp @ values["embed.W.lora.B"].T
+        out["embed.W.lora.B"] = values["embed.W.lora.A"].T @ dp
 
     ad_u = model.adapters.get("rnn.U")
     if ad_u is None:
         out["rnn.U"] = d_u
     else:
-        out["rnn.U"] = np.zeros_like(d_u)
         dp = d_u * (eff.mask_u[None, :] if eff.mask_u is not None else 1.0)
         dp = dp * ad_u.scaling
-        a = p.array("rnn.U.lora.A")
-        b = p.array("rnn.U.lora.B")
-        out["rnn.U.lora.A"] = dp @ b.T
-        out["rnn.U.lora.B"] = a.T @ dp
+        out["rnn.U.lora.A"] = dp @ values["rnn.U.lora.B"].T
+        out["rnn.U.lora.B"] = values["rnn.U.lora.A"].T @ dp
 
     return out
 
@@ -347,7 +396,7 @@ def perplexity_of(model: LmModel, ids: Sequence[int], context: int | None = None
         raise ArgumentError(f"context must be >= 1, got {ctx}")
     _check_ids(model.cfg, arr)
 
-    eff = _effective(model)
+    eff = _effective(model, _values(model.params))
     total_nll = 0.0
     total_positions = 0
 
@@ -361,12 +410,7 @@ def perplexity_of(model: LmModel, ids: Sequence[int], context: int | None = None
 
     def accumulate(x: np.ndarray):
         nonlocal total_nll, total_positions
-        hs = _recur(eff, x)[:, :-1]
-        logits = hs @ eff.w_out.T + eff.c
-        logp = _log_softmax(logits)
-        bi = np.arange(x.shape[0])[:, None]
-        si = np.arange(x.shape[1] - 1)[None, :]
-        total_nll += -float(logp[bi, si, x[:, 1:]].sum())
+        total_nll += _nll(eff, x)[0]
         total_positions += x.shape[0] * (x.shape[1] - 1)
 
     if full:

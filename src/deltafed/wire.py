@@ -43,6 +43,11 @@ FLAG_FACTORS = 0x02
 _HEADER = struct.Struct("<4sBBIIB3sQ")
 assert _HEADER.size == HEADER_LEN
 
+# Largest payload a header may declare: 256 MiB, a full f32 model of 64M
+# parameters. payload_len comes from the peer, so a receiver checks it before
+# reading or buffering the payload.
+MAX_PAYLOAD_LEN = 1 << 28
+
 DTYPE_F32 = 0
 DTYPE_Q4 = 1
 
@@ -101,6 +106,10 @@ def parse_header(header: bytes) -> tuple[int, int, int, int, int]:
         raise FormatError(f"unknown message kind {kind}")
     if reserved != b"\x00\x00\x00":
         raise FormatError("reserved header bytes must be zero")
+    if payload_len > MAX_PAYLOAD_LEN:
+        raise FormatError(
+            f"declared payload length {payload_len} exceeds {MAX_PAYLOAD_LEN}"
+        )
     return kind, round_, sender, flags, payload_len
 
 

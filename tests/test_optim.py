@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from deltafed.errors import ArgumentError, StructureError
+from deltafed.errors import ArgumentError, NumericalError, StructureError
 from deltafed.lora import attach
-from deltafed.model import LmConfig, init_model
+from deltafed.model import LmConfig, init_model, loss_and_grad
 from deltafed.optim import (
     OptimizerConfig,
     adamw_step,
@@ -234,8 +234,6 @@ class TestLocalTrainRound:
         assert math.isnan(loss)
 
     def test_loss_decreases_after_50_steps(self):
-        from deltafed.model import loss_and_grad
-
         initial, _ = loss_and_grad(self.model, self.shard)
         trained, _, _ = local_train_round(
             self.model,
@@ -323,7 +321,145 @@ class TestLocalTrainRound:
             batch_size=1,
             steps=1,
         )
-        from deltafed.model import loss_and_grad
-
         first, _ = loss_and_grad(self.model, [shard[0]])
         assert loss == pytest.approx(first, rel=1e-12)
+
+    def test_tensors_built_only_at_round_end(self, monkeypatch):
+        adapted = attach(self.model, ["embed.W", "rnn.U"], rank=2, alpha=4.0, seed=1)
+        built = []
+        post_init = Tensor.__post_init__
+
+        def counting(t):
+            built.append(t.shape)
+            post_init(t)
+
+        monkeypatch.setattr(Tensor, "__post_init__", counting)
+        for steps in (1, 12):
+            built.clear()
+            local_train_round(
+                adapted,
+                init_state(adapted.params),
+                self.shard,
+                self.cfg,
+                np.random.default_rng(0),
+                batch_size=4,
+                steps=steps,
+            )
+            assert len(built) == len(adapted.params.trainable_names())
+
+    def test_state_of_other_structure_rejected(self):
+        adapted = attach(self.model, ["embed.W"], rank=2, alpha=4.0, seed=1)
+        with pytest.raises(StructureError):
+            local_train_round(
+                adapted,
+                init_state(self.model.params),
+                self.shard,
+                self.cfg,
+                np.random.default_rng(0),
+                batch_size=4,
+                steps=1,
+            )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_blown_up_entry_raises_named_numerical_error(self):
+        adapted = attach(self.model, ["rnn.U"], rank=2, alpha=4.0, seed=1)
+        # B starts at zero, so the forward pass is untouched, but B's
+        # gradient A.T @ dU overflows the squared gradient norm
+        blown = adapted.with_params(
+            adapted.params.replace_values({"rnn.U.lora.A": np.full((4, 2), 1e300)})
+        )
+        with pytest.raises(NumericalError, match=r"step 1:.*'rnn\.U\.lora\.B'"):
+            local_train_round(
+                blown,
+                init_state(blown.params),
+                self.shard,
+                self.cfg,
+                np.random.default_rng(0),
+                batch_size=4,
+                steps=3,
+            )
+
+
+def composed_round(model, shard, cfg, rng, batch_size, steps):
+    """local_train_round spelled out with the public ParameterSet functions."""
+    params, state = model.params, init_state(model.params)
+    pending = []
+    for _ in range(steps):
+        if not pending:
+            order = rng.permutation(len(shard))
+            pending = [order[i : i + batch_size] for i in range(0, len(shard), batch_size)]
+        batch = [shard[i] for i in pending.pop(0)]
+        _, grads = loss_and_grad(model.with_params(params), batch, rng=rng)
+        grads = clip_gradients(grads, cfg.max_grad_norm)
+        params, state = adamw_step(params, grads, state, cfg)
+    return params, state
+
+
+def _plain():
+    return init_model(LmConfig(vocab_size=7, embed_dim=5, context=8), seed=11)
+
+
+def _adapted(dropout):
+    return attach(
+        _plain(), ["embed.W", "rnn.U"], rank=4, alpha=8.0, dropout_p=dropout, seed=2
+    )
+
+
+_SHARD = tiny_shard(np.random.default_rng(3), 10, 7, length=9)
+_TAIL_SHARD = _SHARD[:5] + [[1, 2, 3, 4]]
+
+EQUIVALENCE_CASES = {
+    "rank0": (_plain, _SHARD, 0.3, 4),
+    "rank0-out.b-frozen": (
+        lambda: _plain().with_params(_plain().params.with_flags({"out.b": False})),
+        _SHARD,
+        0.3,
+        4,
+    ),
+    "rank4-dropout": (lambda: _adapted(0.1), _SHARD, 0.3, 4),
+    "tiny-max-grad-norm": (lambda: _adapted(0.1), _SHARD, 1e-4, 4),
+    "short-tail-window": (lambda: _adapted(0.0), _TAIL_SHARD, 0.3, 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_flat_round_matches_public_composition(case):
+    make, shard, max_norm, batch_size = EQUIVALENCE_CASES[case]
+    model = make()
+    cfg = OptimizerConfig(
+        lr=0.05, total_steps=20, max_grad_norm=max_norm, warmup_ratio=0.1
+    )
+    steps = 7
+    trained, state, _ = local_train_round(
+        model,
+        init_state(model.params),
+        shard,
+        cfg,
+        np.random.default_rng(5),
+        batch_size=batch_size,
+        steps=steps,
+    )
+    params, ref_state = composed_round(
+        model, shard, cfg, np.random.default_rng(5), batch_size, steps
+    )
+
+    assert state.step == ref_state.step == steps
+    for name, t, flag in model.params.items():
+        got = trained.params.array(name)
+        if flag:
+            assert np.max(np.abs(got - params.array(name))) <= 1e-12, name
+            assert np.max(np.abs(state.m[name] - ref_state.m[name])) <= 1e-12, name
+            assert np.max(np.abs(state.v[name] - ref_state.v[name])) <= 1e-12, name
+            assert not np.array_equal(got, t.array), name
+        else:
+            assert trained.params.tensor(name).data.tobytes() == t.data.tobytes()
+            assert params.tensor(name).data.tobytes() == t.data.tobytes()
+            assert name not in state.m
+
+
+def test_equivalence_cases_exercise_their_branches():
+    # the tiny norm clips every step; the tail shard batches two lengths
+    model = _adapted(0.1)
+    _, grads = loss_and_grad(model, _SHARD[:4], rng=np.random.default_rng(0))
+    assert l2_norm(grads) > EQUIVALENCE_CASES["tiny-max-grad-norm"][2]
+    assert len({len(s) for s in _TAIL_SHARD}) == 2

@@ -1,10 +1,11 @@
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from deltafed.errors import ArgumentError, ProtocolError
+from deltafed.errors import ArgumentError, FormatError, ProtocolError
 from deltafed.lora import attach
 from deltafed.model import LmConfig, init_model
 from deltafed.optim import OptimizerConfig
@@ -378,6 +379,19 @@ class TestTcpTransport:
         a.close()
         with pytest.raises(ProtocolError, match="closed"):
             right.recv()
+        right.close()
+
+    def test_oversized_declared_length_rejected_at_once(self):
+        a, b = socket.socketpair()
+        right = TcpChannel(b, timeout=60.0)
+        header = bytearray(encode_message(WireMessage(1, 2, 3)))
+        header[HEADER_LEN - 8 :] = (2**40).to_bytes(8, "little")
+        a.sendall(bytes(header))
+        start = time.monotonic()
+        with pytest.raises(FormatError, match=str(2**40)):
+            right.recv()
+        assert time.monotonic() - start < 2.0
+        a.close()
         right.close()
 
     def test_end_to_end_matches_memory_run(self):

@@ -14,6 +14,7 @@ from deltafed.wire import (
     KIND_GLOBAL_BROADCAST,
     KIND_ROUND_ACK,
     KIND_SHUTDOWN,
+    MAX_PAYLOAD_LEN,
     WireMessage,
     decode_message,
     deserialize_params,
@@ -84,6 +85,16 @@ class TestHeader:
         raw = encode_message(WireMessage(1, 1, 1, payload=b"abcd"))
         with pytest.raises(FormatError, match="length"):
             decode_message(raw[:-1])
+
+    def test_declared_length_bounded(self):
+        header = bytearray(encode_message(WireMessage(1, 1, 1)))
+        header[HEADER_LEN - 8 :] = (MAX_PAYLOAD_LEN + 1).to_bytes(8, "little")
+        with pytest.raises(FormatError, match=str(MAX_PAYLOAD_LEN + 1)):
+            parse_header(bytes(header))
+        with pytest.raises(FormatError, match=str(MAX_PAYLOAD_LEN + 1)):
+            decode_message(bytes(header))
+        header[HEADER_LEN - 8 :] = MAX_PAYLOAD_LEN.to_bytes(8, "little")
+        assert parse_header(bytes(header))[-1] == MAX_PAYLOAD_LEN
 
     def test_parse_header_requires_exact_length(self):
         with pytest.raises(FormatError):
