@@ -1,11 +1,12 @@
 """Experiment driver: federated, central, and local runs from one config.
 
 The three modes share corpus ingestion, partitioning, and the per-round step
-budget so their loss curves sit on the same axis. Central mode is not a
-shortcut implementation: it runs the protocol's own round functions as
-client 0, with no channel and no thread, on the whole training split at the
-summed step budget. Every value still takes the f32 wire casts, so a K=1
-federated run and a central run produce bitwise-identical parameters.
+budget so their loss curves sit on the same axis, and one round: the
+protocol's own round functions. Central and local mode play a federation of
+one client with no channel and no thread (`_alone`): central on the whole
+training split at the summed step budget, local client i on shard i, so it
+honours `delta_form` and `quantize_payload`. Every value still takes the f32
+wire casts, so K=1 local, central and K=1 federated runs are bitwise equal.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .model import (
     init_model,
     perplexity_of,
 )
-from .optim import OptimizerConfig, init_state, local_train_round
+from .optim import OptimizerConfig, init_state
 from .protocol import (
     ClientTask,
     ProtocolConfig,
@@ -115,10 +116,6 @@ def _client_task(cfg: ExperimentConfig, client_id: int, shard: list, steps: int)
     return ClientTask(client_id, shard, opt_cfg, cfg.batch_size, steps, cfg.seed)
 
 
-def _eval_ppl(model: LmModel, setup: _Setup, cfg: ExperimentConfig) -> float:
-    return perplexity_of(model, setup.val_ids, cfg.context)
-
-
 def bleu_of(model: LmModel, setup: _Setup, cfg: ExperimentConfig) -> float:
     """Mean sentence BLEU of greedy continuations over held-out windows."""
     windows = [
@@ -135,10 +132,13 @@ def bleu_of(model: LmModel, setup: _Setup, cfg: ExperimentConfig) -> float:
     return float(np.mean(scores))
 
 
-def _eval_only_result(mode: str, setup: _Setup, cfg: ExperimentConfig) -> ExperimentResult:
-    rec = RoundRecord(0, mode, float("nan"), _eval_ppl(setup.model, setup, cfg), 0, 0, 0)
+def _eval_only(cfg: ExperimentConfig) -> ExperimentResult:
+    """A zero-round run of any mode: the initial model's metrics as round 0."""
+    setup = _setup(cfg)
+    ppl = perplexity_of(setup.model, setup.val_ids, cfg.context)
+    rec = RoundRecord(0, cfg.mode, float("nan"), ppl, 0, 0, 0)
     extras = {"bleu": bleu_of(setup.model, setup, cfg)}
-    if mode == "local":
+    if cfg.mode == "local":
         return ExperimentResult(None, [rec], extras, client_models=[setup.model] * cfg.clients)
     return ExperimentResult(setup.model, [rec], extras)
 
@@ -168,9 +168,6 @@ def _open_channels(cfg: ExperimentConfig):
 
 def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
     setup = setup or _setup(cfg)
-    if cfg.rounds == 0:
-        return _eval_only_result("federated", setup, cfg)
-
     pcfg = _protocol_config(cfg)
     tasks = [
         _client_task(cfg, i, setup.shards[i], setup.steps[i])
@@ -179,18 +176,19 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
 
     acquire, connectors, cleanup = _open_channels(cfg)
     results: list = [None] * cfg.clients
-    failures: list = [None] * cfg.clients
+    # (who, exception) in the order they happened; list.append is atomic
+    failures: list[tuple[str, Exception]] = []
 
     def client_main(i: int) -> None:
+        channel = None
         try:
             channel = connectors[i]()
-            try:
-                results[i] = run_client(channel, setup.model, tasks[i], pcfg)
-            finally:
-                if hasattr(channel, "close"):
-                    channel.close()
-        except Exception as e:  # surfaced after join
-            failures[i] = e
+            results[i] = run_client(channel, setup.model, tasks[i], pcfg)
+        except Exception as e:
+            failures.append((f"client {i}", e))  # before the close wakes the server
+        finally:
+            if channel is not None:
+                channel.close()
 
     threads = [
         threading.Thread(target=client_main, args=(i,), name=f"client-{i}")
@@ -201,20 +199,30 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
 
     snapshots: dict[int, LmModel] = {}
     try:
-        model, ledger = run_server(
-            setup.model,
-            acquire(),
-            pcfg,
-            sample_counts=setup.counts,
-            on_round=lambda t, m: snapshots.__setitem__(t, m),
-        )
+        channels = acquire()
+        try:
+            model, ledger = run_server(
+                setup.model,
+                channels,
+                pcfg,
+                sample_counts=setup.counts,
+                on_round=lambda t, m: snapshots.__setitem__(t, m),
+            )
+        finally:
+            for channel in channels:
+                channel.close()  # a client still waiting sees the end at once
+    except Exception as e:
+        failures.append(("server", e))
     finally:
         for th in threads:
             th.join()
         cleanup()
-    for e in failures:
-        if e is not None:
-            raise e
+    if failures:
+        # The first is the root cause; later ones are peers seeing a channel
+        # close. It keeps its class, attributes and traceback.
+        who, e = failures[0]
+        e.args = (f"{who}: {e}", *e.args[1:])
+        raise e
 
     records = []
     for t in range(1, cfg.rounds + 1):
@@ -224,7 +232,7 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
                 t,
                 "federated",
                 loss,
-                _eval_ppl(snapshots[t], setup, cfg),
+                perplexity_of(snapshots[t], setup.val_ids, cfg.context),
                 int(ledger.wall_ms(t)),
                 ledger.uplink_bytes(t),
                 ledger.downlink_bytes(t),
@@ -240,7 +248,24 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
     return ExperimentResult(model, records, extras, ledger=ledger)
 
 
-# -- central -----------------------------------------------------------------
+# -- central and local: federations of one client ----------------------------
+
+
+def _alone(cfg: ExperimentConfig, setup: _Setup, task: ClientTask, count: int):
+    """A federation of one client with no channel; per round yields
+    (train loss, global model, wall ms), timing the round alone."""
+    pcfg = _protocol_config(cfg)
+    counts = {task.client_id: count}
+    rng = task.rng()
+    model = worker = setup.model
+    state = init_state(worker.params)
+    for t in range(1, cfg.rounds + 1):
+        start = time.perf_counter()
+        worker, state, loss, update = answer_broadcast(
+            broadcast(model, t, pcfg), worker, state, task, pcfg, rng
+        )
+        model = fold_updates(model, t, [(task.client_id, update)], pcfg, counts)
+        yield loss, model, (time.perf_counter() - start) * 1000.0
 
 
 def run_central(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
@@ -251,67 +276,29 @@ def run_central(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experimen
     approximation of it. Its records carry no bytes.
     """
     setup = setup or _setup(cfg)
-    if cfg.rounds == 0:
-        return _eval_only_result("central", setup, cfg)
-
-    pcfg = _protocol_config(cfg)
     shard = partition_iid(setup.sequences, 1, cfg.seed)[0]
     task = _client_task(cfg, 0, shard, sum(setup.steps.values()))
-    counts = {0: sum(setup.counts.values())}
-    rng = task.rng()
-    model = worker = setup.model
-    state = init_state(worker.params)
     records = []
-
-    for t in range(1, cfg.rounds + 1):
-        start = time.perf_counter()
-        worker, state, loss, update = answer_broadcast(
-            broadcast(model, t, pcfg), worker, state, task, pcfg, rng
-        )
-        model = fold_updates(model, t, [(0, update)], pcfg, counts)
-        wall_ms = int((time.perf_counter() - start) * 1000.0)
-        records.append(
-            RoundRecord(t, "central", loss, _eval_ppl(model, setup, cfg), wall_ms, 0, 0)
-        )
-
-    extras = {"bleu": bleu_of(model, setup, cfg)}
-    return ExperimentResult(model, records, extras)
-
-
-# -- local -------------------------------------------------------------------
+    rounds = _alone(cfg, setup, task, sum(setup.counts.values()))
+    for t, (loss, model, wall_ms) in enumerate(rounds, start=1):
+        ppl = perplexity_of(model, setup.val_ids, cfg.context)
+        records.append(RoundRecord(t, "central", loss, ppl, int(wall_ms), 0, 0))
+    return ExperimentResult(model, records, {"bleu": bleu_of(model, setup, cfg)})
 
 
 def run_local(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
-    """K trainers that never communicate; records average their curves."""
+    """K trainers that never communicate; records average their curves.
+    Client i plays federated client i's rounds as a federation of one."""
     setup = setup or _setup(cfg)
-    if cfg.rounds == 0:
-        return _eval_only_result("local", setup, cfg)
-
-    losses = np.zeros((cfg.clients, cfg.rounds))
-    ppls = np.zeros((cfg.clients, cfg.rounds))
-    walls = np.zeros((cfg.clients, cfg.rounds))
-    models: list[LmModel] = []
-
+    curves, models = [], []
     for i in range(cfg.clients):
         task = _client_task(cfg, i, setup.shards[i], setup.steps[i])
-        rng = task.rng()
-        worker = setup.model
-        state = init_state(worker.params)
-        for t in range(cfg.rounds):
-            start = time.perf_counter()
-            worker, state, loss = local_train_round(
-                worker,
-                state,
-                task.shard,
-                task.opt_cfg,
-                rng,
-                batch_size=task.batch_size,
-                steps=task.steps_per_round,
-            )
-            walls[i, t] = (time.perf_counter() - start) * 1000.0
-            losses[i, t] = loss
-            ppls[i, t] = _eval_ppl(worker, setup, cfg)
-        models.append(worker)
+        curve = []
+        for loss, model, wall_ms in _alone(cfg, setup, task, setup.counts[i]):
+            curve.append((loss, perplexity_of(model, setup.val_ids, cfg.context), wall_ms))
+        curves.append(curve)
+        models.append(model)
+    losses, ppls, walls = np.moveaxis(np.array(curves), 2, 0)  # each (K, rounds)
 
     records = [
         RoundRecord(
@@ -345,7 +332,7 @@ _RUNNERS = {"federated": run_federated, "central": run_central, "local": run_loc
 
 
 def run_experiment(cfg: ExperimentConfig, report: bool = True) -> ExperimentResult:
-    result = _RUNNERS[cfg.mode](cfg)
+    result = _eval_only(cfg) if cfg.rounds == 0 else _RUNNERS[cfg.mode](cfg)
     if report:
         extras = dict(result.extras)
         extras["config"] = asdict(cfg)

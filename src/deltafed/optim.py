@@ -158,6 +158,16 @@ def _grad_norm(g: np.ndarray) -> float:
     return math.sqrt(float(np.dot(g, g)))
 
 
+def _nonfinite(
+    layout: FlatLayout, g: np.ndarray, norm: float, context: str = ""
+) -> NumericalError:
+    """The error for a gradient whose norm is not finite, naming its top entry."""
+    return NumericalError(
+        f"{context}gradient norm {norm:g}; largest gradient in entry "
+        f"{layout.largest(g)!r}"
+    )
+
+
 def _clip_flat(g: np.ndarray, norm: float, max_norm: float) -> bool:
     """Scale g (of 2-norm `norm`) down to max_norm; -> whether it was scaled."""
     if norm <= max_norm:
@@ -198,7 +208,10 @@ def clip_gradients(grads: ParameterSet, max_norm: float) -> ParameterSet:
         raise ArgumentError(f"max_norm must be positive, got {max_norm}")
     layout = FlatLayout.of(grads)
     g = layout.flatten(grads, "gradients")
-    if not _clip_flat(g, _grad_norm(g), max_norm):
+    norm = _grad_norm(g)
+    if not math.isfinite(norm):
+        raise _nonfinite(layout, g, norm)
+    if not _clip_flat(g, norm, max_norm):
         return grads
     return grads.replace_values(layout.views(g))
 
@@ -276,10 +289,8 @@ def local_train_round(
             view[...] = grads[name]
         norm = _grad_norm(g)
         if not (math.isfinite(loss) and math.isfinite(norm)):
-            raise NumericalError(
-                f"optimizer step {step + 1}: loss {loss:g}, gradient norm "
-                f"{norm:g}; largest gradient in entry {layout.largest(g)!r}"
-            )
+            context = f"optimizer step {step + 1}: loss {loss:g}, "
+            raise _nonfinite(layout, g, norm, context)
         _clip_flat(g, norm, cfg.max_grad_norm)
         _adamw_flat(p, g, state.m_flat, state.v_flat, step, cfg)
         step += 1

@@ -15,10 +15,15 @@ from .errors import ProtocolError
 from .wire import HEADER_LEN, parse_header
 
 DEFAULT_TIMEOUT = 60.0
+_END = None  # a memory channel's end-of-stream marker; messages are bytes
 
 
 class MemoryChannel:
-    """One endpoint of an in-process duplex pipe."""
+    """One endpoint of an in-process duplex pipe.
+
+    `close` queues an end-of-stream marker, so the peer's next recv fails at
+    once, as on a closed socket, instead of waiting out the timeout.
+    """
 
     def __init__(self, inbox: queue.Queue, outbox: queue.Queue, timeout: float) -> None:
         self._inbox = inbox
@@ -30,14 +35,18 @@ class MemoryChannel:
 
     def recv(self) -> bytes:
         try:
-            return self._inbox.get(timeout=self._timeout)
+            data = self._inbox.get(timeout=self._timeout)
         except queue.Empty:
             raise ProtocolError(
                 f"no message within {self._timeout:g}s on memory channel"
             ) from None
+        if data is _END:
+            self._inbox.put(_END)  # every later recv ends at once too
+            raise ProtocolError("memory channel closed by peer")
+        return data
 
     def close(self) -> None:
-        pass
+        self._outbox.put(_END)
 
 
 def memory_pairs(

@@ -1,10 +1,13 @@
 import json
 import math
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deltafed.protocol as protocol
 from deltafed.cli import main as cli_main
 from deltafed.config import ExperimentConfig, override, save_config
 from deltafed.harness import bleu_of, compare_modes, run_experiment
@@ -115,11 +118,17 @@ class TestEquivalence:
         yield {"aggregation": "fedavg", "delta_form": "dense"}
 
     def test_k1_federated_matches_central_bitwise(self, corpus_path):
+        def curve(res):
+            return [(r.train_loss, r.perplexity) for r in res.records]
+
         for kw in self.variants():
             cfg = small_cfg(corpus_path, clients=1, **kw)
             fed = run_experiment(cfg, report=False)
             cen = run_experiment(override(cfg, mode="central"), report=False)
+            loc = run_experiment(override(cfg, mode="local"), report=False)
             assert params_bytes(fed.model) == params_bytes(cen.model), kw
+            assert params_bytes(loc.client_models[0]) == params_bytes(cen.model), kw
+            assert curve(fed) == curve(cen) == curve(loc), kw
 
             # at batch size 1 the summed K=3 budget is the K=1 budget
             cfg = small_cfg(corpus_path, clients=1, batch_size=1, rounds=2, **kw)
@@ -144,6 +153,52 @@ class TestEquivalence:
         )
         assert params_bytes(mem.model) == params_bytes(tcp.model)
         assert mem.ledger.byte_table() == tcp.ledger.byte_table()
+
+
+class TestFailFast:
+    """An injected fault surfaces at once as itself, not as a peer timeout."""
+
+    def run_and_time(self, cfg, injected_at):
+        with pytest.raises(RuntimeError) as exc:
+            run_experiment(cfg, report=False)
+        return exc.value, time.monotonic() - injected_at[0]
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_client_failure_mid_round(self, corpus_path, transport, monkeypatch):
+        train = protocol.local_train_round
+        calls = {}
+        injected_at = []
+
+        def flaky(*args, **kw):
+            name = threading.current_thread().name
+            calls[name] = calls.get(name, 0) + 1
+            if name == "client-1" and calls[name] == 2:
+                injected_at.append(time.monotonic())
+                raise RuntimeError("injected training fault")
+            return train(*args, **kw)
+
+        monkeypatch.setattr(protocol, "local_train_round", flaky)
+        cfg = small_cfg(corpus_path, transport=transport)
+        err, elapsed = self.run_and_time(cfg, injected_at)
+        assert str(err) == "client 1: injected training fault"
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_server_failure_in_fold(self, corpus_path, transport, monkeypatch):
+        fold = protocol.fold_updates
+        injected_at = []
+
+        def flaky(model, rnd, *args, **kw):
+            if rnd == 2:
+                injected_at.append(time.monotonic())
+                raise RuntimeError("injected fold fault")
+            return fold(model, rnd, *args, **kw)
+
+        monkeypatch.setattr(protocol, "fold_updates", flaky)
+        cfg = small_cfg(corpus_path, transport=transport)
+        err, elapsed = self.run_and_time(cfg, injected_at)
+        assert str(err) == "server: injected fold fault"
+        assert elapsed < 2.0
 
 
 class TestCompare:

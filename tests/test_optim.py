@@ -108,6 +108,18 @@ class TestClip:
         g = scalar_set(0.0)
         assert clip_gradients(g, 0.3) is g
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norm_raises_named_numerical_error(self):
+        # the squared norm overflows; scaling by max_norm / inf would zero g
+        g = ParameterSet(
+            [
+                ("a", Tensor.from_array(np.array([1.0])), True),
+                ("b", Tensor.from_array(np.array([1e300, 1.0])), True),
+            ]
+        )
+        with pytest.raises(NumericalError, match=r"norm inf; .*entry 'b'"):
+            clip_gradients(g, 0.3)
+
 
 class TestAdamwStep:
     def test_scalar_oracle_one_step(self):

@@ -359,6 +359,19 @@ class TestMeasureRoundTraffic:
         assert total == ledger.total_bytes()
 
 
+class TestMemoryTransport:
+    def test_close_ends_peer_recv_at_once(self):
+        server_chs, client_chs = memory_pairs(1, timeout=60.0)
+        client_chs[0].send(b"last")
+        client_chs[0].close()
+        assert server_chs[0].recv() == b"last"  # queued messages come first
+        start = time.monotonic()
+        for _ in range(2):  # and every later recv ends too
+            with pytest.raises(ProtocolError, match="closed"):
+                server_chs[0].recv()
+        assert time.monotonic() - start < 2.0
+
+
 class TestTcpTransport:
     def test_channel_reassembles_split_frames(self):
         a, b = socket.socketpair()
