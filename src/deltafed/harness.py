@@ -147,7 +147,10 @@ def _eval_only(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _open_channels(cfg: ExperimentConfig):
-    """-> (acquire_server_channels, per-client connect fns, cleanup)."""
+    """-> (acquire_server_channels, per-client connect fns, stop_listening).
+
+    `stop_listening` may run more than once and from any thread; on TCP it
+    ends a pending accept at once."""
     if cfg.transport == "memory":
         server_sides, client_sides = memory_pairs(cfg.clients)
         return (
@@ -174,7 +177,7 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
         for i in range(cfg.clients)
     ]
 
-    acquire, connectors, cleanup = _open_channels(cfg)
+    acquire, connectors, stop_listening = _open_channels(cfg)
     results: list = [None] * cfg.clients
     # (who, exception) in the order they happened; list.append is atomic
     failures: list[tuple[str, Exception]] = []
@@ -186,6 +189,7 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
             results[i] = run_client(channel, setup.model, tasks[i], pcfg)
         except Exception as e:
             failures.append((f"client {i}", e))  # before the close wakes the server
+            stop_listening()  # a server still in accept gives up now
         finally:
             if channel is not None:
                 channel.close()
@@ -216,7 +220,7 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
     finally:
         for th in threads:
             th.join()
-        cleanup()
+        stop_listening()
     if failures:
         # The first is the root cause; later ones are peers seeing a channel
         # close. It keeps its class, attributes and traceback.

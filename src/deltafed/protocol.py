@@ -31,7 +31,7 @@ from .aggregate import (
     gradualdiff_aggregate,
     mean_delta,
 )
-from .errors import ArgumentError, ProtocolError, StructureError
+from .errors import ArgumentError, DeltaFedError, ProtocolError, StructureError
 from .model import SEED_CLIENT, LmModel
 from .optim import OptimizerConfig, OptimizerState, init_state, local_train_round
 from .params import ParameterSet, Tensor, check_compatible, subtract_trainable
@@ -317,7 +317,11 @@ def fold_updates(
             f"client {cid} sent kind {msg.kind}, expected {policy.uplink_kind}",
             ledger,
         )
-        params = deserialize_params(msg.payload, trainable=trainable)
+        try:
+            params = deserialize_params(msg.payload, trainable=trainable)
+        except DeltaFedError as e:
+            e.args = (f"update from client {cid} in round {rnd}: {e}", *e.args[1:])
+            raise
         received.append(
             ClientUpdate(cid, rnd, sample_counts[cid], kind, params, form=policy.form)
         )

@@ -8,6 +8,14 @@ quantizing already-decoded values reproduces the codes exactly: the zero
 point rounds half down, codes round half up, and the nudged range endpoints
 then always land on codes 0 and 15.
 
+The codec works on whole arrays, not block by block: per-block minima and
+maxima come from one `reduceat` over the block starts, scales and zero points
+are per-block arrays, and `np.repeat` expands them to one value per element.
+The last block may be shorter than the rest; `reduceat` and `np.repeat` take
+it as it is, with no padding. A constant block of value c stores the f32 cast
+of |c| as its scale, so it decodes exactly; a constant beyond the f32 range is
+fitted like any other block.
+
 Byte layout, little-endian:
     [u32 n_elements]
     [per block: f32 scale, u8 zero_point, 3 zero bytes]
@@ -26,6 +34,8 @@ from .params import Tensor
 
 DEFAULT_BLOCK = 64
 _LEVELS = 15  # codes span 0..15
+_HEADER = np.dtype([("scale", "<f4"), ("zp", "u1"), ("pad", "V3")])
+_NO_PAD = np.void(b"\x00\x00\x00")
 
 
 @dataclass(frozen=True)
@@ -41,42 +51,17 @@ class QuantizedTensor:
         return int(self.codes.size)
 
 
-def _quantize_block(x: np.ndarray) -> tuple[np.float32, int, np.ndarray]:
-    mn = float(x.min())
-    mx = float(x.max())
+def _block_sizes(n: int, block: int) -> np.ndarray:
+    """Elements per block; only the last may be short."""
+    sizes = np.full(-(-n // block), block, dtype=np.intp)
+    if sizes.size:
+        sizes[-1] = n - block * (sizes.size - 1)
+    return sizes
 
-    if mn == mx:
-        c = mn
-        if c == 0.0:
-            return np.float32(1.0), 0, np.zeros(x.size, dtype=np.uint8)
-        scale = np.float32(abs(c))
-        if not np.isfinite(scale) or scale == 0.0:
-            # magnitude outside f32: decode to 0, error below any usable scale
-            return np.float32(1.0), 0, np.zeros(x.size, dtype=np.uint8)
-        if c > 0:
-            return scale, 0, np.ones(x.size, dtype=np.uint8)
-        return scale, 1, np.zeros(x.size, dtype=np.uint8)
 
-    rmin = min(mn, 0.0)
-    rmax = max(mx, 0.0)
-    rng = rmax - rmin
-    scale = np.float32(rng / _LEVELS)
-    if float(scale) * _LEVELS < rng:
-        # the f32 cast rounded down; widen one ulp so the grid covers the
-        # whole range and no code ever clamps past the half-step bound
-        scale = np.nextafter(scale, np.float32(np.inf))
-    if not np.isfinite(scale):
-        raise ArgumentError("block range exceeds the 4-bit codec's f32 scale")
-    if scale == 0.0:
-        # range is subnormal; everything is within float dust of zero
-        return np.float32(1.0), 0, np.zeros(x.size, dtype=np.uint8)
-
-    s = float(scale)
-    zp = int(np.ceil(-rmin / s - 0.5))  # half rounds down
-    zp = min(max(zp, 0), _LEVELS)
-    q = np.floor(x / s + zp + 0.5)      # half rounds up
-    q = np.clip(q, 0, _LEVELS).astype(np.uint8)
-    return scale, zp, q
+def _frozen(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
 
 
 def quantize(t, block: int = DEFAULT_BLOCK) -> QuantizedTensor:
@@ -92,30 +77,55 @@ def quantize(t, block: int = DEFAULT_BLOCK) -> QuantizedTensor:
         raise ArgumentError("cannot quantize non-finite values")
 
     n = flat.size
-    n_blocks = -(-n // block) if n else 0
-    scales = np.empty(n_blocks, dtype=np.float32)
-    zps = np.empty(n_blocks, dtype=np.uint8)
-    codes = np.empty(n, dtype=np.uint8)
-    for i in range(n_blocks):
-        lo, hi = i * block, min((i + 1) * block, n)
-        s, z, q = _quantize_block(flat[lo:hi])
-        scales[i] = s
-        zps[i] = z
-        codes[lo:hi] = q
-    scales.setflags(write=False)
-    zps.setflags(write=False)
-    codes.setflags(write=False)
-    return QuantizedTensor(tuple(int(d) for d in arr.shape), block, scales, zps, codes)
+    starts = np.arange(0, n, block)
+    mn = np.minimum.reduceat(flat, starts)
+    mx = np.maximum.reduceat(flat, starts)
+    rmin = np.minimum(mn, 0.0)
+    with np.errstate(over="ignore"):  # inf here raises or is routed below
+        rng = np.maximum(mx, 0.0) - rmin
+        scale = (rng / _LEVELS).astype(np.float32)
+        const_scale = np.abs(mn).astype(np.float32)
+    # the f32 cast rounded down; widen one ulp so the grid covers the whole
+    # range and no code ever clamps past the half-step bound
+    short = scale.astype(np.float64) * _LEVELS < rng
+    scale[short] = np.nextafter(scale[short], np.float32(np.inf))
+
+    # a constant block stores |c| as its scale and decodes exactly, unless
+    # |c| is beyond f32: then it is fitted like any other block
+    const = (mn == mx) & np.isfinite(const_scale)
+    if not np.all(np.isfinite(scale[~const])):
+        raise ArgumentError("block range exceeds the 4-bit codec's f32 scale")
+    scale = np.where(const, const_scale, scale)
+    # zero, or a value or range below f32: decode to 0, error below any
+    # usable scale
+    dust = scale == 0.0
+    scale[dust] = 1.0
+
+    # codes divide by the f64 step; a constant block divides by |c| itself,
+    # so its codes are exactly 1 (c > 0, zp 0) or 0 (c < 0, zp 1)
+    step = np.where(const & ~dust, np.abs(mn), scale)
+    zps = np.ceil(-rmin / step - 0.5)  # half rounds down
+    zps = np.clip(zps, 0, _LEVELS).astype(np.uint8)
+    # x / s + zp + 0.5 in that order, with one f64 temporary per element;
+    # the integer zero points are expanded as bytes and added exactly
+    sizes = _block_sizes(n, block)
+    q = np.repeat(step, sizes)
+    np.divide(flat, q, out=q)
+    q += np.repeat(zps, sizes)
+    q += 0.5
+    np.floor(q, out=q)                  # half rounds up
+    np.clip(q, 0, _LEVELS, out=q)
+    codes = q.astype(np.uint8)
+    _frozen(scale, zps, codes)
+    return QuantizedTensor(tuple(int(d) for d in arr.shape), block, scale, zps, codes)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Decode to float64, shaped like the original."""
-    out = np.empty(q.n, dtype=np.float64)
-    for i in range(q.scales.size):
-        lo, hi = i * q.block, min((i + 1) * q.block, q.n)
-        s = float(q.scales[i])
-        out[lo:hi] = s * (q.codes[lo:hi].astype(np.float64) - float(q.zero_points[i]))
-    return out.reshape(q.shape)
+    sizes = _block_sizes(q.n, q.block)
+    # code - zp is a small integer, so s * (code - zp) is exact in f64
+    offsets = q.codes.astype(np.int16) - np.repeat(q.zero_points.astype(np.int16), sizes)
+    return (np.repeat(q.scales.astype(np.float64), sizes) * offsets).reshape(q.shape)
 
 
 def packed_size(n: int, block: int = DEFAULT_BLOCK) -> int:
@@ -127,15 +137,14 @@ def packed_size(n: int, block: int = DEFAULT_BLOCK) -> int:
 def to_bytes(q: QuantizedTensor) -> bytes:
     if q.block != DEFAULT_BLOCK:
         raise ArgumentError(f"wire format is fixed to block {DEFAULT_BLOCK}, got {q.block}")
-    parts = [struct.pack("<I", q.n)]
-    for i in range(q.scales.size):
-        parts.append(struct.pack("<fB3x", float(q.scales[i]), int(q.zero_points[i])))
-    padded = q.codes
+    headers = np.zeros(q.scales.size, dtype=_HEADER)
+    headers["scale"] = q.scales
+    headers["zp"] = q.zero_points
+    codes = q.codes
     if q.n % 2:
-        padded = np.concatenate([q.codes, np.zeros(1, dtype=np.uint8)])
-    pairs = padded.reshape(-1, 2)
-    parts.append((pairs[:, 0] | (pairs[:, 1] << 4)).astype(np.uint8).tobytes())
-    return b"".join(parts)
+        codes = np.append(codes, np.uint8(0))
+    nibbles = codes[0::2] | (codes[1::2] << 4)
+    return struct.pack("<I", q.n) + headers.tobytes() + nibbles.astype(np.uint8).tobytes()
 
 
 def from_bytes(data: bytes, shape: tuple[int, ...]) -> QuantizedTensor:
@@ -150,31 +159,28 @@ def from_bytes(data: bytes, shape: tuple[int, ...]) -> QuantizedTensor:
             f"quantized payload is {len(data)} bytes, expected {packed_size(n)}"
         )
     n_blocks = -(-n // DEFAULT_BLOCK) if n else 0
-    scales = np.empty(n_blocks, dtype=np.float32)
-    zps = np.empty(n_blocks, dtype=np.uint8)
-    off = 4
-    for i in range(n_blocks):
-        s, z = struct.unpack_from("<fB", data, off)
-        pad = data[off + 5 : off + 8]
-        if pad != b"\x00\x00\x00":
+    headers = np.frombuffer(data, dtype=_HEADER, count=n_blocks, offset=4)
+    scales = headers["scale"].astype(np.float32)
+    zps = headers["zp"].astype(np.uint8)
+    bad_pad = headers["pad"] != _NO_PAD
+    bad_scale = ~(scales > 0) | ~np.isfinite(scales)
+    bad_zp = zps > _LEVELS
+    bad = bad_pad | bad_scale | bad_zp
+    if bad.any():
+        i = int(np.argmax(bad))  # the first bad block, checked in wire order
+        if bad_pad[i]:
             raise FormatError("nonzero padding in quantized block header")
-        if not (s > 0) or not np.isfinite(s):
-            raise FormatError(f"block {i}: scale must be positive finite, got {s}")
-        if z > _LEVELS:
-            raise FormatError(f"block {i}: zero point {z} out of range")
-        scales[i] = s
-        zps[i] = z
-        off += 8
-    raw = np.frombuffer(data, dtype=np.uint8, offset=off)
-    lows = raw & 0x0F
-    highs = raw >> 4
+        if bad_scale[i]:
+            raise FormatError(
+                f"block {i}: scale must be positive finite, got {float(scales[i])}"
+            )
+        raise FormatError(f"block {i}: zero point {int(zps[i])} out of range")
+    raw = np.frombuffer(data, dtype=np.uint8, offset=4 + 8 * n_blocks)
     codes = np.empty(raw.size * 2, dtype=np.uint8)
-    codes[0::2] = lows
-    codes[1::2] = highs
+    codes[0::2] = raw & 0x0F
+    codes[1::2] = raw >> 4
     if n % 2 and codes.size and codes[n] != 0:
         raise FormatError("nonzero padding nibble in quantized codes")
     codes = codes[:n].copy()
-    scales.setflags(write=False)
-    zps.setflags(write=False)
-    codes.setflags(write=False)
+    _frozen(scales, zps, codes)
     return QuantizedTensor(tuple(shape), DEFAULT_BLOCK, scales, zps, codes)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import contextlib
 import queue
 import socket
-import time
 
 from .errors import ProtocolError
 from .wire import HEADER_LEN, parse_header
@@ -108,6 +107,8 @@ class TcpChannel:
 
 
 class TcpListener:
+    """Listens from construction on, so a client may connect before `accept`."""
+
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -116,19 +117,30 @@ class TcpListener:
         self.host, self.port = self._sock.getsockname()[:2]
 
     def accept(self, k: int, timeout: float = DEFAULT_TIMEOUT) -> list[TcpChannel]:
+        """-> k connected channels. On failure, the ones already accepted are
+        closed, so their clients see the end at once."""
         self._sock.settimeout(timeout)
         channels = []
         try:
             for _ in range(k):
                 conn, _addr = self._sock.accept()
                 channels.append(TcpChannel(conn, timeout))
-        except socket.timeout:
+        except OSError as e:
+            for channel in channels:
+                channel.close()
+            if isinstance(e, socket.timeout):
+                raise ProtocolError(
+                    f"only {len(channels)} of {k} clients connected within {timeout:g}s"
+                ) from None
             raise ProtocolError(
-                f"only {len(channels)} of {k} clients connected within {timeout:g}s"
-            ) from None
+                f"listener closed after {len(channels)} of {k} clients connected"
+            ) from e
         return channels
 
     def close(self) -> None:
+        """Stop listening; a pending `accept` in another thread ends at once."""
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)  # close alone does not wake it
         with contextlib.suppress(OSError):
             self._sock.close()
 
@@ -136,16 +148,13 @@ class TcpListener:
 def tcp_connect(
     host: str, port: int, timeout: float = DEFAULT_TIMEOUT
 ) -> TcpChannel:
-    # brief retry loop: the listener thread may not be accepting yet
-    deadline = time.monotonic() + timeout
-    while True:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.settimeout(max(0.05, deadline - time.monotonic()))
-            sock.connect((host, port))
-            return TcpChannel(sock, timeout)
-        except OSError as e:
-            sock.close()
-            if time.monotonic() >= deadline:
-                raise ProtocolError(f"could not connect to {host}:{port}: {e}") from e
-            time.sleep(0.02)
+    """Connect to a listening `TcpListener`. A refused connection fails at
+    once: the listener is gone, and waiting would only hide that."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.settimeout(timeout)
+        sock.connect((host, port))
+    except OSError as e:
+        sock.close()
+        raise ProtocolError(f"could not connect to {host}:{port}: {e}") from e
+    return TcpChannel(sock, timeout)

@@ -205,6 +205,8 @@ def deserialize_params(
         if dtype == DTYPE_F32:
             raw = r.take(4 * n, f"f32 data of {name!r}")
             values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+            if not np.isfinite(values).all():
+                raise FormatError(f"entry {name!r}: non-finite f32 values")
         else:
             raw = r.take(packed_size(n), f"q4 data of {name!r}")
             values = dequantize(quant_from_bytes(raw, dims)).reshape(-1)

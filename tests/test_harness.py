@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import deltafed.harness as harness
 import deltafed.protocol as protocol
 from deltafed.cli import main as cli_main
 from deltafed.config import ExperimentConfig, override, save_config
@@ -198,6 +199,28 @@ class TestFailFast:
         cfg = small_cfg(corpus_path, transport=transport)
         err, elapsed = self.run_and_time(cfg, injected_at)
         assert str(err) == "server: injected fold fault"
+        assert elapsed < 2.0
+
+    def test_client_failure_before_tcp_connect(self, corpus_path, monkeypatch):
+        # client 0 connects, client 1 never does: the server must leave
+        # accept and drop client 0 at once, not wait out either timeout
+        connect = harness.tcp_connect
+        connected = threading.Event()
+        injected_at = []
+
+        def flaky(*args, **kw):
+            if threading.current_thread().name != "client-1":
+                channel = connect(*args, **kw)
+                connected.set()
+                return channel
+            connected.wait(timeout=5.0)
+            injected_at.append(time.monotonic())
+            raise RuntimeError("injected connect fault")
+
+        monkeypatch.setattr(harness, "tcp_connect", flaky)
+        cfg = small_cfg(corpus_path, transport="tcp", clients=2)
+        err, elapsed = self.run_and_time(cfg, injected_at)
+        assert str(err) == "client 1: injected connect fault"
         assert elapsed < 2.0
 
 

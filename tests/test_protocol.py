@@ -206,6 +206,23 @@ class TestScriptedServer:
                 )
             assert exc.value.ledger is not None
 
+    def test_nonfinite_update_names_client_round_and_entry(self):
+        model = adapted_model()
+        server_chs, client_chs = memory_pairs(1, timeout=1.0)
+        scripted_join(client_chs[0], 0)
+        delta = delta_like(model.params, 0.0)
+        payload = bytearray(serialize_params(delta))
+        payload[-4:] = np.float32(np.nan).tobytes()  # the last entry's last value
+        client_chs[0].send(
+            encode_message(WireMessage(KIND_DELTA_UPDATE, 1, 0, FLAG_FACTORS, bytes(payload)))
+        )
+        last = max(delta.names())
+        with pytest.raises(FormatError) as exc:
+            run_server(model, server_chs, ProtocolConfig(rounds=1))
+        assert str(exc.value) == (
+            f"update from client 0 in round 1: entry {last!r}: non-finite f32 values"
+        )
+
     def test_duplicate_join_rejected(self):
         model = adapted_model()
         server_chs, client_chs = memory_pairs(2, timeout=1.0)
@@ -406,6 +423,31 @@ class TestTcpTransport:
         assert time.monotonic() - start < 2.0
         a.close()
         right.close()
+
+    def test_closed_listener_ends_accept_and_drops_accepted(self):
+        listener = TcpListener()
+        early = tcp_connect(listener.host, listener.port, timeout=60.0)
+        closer = threading.Timer(0.2, listener.close)
+        closer.start()
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="listener closed after 1 of 2") as exc:
+            listener.accept(2, timeout=60.0)
+        # the error is kept, as the harness keeps it, and with it accept's
+        # frame; the accepted socket must be closed, not merely dropped
+        with pytest.raises(ProtocolError, match="closed"):
+            early.recv()
+        assert exc.value.__cause__ is not None
+        assert time.monotonic() - start < 2.0
+        closer.join()
+        early.close()
+
+    def test_connect_to_closed_listener_fails_at_once(self):
+        listener = TcpListener()
+        listener.close()
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="could not connect"):
+            tcp_connect(listener.host, listener.port, timeout=60.0)
+        assert time.monotonic() - start < 2.0
 
     def test_end_to_end_matches_memory_run(self):
         model = adapted_model()

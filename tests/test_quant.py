@@ -1,10 +1,14 @@
+import math
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from deltafed.errors import FormatError
+from deltafed.errors import ArgumentError, FormatError
 from deltafed.quant import (
     dequantize,
     from_bytes,
@@ -12,6 +16,101 @@ from deltafed.quant import (
     quantize,
     to_bytes,
 )
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+# -- reference oracle --------------------------------------------------------
+# The codec as first written: one block at a time, in plain Python. The
+# whole-array codec must match its bytes, except for a constant block beyond
+# f32, which the oracle silently decodes to 0 (TestWideConstant).
+
+
+def _oracle_block(x):
+    mn = float(x.min())
+    mx = float(x.max())
+    if mn == mx:
+        c = mn
+        if c == 0.0:
+            return np.float32(1.0), 0, np.zeros(x.size, dtype=np.uint8)
+        with np.errstate(over="ignore"):
+            scale = np.float32(abs(c))
+        if not np.isfinite(scale) or scale == 0.0:
+            return np.float32(1.0), 0, np.zeros(x.size, dtype=np.uint8)
+        if c > 0:
+            return scale, 0, np.ones(x.size, dtype=np.uint8)
+        return scale, 1, np.zeros(x.size, dtype=np.uint8)
+    rmin = min(mn, 0.0)
+    rmax = max(mx, 0.0)
+    rng = rmax - rmin
+    with np.errstate(over="ignore"):
+        scale = np.float32(rng / 15)
+    if float(scale) * 15 < rng:
+        scale = np.nextafter(scale, np.float32(np.inf))
+    if not np.isfinite(scale):
+        raise ArgumentError("block range exceeds the 4-bit codec's f32 scale")
+    if scale == 0.0:
+        return np.float32(1.0), 0, np.zeros(x.size, dtype=np.uint8)
+    s = float(scale)
+    zp = int(np.ceil(-rmin / s - 0.5))
+    zp = min(max(zp, 0), 15)
+    q = np.floor(x / s + zp + 0.5)
+    return scale, zp, np.clip(q, 0, 15).astype(np.uint8)
+
+
+def oracle_bytes(x):
+    """to_bytes(quantize(x)) of the per-block codec, block 64."""
+    flat = np.asarray(x, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(flat)):
+        raise ArgumentError("cannot quantize non-finite values")
+    parts = [struct.pack("<I", flat.size)]
+    codes = []
+    for lo in range(0, flat.size, 64):
+        s, z, q = _oracle_block(flat[lo : lo + 64])
+        parts.append(struct.pack("<fB3x", float(s), z))
+        codes.extend(int(c) for c in q)
+    if len(codes) % 2:
+        codes.append(0)
+    parts.append(bytes(codes[i] | (codes[i + 1] << 4) for i in range(0, len(codes), 2)))
+    return b"".join(parts)
+
+
+def oracle_from_bytes(data, shape):
+    """-> (scales, zero points, codes) as lists; raises what from_bytes must."""
+    if len(data) < 4:
+        raise FormatError(f"quantized payload truncated: {len(data)} bytes")
+    (n,) = struct.unpack_from("<I", data, 0)
+    expect = math.prod(shape) if shape else 0
+    if n != expect:
+        raise FormatError(f"quantized payload says {n} elements, shape wants {expect}")
+    if len(data) != packed_size(n):
+        raise FormatError(f"quantized payload is {len(data)} bytes, expected {packed_size(n)}")
+    scales, zps = [], []
+    off = 4
+    for i in range(-(-n // 64)):
+        s, z = struct.unpack_from("<fB", data, off)
+        if data[off + 5 : off + 8] != b"\x00\x00\x00":
+            raise FormatError("nonzero padding in quantized block header")
+        if not (s > 0) or not np.isfinite(s):
+            raise FormatError(f"block {i}: scale must be positive finite, got {s}")
+        if z > 15:
+            raise FormatError(f"block {i}: zero point {z} out of range")
+        scales.append(s)
+        zps.append(z)
+        off += 8
+    codes = []
+    for b in data[off:]:
+        codes += [b & 0x0F, b >> 4]
+    if n % 2 and codes[n] != 0:
+        raise FormatError("nonzero padding nibble in quantized codes")
+    return scales, zps, codes[:n]
+
+
+def verdict(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except (ArgumentError, FormatError) as e:
+        return (type(e).__name__, str(e))
 
 
 def roundtrip(arr, block=64):
@@ -177,3 +276,159 @@ def test_error_bound_property(arr):
         if blk.min() <= 0.0 <= blk.max():
             strict = (blk.max() - blk.min()) / 30 + 1e-7
             assert np.abs(dec[i : i + 64] - blk).max() <= strict
+
+
+# -- the whole-array codec against the oracle --------------------------------
+
+BLOCK_KINDS = ["free", "free", "constant", "zero", "lattice", "subnormal"]
+
+
+@st.composite
+def codec_arrays(draw):
+    """Arrays of up to ~100 blocks with a ragged tail; each block is free,
+    constant, zero, a quarter-step lattice or subnormal, at magnitudes from
+    f64 subnormal up to 1e38 (below f32 max, so no constant overflows)."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=80))
+    n = math.prod(shape)
+    mag = draw(st.sampled_from([1e-310, 1e-40, 1e-6, 1.0, 1e6, 1e30, 1e38]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = rng.uniform(-1.0, 1.0, n) * mag
+    for lo in range(0, n, 64):
+        blk = flat[lo : lo + 64]
+        kind = draw(st.sampled_from(BLOCK_KINDS))
+        if kind == "constant":
+            blk[:] = blk[0]
+        elif kind == "zero":
+            blk[:] = 0.0
+        elif kind == "lattice":
+            blk[:] = 0.25 * (rng.integers(0, 16, blk.size) - rng.integers(0, 16))
+        elif kind == "subnormal":
+            blk[:] = rng.integers(-3, 4, blk.size) * 5e-324
+    return flat.reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(codec_arrays())
+def test_bytes_match_oracle(arr):
+    assert to_bytes(quantize(arr)) == oracle_bytes(arr)
+
+
+class TestOracleEdges:
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([F32_MAX, -F32_MAX]),
+            np.array([1e38, 1e-45, -5e-324]),
+            np.full(65, 3e38),
+            np.array([5e-324] * 64 + [-5e-324]),
+            np.array([0.0, -0.0, 0.0]),
+            np.array([-1e-46, 1e-46]),
+            np.linspace(-1.0, 1.0, 129).reshape(3, 43),
+        ],
+    )
+    def test_edge_arrays_match_oracle(self, arr):
+        assert to_bytes(quantize(arr)) == oracle_bytes(arr)
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([1e308, -1e308]),
+            np.array([1.0, np.nan]),
+            np.array([0.0] * 64 + [np.inf]),
+        ],
+    )
+    def test_errors_match_oracle(self, arr):
+        assert verdict(quantize, arr)[0] != "ok"
+        assert verdict(quantize, arr) == verdict(oracle_bytes, arr)
+
+
+class TestWideConstant:
+    """A constant block beyond f32 is fitted like any other block."""
+
+    @pytest.mark.parametrize("c", [5e38, -5e38, 3.5e38, 4e39])
+    def test_decodes_within_half_step(self, c):
+        arr = np.full(3, c)
+        out = dequantize(quantize(arr))
+        assert np.all(np.abs(out - arr) <= abs(c) / 30)
+        assert oracle_from_bytes(oracle_bytes(arr), (3,))[0] == [1.0]  # was 0
+
+    def test_matches_an_almost_constant_block(self):
+        wide = np.full(2, 5e38)
+        almost = np.array([5e38, 5e38 + 1e30])
+        assert np.array_equal(dequantize(quantize(wide)), dequantize(quantize(almost)))
+
+    def test_beyond_f32_scale_raises(self):
+        with pytest.raises(ArgumentError, match="f32 scale"):
+            quantize(np.full(3, 1e300))
+
+
+class TestCorruption:
+    """Corrupted payloads get the oracle's verdict and message."""
+
+    ARR = np.random.default_rng(3).uniform(-2.0, 2.0, 4 * 64 + 5)  # 5 blocks, odd n
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 4 + 5 * 8 - 1), st.integers(0, 175)),
+                st.integers(1, 255),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_flipped_bytes_match_oracle(self, flips):
+        raw = bytearray(to_bytes(quantize(self.ARR)))
+        for off, mask in flips:
+            raw[off % len(raw)] ^= mask
+        data = bytes(raw)
+        want = verdict(oracle_from_bytes, data, self.ARR.shape)
+        got = verdict(from_bytes, data, self.ARR.shape)
+        if want[0] == "ok":
+            q = got[1]
+            assert got[0] == "ok"
+            assert [float(s) for s in q.scales] == want[1][0]
+            assert q.zero_points.tolist() == want[1][1]
+            assert q.codes.tolist() == want[1][2]
+        else:
+            assert got == want
+
+    def test_first_bad_block_is_named(self):
+        good = to_bytes(quantize(self.ARR))
+        raw = bytearray(good)
+        h1, h3 = 4 + 8 * 1, 4 + 8 * 3  # block headers follow the u32 count
+        raw[h3 + 4] = 16                                  # block 3: zero point
+        raw[h1 : h1 + 4] = np.float32(-1.0).tobytes()    # block 1: scale
+        with pytest.raises(FormatError, match=r"^block 1: scale must be positive finite, got -1.0$"):
+            from_bytes(bytes(raw), self.ARR.shape)
+        raw[h1 + 6] = 1                                   # block 1: pad, checked first
+        with pytest.raises(FormatError, match="nonzero padding in quantized block header"):
+            from_bytes(bytes(raw), self.ARR.shape)
+        raw[h1 : h1 + 8] = good[h1 : h1 + 8]
+        with pytest.raises(FormatError, match=r"^block 3: zero point 16 out of range$"):
+            from_bytes(bytes(raw), self.ARR.shape)
+
+
+OVERFLOW_EDGES = [
+    np.array([F32_MAX, -F32_MAX]),
+    np.full(3, 5e38),
+    np.array([5e38, 5e38 + 1e30]),
+    np.array([1e308, -1e308]),
+    np.full(3, 1e300),
+    np.array([3e38] * 64 + [1e-45]),
+    np.array([5e-324, -5e-324, 1e-310]),
+    np.full(2, 1e-50),
+]
+
+
+def test_codec_emits_no_runtime_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for arr in OVERFLOW_EDGES:
+            try:
+                q = quantize(arr)
+            except ArgumentError:
+                continue
+            back = from_bytes(to_bytes(q), arr.shape)
+            assert np.all(np.isfinite(dequantize(back)))

@@ -271,6 +271,14 @@ class TestDeserializeErrors:
             deserialize_params(raw)
 
 
+    def test_nonfinite_f32_entry_named(self):
+        raw = bytearray(self.good())
+        for bad in (np.nan, np.inf, -np.inf):
+            raw[-4:] = np.float32(bad).tobytes()  # last value of entry 'w'
+            with pytest.raises(FormatError, match="entry 'w': non-finite"):
+                deserialize_params(bytes(raw))
+
+
 class TestRandomRoundTrips:
     def test_hundred_random_sets(self):
         rng = np.random.default_rng(11)
