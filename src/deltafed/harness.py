@@ -7,6 +7,8 @@ one client with no channel and no thread (`_alone`): central on the whole
 training split at the summed step budget, local client i on shard i, so it
 honours `delta_form` and `quantize_payload`. Every value still takes the f32
 wire casts, so K=1 local, central and K=1 federated runs are bitwise equal.
+Federated clients train in the worker processes of `workers.py` when there
+are two or more clients and cores, with the same results as in process.
 """
 
 from __future__ import annotations
@@ -32,18 +34,21 @@ from .model import (
     init_model,
     perplexity_of,
 )
-from .optim import OptimizerConfig, init_state
+from .optim import OptimizerConfig
 from .protocol import (
     ClientTask,
+    LocalTrainer,
     ProtocolConfig,
     TrafficLedger,
     answer_broadcast,
     broadcast,
+    check_client_ledger,
     fold_updates,
     run_client,
     run_server,
 )
 from .transport import TcpListener, memory_pairs, tcp_connect
+from .workers import client_trainers
 
 BLEU_SAMPLES = 24
 
@@ -72,7 +77,7 @@ class _Setup:
 
 def _setup(cfg: ExperimentConfig) -> _Setup:
     vocab, ids = corpus_tokens(cfg.resolved_corpus_path())
-    train_ids, val_ids = split_stream(list(ids), cfg.split)
+    train_ids, val_ids = split_stream(ids.tolist(), cfg.split)
     sequences = sequences_of(train_ids, cfg.context)
     shards = partition_iid(sequences, cfg.clients, cfg.seed)
 
@@ -169,14 +174,11 @@ def _open_channels(cfg: ExperimentConfig):
     )
 
 
-def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
-    setup = setup or _setup(cfg)
+def _federate(cfg: ExperimentConfig, setup: _Setup, trainers: list):
+    """Server on this thread, client i on thread `client-<i>` training with
+    trainers[i]; -> (client results, final model, server ledger, per-round
+    global models)."""
     pcfg = _protocol_config(cfg)
-    tasks = [
-        _client_task(cfg, i, setup.shards[i], setup.steps[i])
-        for i in range(cfg.clients)
-    ]
-
     acquire, connectors, stop_listening = _open_channels(cfg)
     results: list = [None] * cfg.clients
     # (who, exception) in the order they happened; list.append is atomic
@@ -186,7 +188,7 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
         channel = None
         try:
             channel = connectors[i]()
-            results[i] = run_client(channel, setup.model, tasks[i], pcfg)
+            results[i] = run_client(channel, setup.model, trainers[i], pcfg)
         except Exception as e:
             failures.append((f"client {i}", e))  # before the close wakes the server
             stop_listening()  # a server still in accept gives up now
@@ -227,6 +229,20 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
         who, e = failures[0]
         e.args = (f"{who}: {e}", *e.args[1:])
         raise e
+    return results, model, ledger, snapshots
+
+
+def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
+    setup = setup or _setup(cfg)
+    tasks = [
+        _client_task(cfg, i, setup.shards[i], setup.steps[i])
+        for i in range(cfg.clients)
+    ]
+    # the pool, if any, forks before a channel or a thread exists
+    with client_trainers(tasks) as trainers:
+        results, model, ledger, snapshots = _federate(cfg, setup, trainers)
+    for i, result in enumerate(results):
+        check_client_ledger(ledger, i, result.ledger)
 
     records = []
     for t in range(1, cfg.rounds + 1):
@@ -260,13 +276,12 @@ def _alone(cfg: ExperimentConfig, setup: _Setup, task: ClientTask, count: int):
     (train loss, global model, wall ms), timing the round alone."""
     pcfg = _protocol_config(cfg)
     counts = {task.client_id: count}
-    rng = task.rng()
-    model = worker = setup.model
-    state = init_state(worker.params)
+    trainer = LocalTrainer(task)
+    model = local = setup.model
     for t in range(1, cfg.rounds + 1):
         start = time.perf_counter()
-        worker, state, loss, update = answer_broadcast(
-            broadcast(model, t, pcfg), worker, state, task, pcfg, rng
+        local, loss, update = answer_broadcast(
+            broadcast(model, t, pcfg), local, trainer, pcfg
         )
         model = fold_updates(model, t, [(task.client_id, update)], pcfg, counts)
         yield loss, model, (time.perf_counter() - start) * 1000.0

@@ -76,6 +76,10 @@ class Tensor:
     def __hash__(self):
         return hash((self.shape, self.data.tobytes()))
 
+    def __reduce__(self):
+        # through the constructor, so an unpickled tensor is read-only again
+        return Tensor, (self.shape, self.data)
+
 
 class ParameterSet:
     """Ordered name -> (Tensor, trainable) map, immutable after construction.
@@ -104,6 +108,9 @@ class ParameterSet:
 
     def __setattr__(self, *_):
         raise AttributeError("ParameterSet is immutable")
+
+    def __reduce__(self):
+        return ParameterSet, (list(self.items()),)
 
     # -- access ------------------------------------------------------------
 

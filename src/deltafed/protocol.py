@@ -10,7 +10,9 @@ transports account identically.
 A round is three functions: the server's `broadcast`, each client's
 `answer_broadcast` and the server's `fold_updates`. `run_server` and
 `run_client` call them over channels; central mode calls them directly. What
-depends on aggregation and delta form is one `RoundPolicy` table entry.
+depends on aggregation and delta form is one `RoundPolicy` table entry. A
+client trains through its trainer: a `LocalTrainer` in this process, or a
+`workers.WorkerTrainer` that runs one in a forked worker.
 """
 
 from __future__ import annotations
@@ -245,16 +247,12 @@ def broadcast(model: LmModel, rnd: int, pcfg: ProtocolConfig) -> WireMessage:
 
 
 def answer_broadcast(
-    msg: WireMessage,
-    model: LmModel,
-    state: OptimizerState,
-    task: ClientTask,
-    pcfg: ProtocolConfig,
-    rng: np.random.Generator,
-) -> tuple[LmModel, OptimizerState, float, WireMessage]:
+    msg: WireMessage, model: LmModel, trainer, pcfg: ProtocolConfig
+) -> tuple[LmModel, float, WireMessage]:
     """A client's round: install the broadcast, train, encode the update.
 
-    -> (trained model, optimizer state, mean train loss, update message).
+    `trainer` is the client's: a `LocalTrainer`, or anything with its
+    `client_id` and `train`. -> (trained model, mean train loss, update message).
     """
     policy = pcfg.policy
     trainable = set(model.params.trainable_names())
@@ -267,22 +265,14 @@ def answer_broadcast(
         model = model.with_params(model.params.replace_values(values))
     start_params = model.params
 
-    model, state, loss = local_train_round(
-        model,
-        state,
-        task.shard,
-        task.opt_cfg,
-        rng,
-        batch_size=task.batch_size,
-        steps=task.steps_per_round,
-    )
+    model, loss = trainer.train(model)
 
     quantize = pcfg.quantize_payload and policy.form is not None  # never full models
     uplink = policy.encode(model, start_params)
     payload = serialize_params(uplink, "all", quantize_payload=quantize)
     flags = policy.uplink_flags | (FLAG_QUANTIZED if quantize else 0)
-    update = WireMessage(policy.uplink_kind, msg.round, task.client_id, flags, payload)
-    return model, state, loss, update
+    update = WireMessage(policy.uplink_kind, msg.round, trainer.client_id, flags, payload)
+    return model, loss, update
 
 
 def fold_updates(
@@ -435,12 +425,56 @@ class ClientTask:
         return np.random.default_rng([self.seed, SEED_CLIENT, self.client_id])
 
 
+class LocalTrainer:
+    """A client's training in this process: its task, plus the optimizer
+    state and the shuffle/dropout RNG it carries from round to round."""
+
+    def __init__(self, task: ClientTask) -> None:
+        self.task = task
+        self.client_id = task.client_id
+        self._rng = task.rng()
+        self._state: OptimizerState | None = None
+
+    def train(self, model: LmModel) -> tuple[LmModel, float]:
+        """One round of local steps from `model`; -> (trained model, mean loss)."""
+        if self._state is None:
+            self._state = init_state(model.params)
+        task = self.task
+        model, self._state, loss = local_train_round(
+            model,
+            self._state,
+            task.shard,
+            task.opt_cfg,
+            self._rng,
+            batch_size=task.batch_size,
+            steps=task.steps_per_round,
+        )
+        return model, loss
+
+
 @dataclass
 class ClientResult:
-    model: LmModel
-    state: OptimizerState
     losses: list[float] = field(default_factory=list)
     ledger: TrafficLedger = field(default_factory=TrafficLedger)
+
+
+def check_client_ledger(
+    server: TrafficLedger, client_id: int, client: TrafficLedger
+) -> None:
+    """Raise ProtocolError at the first round and direction where a client's
+    own ledger disagrees with the server's on its bytes or message count."""
+    ours, theirs = server.byte_table(), client.byte_table()
+    for rnd in sorted(set(ours) | set(theirs)):
+        for direction in ("down", "up"):
+            for key, what in ((direction, "bytes"), (f"{direction}_msgs", "messages")):
+                want = ours.get(rnd, {}).get(key, {}).get(client_id, 0)
+                got = theirs.get(rnd, {}).get(key, {}).get(client_id, 0)
+                _expect(
+                    got == want,
+                    f"client {client_id}'s ledger holds {got} {direction}link "
+                    f"{what} in round {rnd}, the server's {want}",
+                    server,
+                )
 
 
 def dense_delta(model: LmModel, start: ParameterSet) -> ParameterSet:
@@ -458,24 +492,22 @@ def dense_delta(model: LmModel, start: ParameterSet) -> ParameterSet:
     return ParameterSet(entries)
 
 
-def run_client(
-    channel, model: LmModel, task: ClientTask, pcfg: ProtocolConfig
-) -> ClientResult:
-    """Mirror of the server loop for one client; runs until shutdown."""
+def run_client(channel, model: LmModel, trainer, pcfg: ProtocolConfig) -> ClientResult:
+    """Mirror of the server loop for one client; runs until shutdown.
+    `trainer` trains each round, as in `answer_broadcast`."""
     ledger = TrafficLedger()
-    rng = task.rng()
-    state = init_state(model.params)
+    client_id = trainer.client_id
     losses: list[float] = []
 
-    raw = encode_message(WireMessage(KIND_ROUND_ACK, 0, task.client_id))
+    raw = encode_message(WireMessage(KIND_ROUND_ACK, 0, client_id))
     channel.send(raw)
-    ledger.add_up(0, task.client_id, len(raw))
+    ledger.add_up(0, client_id, len(raw))
 
     expected = 1
     while True:
         raw = _recv(channel, ledger)
         msg = decode_message(raw)
-        ledger.add_down(msg.round, task.client_id, len(raw))
+        ledger.add_down(msg.round, client_id, len(raw))
         if msg.kind == KIND_SHUTDOWN:
             if msg.round != expected:
                 raise ProtocolError(
@@ -489,13 +521,11 @@ def run_client(
                 f"{msg.kind} round {msg.round}",
                 ledger=ledger,
             )
-        model, state, loss, update = answer_broadcast(
-            msg, model, state, task, pcfg, rng
-        )
+        model, loss, update = answer_broadcast(msg, model, trainer, pcfg)
         losses.append(loss)
         raw = encode_message(update)
         channel.send(raw)
-        ledger.add_up(expected, task.client_id, len(raw))
+        ledger.add_up(expected, client_id, len(raw))
         expected += 1
 
-    return ClientResult(model=model, state=state, losses=losses, ledger=ledger)
+    return ClientResult(losses=losses, ledger=ledger)

@@ -134,9 +134,25 @@ def packed_size(n: int, block: int = DEFAULT_BLOCK) -> int:
     return 4 + 8 * n_blocks + (n + 1) // 2
 
 
+def _check_nibbles(q: QuantizedTensor) -> None:
+    """Raise ArgumentError naming the first block with a zero point or a code
+    outside 0..15; the wire would keep only its low nibble."""
+    zps, codes = np.asarray(q.zero_points), np.asarray(q.codes)
+    bad_zp = (zps < 0) | (zps > _LEVELS)
+    bad_code = (codes < 0) | (codes > _LEVELS)
+    if not (bad_zp.any() or bad_code.any()):
+        return
+    zp_block = int(np.argmax(bad_zp)) if bad_zp.any() else zps.size
+    code_at = int(np.argmax(bad_code)) if bad_code.any() else codes.size
+    if zp_block <= code_at // q.block:
+        raise ArgumentError(f"block {zp_block}: zero point {int(zps[zp_block])} out of range")
+    raise ArgumentError(f"block {code_at // q.block}: code {int(codes[code_at])} out of range")
+
+
 def to_bytes(q: QuantizedTensor) -> bytes:
     if q.block != DEFAULT_BLOCK:
         raise ArgumentError(f"wire format is fixed to block {DEFAULT_BLOCK}, got {q.block}")
+    _check_nibbles(q)
     headers = np.zeros(q.scales.size, dtype=_HEADER)
     headers["scale"] = q.scales
     headers["zp"] = q.zero_points

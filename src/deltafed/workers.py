@@ -1,0 +1,331 @@
+"""Training workers: federated clients train in forked processes, one core each.
+
+K client threads that train in one process take turns on the GIL. Here each
+client's `train` hands the installed model values to a persistent worker
+process, which runs the client's `LocalTrainer` there and hands back the
+trained trainable values and the mean loss. Everything else a client does
+(the protocol loop, the wire codec, the transport, the ledger) stays in the
+calling process, so every byte still crosses a channel that process owns.
+
+The pool is forked once per process, on the first federation that can use
+it, and later federations reuse it. A worker keeps one session per client it
+serves: the task (shard, optimizer config), the optimizer state and the RNG,
+bound on the client's first `train` and dropped when the federation ends. A
+federation of K clients on C usable cores uses W = min(K, C) workers; client
+i uses worker i % W, one job at a time. With W < 2, without `os.fork`,
+when the pool must grow while other threads run (forking beside live threads
+is unsafe) or when a fork fails, clients train in process instead.
+
+A job is a small pickled message over a pipe; the values travel through a
+float64 area of shared memory that both processes map, so a round costs a
+few memory copies rather than a pickle and a socket transfer of the model
+each way. Both paths run the same arithmetic on the same float64 values, so
+they agree bit for bit.
+"""
+
+from __future__ import annotations
+
+import atexit
+import ctypes
+import itertools
+import mmap
+import os
+import pickle
+import signal
+import tempfile
+import threading
+import time
+from contextlib import contextmanager
+from multiprocessing import Pipe
+
+import numpy as np
+
+from .errors import DeltaFedError
+from .optim import FlatLayout
+from .protocol import ClientTask, LocalTrainer
+
+REAP_SECONDS = 1.0  # how long to wait for a worker to end before killing it
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def pool_size(clients: int, cpus: int) -> int:
+    """Workers for a federation of `clients` on `cpus` usable cores."""
+    return min(clients, cpus)
+
+
+def planned_workers(clients: int) -> int:
+    """Workers a federation of `clients` would train on; 0 trains in process."""
+    if not hasattr(os, "fork"):
+        return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    w = pool_size(clients, cpus)
+    return w if w >= 2 else 0
+
+
+def _layouts(params) -> tuple[FlatLayout, FlatLayout]:
+    """-> (every entry, the trainable entries), each in name order."""
+    names = tuple(params.names())
+    return FlatLayout(names, tuple(params.tensor(n).shape for n in names)), FlatLayout.of(params)
+
+
+class _Area:
+    """A worker's shared float64 scratch memory: one file both processes
+    inherit and map, grown by the parent, remapped by the worker to the size
+    each job names."""
+
+    def __init__(self) -> None:
+        if hasattr(os, "memfd_create"):
+            self.fd = os.memfd_create("deltafed-worker")
+        else:
+            self.fd, path = tempfile.mkstemp()
+            os.unlink(path)
+        self.size = 0
+        self._map = None
+
+    def vector(self, size: int) -> np.ndarray:
+        """The first `size` bytes as float64, mapped anew if the size changed."""
+        if size != self.size:
+            self._map = mmap.mmap(self.fd, size)
+            self.size = size
+        return np.frombuffer(self._map, dtype=np.float64)
+
+    def fit(self, n: int) -> np.ndarray:
+        """Parent side: grow to hold n values; -> the whole area as float64."""
+        size = self.size
+        if 8 * n > size:
+            size = max(8 * n, 2 * size)
+            os.ftruncate(self.fd, size)
+        return self.vector(size)
+
+    def close(self) -> None:
+        self._map = None
+        os.close(self.fd)
+
+
+class _Worker:
+    """The parent's handle on one worker process."""
+
+    def __init__(self, pid: int, conn, area: _Area) -> None:
+        self.pid = pid
+        self.conn = conn
+        self.area = area
+        self.lock = threading.Lock()  # one job at a time; guards the area
+        self.failure: str | None = None  # how it ended, once reaped
+
+    def call(self, job):
+        """Send one job, wait for its reply; re-raise a training error."""
+        try:
+            self.conn.send(job)
+            status, reply = self.conn.recv()
+        except (EOFError, OSError):
+            raise DeltaFedError(f"training worker {self.reap(REAP_SECONDS)}") from None
+        if status == "err":
+            raise reply
+        return reply
+
+    def reap(self, seconds: float) -> str:
+        """Wait up to `seconds` for the process to end, kill it after that;
+        -> how it ended."""
+        if self.failure is None:
+            deadline = time.monotonic() + seconds
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+                while not pid and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                    pid, status = os.waitpid(self.pid, os.WNOHANG)
+                if not pid:
+                    os.kill(self.pid, signal.SIGKILL)
+                    _, status = os.waitpid(self.pid, 0)
+            except ChildProcessError:  # reaped by someone else's waitpid(-1)
+                self.failure = "exited"
+                return self.failure
+            code = os.waitstatus_to_exitcode(status)
+            self.failure = f"killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        return self.failure
+
+
+_pool: list[_Worker] = []
+_sessions = itertools.count()
+
+
+def _serve(conn, area: _Area) -> None:
+    """A worker's loop: bind, train and unbind sessions until the pipe closes."""
+    sessions: dict[int, tuple] = {}  # id -> (trainer, model skeleton, layouts)
+    while True:
+        try:
+            op, sid, *args = conn.recv()
+        except EOFError:
+            return
+        if op == "unbind":
+            sessions.pop(sid, None)
+            continue
+        vec = area.vector(args[0])
+        if op == "bind":
+            task, model = args[1:]
+            sessions[sid] = (LocalTrainer(task), model, _layouts(model.params))
+        trainer, skeleton, (everything, trainable) = sessions[sid]
+        if op == "train":
+            params = skeleton.params.replace_values(everything.views(vec))
+            model = skeleton.with_params(params)
+        threading.current_thread().name = f"client-{trainer.client_id}"
+        try:
+            model, loss = trainer.train(model)
+            for name, view in trainable.views(vec).items():
+                view[...] = model.params.array(name)
+            reply = pickle.dumps(("ok", loss))
+        except Exception as e:
+            try:
+                reply = pickle.dumps(("err", e))
+                pickle.loads(reply)
+            except Exception:
+                reply = pickle.dumps(("err", DeltaFedError(f"training raised {e!r}")))
+        conn.send_bytes(reply)
+
+
+def _keep_heap() -> None:
+    """Keep a worker's heap from shrinking and regrowing at every step.
+
+    A worker allocates and frees the same large temporaries at each optimizer
+    step. With glibc's default dynamic thresholds a forked worker hands its
+    heap top back to the system each time, and every regrown page faults:
+    34K faults and a third more time per round of 32 steps on a 256-wide
+    model. Fixed thresholds keep the freed memory for the next step. Where
+    there is no `mallopt` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)  # glibc's largest
+    mallopt(M_TRIM_THRESHOLD, 1 << 30)
+
+
+def _forget_pool() -> None:
+    """In any forked child: close what it inherited of the pool. A worker
+    whose pipe end stays open in another process never sees the EOF."""
+    global _pool
+    for w in _pool:
+        w.conn.close()
+        w.area.close()
+    _pool = []
+
+
+def _grow(n: int) -> bool:
+    """Fork workers until the pool has n; False when other threads are live
+    or a fork fails."""
+    if len(_pool) >= n:
+        return True
+    if threading.active_count() > 1:
+        return False
+    while len(_pool) < n:
+        parent_end, child_end = Pipe()
+        area = _Area()
+        try:
+            pid = os.fork()
+        except OSError:  # out of processes, say: the clients train in process
+            parent_end.close()
+            child_end.close()
+            area.close()
+            return False
+        if pid == 0:  # the worker; it never returns into the caller's stack
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
+                parent_end.close()
+                _keep_heap()
+                _serve(child_end, area)
+                code = 0
+            finally:
+                os._exit(code)
+        child_end.close()
+        _pool.append(_Worker(pid, parent_end, area))
+    return True
+
+
+def shutdown() -> None:
+    """Close the pool's pipes and reap its workers, killing any that linger;
+    the next federation forks a fresh pool."""
+    global _pool
+    pool, _pool = _pool, []
+    for w in pool:
+        w.conn.close()  # an idle worker exits at the EOF
+    deadline = time.monotonic() + REAP_SECONDS
+    for w in pool:
+        w.reap(deadline - time.monotonic())
+        w.area.close()
+
+
+class WorkerTrainer:
+    """A client's trainer whose rounds run in a pool worker."""
+
+    def __init__(self, worker: _Worker, task: ClientTask) -> None:
+        self.client_id = task.client_id
+        self._worker = worker
+        self._task = task
+        self._sid = next(_sessions)
+        self._bound = False
+
+    def train(self, model):
+        """-> (trained model, mean loss), as `LocalTrainer.train`."""
+        params = model.params
+        everything, trainable = _layouts(params)
+        worker = self._worker
+        with worker.lock:
+            vec = worker.area.fit(everything.size)
+            if self._bound:
+                for name, view in everything.views(vec).items():
+                    view[...] = params.array(name)
+                job = ("train", self._sid, worker.area.size)
+            else:
+                job = ("bind", self._sid, worker.area.size, self._task, model)
+                self._bound = True
+            loss = worker.call(job)
+            trained = params.replace_values(trainable.views(vec))  # copies
+        return model.with_params(trained), loss
+
+    def unbind(self) -> None:
+        if self._bound:
+            with self._worker.lock:
+                self._worker.conn.send(("unbind", self._sid))
+
+
+@contextmanager
+def client_trainers(tasks: list[ClientTask]):
+    """Yield one trainer per task: on the pool's workers when
+    `planned_workers` plans two or more and the pool can grow to them, else
+    in process.
+
+    Grows the pool before the caller starts any thread; on exit unbinds the
+    sessions, or discards the whole pool if a worker died.
+    """
+    n = planned_workers(len(tasks))
+    if not n or not _grow(n):
+        yield [LocalTrainer(task) for task in tasks]
+        return
+    trainers = [WorkerTrainer(_pool[i % n], task) for i, task in enumerate(tasks)]
+    try:
+        yield trainers
+    finally:
+        _release(trainers)
+
+
+def _release(trainers: list[WorkerTrainer]) -> None:
+    """Unbind the sessions; discard the whole pool if a worker died."""
+    try:
+        if all(w.failure is None for w in _pool):
+            for trainer in trainers:
+                trainer.unbind()
+            return
+    except OSError:  # a worker died between jobs
+        pass
+    shutdown()
+
+
+atexit.register(shutdown)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)

@@ -9,8 +9,10 @@ import pytest
 
 import deltafed.harness as harness
 import deltafed.protocol as protocol
+import deltafed.workers as workers
 from deltafed.cli import main as cli_main
 from deltafed.config import ExperimentConfig, override, save_config
+from deltafed.errors import ProtocolError
 from deltafed.harness import bleu_of, compare_modes, run_experiment
 from deltafed.metrics import parse_rounds_csv
 from deltafed.wire import serialize_params
@@ -157,7 +159,15 @@ class TestEquivalence:
 
 
 class TestFailFast:
-    """An injected fault surfaces at once as itself, not as a peer timeout."""
+    """An injected fault surfaces at once as itself, not as a peer timeout.
+
+    The faults are injected in this process and keyed on thread names, so
+    these runs train in process; tests/test_workers.py has the pool's twins.
+    """
+
+    @pytest.fixture(autouse=True)
+    def in_process(self, monkeypatch):
+        monkeypatch.setattr(workers, "planned_workers", lambda clients: 0)
 
     def run_and_time(self, cfg, injected_at):
         with pytest.raises(RuntimeError) as exc:
@@ -222,6 +232,23 @@ class TestFailFast:
         err, elapsed = self.run_and_time(cfg, injected_at)
         assert str(err) == "client 1: injected connect fault"
         assert elapsed < 2.0
+
+
+class TestClientLedgers:
+    def test_client_ledger_mismatch_named(self, corpus_path, monkeypatch):
+        class Skewed(protocol.TrafficLedger):
+            """Client 1's own ledger books one byte too many in round 2."""
+
+            def add_up(self, rnd, client_id, nbytes):
+                if threading.current_thread().name == "client-1" and rnd == 2:
+                    nbytes += 1
+                super().add_up(rnd, client_id, nbytes)
+
+        monkeypatch.setattr(protocol, "TrafficLedger", Skewed)
+        with pytest.raises(ProtocolError) as exc:
+            run_experiment(small_cfg(corpus_path), report=False)
+        assert str(exc.value).startswith("client 1's ledger holds ")
+        assert " uplink bytes in round 2, the server's " in str(exc.value)
 
 
 class TestCompare:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -93,6 +94,14 @@ class TestParameterSet:
         ps = make_set({"a": (np.ones(1), True)})
         with pytest.raises(ArgumentError):
             ps.tensor("zz")
+
+    def test_pickle_round_trip(self):
+        ps = random_set(np.random.default_rng(3))
+        back = pickle.loads(pickle.dumps(ps))
+        assert back == ps
+        assert [back.trainable(n) for n in back.names()] == [ps.trainable(n) for n in ps.names()]
+        with pytest.raises(ValueError):
+            back.tensor(back.names()[0]).data[0] = 1.0  # read-only again
 
 
 class TestSubtractTrainable:

@@ -12,6 +12,7 @@ from deltafed.optim import OptimizerConfig
 from deltafed.params import ParameterSet, Tensor
 from deltafed.protocol import (
     ClientTask,
+    LocalTrainer,
     ProtocolConfig,
     TrafficLedger,
     measure_round_traffic,
@@ -69,7 +70,7 @@ def federate(model, tasks, pcfg, server_chs, client_chs, sample_counts=None):
 
     def work(task, ch):
         try:
-            results[task.client_id] = run_client(ch, model, task, pcfg)
+            results[task.client_id] = run_client(ch, model, LocalTrainer(task), pcfg)
         except BaseException as e:  # surfaced after join
             results[task.client_id] = e
 

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from deltafed.errors import ArgumentError, FormatError
 from deltafed.quant import (
+    QuantizedTensor,
     dequantize,
     from_bytes,
     packed_size,
@@ -218,6 +219,40 @@ class TestLayout:
         q = quantize(np.array([1.0, 2.0, 3.0]))
         raw = to_bytes(q)
         assert raw[-1] >> 4 == 0
+
+
+class TestOutOfRangeNibbles:
+    """to_bytes refuses what the wire cannot hold, instead of keeping the low nibble."""
+
+    def hand_built(self, zero_points, codes):
+        n_blocks = -(-len(codes) // 64)
+        return QuantizedTensor(
+            (len(codes),),
+            64,
+            np.ones(n_blocks, dtype=np.float32),
+            np.array(zero_points, dtype=np.uint8),
+            np.array(codes, dtype=np.uint8),
+        )
+
+    def test_code_above_15_named(self):
+        # codes [17, 3] used to serialize as [1, 3]
+        with pytest.raises(ArgumentError, match=r"^block 0: code 17 out of range$"):
+            to_bytes(self.hand_built([0], [17, 3]))
+
+    def test_zero_point_above_15_named(self):
+        with pytest.raises(ArgumentError, match=r"^block 0: zero point 16 out of range$"):
+            to_bytes(self.hand_built([16], [1, 3]))
+
+    def test_first_bad_block_named(self):
+        codes = [1] * 64 + [2] * 64 + [40] + [3] * 63
+        with pytest.raises(ArgumentError, match=r"^block 1: zero point 99 out of range$"):
+            to_bytes(self.hand_built([0, 99, 0], codes))
+        with pytest.raises(ArgumentError, match=r"^block 2: code 40 out of range$"):
+            to_bytes(self.hand_built([0, 0, 0], codes))
+
+    def test_in_range_codes_pass(self):
+        q = self.hand_built([15], [0, 15, 7])
+        assert np.array_equal(from_bytes(to_bytes(q), (3,)).codes, q.codes)
 
 
 class TestFormatErrors:

@@ -1,0 +1,215 @@
+"""The training-worker pool: same results as in-process training, fail-fast
+across the process boundary, no processes left behind."""
+
+import os
+import threading
+import time
+
+import pytest
+
+import deltafed.protocol as protocol
+import deltafed.workers as workers
+import test_harness
+from deltafed.config import override
+from deltafed.errors import DeltaFedError
+from deltafed.harness import run_experiment
+
+corpus_path = test_harness.corpus_path  # the module-scoped corpus fixture
+small_cfg = test_harness.small_cfg
+params_bytes = test_harness.params_bytes
+
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks")
+
+
+def pool_pids():
+    return [w.pid for w in workers._pool]
+
+
+def pool_of_two(monkeypatch):
+    """Plan up to two workers, whatever the core count."""
+    monkeypatch.setattr(workers, "planned_workers", lambda clients: min(clients, 2))
+
+
+def in_process(monkeypatch):
+    monkeypatch.setattr(workers, "planned_workers", lambda clients: 0)
+
+
+@pytest.fixture
+def fresh_pool():
+    """No pool before the test, so its first federation forks one; none after."""
+    workers.shutdown()
+    assert threading.active_count() == 1, threading.enumerate()
+    yield
+    workers.shutdown()
+
+
+def outcome(res):
+    recs = [(r.round, r.train_loss, r.perplexity, r.uplink_bytes, r.downlink_bytes) for r in res.records]
+    return params_bytes(res.model), res.ledger.byte_table(), recs, res.extras["bleu"]
+
+
+def assert_no_zombie():
+    try:
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)
+    except ChildProcessError:
+        pass  # no child at all
+
+
+class TestPoolSize:
+    def test_bounded_by_cores(self, monkeypatch):
+        assert workers.pool_size(64, 2) == 2
+        assert workers.pool_size(3, 8) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", None)  # planning never forks
+        assert workers.planned_workers(64) == 2
+        assert workers.planned_workers(1) == 0  # one client trains in process
+
+    def test_one_core_trains_in_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert workers.planned_workers(64) == 0
+
+
+class TestFallback:
+    def test_failed_fork_trains_in_process(self, corpus_path, monkeypatch, fresh_pool):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        in_process(monkeypatch)
+        ref = run_experiment(small_cfg(corpus_path), report=False)
+        pool_of_two(monkeypatch)
+        monkeypatch.setattr(os, "fork", no_fork)
+        res = run_experiment(small_cfg(corpus_path), report=False)
+        assert pool_pids() == []
+        assert outcome(res) == outcome(ref)
+
+
+class TestPoolMatchesInProcess:
+    def run_both(self, cfg, monkeypatch):
+        train = protocol.local_train_round
+        here = []
+
+        def counted(*args, **kw):
+            here.append(1)  # in a worker this appends to the worker's copy
+            return train(*args, **kw)
+
+        monkeypatch.setattr(protocol, "local_train_round", counted)
+        in_process(monkeypatch)
+        ref = run_experiment(cfg, report=False)
+        assert here
+        here.clear()
+        pool_of_two(monkeypatch)
+        pooled = run_experiment(cfg, report=False)
+        assert not here and len(pool_pids()) == 2  # trained in the workers
+        return ref, pooled
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_every_variant_bitwise(self, corpus_path, transport, monkeypatch):
+        for kw in test_harness.TestEquivalence.variants(None):
+            cfg = small_cfg(corpus_path, transport=transport, **kw)
+            ref, pooled = self.run_both(cfg, monkeypatch)
+            assert outcome(pooled) == outcome(ref), kw
+
+    def test_clients_sharing_a_worker(self, corpus_path, monkeypatch):
+        cfg = small_cfg(corpus_path, clients=5, lora_dropout=0.1)
+        ref, pooled = self.run_both(cfg, monkeypatch)
+        assert outcome(pooled) == outcome(ref)
+
+
+class TestPoolFailFast:
+    """Faults injected in a worker surface as the in-process ones do.
+
+    The fault is patched in before the pool forks, so it lives in the
+    workers. It fires once: a marker file records the injection time
+    (CLOCK_MONOTONIC is system-wide) and keeps it from firing again.
+    """
+
+    def inject(self, monkeypatch, tmp_path, fault):
+        train = protocol.local_train_round
+        marker = tmp_path / "injected"
+        calls = {}
+
+        def flaky(*args, **kw):
+            name = threading.current_thread().name
+            calls[name] = calls.get(name, 0) + 1
+            if name == "client-1" and calls[name] == 2 and not marker.exists():
+                marker.write_text(f"{time.monotonic()!r} {os.getpid()}")
+                fault()
+            return train(*args, **kw)
+
+        monkeypatch.setattr(protocol, "local_train_round", flaky)
+        pool_of_two(monkeypatch)
+        return marker
+
+    def fail_then_recover(self, corpus_path, marker, error):
+        cfg = small_cfg(corpus_path)
+        with pytest.raises(error) as exc:
+            run_experiment(cfg, report=False)
+        elapsed = time.monotonic()
+        injected_at, pid = marker.read_text().split()
+        assert int(pid) != os.getpid()  # the fault fired in a worker
+        assert elapsed - float(injected_at) < 2.0
+        res = run_experiment(cfg, report=False)  # the next run succeeds
+        assert len(res.records) == cfg.rounds
+        return str(exc.value)
+
+    def test_training_error_reraised(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
+        def fault():
+            raise RuntimeError("injected training fault")
+
+        marker = self.inject(monkeypatch, tmp_path, fault)
+        message = self.fail_then_recover(corpus_path, marker, RuntimeError)
+        assert message == "client 1: injected training fault"
+
+    def test_unpicklable_error_becomes_deltafed_error(
+        self, corpus_path, tmp_path, monkeypatch, fresh_pool
+    ):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def fault():
+            raise Local("odd")
+
+        marker = self.inject(monkeypatch, tmp_path, fault)
+        message = self.fail_then_recover(corpus_path, marker, DeltaFedError)
+        assert message == "client 1: training raised Local('odd')"
+
+    def test_worker_exit_named(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
+        marker = self.inject(monkeypatch, tmp_path, lambda: os._exit(3))
+        message = self.fail_then_recover(corpus_path, marker, DeltaFedError)
+        assert message == "client 1: training worker exited with code 3"
+
+
+class TestNoLeaks:
+    def test_runs_leave_no_unreaped_child(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
+        pool_of_two(monkeypatch)
+        cfg = small_cfg(corpus_path)
+        run_experiment(cfg, report=False)
+        first = pool_pids()
+        assert len(first) == 2
+        assert_no_zombie()
+
+        # a worker killed mid-round: the run fails, the pool is discarded
+        train = protocol.local_train_round
+
+        def killer(*args, **kw):
+            if threading.current_thread().name == "client-1":
+                os.kill(os.getpid(), 9)
+            return train(*args, **kw)
+
+        workers.shutdown()
+        monkeypatch.setattr(protocol, "local_train_round", killer)
+        with pytest.raises(DeltaFedError, match="^client 1: training worker killed by signal 9$"):
+            run_experiment(cfg, report=False)
+        second = pool_pids()
+        assert second == []
+        assert_no_zombie()
+        monkeypatch.undo()
+
+        pool_of_two(monkeypatch)
+        run_experiment(override(cfg, transport="tcp"), report=False)
+        third = pool_pids()
+        workers.shutdown()
+        for pid in first + third:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # reaped, not a zombie or an orphan
+        assert_no_zombie()
