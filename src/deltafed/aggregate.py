@@ -13,10 +13,14 @@ from .params import ParameterSet, add_delta, check_compatible, weighted_sum
 
 KIND_FULL = "full"
 KIND_DELTA = "delta"
+
+# The values accepted for a run's aggregation, delta_form and delta_weighting.
+AGG_GRADUALDIFF = "gradualdiff"
+AGG_FEDAVG = "fedavg"
 FORM_FACTORS = "factors"
 FORM_DENSE = "dense"
-
-WEIGHTINGS = ("uniform", "samples")
+WEIGHT_UNIFORM = "uniform"
+WEIGHT_SAMPLES = "samples"
 
 
 @dataclass(frozen=True)
@@ -65,9 +69,9 @@ def _sorted_updates(updates: list[ClientUpdate], kind: str) -> list[ClientUpdate
 
 
 def _weights(updates: list[ClientUpdate], weighting: str) -> list[float]:
-    if weighting == "uniform":
+    if weighting == WEIGHT_UNIFORM:
         return [1.0 / len(updates)] * len(updates)
-    if weighting == "samples":
+    if weighting == WEIGHT_SAMPLES:
         total = sum(u.sample_count for u in updates)
         return [u.sample_count / total for u in updates]
     raise ArgumentError(f"unknown weighting {weighting!r}")
@@ -84,7 +88,7 @@ def fedavg_aggregate(updates: list[ClientUpdate]) -> ParameterSet:
     for u in updates[1:]:
         check_compatible(first, u.params)
     mean = weighted_sum(
-        [u.params.trainable_subset() for u in updates], _weights(updates, "samples")
+        [u.params.trainable_subset() for u in updates], _weights(updates, WEIGHT_SAMPLES)
     )
     frozen = first.drop(mean.names())
     for name, t, _ in frozen.items():
@@ -97,7 +101,7 @@ def fedavg_aggregate(updates: list[ClientUpdate]) -> ParameterSet:
     return frozen.merged_with(mean)
 
 
-def mean_delta(updates: list[ClientUpdate], weighting: str = "uniform") -> ParameterSet:
+def mean_delta(updates: list[ClientUpdate], weighting: str = WEIGHT_UNIFORM) -> ParameterSet:
     """Weighted entrywise mean of delta payloads (coverage not checked here)."""
     updates = _sorted_updates(updates, KIND_DELTA)
     forms = {u.form for u in updates}
@@ -121,18 +125,10 @@ def _check_coverage(global_: ParameterSet, update: ClientUpdate) -> None:
 def gradualdiff_aggregate(
     global_: ParameterSet,
     updates: list[ClientUpdate],
-    weighting: str = "uniform",
+    weighting: str = WEIGHT_UNIFORM,
 ) -> ParameterSet:
     """global + weighted mean of client deltas; frozen entries untouched."""
     checked = _sorted_updates(updates, KIND_DELTA)
     for u in checked:
         _check_coverage(global_, u)
     return add_delta(global_, mean_delta(checked, weighting))
-
-
-def reconstruct_local(global_: ParameterSet, update: ClientUpdate) -> ParameterSet:
-    """Invert the delta: the local model the client ended the round with."""
-    if update.kind != KIND_DELTA:
-        raise ArgumentError(f"expected a delta update, got {update.kind!r}")
-    _check_coverage(global_, update)
-    return add_delta(global_, update.params)

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
+from .aggregate import (
+    AGG_FEDAVG,
+    AGG_GRADUALDIFF,
+    FORM_DENSE,
+    FORM_FACTORS,
+    WEIGHT_SAMPLES,
+    WEIGHT_UNIFORM,
+)
 from .errors import ConfigError
 
 BUNDLED_CORPUS = "bundled"
@@ -31,9 +40,9 @@ class ExperimentConfig:
     lora_alpha: float = 8.0
     lora_dropout: float = 0.1
     lora_targets: str = "embed.W,rnn.U"
-    aggregation: str = "gradualdiff"
-    delta_form: str = "factors"
-    delta_weighting: str = "uniform"
+    aggregation: str = AGG_GRADUALDIFF
+    delta_form: str = FORM_FACTORS
+    delta_weighting: str = WEIGHT_UNIFORM
     quantize_payload: bool = False
     transport: str = "memory"
     tcp_host: str = "127.0.0.1"
@@ -41,6 +50,8 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self) -> None:
+        for key in sorted(_FLOAT_KEYS):
+            _require(math.isfinite(getattr(self, key)), key, getattr(self, key))
         _require(self.mode in ("federated", "central", "local"), "mode", self.mode)
         _require(self.rounds >= 0, "rounds", self.rounds)
         _require(self.clients >= 1, "clients", self.clients)
@@ -57,15 +68,15 @@ class ExperimentConfig:
         _require(self.lora_alpha > 0, "lora_alpha", self.lora_alpha)
         _require(0.0 <= self.lora_dropout < 1.0, "lora_dropout", self.lora_dropout)
         _require(
-            self.aggregation in ("gradualdiff", "fedavg"),
+            self.aggregation in (AGG_GRADUALDIFF, AGG_FEDAVG),
             "aggregation",
             self.aggregation,
         )
         _require(
-            self.delta_form in ("factors", "dense"), "delta_form", self.delta_form
+            self.delta_form in (FORM_FACTORS, FORM_DENSE), "delta_form", self.delta_form
         )
         _require(
-            self.delta_weighting in ("uniform", "samples"),
+            self.delta_weighting in (WEIGHT_UNIFORM, WEIGHT_SAMPLES),
             "delta_weighting",
             self.delta_weighting,
         )
@@ -73,7 +84,7 @@ class ExperimentConfig:
         _require(0 <= self.tcp_port <= 65535, "tcp_port", self.tcp_port)
         if self.lora_rank >= 1:
             _require(bool(self.targets()), "lora_targets", self.lora_targets)
-        if self.delta_form == "dense":
+        if self.delta_form == FORM_DENSE:
             _require(
                 self.lora_rank >= 1,
                 "delta_form",

@@ -140,7 +140,7 @@ def bleu_of(model: LmModel, setup: _Setup, cfg: ExperimentConfig) -> float:
 def _eval_only(cfg: ExperimentConfig) -> ExperimentResult:
     """A zero-round run of any mode: the initial model's metrics as round 0."""
     setup = _setup(cfg)
-    ppl = perplexity_of(setup.model, setup.val_ids, cfg.context)
+    ppl = perplexity_of(setup.model, setup.val_ids)
     rec = RoundRecord(0, cfg.mode, float("nan"), ppl, 0, 0, 0)
     extras = {"bleu": bleu_of(setup.model, setup, cfg)}
     if cfg.mode == "local":
@@ -252,7 +252,7 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
                 t,
                 "federated",
                 loss,
-                perplexity_of(snapshots[t], setup.val_ids, cfg.context),
+                perplexity_of(snapshots[t], setup.val_ids),
                 int(ledger.wall_ms(t)),
                 ledger.uplink_bytes(t),
                 ledger.downlink_bytes(t),
@@ -300,7 +300,7 @@ def run_central(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experimen
     records = []
     rounds = _alone(cfg, setup, task, sum(setup.counts.values()))
     for t, (loss, model, wall_ms) in enumerate(rounds, start=1):
-        ppl = perplexity_of(model, setup.val_ids, cfg.context)
+        ppl = perplexity_of(model, setup.val_ids)
         records.append(RoundRecord(t, "central", loss, ppl, int(wall_ms), 0, 0))
     return ExperimentResult(model, records, {"bleu": bleu_of(model, setup, cfg)})
 
@@ -314,7 +314,7 @@ def run_local(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentR
         task = _client_task(cfg, i, setup.shards[i], setup.steps[i])
         curve = []
         for loss, model, wall_ms in _alone(cfg, setup, task, setup.counts[i]):
-            curve.append((loss, perplexity_of(model, setup.val_ids, cfg.context), wall_ms))
+            curve.append((loss, perplexity_of(model, setup.val_ids), wall_ms))
         curves.append(curve)
         models.append(model)
     losses, ppls, walls = np.moveaxis(np.array(curves), 2, 0)  # each (K, rounds)

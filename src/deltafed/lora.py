@@ -3,9 +3,7 @@
 attach() freezes the whole base model and adds trainable factor pairs
 A (m x r, gaussian init) and B (r x n, zero init) per target, so a freshly
 adapted model computes exactly what the plain one did (A @ B == 0). The
-effective weight is base + scaling * A @ B with scaling = alpha/r, or 1.0
-when literal scaling is requested. merge() folds the factors back into the
-base entries and returns an all-trainable plain model.
+effective weight is base + scaling * A @ B with scaling = alpha/r.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ def attach(
     alpha: float,
     dropout_p: float = 0.0,
     seed: int = 0,
-    literal_scaling: bool = False,
 ) -> LmModel:
     """Adapted copy of model: base frozen, factor entries added trainable.
 
@@ -69,7 +66,7 @@ def attach(
                 f"rank {rank} exceeds min dim of {t!r} {min(shape)}"
             )
 
-    scaling = 1.0 if literal_scaling else alpha / rank
+    scaling = alpha / rank
     rng = np.random.default_rng([seed, SEED_LORA])
     frozen = p.with_flags({n: False for n in p.names()})
     extras = []
@@ -82,28 +79,3 @@ def attach(
         meta[t] = LoraAdapter(t, rank, float(alpha), float(dropout_p), float(scaling))
     adapted = frozen.merged_with(ParameterSet(extras))
     return LmModel(model.cfg, adapted, meta)
-
-
-def effective_weight(model: LmModel, target: str) -> np.ndarray:
-    """base + scaling * A @ B for one adapted target."""
-    ad = model.adapters.get(target)
-    if ad is None:
-        raise ArgumentError(f"no adapter on {target!r}")
-    p = model.params
-    return p.array(target) + ad.scaling * (
-        p.array(f"{target}.lora.A") @ p.array(f"{target}.lora.B")
-    )
-
-
-def merge(model: LmModel) -> LmModel:
-    """Fold adapters into their targets; plain all-trainable model."""
-    if not model.adapters:
-        raise ArgumentError("no adapters present")
-    merged_values = {t: effective_weight(model, t) for t in model.adapters}
-    factor_names = [
-        f"{t}.lora.{s}" for t in model.adapters for s in ("A", "B")
-    ]
-    p = model.params.drop(factor_names)
-    p = p.replace_values(merged_values)
-    p = p.with_flags({n: True for n in p.names()})
-    return LmModel(model.cfg, p, {})

@@ -29,26 +29,18 @@ def _ngrams(tokens: Sequence, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(
-    hypothesis: Sequence,
-    references: list,
-    max_n: int = 4,
-    smoothing: str | None = None,
-) -> float:
+def bleu(hypothesis: Sequence, references: list, max_n: int = 4) -> float:
     """Clipped n-gram precision score with brevity penalty, in [0, 1].
 
     Geometric mean of p_1..p_max_n over the orders the hypothesis is long
     enough to populate, so a 2-token hypothesis is scored on orders 1-2 and
-    bleu(h, [h]) is 1.0 for every non-empty h. Without smoothing any zero
-    precision zeroes the score; smoothing="add_one" laplace-smooths orders
-    n >= 2.
+    bleu(h, [h]) is 1.0 for every non-empty h. Any zero precision zeroes the
+    score.
     """
     if max_n < 1:
         raise ArgumentError(f"max_n must be >= 1, got {max_n}")
     if not references:
         raise ArgumentError("references must be non-empty")
-    if smoothing not in (None, "add_one"):
-        raise ArgumentError(f"unknown smoothing {smoothing!r}")
     hyp = list(hypothesis)
     if not hyp:
         return 0.0
@@ -66,13 +58,9 @@ def bleu(
                 if cnt > best[gram]:
                     best[gram] = cnt
         clipped = sum(min(cnt, best[gram]) for gram, cnt in hyp_grams.items())
-        if smoothing == "add_one" and n >= 2:
-            p = (clipped + 1) / (total + 1)
-        else:
-            if clipped == 0:
-                return 0.0
-            p = clipped / total
-        log_sum += math.log(p)
+        if clipped == 0:
+            return 0.0
+        log_sum += math.log(clipped / total)
         orders += 1
 
     c = len(hyp)
@@ -82,10 +70,8 @@ def bleu(
     return bp * math.exp(log_sum / orders)
 
 
-def corpus_perplexity(
-    model: LmModel, ids: Sequence[int], context: int | None = None
-) -> float:
-    return perplexity_of(model, ids, context)
+def corpus_perplexity(model: LmModel, ids: Sequence[int]) -> float:
+    return perplexity_of(model, ids)
 
 
 @dataclass(frozen=True)
@@ -93,7 +79,7 @@ class RoundRecord:
     round: int
     mode: str
     train_loss: float
-    perplexity: float | None
+    perplexity: float
     wall_ms: int
     uplink_bytes: int
     downlink_bytes: int
@@ -105,7 +91,7 @@ class RoundRecord:
             raise ArgumentError(f"unknown mode {self.mode!r}")
         if self.train_loss < 0:  # nan passes: eval-only records carry nan
             raise ArgumentError(f"train_loss must be >= 0, got {self.train_loss}")
-        if self.perplexity is not None and self.perplexity < 1.0:
+        if self.perplexity < 1.0:
             raise ArgumentError(
                 f"perplexity must be >= 1, got {self.perplexity}"
             )
@@ -115,9 +101,7 @@ class RoundRecord:
             raise ArgumentError("byte counts must be >= 0")
 
 
-def _fmt(x: float | int | None) -> str:
-    if x is None:
-        return ""
+def _fmt(x: float | int) -> str:
     return f"{x:.9g}" if isinstance(x, float) else str(x)
 
 
@@ -128,29 +112,6 @@ def format_rows(
     for rec in records:
         rows.append(",".join(_fmt(getattr(rec, c)) for c in columns))
     return rows
-
-
-def parse_rounds_csv(text: str) -> list[RoundRecord]:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
-        raise ArgumentError("unrecognized rounds csv header")
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise ArgumentError(f"malformed csv row: {ln!r}")
-        out.append(
-            RoundRecord(
-                round=int(parts[0]),
-                mode=parts[1],
-                train_loss=float(parts[2]),
-                perplexity=None if parts[3] == "" else float(parts[3]),
-                wall_ms=int(parts[4]),
-                uplink_bytes=int(parts[5]),
-                downlink_bytes=int(parts[6]),
-            )
-        )
-    return out
 
 
 def _check_contiguous(records: list[RoundRecord]) -> None:
@@ -173,8 +134,6 @@ def mode_totals(records: list[RoundRecord]) -> dict[str, dict]:
             rec.mode,
             {
                 "rounds": 0,
-                "final_train_loss": None,
-                "final_perplexity": None,
                 "total_uplink_bytes": 0,
                 "total_downlink_bytes": 0,
                 "total_wall_ms": 0,
@@ -185,8 +144,7 @@ def mode_totals(records: list[RoundRecord]) -> dict[str, dict]:
         slot["final_train_loss"] = (
             None if math.isnan(rec.train_loss) else rec.train_loss
         )
-        if rec.perplexity is not None:
-            slot["final_perplexity"] = rec.perplexity
+        slot["final_perplexity"] = rec.perplexity
         slot["total_uplink_bytes"] += rec.uplink_bytes
         slot["total_downlink_bytes"] += rec.downlink_bytes
         slot["total_wall_ms"] += rec.wall_ms

@@ -382,18 +382,17 @@ def _assemble_grads(model, eff, values, d_w_lookup, d_w_out, d_u, d_b, d_c) -> d
     return out
 
 
-def perplexity_of(model: LmModel, ids: Sequence[int], context: int | None = None) -> float:
+def perplexity_of(model: LmModel, ids: Sequence[int]) -> float:
     """exp of the mean NLL over every predicted position, in windows.
 
-    The id stream is cut into windows of context+1 tokens overlapping by one
-    so each token after the first is predicted exactly once.
+    The id stream is cut into windows of the model's context + 1 tokens
+    overlapping by one, so each token after the first is predicted exactly
+    once.
     """
     arr = np.asarray(ids, dtype=np.int64)
     if arr.ndim != 1 or arr.size < 2:
         raise ArgumentError("perplexity needs at least 2 tokens")
-    ctx = model.cfg.context if context is None else context
-    if ctx < 1:
-        raise ArgumentError(f"context must be >= 1, got {ctx}")
+    ctx = model.cfg.context
     _check_ids(model.cfg, arr)
 
     eff = _effective(model, _values(model.params))

@@ -19,6 +19,9 @@ from .errors import ArgumentError, NumericalError, StructureError
 from .model import LmModel, trainable_loss_and_grad
 from .params import ParameterSet
 
+BETA1, BETA2 = 0.9, 0.999  # AdamW moment decay rates
+EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class FlatLayout:
@@ -75,8 +78,6 @@ class FlatLayout:
 class OptimizerConfig:
     lr: float
     total_steps: int
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     weight_decay: float = 0.001
     max_grad_norm: float = 0.3
     warmup_ratio: float = 0.03
@@ -90,11 +91,6 @@ class OptimizerConfig:
             raise ArgumentError(
                 f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}"
             )
-        b1, b2 = self.betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ArgumentError(f"betas must lie in [0, 1), got {self.betas}")
-        if self.eps <= 0:
-            raise ArgumentError(f"eps must be positive, got {self.eps}")
         if self.max_grad_norm <= 0:
             raise ArgumentError(
                 f"max_grad_norm must be positive, got {self.max_grad_norm}"
@@ -185,19 +181,18 @@ def _adamw_flat(
     cfg: OptimizerConfig,
 ) -> None:
     """One AdamW update of p, m and v from the pre-increment counter `step`."""
-    b1, b2 = cfg.betas
     # lr is taken at the pre-increment counter, so the first warmup step is
     # a pure moment update (lr 0), matching the usual scheduler convention.
     lr = lr_at(step, cfg)
     t = step + 1
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    v += (1.0 - b2) * g * g
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
     p -= lr * cfg.weight_decay * p
-    p -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 # -- ParameterSet front ends -----------------------------------------------------

@@ -164,15 +164,6 @@ class ParameterSet:
 
     # -- derivation helpers --------------------------------------------------
 
-    def subset(self, names: Iterable[str]) -> "ParameterSet":
-        wanted = set(names)
-        missing = wanted - set(self._entries)
-        if missing:
-            raise ArgumentError(f"no entry named {sorted(missing)[0]!r}")
-        return ParameterSet(
-            [(n, t, f) for n, (t, f) in self._entries.items() if n in wanted]
-        )
-
     def trainable_subset(self) -> "ParameterSet":
         return ParameterSet([(n, t, f) for n, (t, f) in self._entries.items() if f])
 

@@ -24,10 +24,14 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .aggregate import (
+    AGG_FEDAVG,
+    AGG_GRADUALDIFF,
     FORM_DENSE,
     FORM_FACTORS,
     KIND_DELTA,
     KIND_FULL,
+    WEIGHT_SAMPLES,
+    WEIGHT_UNIFORM,
     ClientUpdate,
     fedavg_aggregate,
     gradualdiff_aggregate,
@@ -54,29 +58,23 @@ from .wire import (
 
 SERVER_SENDER = 0xFFFFFFFF
 
-AGG_GRADUALDIFF = "gradualdiff"
-AGG_FEDAVG = "fedavg"
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     rounds: int
     aggregation: str = AGG_GRADUALDIFF
     delta_form: str = FORM_FACTORS
-    delta_weighting: str = "uniform"
+    delta_weighting: str = WEIGHT_UNIFORM
     quantize_payload: bool = False
 
     def __post_init__(self) -> None:
         if self.rounds < 0:
             raise ArgumentError(f"rounds must be >= 0, got {self.rounds}")
-        if self.aggregation not in (AGG_GRADUALDIFF, AGG_FEDAVG):
-            raise ArgumentError(f"unknown aggregation {self.aggregation!r}")
-        if self.delta_form not in (FORM_FACTORS, FORM_DENSE):
-            raise ArgumentError(f"unknown delta_form {self.delta_form!r}")
-        if self.delta_weighting not in ("uniform", "samples"):
-            raise ArgumentError(
-                f"unknown delta_weighting {self.delta_weighting!r}"
-            )
+        pair = (self.aggregation, self.delta_form)
+        if pair not in _POLICIES:
+            raise ArgumentError(f"unknown (aggregation, delta_form) pair {pair!r}")
+        if self.delta_weighting not in (WEIGHT_UNIFORM, WEIGHT_SAMPLES):
+            raise ArgumentError(f"unknown delta_weighting {self.delta_weighting!r}")
 
     @property
     def policy(self) -> RoundPolicy:
@@ -135,14 +133,6 @@ class TrafficLedger:
             if r in self._rounds
         )
 
-    def client_bytes(self, rnd: int, client_id: int) -> tuple[int, int]:
-        """-> (downlink, uplink) for one client in one round."""
-        slot = self._rounds.get(rnd, {})
-        return (
-            slot.get("down", {}).get(client_id, 0),
-            slot.get("up", {}).get(client_id, 0),
-        )
-
     def total_bytes(self) -> int:
         return self.downlink_bytes() + self.uplink_bytes()
 
@@ -158,16 +148,6 @@ class TrafficLedger:
                 "up_msgs": dict(sorted(slot["up_msgs"].items())),
             }
         return out
-
-
-def measure_round_traffic(ledger: TrafficLedger, rnd: int) -> dict:
-    if rnd not in ledger.rounds():
-        raise ArgumentError(f"round {rnd} not in ledger")
-    return {
-        "uplink_bytes": ledger.uplink_bytes(rnd),
-        "downlink_bytes": ledger.downlink_bytes(rnd),
-        "wall_ms": ledger.wall_ms(rnd),
-    }
 
 
 def _expect(cond: bool, message: str, ledger: TrafficLedger) -> None:

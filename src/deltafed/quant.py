@@ -1,6 +1,6 @@
 """Blockwise 4-bit affine quantization for wire payloads.
 
-Values are split into blocks (64 by default). Each block stores an f32 scale
+Values are split into blocks of BLOCK = 64. Each block stores an f32 scale
 and a 4-bit integer zero point; a stored code decodes to scale * (code - zp).
 That grid always contains 0, so the block range is nudged to include 0 before
 fitting (deltas and centered weights already do). Rounding is chosen so that
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ArgumentError, FormatError
 from .params import Tensor
 
-DEFAULT_BLOCK = 64
+BLOCK = 64
 _LEVELS = 15  # codes span 0..15
 _HEADER = np.dtype([("scale", "<f4"), ("zp", "u1"), ("pad", "V3")])
 _NO_PAD = np.void(b"\x00\x00\x00")
@@ -41,7 +41,6 @@ _NO_PAD = np.void(b"\x00\x00\x00")
 @dataclass(frozen=True)
 class QuantizedTensor:
     shape: tuple[int, ...]
-    block: int
     scales: np.ndarray       # f32, one per block
     zero_points: np.ndarray  # uint8, one per block
     codes: np.ndarray        # uint8, unpacked, one per element
@@ -51,11 +50,11 @@ class QuantizedTensor:
         return int(self.codes.size)
 
 
-def _block_sizes(n: int, block: int) -> np.ndarray:
+def _block_sizes(n: int) -> np.ndarray:
     """Elements per block; only the last may be short."""
-    sizes = np.full(-(-n // block), block, dtype=np.intp)
+    sizes = np.full(-(-n // BLOCK), BLOCK, dtype=np.intp)
     if sizes.size:
-        sizes[-1] = n - block * (sizes.size - 1)
+        sizes[-1] = n - BLOCK * (sizes.size - 1)
     return sizes
 
 
@@ -64,10 +63,8 @@ def _frozen(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
-def quantize(t, block: int = DEFAULT_BLOCK) -> QuantizedTensor:
+def quantize(t) -> QuantizedTensor:
     """Quantize a Tensor or array to 4-bit blocks."""
-    if block < 1:
-        raise ArgumentError(f"block size must be >= 1, got {block}")
     if isinstance(t, Tensor):
         arr = t.array
     else:
@@ -77,7 +74,7 @@ def quantize(t, block: int = DEFAULT_BLOCK) -> QuantizedTensor:
         raise ArgumentError("cannot quantize non-finite values")
 
     n = flat.size
-    starts = np.arange(0, n, block)
+    starts = np.arange(0, n, BLOCK)
     mn = np.minimum.reduceat(flat, starts)
     mx = np.maximum.reduceat(flat, starts)
     rmin = np.minimum(mn, 0.0)
@@ -108,7 +105,7 @@ def quantize(t, block: int = DEFAULT_BLOCK) -> QuantizedTensor:
     zps = np.clip(zps, 0, _LEVELS).astype(np.uint8)
     # x / s + zp + 0.5 in that order, with one f64 temporary per element;
     # the integer zero points are expanded as bytes and added exactly
-    sizes = _block_sizes(n, block)
+    sizes = _block_sizes(n)
     q = np.repeat(step, sizes)
     np.divide(flat, q, out=q)
     q += np.repeat(zps, sizes)
@@ -117,20 +114,20 @@ def quantize(t, block: int = DEFAULT_BLOCK) -> QuantizedTensor:
     np.clip(q, 0, _LEVELS, out=q)
     codes = q.astype(np.uint8)
     _frozen(scale, zps, codes)
-    return QuantizedTensor(tuple(int(d) for d in arr.shape), block, scale, zps, codes)
+    return QuantizedTensor(tuple(int(d) for d in arr.shape), scale, zps, codes)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Decode to float64, shaped like the original."""
-    sizes = _block_sizes(q.n, q.block)
+    sizes = _block_sizes(q.n)
     # code - zp is a small integer, so s * (code - zp) is exact in f64
     offsets = q.codes.astype(np.int16) - np.repeat(q.zero_points.astype(np.int16), sizes)
     return (np.repeat(q.scales.astype(np.float64), sizes) * offsets).reshape(q.shape)
 
 
-def packed_size(n: int, block: int = DEFAULT_BLOCK) -> int:
+def packed_size(n: int) -> int:
     """Serialized byte count for n elements: u32 header + block headers + nibbles."""
-    n_blocks = -(-n // block) if n else 0
+    n_blocks = -(-n // BLOCK) if n else 0
     return 4 + 8 * n_blocks + (n + 1) // 2
 
 
@@ -144,14 +141,12 @@ def _check_nibbles(q: QuantizedTensor) -> None:
         return
     zp_block = int(np.argmax(bad_zp)) if bad_zp.any() else zps.size
     code_at = int(np.argmax(bad_code)) if bad_code.any() else codes.size
-    if zp_block <= code_at // q.block:
+    if zp_block <= code_at // BLOCK:
         raise ArgumentError(f"block {zp_block}: zero point {int(zps[zp_block])} out of range")
-    raise ArgumentError(f"block {code_at // q.block}: code {int(codes[code_at])} out of range")
+    raise ArgumentError(f"block {code_at // BLOCK}: code {int(codes[code_at])} out of range")
 
 
 def to_bytes(q: QuantizedTensor) -> bytes:
-    if q.block != DEFAULT_BLOCK:
-        raise ArgumentError(f"wire format is fixed to block {DEFAULT_BLOCK}, got {q.block}")
     _check_nibbles(q)
     headers = np.zeros(q.scales.size, dtype=_HEADER)
     headers["scale"] = q.scales
@@ -174,7 +169,7 @@ def from_bytes(data: bytes, shape: tuple[int, ...]) -> QuantizedTensor:
         raise FormatError(
             f"quantized payload is {len(data)} bytes, expected {packed_size(n)}"
         )
-    n_blocks = -(-n // DEFAULT_BLOCK) if n else 0
+    n_blocks = -(-n // BLOCK) if n else 0
     headers = np.frombuffer(data, dtype=_HEADER, count=n_blocks, offset=4)
     scales = headers["scale"].astype(np.float32)
     zps = headers["zp"].astype(np.uint8)
@@ -199,4 +194,4 @@ def from_bytes(data: bytes, shape: tuple[int, ...]) -> QuantizedTensor:
         raise FormatError("nonzero padding nibble in quantized codes")
     codes = codes[:n].copy()
     _frozen(scales, zps, codes)
-    return QuantizedTensor(tuple(shape), DEFAULT_BLOCK, scales, zps, codes)
+    return QuantizedTensor(tuple(shape), scales, zps, codes)

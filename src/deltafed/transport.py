@@ -111,9 +111,13 @@ class TcpListener:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(16)
+        try:
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.bind((host, port))
+            self._sock.listen(16)
+        except OSError as e:  # a port in use, an unresolvable host
+            self._sock.close()
+            raise ProtocolError(f"cannot listen on {host}:{port}: {e}") from e
         self.host, self.port = self._sock.getsockname()[:2]
 
     def accept(self, k: int, timeout: float = DEFAULT_TIMEOUT) -> list[TcpChannel]:

@@ -70,10 +70,6 @@ class WireMessage:
         if not 0 <= self.flags <= 0xFF:
             raise FormatError(f"flags {self.flags} out of u8 range")
 
-    @property
-    def total_bytes(self) -> int:
-        return HEADER_LEN + len(self.payload)
-
 
 def encode_message(msg: WireMessage) -> bytes:
     header = _HEADER.pack(

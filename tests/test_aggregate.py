@@ -6,7 +6,6 @@ from deltafed.aggregate import (
     fedavg_aggregate,
     gradualdiff_aggregate,
     mean_delta,
-    reconstruct_local,
 )
 from deltafed.errors import ArgumentError, ProtocolError
 from deltafed.params import ParameterSet, Tensor, subtract_trainable
@@ -209,25 +208,3 @@ class TestMeanDelta:
                     delta(1, scalar_model(1.0), form="dense"),
                 ]
             )
-
-
-class TestReconstruct:
-    def test_subtract_then_reconstruct_is_identity(self):
-        rng = np.random.default_rng(12)
-        g = random_set(rng)
-        l = random_set(rng)
-        rebuilt = reconstruct_local(g, delta(0, subtract_trainable(l, g)))
-        for name in g.names():
-            assert np.allclose(rebuilt.array(name), l.array(name), atol=1e-12)
-
-    def test_zero_delta_returns_global_values(self):
-        rng = np.random.default_rng(13)
-        g = random_set(rng)
-        zero = g.replace_values({n: np.zeros(g.tensor(n).shape) for n in g.names()})
-        rebuilt = reconstruct_local(g, delta(0, zero))
-        for name in g.names():
-            assert np.array_equal(rebuilt.array(name), g.array(name))
-
-    def test_full_update_rejected(self):
-        with pytest.raises(ArgumentError):
-            reconstruct_local(scalar_model(0.0), full(0, scalar_model(1.0)))

@@ -53,6 +53,28 @@ class TestConfigParse:
         with pytest.raises(ConfigError, match="split"):
             parse_config("split=1.0")
 
+    @pytest.mark.parametrize("raw", ["inf", "1e400"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "split",
+            "lr",
+            "weight_decay",
+            "max_grad_norm",
+            "warmup_ratio",
+            "lora_alpha",
+            "lora_dropout",
+        ],
+    )
+    def test_non_finite_float_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=rf"^invalid value for '{key}': inf$"):
+            parse_config(f"{key}={raw}")
+
+    @pytest.mark.parametrize("field", ["aggregation", "delta_form", "delta_weighting"])
+    def test_unknown_choice_named(self, field):
+        with pytest.raises(ConfigError, match=rf"^invalid value for '{field}': 'bogus'$"):
+            parse_config(f"{field}=bogus")
+
     def test_dense_requires_lora(self):
         with pytest.raises(ConfigError, match="delta_form"):
             parse_config("delta_form=dense\nlora_rank=0")

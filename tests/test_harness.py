@@ -1,5 +1,6 @@
 import json
 import math
+import socket
 import threading
 import time
 from pathlib import Path
@@ -14,7 +15,7 @@ from deltafed.cli import main as cli_main
 from deltafed.config import ExperimentConfig, override, save_config
 from deltafed.errors import ProtocolError
 from deltafed.harness import bleu_of, compare_modes, run_experiment
-from deltafed.metrics import parse_rounds_csv
+from rounds_csv import parse_rounds_csv
 from deltafed.wire import serialize_params
 
 
@@ -315,6 +316,19 @@ class TestCli:
         assert cli_main(["compare", "--config", str(path)]) == 0
         assert (tmp_path / "runs" / "compare.csv").exists()
         assert (tmp_path / "runs" / "compare_summary.json").exists()
+
+    def test_taken_tcp_port_is_one_protocol_line(self, tmp_path, corpus_path, capsys):
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = holder.getsockname()[1]
+            path = self.write_cfg(
+                tmp_path, corpus_path, transport="tcp", tcp_port=port, rounds=1, clients=2
+            )
+            assert cli_main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"protocol: cannot listen on 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1
 
     def test_missing_config_is_categorized(self, tmp_path, capsys):
         code = cli_main(["run", "--config", str(tmp_path / "nope.cfg")])

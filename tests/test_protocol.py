@@ -15,7 +15,7 @@ from deltafed.protocol import (
     LocalTrainer,
     ProtocolConfig,
     TrafficLedger,
-    measure_round_traffic,
+    check_client_ledger,
     run_client,
     run_server,
 )
@@ -265,10 +265,8 @@ class TestEndToEndMemory:
         for cid, res in results.items():
             assert len(res.losses) == 3
             assert all(np.isfinite(l) for l in res.losses)
-            for rnd in range(0, 5):
-                assert ledger.client_bytes(rnd, cid) == res.ledger.client_bytes(
-                    rnd, cid
-                )
+            check_client_ledger(ledger, cid, res.ledger)
+            assert sorted(res.ledger.byte_table()) == [0, 1, 2, 3, 4]
 
         for name in model.params.names():
             assert np.all(np.isfinite(final.params.array(name)))
@@ -349,6 +347,16 @@ class TestEndToEndMemory:
         assert np.allclose(moved, 0.75, atol=1e-12)
 
 
+class TestProtocolConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("aggregation", "fedprox"), ("delta_form", "sparse"), ("delta_weighting", "mean")],
+    )
+    def test_unknown_value_rejected_at_construction(self, field, value):
+        with pytest.raises(ArgumentError, match=repr(value)):
+            ProtocolConfig(rounds=1, **{field: value})
+
+
 class TestMeasureRoundTraffic:
     def test_sums_and_unknown_round(self):
         ledger = TrafficLedger()
@@ -357,10 +365,11 @@ class TestMeasureRoundTraffic:
         ledger.add_up(1, 0, 40)
         ledger.add_up(1, 1, 44)
         ledger.set_wall_ms(1, 12.5)
-        out = measure_round_traffic(ledger, 1)
-        assert out == {"uplink_bytes": 84, "downlink_bytes": 200, "wall_ms": 12.5}
-        with pytest.raises(ArgumentError):
-            measure_round_traffic(ledger, 9)
+        assert (ledger.uplink_bytes(1), ledger.downlink_bytes(1)) == (84, 200)
+        assert ledger.wall_ms(1) == 12.5
+        unknown = (ledger.uplink_bytes(9), ledger.downlink_bytes(9), ledger.wall_ms(9))
+        assert unknown == (0, 0, 0.0)
+        assert ledger.rounds() == [1]
 
     def test_round_sums_equal_grand_total(self):
         ledger = TrafficLedger()
@@ -370,9 +379,7 @@ class TestMeasureRoundTraffic:
                 ledger.add_down(rnd, cid, int(rng.integers(1, 500)))
                 ledger.add_up(rnd, cid, int(rng.integers(1, 500)))
         total = sum(
-            measure_round_traffic(ledger, r)["uplink_bytes"]
-            + measure_round_traffic(ledger, r)["downlink_bytes"]
-            for r in ledger.rounds()
+            ledger.uplink_bytes(r) + ledger.downlink_bytes(r) for r in ledger.rounds()
         )
         assert total == ledger.total_bytes()
 
@@ -441,6 +448,14 @@ class TestTcpTransport:
         assert time.monotonic() - start < 2.0
         closer.join()
         early.close()
+
+    def test_taken_port_raises_protocol_error(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = holder.getsockname()[1]
+            with pytest.raises(ProtocolError, match=f"^cannot listen on 127.0.0.1:{port}: "):
+                TcpListener("127.0.0.1", port)
 
     def test_connect_to_closed_listener_fails_at_once(self):
         listener = TcpListener()

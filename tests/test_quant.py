@@ -114,8 +114,8 @@ def verdict(fn, *args):
         return (type(e).__name__, str(e))
 
 
-def roundtrip(arr, block=64):
-    return dequantize(quantize(np.asarray(arr, dtype=np.float64), block))
+def roundtrip(arr):
+    return dequantize(quantize(np.asarray(arr, dtype=np.float64)))
 
 
 class TestExactCases:
@@ -228,7 +228,6 @@ class TestOutOfRangeNibbles:
         n_blocks = -(-len(codes) // 64)
         return QuantizedTensor(
             (len(codes),),
-            64,
             np.ones(n_blocks, dtype=np.float32),
             np.array(zero_points, dtype=np.uint8),
             np.array(codes, dtype=np.uint8),
