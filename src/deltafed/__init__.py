@@ -16,7 +16,6 @@ from .params import (
     Tensor,
     add_delta,
     l2_norm,
-    scale,
     subtract_trainable,
     weighted_sum,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "parse_config",
     "run_experiment",
     "save_config",
-    "scale",
     "subtract_trainable",
     "weighted_sum",
     "__version__",

@@ -7,6 +7,7 @@ independent of arrival order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ArgumentError, ProtocolError
 from .params import ParameterSet, add_delta, check_compatible, weighted_sum
@@ -110,15 +111,13 @@ def mean_delta(updates: list[ClientUpdate], weighting: str = WEIGHT_UNIFORM) -> 
     return weighted_sum([u.params for u in updates], _weights(updates, weighting))
 
 
-def _check_coverage(global_: ParameterSet, update: ClientUpdate) -> None:
-    want = set(global_.trainable_names())
-    got = set(update.params.names())
+def check_coverage(want: Iterable[str], update: ClientUpdate, what: str) -> None:
+    """Raise ProtocolError unless the update's entries are exactly `want`."""
+    want, got = set(want), set(update.params.names())
     if want != got:
-        missing = sorted(want - got)
-        extra = sorted(got - want)
         raise ProtocolError(
             f"delta from client {update.client_id} does not cover the "
-            f"trainable set: missing {missing}, extra {extra}"
+            f"{what}: missing {sorted(want - got)}, extra {sorted(got - want)}"
         )
 
 
@@ -130,5 +129,5 @@ def gradualdiff_aggregate(
     """global + weighted mean of client deltas; frozen entries untouched."""
     checked = _sorted_updates(updates, KIND_DELTA)
     for u in checked:
-        _check_coverage(global_, u)
+        check_coverage(global_.trainable_names(), u, "trainable set")
     return add_delta(global_, mean_delta(checked, weighting))

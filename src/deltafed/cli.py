@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ExperimentConfig, load_config, override
+from .config import MODES, TRANSPORTS, ExperimentConfig, load_config, override
 from .errors import DeltaFedError
 from .harness import compare_modes, run_experiment
 
@@ -27,9 +27,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a single experiment mode")
     run.add_argument("--config", required=True, help="path to a key=value config file")
-    run.add_argument("--mode", choices=("federated", "central", "local"))
+    run.add_argument("--mode", choices=MODES)
     run.add_argument("--seed", type=int)
-    run.add_argument("--transport", choices=("memory", "tcp"))
+    run.add_argument("--transport", choices=TRANSPORTS)
     run.add_argument("--out", help="report directory (overrides output_dir)")
 
     cmp_ = sub.add_parser("compare", help="run federated, central, and local")

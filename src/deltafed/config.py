@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 from .aggregate import (
     AGG_FEDAVG,
@@ -18,6 +19,8 @@ from .aggregate import (
 from .errors import ConfigError
 
 BUNDLED_CORPUS = "bundled"
+MODES = ("federated", "central", "local")
+TRANSPORTS = ("memory", "tcp")
 
 
 @dataclass(frozen=True)
@@ -50,11 +53,13 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self) -> None:
-        for key in sorted(_FLOAT_KEYS):
-            _require(math.isfinite(getattr(self, key)), key, getattr(self, key))
-        _require(self.mode in ("federated", "central", "local"), "mode", self.mode)
+        for key, kind in _TYPES.items():
+            if kind is float:
+                _require(math.isfinite(getattr(self, key)), key, getattr(self, key))
+        _require(self.mode in MODES, "mode", self.mode)
         _require(self.rounds >= 0, "rounds", self.rounds)
         _require(self.clients >= 1, "clients", self.clients)
+        _require(self.seed >= 0, "seed", self.seed)
         _require(0.0 < self.split < 1.0, "split", self.split)
         _require(self.context >= 2, "context", self.context)
         _require(self.embed_dim >= 2, "embed_dim", self.embed_dim)
@@ -80,7 +85,7 @@ class ExperimentConfig:
             "delta_weighting",
             self.delta_weighting,
         )
-        _require(self.transport in ("memory", "tcp"), "transport", self.transport)
+        _require(self.transport in TRANSPORTS, "transport", self.transport)
         _require(0 <= self.tcp_port <= 65535, "tcp_port", self.tcp_port)
         if self.lora_rank >= 1:
             _require(bool(self.targets()), "lora_targets", self.lora_targets)
@@ -105,42 +110,20 @@ def _require(ok: bool, key: str, value) -> None:
         raise ConfigError(f"invalid value for {key!r}: {value!r}")
 
 
-_BOOL_KEYS = {"quantize_payload"}
-_INT_KEYS = {
-    "rounds",
-    "clients",
-    "seed",
-    "context",
-    "embed_dim",
-    "batch_size",
-    "local_epochs",
-    "lora_rank",
-    "tcp_port",
-}
-_FLOAT_KEYS = {
-    "split",
-    "lr",
-    "weight_decay",
-    "max_grad_norm",
-    "warmup_ratio",
-    "lora_alpha",
-    "lora_dropout",
-}
-_ALL_KEYS = {f.name for f in fields(ExperimentConfig)}
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low not in ("true", "false"):
+        raise ValueError(raw)
+    return low == "true"
+
+
+_TYPES = get_type_hints(ExperimentConfig)  # key -> its field's declared type
+_PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
 
 
 def _coerce(key: str, raw: str):
     try:
-        if key in _BOOL_KEYS:
-            low = raw.lower()
-            if low not in ("true", "false"):
-                raise ValueError(raw)
-            return low == "true"
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        return raw
+        return _PARSERS[_TYPES[key]](raw)
     except ValueError:
         raise ConfigError(f"invalid value for {key!r}: {raw!r}") from None
 
@@ -155,7 +138,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in _TYPES:
             raise ConfigError(f"unknown key {key!r}")
         if key in values:
             raise ConfigError(f"duplicate key {key!r}")

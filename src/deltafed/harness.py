@@ -22,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, override
+from .config import MODES, ExperimentConfig, override
 from .data import corpus_tokens, partition_iid, sequences_of, split_stream
 from .lora import attach
-from .metrics import MODES, RoundRecord, bleu, emit_report, format_rows, mode_totals
+from .metrics import RoundRecord, bleu, emit_report, format_rows, mode_totals
 from .model import (
     LmConfig,
     LmModel,
@@ -38,7 +38,6 @@ from .optim import OptimizerConfig
 from .protocol import (
     ClientTask,
     LocalTrainer,
-    ProtocolConfig,
     TrafficLedger,
     answer_broadcast,
     broadcast,
@@ -98,16 +97,6 @@ def _setup(cfg: ExperimentConfig) -> _Setup:
         for i in range(cfg.clients)
     }
     return _Setup(vocab, val_ids, sequences, shards, model, counts, steps)
-
-
-def _protocol_config(cfg: ExperimentConfig) -> ProtocolConfig:
-    return ProtocolConfig(
-        rounds=cfg.rounds,
-        aggregation=cfg.aggregation,
-        delta_form=cfg.delta_form,
-        delta_weighting=cfg.delta_weighting,
-        quantize_payload=cfg.quantize_payload,
-    )
 
 
 def _client_task(cfg: ExperimentConfig, client_id: int, shard: list, steps: int) -> ClientTask:
@@ -178,7 +167,6 @@ def _federate(cfg: ExperimentConfig, setup: _Setup, trainers: list):
     """Server on this thread, client i on thread `client-<i>` training with
     trainers[i]; -> (client results, final model, server ledger, per-round
     global models)."""
-    pcfg = _protocol_config(cfg)
     acquire, connectors, stop_listening = _open_channels(cfg)
     results: list = [None] * cfg.clients
     # (who, exception) in the order they happened; list.append is atomic
@@ -188,7 +176,7 @@ def _federate(cfg: ExperimentConfig, setup: _Setup, trainers: list):
         channel = None
         try:
             channel = connectors[i]()
-            results[i] = run_client(channel, setup.model, trainers[i], pcfg)
+            results[i] = run_client(channel, setup.model, trainers[i], cfg)
         except Exception as e:
             failures.append((f"client {i}", e))  # before the close wakes the server
             stop_listening()  # a server still in accept gives up now
@@ -210,7 +198,7 @@ def _federate(cfg: ExperimentConfig, setup: _Setup, trainers: list):
             model, ledger = run_server(
                 setup.model,
                 channels,
-                pcfg,
+                cfg,
                 sample_counts=setup.counts,
                 on_round=lambda t, m: snapshots.__setitem__(t, m),
             )
@@ -274,16 +262,15 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
 def _alone(cfg: ExperimentConfig, setup: _Setup, task: ClientTask, count: int):
     """A federation of one client with no channel; per round yields
     (train loss, global model, wall ms), timing the round alone."""
-    pcfg = _protocol_config(cfg)
     counts = {task.client_id: count}
     trainer = LocalTrainer(task)
     model = local = setup.model
     for t in range(1, cfg.rounds + 1):
         start = time.perf_counter()
         local, loss, update = answer_broadcast(
-            broadcast(model, t, pcfg), local, trainer, pcfg
+            broadcast(model, t, cfg), local, trainer, cfg
         )
-        model = fold_updates(model, t, [(task.client_id, update)], pcfg, counts)
+        model = fold_updates(model, t, [(task.client_id, update)], cfg, counts)
         yield loss, model, (time.perf_counter() - start) * 1000.0
 
 

@@ -9,10 +9,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .config import MODES
 from .errors import ArgumentError
 from .model import LmModel, perplexity_of
-
-MODES = ("federated", "central", "local")
 
 CSV_COLUMNS = (
     "round",

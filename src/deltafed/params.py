@@ -265,16 +265,6 @@ def add_delta(base: ParameterSet, delta: ParameterSet) -> ParameterSet:
     return ParameterSet(out)
 
 
-def scale(ps: ParameterSet, factor: float) -> ParameterSet:
-    """Every tensor multiplied elementwise by factor. Flags kept."""
-    if not np.isfinite(factor):
-        raise ArgumentError(f"scale factor must be finite, got {factor}")
-    return ParameterSet(
-        [(n, Tensor(t.shape, _frozen_view(t.data * float(factor))), f)
-         for n, t, f in ps.items()]
-    )
-
-
 def weighted_sum(sets: Sequence[ParameterSet], weights: Sequence[float]) -> ParameterSet:
     """Elementwise sum of w_i * set_i over shape-compatible sets."""
     if not sets:

@@ -9,10 +9,11 @@ transports account identically.
 
 A round is three functions: the server's `broadcast`, each client's
 `answer_broadcast` and the server's `fold_updates`. `run_server` and
-`run_client` call them over channels; central mode calls them directly. What
-depends on aggregation and delta form is one `RoundPolicy` table entry. A
-client trains through its trainer: a `LocalTrainer` in this process, or a
-`workers.WorkerTrainer` that runs one in a forked worker.
+`run_client` call them over channels; central mode calls them directly. All
+five take the run's `ExperimentConfig`; what depends on its aggregation and
+delta form is one `RoundPolicy` table entry. A client trains through its
+trainer: a `LocalTrainer` in this process, or a `workers.WorkerTrainer` that
+runs one in a forked worker.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from .aggregate import (
     FORM_FACTORS,
     KIND_DELTA,
     KIND_FULL,
-    WEIGHT_SAMPLES,
-    WEIGHT_UNIFORM,
     ClientUpdate,
+    check_coverage,
     fedavg_aggregate,
     gradualdiff_aggregate,
     mean_delta,
 )
-from .errors import ArgumentError, DeltaFedError, ProtocolError, StructureError
+from .config import ExperimentConfig
+from .errors import DeltaFedError, ProtocolError, StructureError
 from .model import SEED_CLIENT, LmModel
 from .optim import OptimizerConfig, OptimizerState, init_state, local_train_round
 from .params import ParameterSet, Tensor, check_compatible, subtract_trainable
@@ -57,28 +58,6 @@ from .wire import (
 )
 
 SERVER_SENDER = 0xFFFFFFFF
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    rounds: int
-    aggregation: str = AGG_GRADUALDIFF
-    delta_form: str = FORM_FACTORS
-    delta_weighting: str = WEIGHT_UNIFORM
-    quantize_payload: bool = False
-
-    def __post_init__(self) -> None:
-        if self.rounds < 0:
-            raise ArgumentError(f"rounds must be >= 0, got {self.rounds}")
-        pair = (self.aggregation, self.delta_form)
-        if pair not in _POLICIES:
-            raise ArgumentError(f"unknown (aggregation, delta_form) pair {pair!r}")
-        if self.delta_weighting not in (WEIGHT_UNIFORM, WEIGHT_SAMPLES):
-            raise ArgumentError(f"unknown delta_weighting {self.delta_weighting!r}")
-
-    @property
-    def policy(self) -> RoundPolicy:
-        return _POLICIES[(self.aggregation, self.delta_form)]
 
 
 class TrafficLedger:
@@ -195,6 +174,9 @@ def _fold_factors(global_, updates, weighting, ledger) -> ParameterSet:
 
 
 def _fold_dense(global_, updates, weighting, ledger) -> ParameterSet:
+    targets = [n.removesuffix(".lora.B") for n in global_.names() if n.endswith(".lora.B")]
+    for u in updates:
+        check_coverage(targets, u, "adapted targets")
     return apply_dense(global_, mean_delta(updates, weighting), ledger)
 
 
@@ -217,9 +199,13 @@ _POLICIES = {
 }
 
 
-def broadcast(model: LmModel, rnd: int, pcfg: ProtocolConfig) -> WireMessage:
+def _policy(cfg: ExperimentConfig) -> RoundPolicy:
+    return _POLICIES[(cfg.aggregation, cfg.delta_form)]
+
+
+def broadcast(model: LmModel, rnd: int, cfg: ExperimentConfig) -> WireMessage:
     """The server's round-`rnd` broadcast of the global model."""
-    factors_only = pcfg.policy.factor_broadcasts
+    factors_only = _policy(cfg).factor_broadcasts
     subset = "trainable" if factors_only and rnd > 1 else "all"
     flags = FLAG_FACTORS if factors_only else 0
     payload = serialize_params(model.params, subset)
@@ -227,27 +213,31 @@ def broadcast(model: LmModel, rnd: int, pcfg: ProtocolConfig) -> WireMessage:
 
 
 def answer_broadcast(
-    msg: WireMessage, model: LmModel, trainer, pcfg: ProtocolConfig
+    msg: WireMessage, model: LmModel, trainer, cfg: ExperimentConfig
 ) -> tuple[LmModel, float, WireMessage]:
     """A client's round: install the broadcast, train, encode the update.
 
     `trainer` is the client's: a `LocalTrainer`, or anything with its
     `client_id` and `train`. -> (trained model, mean train loss, update message).
     """
-    policy = pcfg.policy
+    policy = _policy(cfg)
     trainable = set(model.params.trainable_names())
     incoming = deserialize_params(msg.payload, trainable=trainable)
     if msg.round == 1 or not policy.factor_broadcasts:
         check_compatible(model.params, incoming)
         model = model.with_params(incoming)
     else:
+        stray = sorted(trainable ^ set(incoming.names()))
+        if stray:
+            what = "lacks trainable" if stray[0] in trainable else "carries non-trainable"
+            raise ProtocolError(f"round {msg.round} broadcast {what} entry {stray[0]!r}")
         values = {n: incoming.array(n) for n in incoming.names()}
         model = model.with_params(model.params.replace_values(values))
     start_params = model.params
 
     model, loss = trainer.train(model)
 
-    quantize = pcfg.quantize_payload and policy.form is not None  # never full models
+    quantize = cfg.quantize_payload and policy.form is not None  # never full models
     uplink = policy.encode(model, start_params)
     payload = serialize_params(uplink, "all", quantize_payload=quantize)
     flags = policy.uplink_flags | (FLAG_QUANTIZED if quantize else 0)
@@ -259,13 +249,13 @@ def fold_updates(
     model: LmModel,
     rnd: int,
     updates: Iterable[tuple[int, WireMessage]],
-    pcfg: ProtocolConfig,
+    cfg: ExperimentConfig,
     sample_counts: dict[int, int],
     ledger: TrafficLedger | None = None,
 ) -> LmModel:
     """The server's round end: check and decode each (client id, update) as
     it arrives, then fold them all into the global model."""
-    policy = pcfg.policy
+    policy = _policy(cfg)
     # a full model takes its trainable flags from the global model
     full = policy.form is None
     trainable = set(model.params.trainable_names()) if full else None
@@ -295,7 +285,7 @@ def fold_updates(
         received.append(
             ClientUpdate(cid, rnd, sample_counts[cid], kind, params, form=policy.form)
         )
-    folded = policy.fold(model.params, received, pcfg.delta_weighting, ledger)
+    folded = policy.fold(model.params, received, cfg.delta_weighting, ledger)
     return model.with_params(folded)
 
 
@@ -310,20 +300,17 @@ def _receive_updates(by_client: dict, rnd: int, ledger: TrafficLedger):
 def run_server(
     model: LmModel,
     channels: list,
-    pcfg: ProtocolConfig,
+    cfg: ExperimentConfig,
     sample_counts: dict[int, int] | None = None,
     on_round=None,
 ) -> tuple[LmModel, TrafficLedger]:
-    """Drive T rounds over the given per-client channels.
+    """Drive T = cfg.rounds rounds over the given per-client channels.
 
     `channels` carry one client each, in any order; the join ack's sender_id
     binds them. Returns the final global model and the server-side ledger.
     `on_round(t, model)` fires after each round, off the round clock.
     """
     ledger = TrafficLedger()
-    if pcfg.rounds == 0 or not channels:
-        return model, ledger
-
     by_client: dict[int, object] = {}
     for ch in channels:
         raw = _recv(ch, ledger)
@@ -346,35 +333,33 @@ def run_server(
     for cid in client_ids:
         _expect(cid in counts, f"no sample count for client {cid}", ledger)
 
-    for t in range(1, pcfg.rounds + 1):
+    for t in range(1, cfg.rounds + 1):
         start = time.perf_counter()
-        raw = encode_message(broadcast(model, t, pcfg))
+        raw = encode_message(broadcast(model, t, cfg))
         for cid in client_ids:
             by_client[cid].send(raw)
             ledger.add_down(t, cid, len(raw))
         model = fold_updates(
-            model, t, _receive_updates(by_client, t, ledger), pcfg, counts, ledger
+            model, t, _receive_updates(by_client, t, ledger), cfg, counts, ledger
         )
         ledger.set_wall_ms(t, (time.perf_counter() - start) * 1000.0)
         if on_round is not None:
             on_round(t, model)
 
-    raw = encode_message(
-        WireMessage(KIND_SHUTDOWN, pcfg.rounds + 1, SERVER_SENDER)
-    )
+    raw = encode_message(WireMessage(KIND_SHUTDOWN, cfg.rounds + 1, SERVER_SENDER))
     for cid in client_ids:
         by_client[cid].send(raw)
-        ledger.add_down(pcfg.rounds + 1, cid, len(raw))
+        ledger.add_down(cfg.rounds + 1, cid, len(raw))
     return model, ledger
 
 
 def apply_dense(
     params: ParameterSet, mean: ParameterSet, ledger: TrafficLedger | None = None
 ) -> ParameterSet:
-    """Fold dense per-target deltas into the base and restart the factors."""
+    """Fold dense per-target deltas into the base and restart the factors.
+    `mean` holds adapted targets only, as `_fold_dense` checks."""
     new_vals: dict[str, np.ndarray] = {}
     for name, t, _ in mean.items():
-        _expect(name in params, f"dense delta targets unknown entry {name!r}", ledger)
         base = params.tensor(name)
         _expect(
             base.shape == t.shape,
@@ -382,11 +367,6 @@ def apply_dense(
             ledger,
         )
         b_name = f"{name}.lora.B"
-        _expect(
-            b_name in params,
-            f"dense aggregation needs factor entry {b_name!r}",
-            ledger,
-        )
         new_vals[name] = params.array(name) + mean.array(name)
         new_vals[b_name] = np.zeros(params.tensor(b_name).shape)
     return params.replace_values(new_vals)
@@ -472,7 +452,7 @@ def dense_delta(model: LmModel, start: ParameterSet) -> ParameterSet:
     return ParameterSet(entries)
 
 
-def run_client(channel, model: LmModel, trainer, pcfg: ProtocolConfig) -> ClientResult:
+def run_client(channel, model: LmModel, trainer, cfg: ExperimentConfig) -> ClientResult:
     """Mirror of the server loop for one client; runs until shutdown.
     `trainer` trains each round, as in `answer_broadcast`."""
     ledger = TrafficLedger()
@@ -501,7 +481,7 @@ def run_client(channel, model: LmModel, trainer, pcfg: ProtocolConfig) -> Client
                 f"{msg.kind} round {msg.round}",
                 ledger=ledger,
             )
-        model, loss, update = answer_broadcast(msg, model, trainer, pcfg)
+        model, loss, update = answer_broadcast(msg, model, trainer, cfg)
         losses.append(loss)
         raw = encode_message(update)
         channel.send(raw)

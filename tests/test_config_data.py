@@ -1,4 +1,6 @@
 from collections import Counter
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -12,6 +14,37 @@ from deltafed.config import (
 )
 from deltafed.data import partition_iid, sequences_of, split_stream
 from deltafed.errors import ArgumentError, ConfigError
+
+
+# A valid non-default raw value for every config key.
+NON_DEFAULT = {
+    "mode": "central",
+    "rounds": "3",
+    "clients": "2",
+    "seed": "7",
+    "corpus_path": "corpus.txt",
+    "split": "0.5",
+    "context": "8",
+    "embed_dim": "8",
+    "lr": "0.01",
+    "weight_decay": "0",
+    "max_grad_norm": "1.5",
+    "warmup_ratio": "0.1",
+    "batch_size": "4",
+    "local_epochs": "2",
+    "lora_rank": "2",
+    "lora_alpha": "4",
+    "lora_dropout": "0",
+    "lora_targets": "rnn.U",
+    "aggregation": "fedavg",
+    "delta_form": "dense",
+    "delta_weighting": "samples",
+    "quantize_payload": "true",
+    "transport": "tcp",
+    "tcp_host": "localhost",
+    "tcp_port": "5000",
+    "output_dir": "out",
+}
 
 
 class TestConfigParse:
@@ -70,10 +103,23 @@ class TestConfigParse:
         with pytest.raises(ConfigError, match=rf"^invalid value for '{key}': inf$"):
             parse_config(f"{key}={raw}")
 
-    @pytest.mark.parametrize("field", ["aggregation", "delta_form", "delta_weighting"])
+    @pytest.mark.parametrize(
+        "field", ["mode", "aggregation", "delta_form", "delta_weighting", "transport"]
+    )
     def test_unknown_choice_named(self, field):
         with pytest.raises(ConfigError, match=rf"^invalid value for '{field}': 'bogus'$"):
             parse_config(f"{field}=bogus")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"^invalid value for 'seed': -1$"):
+            parse_config("seed=-1")
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+    def test_every_key_parses_to_its_declared_type(self, key):
+        raw = NON_DEFAULT[key]
+        value = getattr(parse_config(f"{key}={raw}"), key)
+        assert type(value) is get_type_hints(ExperimentConfig)[key]
+        assert value != getattr(ExperimentConfig(), key)
 
     def test_dense_requires_lora(self):
         with pytest.raises(ConfigError, match="delta_form"):

@@ -13,7 +13,6 @@ from deltafed import (
     Tensor,
     add_delta,
     l2_norm,
-    scale,
     subtract_trainable,
     weighted_sum,
 )
@@ -186,19 +185,6 @@ class TestAddDelta:
 
 
 class TestScaleAndNorm:
-    def test_scale_zero_gives_zero(self):
-        rng = np.random.default_rng(11)
-        ps = random_set(rng)
-        z = scale(ps, 0.0)
-        for _, t, _ in z.items():
-            assert np.all(t.data == 0.0)
-
-    def test_scale_one_identity(self):
-        rng = np.random.default_rng(12)
-        ps = random_set(rng)
-        same = scale(ps, 1.0)
-        assert same == ps
-
     def test_l2_norm_oracle(self):
         # oracle: accumulate sqrt(sum of squares) by explicit loop
         rng = np.random.default_rng(13)
@@ -272,16 +258,3 @@ def test_delta_linearity(pair):
             assert np.allclose(rebuilt.array(name), t.array, rtol=1e-12, atol=1e-9)
         else:
             assert rebuilt.tensor(name) is glob.tensor(name)
-
-
-@settings(max_examples=60, deadline=None)
-@given(param_pairs(), st.floats(-8, 8, allow_nan=False))
-def test_scale_distributes_over_subtract(pair, factor):
-    local, glob = pair
-    lhs = scale(subtract_trainable(local, glob), factor)
-    rhs = subtract_trainable(
-        ParameterSet([(n, Tensor(t.shape, (t.data * factor).copy()), f) for n, t, f in local.items()]),
-        ParameterSet([(n, Tensor(t.shape, (t.data * factor).copy()), f) for n, t, f in glob.items()]),
-    )
-    for name, t, _ in lhs.items():
-        assert np.allclose(t.data, rhs.tensor(name).data, rtol=1e-9, atol=1e-9)

@@ -5,16 +5,18 @@ import time
 import numpy as np
 import pytest
 
-from deltafed.errors import ArgumentError, FormatError, ProtocolError
+from deltafed.config import ExperimentConfig
+from deltafed.errors import FormatError, ProtocolError
 from deltafed.lora import attach
 from deltafed.model import LmConfig, init_model
 from deltafed.optim import OptimizerConfig
 from deltafed.params import ParameterSet, Tensor
 from deltafed.protocol import (
+    SERVER_SENDER,
     ClientTask,
     LocalTrainer,
-    ProtocolConfig,
     TrafficLedger,
+    answer_broadcast,
     check_client_ledger,
     run_client,
     run_server,
@@ -25,8 +27,11 @@ from deltafed.wire import (
     HEADER_LEN,
     KIND_DELTA_UPDATE,
     KIND_FULL_MODEL_UPDATE,
+    KIND_GLOBAL_BROADCAST,
     KIND_ROUND_ACK,
+    KIND_SHUTDOWN,
     WireMessage,
+    decode_message,
     encode_message,
     serialize_params,
     serialized_size,
@@ -64,13 +69,13 @@ def tasks_for(model, shards, steps=2, lr=0.05, rounds=3, seed=0, batch_size=3):
     ]
 
 
-def federate(model, tasks, pcfg, server_chs, client_chs, sample_counts=None):
+def federate(model, tasks, cfg, server_chs, client_chs, sample_counts=None):
     """Server on this thread, one worker thread per client."""
     results: dict = {}
 
     def work(task, ch):
         try:
-            results[task.client_id] = run_client(ch, model, LocalTrainer(task), pcfg)
+            results[task.client_id] = run_client(ch, model, LocalTrainer(task), cfg)
         except BaseException as e:  # surfaced after join
             results[task.client_id] = e
 
@@ -80,7 +85,7 @@ def federate(model, tasks, pcfg, server_chs, client_chs, sample_counts=None):
     ]
     for th in threads:
         th.start()
-    final, ledger = run_server(model, server_chs, pcfg, sample_counts)
+    final, ledger = run_server(model, server_chs, cfg, sample_counts)
     for th in threads:
         th.join(timeout=30)
     for cid, res in results.items():
@@ -118,20 +123,25 @@ def delta_like(params, value):
 
 
 class TestScriptedServer:
-    def test_t0_returns_initial_and_empty_ledger(self):
+    def test_t0_runs_join_and_shutdown_handshake(self):
         model = adapted_model()
-        server_chs, _ = memory_pairs(2, timeout=0.2)
-        final, ledger = run_server(model, server_chs, ProtocolConfig(rounds=0))
+        server_chs, client_chs = memory_pairs(2, timeout=1.0)
+        for cid in range(2):
+            scripted_join(client_chs[cid], cid)
+        final, ledger = run_server(model, server_chs, ExperimentConfig(rounds=0))
         assert final is model
-        assert ledger.rounds() == []
-        assert ledger.total_bytes() == 0
+        assert ledger.rounds() == [0, 1]
+        assert ledger.total_bytes() == 4 * HEADER_LEN  # two joins, two shutdowns
+        for ch in client_chs:
+            msg = decode_message(ch.recv())
+            assert (msg.kind, msg.round) == (KIND_SHUTDOWN, 1)
 
     def test_zero_delta_keeps_global(self):
         model = adapted_model()
         server_chs, client_chs = memory_pairs(1, timeout=1.0)
         scripted_join(client_chs[0], 0)
         scripted_delta(client_chs[0], 0, 1, delta_like(model.params, 0.0))
-        final, ledger = run_server(model, server_chs, ProtocolConfig(rounds=1))
+        final, ledger = run_server(model, server_chs, ExperimentConfig(rounds=1))
         for name in model.params.names():
             assert np.array_equal(
                 final.params.array(name), model.params.array(name)
@@ -148,7 +158,7 @@ class TestScriptedServer:
                 scripted_delta(
                     client_chs[cid], cid, t, delta_like(model.params, pair[cid])
                 )
-        final, _ = run_server(model, server_chs, ProtocolConfig(rounds=3))
+        final, _ = run_server(model, server_chs, ExperimentConfig(rounds=3))
         for name in model.params.trainable_names():
             expected = model.params.array(name).copy()
             for a, b in per_round:
@@ -164,7 +174,7 @@ class TestScriptedServer:
         scripted_join(client_chs[0], 0)
         scripted_delta(client_chs[0], 0, 2, delta_like(model.params, 0.0))
         with pytest.raises(ProtocolError) as exc:
-            run_server(model, server_chs, ProtocolConfig(rounds=1))
+            run_server(model, server_chs, ExperimentConfig(rounds=1))
         assert "round 2" in str(exc.value) and "expected 1" in str(exc.value)
         assert exc.value.ledger is not None
         assert exc.value.ledger.downlink_bytes(1) > 0
@@ -175,7 +185,7 @@ class TestScriptedServer:
         scripted_join(client_chs[0], 0)
         scripted_delta(client_chs[0], 3, 1, delta_like(model.params, 0.0))
         with pytest.raises(ProtocolError, match="sender"):
-            run_server(model, server_chs, ProtocolConfig(rounds=1))
+            run_server(model, server_chs, ExperimentConfig(rounds=1))
 
     def test_wrong_kind_rejected(self):
         model = adapted_model()
@@ -184,7 +194,7 @@ class TestScriptedServer:
         scripted_delta(client_chs[0], 0, 1, delta_like(model.params, 0.0))
         with pytest.raises(ProtocolError, match="kind"):
             run_server(
-                model, server_chs, ProtocolConfig(rounds=1, aggregation="fedavg")
+                model, server_chs, ExperimentConfig(rounds=1, aggregation="fedavg")
             )
 
     def test_fedavg_rejects_full_model_unlike_global(self):
@@ -203,7 +213,7 @@ class TestScriptedServer:
             )
             with pytest.raises(ProtocolError, match=f"client 0 .*'{entry}'") as exc:
                 run_server(
-                    model, server_chs, ProtocolConfig(rounds=1, aggregation="fedavg")
+                    model, server_chs, ExperimentConfig(rounds=1, aggregation="fedavg")
                 )
             assert exc.value.ledger is not None
 
@@ -219,10 +229,26 @@ class TestScriptedServer:
         )
         last = max(delta.names())
         with pytest.raises(FormatError) as exc:
-            run_server(model, server_chs, ProtocolConfig(rounds=1))
+            run_server(model, server_chs, ExperimentConfig(rounds=1))
         assert str(exc.value) == (
             f"update from client 0 in round 1: entry {last!r}: non-finite f32 values"
         )
+
+    def test_dense_delta_must_cover_every_adapted_target(self):
+        model = adapted_model()
+        server_chs, client_chs = memory_pairs(1, timeout=1.0)
+        scripted_join(client_chs[0], 0)
+        shape = model.params.tensor("embed.W").shape
+        partial = ParameterSet([("embed.W", Tensor.from_array(np.ones(shape)), True)])
+        client_chs[0].send(
+            encode_message(WireMessage(KIND_DELTA_UPDATE, 1, 0, 0, serialize_params(partial)))
+        )
+        with pytest.raises(
+            ProtocolError,
+            match=r"^delta from client 0 does not cover the adapted targets: "
+            r"missing \['rnn.U'\], extra \[\]$",
+        ):
+            run_server(model, server_chs, ExperimentConfig(rounds=1, delta_form="dense"))
 
     def test_duplicate_join_rejected(self):
         model = adapted_model()
@@ -230,14 +256,14 @@ class TestScriptedServer:
         scripted_join(client_chs[0], 0)
         scripted_join(client_chs[1], 0)
         with pytest.raises(ProtocolError, match="duplicate"):
-            run_server(model, server_chs, ProtocolConfig(rounds=1))
+            run_server(model, server_chs, ExperimentConfig(rounds=1))
 
     def test_silent_client_aborts_with_ledger(self):
         model = adapted_model()
         server_chs, client_chs = memory_pairs(1, timeout=0.05)
         scripted_join(client_chs[0], 0)
         with pytest.raises(ProtocolError) as exc:
-            run_server(model, server_chs, ProtocolConfig(rounds=1))
+            run_server(model, server_chs, ExperimentConfig(rounds=1))
         assert exc.value.ledger is not None
         assert exc.value.ledger.downlink_bytes(1) > 0  # broadcast went out
         assert exc.value.ledger.uplink_bytes(1) == 0
@@ -246,11 +272,11 @@ class TestScriptedServer:
 class TestEndToEndMemory:
     def test_gradualdiff_round_trip_and_byte_accounting(self):
         model = adapted_model()
-        pcfg = ProtocolConfig(rounds=3)
+        cfg = ExperimentConfig(rounds=3)
         shards = shards_for(model, 2)
         tasks = tasks_for(model, shards, rounds=3)
         server_chs, client_chs = memory_pairs(2, timeout=10.0)
-        final, ledger, results = federate(model, tasks, pcfg, server_chs, client_chs)
+        final, ledger, results = federate(model, tasks, cfg, server_chs, client_chs)
 
         full_sz = serialized_size(model.params, "all")
         lora_sz = serialized_size(model.params, "trainable")
@@ -275,11 +301,11 @@ class TestEndToEndMemory:
 
     def test_zero_steps_leaves_global_at_f32_start(self):
         model = adapted_model()
-        pcfg = ProtocolConfig(rounds=2)
+        cfg = ExperimentConfig(rounds=2)
         shards = shards_for(model, 2)
         tasks = tasks_for(model, shards, steps=0, rounds=2)
         server_chs, client_chs = memory_pairs(2, timeout=10.0)
-        final, _, _ = federate(model, tasks, pcfg, server_chs, client_chs)
+        final, _, _ = federate(model, tasks, cfg, server_chs, client_chs)
         for name in model.params.names():
             assert np.array_equal(
                 final.params.array(name), model.params.array(name)
@@ -291,10 +317,10 @@ class TestEndToEndMemory:
         shards = shards_for(model, 2)
         uplinks = {}
         for agg in ("gradualdiff", "fedavg"):
-            pcfg = ProtocolConfig(rounds=2, aggregation=agg)
+            cfg = ExperimentConfig(rounds=2, aggregation=agg)
             tasks = tasks_for(model, shards, rounds=2)
             server_chs, client_chs = memory_pairs(2, timeout=10.0)
-            _, ledger, _ = federate(model, tasks, pcfg, server_chs, client_chs)
+            _, ledger, _ = federate(model, tasks, cfg, server_chs, client_chs)
             uplinks[agg] = ledger.uplink_bytes(1)
         assert uplinks["fedavg"] > uplinks["gradualdiff"]
         ratio = serialized_size(model.params, "trainable") / serialized_size(
@@ -308,20 +334,20 @@ class TestEndToEndMemory:
         shards = shards_for(model, 2)
         uplinks = {}
         for q in (False, True):
-            pcfg = ProtocolConfig(rounds=1, quantize_payload=q)
+            cfg = ExperimentConfig(rounds=1, quantize_payload=q)
             tasks = tasks_for(model, shards, rounds=1)
             server_chs, client_chs = memory_pairs(2, timeout=10.0)
-            _, ledger, _ = federate(model, tasks, pcfg, server_chs, client_chs)
+            _, ledger, _ = federate(model, tasks, cfg, server_chs, client_chs)
             uplinks[q] = ledger.uplink_bytes(1)
         assert uplinks[True] * 5 < uplinks[False]
 
     def test_dense_form_resets_factors_and_moves_base(self):
         model = adapted_model()
-        pcfg = ProtocolConfig(rounds=2, delta_form="dense")
+        cfg = ExperimentConfig(rounds=2, delta_form="dense")
         shards = shards_for(model, 2)
         tasks = tasks_for(model, shards, rounds=2, steps=3, lr=0.1)
         server_chs, client_chs = memory_pairs(2, timeout=10.0)
-        final, ledger, _ = federate(model, tasks, pcfg, server_chs, client_chs)
+        final, ledger, _ = federate(model, tasks, cfg, server_chs, client_chs)
         for target in ("embed.W", "rnn.U"):
             assert np.all(final.params.array(f"{target}.lora.B") == 0.0)
             assert not np.array_equal(
@@ -338,23 +364,41 @@ class TestEndToEndMemory:
             scripted_join(client_chs[cid], cid)
         scripted_delta(client_chs[0], 0, 1, delta_like(model.params, 1.0))
         scripted_delta(client_chs[1], 1, 1, delta_like(model.params, 0.0))
-        pcfg = ProtocolConfig(rounds=1, delta_weighting="samples")
+        cfg = ExperimentConfig(rounds=1, delta_weighting="samples")
         final, _ = run_server(
-            model, server_chs, pcfg, sample_counts={0: 3, 1: 1}
+            model, server_chs, cfg, sample_counts={0: 3, 1: 1}
         )
         name = model.params.trainable_names()[0]
         moved = final.params.array(name) - model.params.array(name)
         assert np.allclose(moved, 0.75, atol=1e-12)
 
 
-class TestProtocolConfig:
-    @pytest.mark.parametrize(
-        "field, value",
-        [("aggregation", "fedprox"), ("delta_form", "sparse"), ("delta_weighting", "mean")],
-    )
-    def test_unknown_value_rejected_at_construction(self, field, value):
-        with pytest.raises(ArgumentError, match=repr(value)):
-            ProtocolConfig(rounds=1, **{field: value})
+class TestFactorBroadcast:
+    """From round 2 a factor broadcast carries exactly the trainable entries."""
+
+    def answer_round_2(self, model, params):
+        msg = WireMessage(
+            KIND_GLOBAL_BROADCAST, 2, SERVER_SENDER, FLAG_FACTORS, serialize_params(params)
+        )
+        trainer = LocalTrainer(tasks_for(model, shards_for(model, 1))[0])
+        return answer_broadcast(msg, model, trainer, ExperimentConfig())
+
+    def test_missing_factor_rejected(self):
+        model = adapted_model()
+        short = model.params.trainable_subset().drop(["rnn.U.lora.B"])
+        with pytest.raises(
+            ProtocolError, match=r"^round 2 broadcast lacks trainable entry 'rnn.U.lora.B'$"
+        ):
+            self.answer_round_2(model, short)
+
+    def test_frozen_entry_rejected(self):
+        model = adapted_model()
+        frozen = [n for n in model.params.names() if not model.params.trainable(n)]
+        carried = model.params.drop(n for n in frozen if n != "rnn.U")
+        with pytest.raises(
+            ProtocolError, match=r"^round 2 broadcast carries non-trainable entry 'rnn.U'$"
+        ):
+            self.answer_round_2(model, carried)
 
 
 class TestMeasureRoundTraffic:
@@ -467,13 +511,13 @@ class TestTcpTransport:
 
     def test_end_to_end_matches_memory_run(self):
         model = adapted_model()
-        pcfg = ProtocolConfig(rounds=2)
+        cfg = ExperimentConfig(rounds=2)
         shards = shards_for(model, 2)
 
         tasks = tasks_for(model, shards, rounds=2)
         server_chs, client_chs = memory_pairs(2, timeout=10.0)
         final_mem, ledger_mem, _ = federate(
-            model, tasks, pcfg, server_chs, client_chs
+            model, tasks, cfg, server_chs, client_chs
         )
 
         listener = TcpListener()
@@ -489,7 +533,7 @@ class TestTcpTransport:
         accepted = listener.accept(2, timeout=10.0)
         conn_thread.join(timeout=10)
         final_tcp, ledger_tcp, _ = federate(
-            model, tasks, pcfg, accepted, client_chs_tcp
+            model, tasks, cfg, accepted, client_chs_tcp
         )
         listener.close()
         for ch in accepted + client_chs_tcp:
