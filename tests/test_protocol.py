@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from deltafed.config import ExperimentConfig
-from deltafed.errors import FormatError, ProtocolError
+from deltafed.errors import ConfigError, FormatError, ProtocolError
 from deltafed.lora import attach
 from deltafed.model import LmConfig, init_model
 from deltafed.optim import OptimizerConfig
@@ -399,6 +399,16 @@ class TestFactorBroadcast:
             ProtocolError, match=r"^round 2 broadcast carries non-trainable entry 'rnn.U'$"
         ):
             self.answer_round_2(model, carried)
+
+
+class TestProtocolConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("aggregation", "fedprox"), ("delta_form", "sparse"), ("delta_weighting", "mean")],
+    )
+    def test_unknown_value_rejected_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=repr(value)):
+            ExperimentConfig(rounds=1, **{field: value})
 
 
 class TestMeasureRoundTraffic:
