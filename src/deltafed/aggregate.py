@@ -116,8 +116,8 @@ def check_coverage(want: Iterable[str], update: ClientUpdate, what: str) -> None
     want, got = set(want), set(update.params.names())
     if want != got:
         raise ProtocolError(
-            f"delta from client {update.client_id} does not cover the "
-            f"{what}: missing {sorted(want - got)}, extra {sorted(got - want)}"
+            f"delta from client {update.client_id} in round {update.round} does "
+            f"not cover the {what}: missing {sorted(want - got)}, extra {sorted(got - want)}"
         )
 
 

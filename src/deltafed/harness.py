@@ -7,8 +7,15 @@ one client with no channel and no thread (`_alone`): central on the whole
 training split at the summed step budget, local client i on shard i, so it
 honours `delta_form` and `quantize_payload`. Every value still takes the f32
 wire casts, so K=1 local, central and K=1 federated runs are bitwise equal.
-Federated clients train in the worker processes of `workers.py` when there
-are two or more clients and cores, with the same results as in process.
+Every mode gets its trainers from `workers.client_trainers`: federated
+clients train in the pool's worker processes when there are two or more
+clients and cores, a lone client on an idle worker if the pool has one, all
+with the same results as in process.
+
+`compare_modes` reads the corpus once for all three modes. The federated
+run goes first and alone, so its round times stay comparable; then central
+runs on a helper thread beside local on the calling thread, each training
+on a worker of its own.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ from .model import (
 from .optim import OptimizerConfig
 from .protocol import (
     ClientTask,
-    LocalTrainer,
     TrafficLedger,
     answer_broadcast,
     broadcast,
@@ -126,9 +132,9 @@ def bleu_of(model: LmModel, setup: _Setup, cfg: ExperimentConfig) -> float:
     return float(np.mean(scores))
 
 
-def _eval_only(cfg: ExperimentConfig) -> ExperimentResult:
+def _eval_only(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
     """A zero-round run of any mode: the initial model's metrics as round 0."""
-    setup = _setup(cfg)
+    setup = setup or _setup(cfg)
     ppl = perplexity_of(setup.model, setup.val_ids)
     rec = RoundRecord(0, cfg.mode, float("nan"), ppl, 0, 0, 0)
     extras = {"bleu": bleu_of(setup.model, setup, cfg)}
@@ -211,13 +217,18 @@ def _federate(cfg: ExperimentConfig, setup: _Setup, trainers: list):
         for th in threads:
             th.join()
         stop_listening()
+    # later failures are peers seeing a channel close
+    _raise_first(failures)
+    return results, model, ledger, snapshots
+
+
+def _raise_first(failures: list[tuple[str, Exception]]) -> None:
+    """Raise the first (who, exception), the root cause, prefixed with who.
+    It keeps its class, attributes and traceback."""
     if failures:
-        # The first is the root cause; later ones are peers seeing a channel
-        # close. It keeps its class, attributes and traceback.
         who, e = failures[0]
         e.args = (f"{who}: {e}", *e.args[1:])
         raise e
-    return results, model, ledger, snapshots
 
 
 def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
@@ -259,18 +270,17 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
 # -- central and local: federations of one client ----------------------------
 
 
-def _alone(cfg: ExperimentConfig, setup: _Setup, task: ClientTask, count: int):
+def _alone(cfg: ExperimentConfig, setup: _Setup, trainer, count: int):
     """A federation of one client with no channel; per round yields
     (train loss, global model, wall ms), timing the round alone."""
-    counts = {task.client_id: count}
-    trainer = LocalTrainer(task)
+    counts = {trainer.client_id: count}
     model = local = setup.model
     for t in range(1, cfg.rounds + 1):
         start = time.perf_counter()
         local, loss, update = answer_broadcast(
             broadcast(model, t, cfg), local, trainer, cfg
         )
-        model = fold_updates(model, t, [(task.client_id, update)], cfg, counts)
+        model = fold_updates(model, t, [(trainer.client_id, update)], cfg, counts)
         yield loss, model, (time.perf_counter() - start) * 1000.0
 
 
@@ -285,10 +295,11 @@ def run_central(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experimen
     shard = partition_iid(setup.sequences, 1, cfg.seed)[0]
     task = _client_task(cfg, 0, shard, sum(setup.steps.values()))
     records = []
-    rounds = _alone(cfg, setup, task, sum(setup.counts.values()))
-    for t, (loss, model, wall_ms) in enumerate(rounds, start=1):
-        ppl = perplexity_of(model, setup.val_ids)
-        records.append(RoundRecord(t, "central", loss, ppl, int(wall_ms), 0, 0))
+    with client_trainers([task]) as (trainer,):
+        rounds = _alone(cfg, setup, trainer, sum(setup.counts.values()))
+        for t, (loss, model, wall_ms) in enumerate(rounds, start=1):
+            ppl = perplexity_of(model, setup.val_ids)
+            records.append(RoundRecord(t, "central", loss, ppl, int(wall_ms), 0, 0))
     return ExperimentResult(model, records, {"bleu": bleu_of(model, setup, cfg)})
 
 
@@ -300,8 +311,10 @@ def run_local(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentR
     for i in range(cfg.clients):
         task = _client_task(cfg, i, setup.shards[i], setup.steps[i])
         curve = []
-        for loss, model, wall_ms in _alone(cfg, setup, task, setup.counts[i]):
-            curve.append((loss, perplexity_of(model, setup.val_ids), wall_ms))
+        # the clients take turns, each on the worker it borrows
+        with client_trainers([task]) as (trainer,):
+            for loss, model, wall_ms in _alone(cfg, setup, trainer, setup.counts[i]):
+                curve.append((loss, perplexity_of(model, setup.val_ids), wall_ms))
         curves.append(curve)
         models.append(model)
     losses, ppls, walls = np.moveaxis(np.array(curves), 2, 0)  # each (K, rounds)
@@ -337,8 +350,12 @@ def run_local(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentR
 _RUNNERS = {"federated": run_federated, "central": run_central, "local": run_local}
 
 
-def run_experiment(cfg: ExperimentConfig, report: bool = True) -> ExperimentResult:
-    result = _eval_only(cfg) if cfg.rounds == 0 else _RUNNERS[cfg.mode](cfg)
+def run_experiment(
+    cfg: ExperimentConfig, report: bool = True, setup: _Setup | None = None
+) -> ExperimentResult:
+    """Run cfg's mode; `setup`, if given, is `_setup(cfg)` already made."""
+    runner = _eval_only if cfg.rounds == 0 else _RUNNERS[cfg.mode]
+    result = runner(cfg, setup)
     if report:
         extras = dict(result.extras)
         extras["config"] = asdict(cfg)
@@ -356,12 +373,31 @@ def compare_modes(cfg: ExperimentConfig, out_dir: str | Path | None = None):
 
     The joint CSV carries no wall times, so a repeated run with the same
     config and seed reproduces it byte for byte on the memory transport.
+    The corpus is read once. Federated runs first and alone; then central
+    runs on a helper thread beside local on this one. A failure in either
+    lane is raised, prefixed with its mode, once both have ended.
     """
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    results = {
-        mode: run_experiment(override(cfg, mode=mode), report=False)
-        for mode in MODES
-    }
+    setup = _setup(cfg)
+    results: dict[str, ExperimentResult] = {}
+    failures: list[tuple[str, Exception]] = []
+
+    def run(mode: str) -> None:
+        try:
+            mode_cfg = override(cfg, mode=mode)
+            results[mode] = run_experiment(mode_cfg, report=False, setup=setup)
+        except Exception as e:
+            failures.append((mode, e))
+
+    run("federated")  # the pool grows here, before the helper thread starts
+    _raise_first(failures)
+    helper = threading.Thread(target=run, args=("central",), name="central")
+    helper.start()
+    try:
+        run("local")
+    finally:
+        helper.join()
+    _raise_first(failures)
     records = [rec for mode in MODES for rec in results[mode].records]
 
     out.mkdir(parents=True, exist_ok=True)

@@ -27,6 +27,7 @@ from .errors import ArgumentError
 from .params import ParameterSet, Tensor
 
 INIT_RANGE = 0.08  # uniform init half-width for weights
+EVAL_BLOCK = 64  # windows per perplexity batch, so its temporaries stay small
 
 # fixed sub-stream tags so every consumer of an experiment seed draws from
 # its own independent generator
@@ -206,7 +207,8 @@ def _recur(eff: _Effective, xt: np.ndarray) -> np.ndarray:
     (steps, batch, d)."""
     steps, bsz = xt.shape
     hs = np.empty((steps, bsz, eff.u.shape[0]))
-    pre = eff.w_lookup[xt] + eff.b  # input term of every step at once
+    pre = eff.w_lookup[xt]  # input term of every step at once
+    pre += eff.b
     u_t = eff.u.T
     np.tanh(pre[0], out=hs[0])
     for i in range(1, steps):
@@ -230,11 +232,13 @@ def _nll(eff: _Effective, x: np.ndarray):
     hs = _recur(eff, xt[:-1])
     n = hs.shape[0] * hs.shape[1]
     targets = xt[1:].reshape(n)
-    z = hs.reshape(n, -1) @ eff.w_out.T + eff.c
+    z = hs.reshape(n, -1) @ eff.w_out.T
+    z += eff.c
     z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
+    target_logits = z[np.arange(n), targets].sum()
+    e = np.exp(z, out=z)
     s = e.sum(axis=1, keepdims=True)
-    nll = float(np.log(s).sum() - z[np.arange(n), targets].sum())
+    nll = float(np.log(s).sum() - target_logits)
     return nll, hs, e, s, targets
 
 
@@ -387,7 +391,8 @@ def perplexity_of(model: LmModel, ids: Sequence[int]) -> float:
 
     The id stream is cut into windows of the model's context + 1 tokens
     overlapping by one, so each token after the first is predicted exactly
-    once.
+    once. Full windows are scored EVAL_BLOCK at a time, as strided views of
+    the stream, so the memory an evaluation takes does not grow with it.
     """
     arr = np.asarray(ids, dtype=np.int64)
     if arr.ndim != 1 or arr.size < 2:
@@ -399,22 +404,20 @@ def perplexity_of(model: LmModel, ids: Sequence[int]) -> float:
     total_nll = 0.0
     total_positions = 0
 
-    full, tail = [], None
-    for start in range(0, arr.size - 1, ctx):
-        window = arr[start : start + ctx + 1]
-        if window.size == ctx + 1:
-            full.append(window)
-        elif window.size >= 2:
-            tail = window
-
     def accumulate(x: np.ndarray):
         nonlocal total_nll, total_positions
         total_nll += _nll(eff, x)[0]
         total_positions += x.shape[0] * (x.shape[1] - 1)
 
-    if full:
-        accumulate(np.stack(full))
-    if tail is not None:
+    n_full = (arr.size - 1) // ctx
+    step = arr.strides[0]
+    full = np.lib.stride_tricks.as_strided(
+        arr, (n_full, ctx + 1), (ctx * step, step), writeable=False
+    )
+    for lo in range(0, n_full, EVAL_BLOCK):
+        accumulate(full[lo : lo + EVAL_BLOCK])
+    tail = arr[n_full * ctx :]
+    if tail.size >= 2:
         accumulate(tail[None, :])
     return float(np.exp(total_nll / total_positions))
 

@@ -19,6 +19,7 @@ runs one in a forked worker.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -134,14 +135,21 @@ def _expect(cond: bool, message: str, ledger: TrafficLedger) -> None:
         raise ProtocolError(message, ledger=ledger)
 
 
-def _recv(channel, ledger: TrafficLedger) -> bytes:
-    """recv that re-raises transport failures with the partial ledger attached."""
+@contextmanager
+def _ledgered(ledger: TrafficLedger | None):
+    """Attach the partial ledger to a ProtocolError raised without one."""
     try:
-        return channel.recv()
+        yield
     except ProtocolError as e:
         if e.ledger is None:
-            raise ProtocolError(str(e), ledger=ledger) from e
+            e.ledger = ledger
         raise
+
+
+def _recv(channel, ledger: TrafficLedger) -> bytes:
+    """recv that re-raises transport failures with the partial ledger attached."""
+    with _ledgered(ledger):
+        return channel.recv()
 
 
 @dataclass(frozen=True)
@@ -285,7 +293,8 @@ def fold_updates(
         received.append(
             ClientUpdate(cid, rnd, sample_counts[cid], kind, params, form=policy.form)
         )
-    folded = policy.fold(model.params, received, cfg.delta_weighting, ledger)
+    with _ledgered(ledger):  # aggregate's own checks know no ledger
+        folded = policy.fold(model.params, received, cfg.delta_weighting, ledger)
     return model.with_params(folded)
 
 
@@ -481,7 +490,8 @@ def run_client(channel, model: LmModel, trainer, cfg: ExperimentConfig) -> Clien
                 f"{msg.kind} round {msg.round}",
                 ledger=ledger,
             )
-        model, loss, update = answer_broadcast(msg, model, trainer, cfg)
+        with _ledgered(ledger):
+            model, loss, update = answer_broadcast(msg, model, trainer, cfg)
         losses.append(loss)
         raw = encode_message(update)
         channel.send(raw)

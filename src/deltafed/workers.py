@@ -1,4 +1,4 @@
-"""Training workers: federated clients train in forked processes, one core each.
+"""Training workers: clients train in forked processes, one core each.
 
 K client threads that train in one process take turns on the GIL. Here each
 client's `train` hands the installed model values to a persistent worker
@@ -7,14 +7,21 @@ trained trainable values and the mean loss. Everything else a client does
 (the protocol loop, the wire codec, the transport, the ledger) stays in the
 calling process, so every byte still crosses a channel that process owns.
 
-The pool is forked once per process, on the first federation that can use
-it, and later federations reuse it. A worker keeps one session per client it
-serves: the task (shard, optimizer config), the optimizer state and the RNG,
-bound on the client's first `train` and dropped when the federation ends. A
-federation of K clients on C usable cores uses W = min(K, C) workers; client
-i uses worker i % W, one job at a time. With W < 2, without `os.fork`,
-when the pool must grow while other threads run (forking beside live threads
-is unsafe) or when a fork fails, clients train in process instead.
+The pool is forked once per process, by the first federation of two or more
+clients that can use it: W = min(K, C) workers for K clients on C usable
+cores. It grows only before the caller starts any thread, since forking
+beside live threads is unsafe; with W < 2, without `os.fork` or when a fork
+fails it stays as it is. The pool lends its idle workers to runs, each lent
+to one run at a time: a federation borrows up to W, and client i trains on
+the (i mod n)-th of the n it got, one job at a time; a lone client borrows
+one and never grows the pool. A run that borrows none trains in process, so
+a central run on its own trains in process, while central and local side by
+side in a compare each train on a worker of their own.
+
+A worker keeps one session per client it serves: the task (shard, optimizer
+config), the optimizer state and the RNG, bound on the client's first `train`
+and dropped when its run ends. A worker that dies fails the run that holds
+it and is then discarded alone; the next federation forks its replacement.
 
 A job is a small pickled message over a pipe; the values travel through a
 float64 area of shared memory that both processes map, so a round costs a
@@ -114,6 +121,7 @@ class _Worker:
         self.area = area
         self.lock = threading.Lock()  # one job at a time; guards the area
         self.failure: str | None = None  # how it ended, once reaped
+        self.lent = False  # to a run, under _pool_lock
 
     def call(self, job):
         """Send one job, wait for its reply; re-raise a training error."""
@@ -148,6 +156,7 @@ class _Worker:
 
 
 _pool: list[_Worker] = []
+_pool_lock = threading.Lock()  # guards _pool and each worker's `lent`
 _sessions = itertools.count()
 
 
@@ -207,21 +216,21 @@ def _keep_heap() -> None:
 
 def _forget_pool() -> None:
     """In any forked child: close what it inherited of the pool. A worker
-    whose pipe end stays open in another process never sees the EOF."""
-    global _pool
+    whose pipe end stays open in another process never sees the EOF. The
+    lock may have been held by a thread the child does not have."""
+    global _pool, _pool_lock
     for w in _pool:
         w.conn.close()
         w.area.close()
     _pool = []
+    _pool_lock = threading.Lock()
 
 
-def _grow(n: int) -> bool:
-    """Fork workers until the pool has n; False when other threads are live
-    or a fork fails."""
-    if len(_pool) >= n:
-        return True
+def _grow(n: int) -> None:
+    """Fork workers until the pool has n; none while other threads are live,
+    no more after a fork fails."""
     if threading.active_count() > 1:
-        return False
+        return
     while len(_pool) < n:
         parent_end, child_end = Pipe()
         area = _Area()
@@ -231,7 +240,7 @@ def _grow(n: int) -> bool:
             parent_end.close()
             child_end.close()
             area.close()
-            return False
+            return
         if pid == 0:  # the worker; it never returns into the caller's stack
             code = 1
             try:
@@ -244,20 +253,24 @@ def _grow(n: int) -> bool:
                 os._exit(code)
         child_end.close()
         _pool.append(_Worker(pid, parent_end, area))
-    return True
 
 
-def shutdown() -> None:
-    """Close the pool's pipes and reap its workers, killing any that linger;
-    the next federation forks a fresh pool."""
-    global _pool
-    pool, _pool = _pool, []
+def _discard(pool: list[_Worker]) -> None:
+    """Close these workers' pipes and reap them, killing any that linger."""
     for w in pool:
         w.conn.close()  # an idle worker exits at the EOF
     deadline = time.monotonic() + REAP_SECONDS
     for w in pool:
         w.reap(deadline - time.monotonic())
         w.area.close()
+
+
+def shutdown() -> None:
+    """Discard the whole pool; the next federation forks a fresh one."""
+    global _pool
+    with _pool_lock:
+        pool, _pool = _pool, []
+    _discard(pool)
 
 
 class WorkerTrainer:
@@ -289,41 +302,58 @@ class WorkerTrainer:
         return model.with_params(trained), loss
 
     def unbind(self) -> None:
-        if self._bound:
+        if self._bound and self._worker.failure is None:
             with self._worker.lock:
                 self._worker.conn.send(("unbind", self._sid))
 
 
 @contextmanager
 def client_trainers(tasks: list[ClientTask]):
-    """Yield one trainer per task: on the pool's workers when
-    `planned_workers` plans two or more and the pool can grow to them, else
-    in process.
+    """Yield one trainer per task: on workers borrowed from the pool, or in
+    process when none is idle.
 
-    Grows the pool before the caller starts any thread; on exit unbinds the
-    sessions, or discards the whole pool if a worker died.
+    A federation of two or more clients first grows the pool to
+    `planned_workers` (before the caller starts any thread) and borrows up
+    to that many; a lone client borrows one. On exit unbinds the sessions
+    and returns the workers, discarding any that died.
     """
-    n = planned_workers(len(tasks))
-    if not n or not _grow(n):
+    want = planned_workers(len(tasks)) if len(tasks) > 1 else 1
+    if want > 1:
+        _grow(want)
+    lent = _borrow(want)
+    if not lent:
         yield [LocalTrainer(task) for task in tasks]
         return
-    trainers = [WorkerTrainer(_pool[i % n], task) for i, task in enumerate(tasks)]
+    trainers = [WorkerTrainer(lent[i % len(lent)], task) for i, task in enumerate(tasks)]
     try:
         yield trainers
     finally:
-        _release(trainers)
+        _give_back(lent, trainers)
 
 
-def _release(trainers: list[WorkerTrainer]) -> None:
-    """Unbind the sessions; discard the whole pool if a worker died."""
-    try:
-        if all(w.failure is None for w in _pool):
-            for trainer in trainers:
-                trainer.unbind()
-            return
-    except OSError:  # a worker died between jobs
-        pass
-    shutdown()
+def _borrow(n: int) -> list[_Worker]:
+    """Lend up to n idle workers, in pool order."""
+    with _pool_lock:
+        lent = [w for w in _pool if not w.lent][:n]
+        for w in lent:
+            w.lent = True
+    return lent
+
+
+def _give_back(lent: list[_Worker], trainers: list[WorkerTrainer]) -> None:
+    """Unbind the sessions and return the workers; discard the dead ones."""
+    global _pool
+    for trainer in trainers:
+        try:
+            trainer.unbind()
+        except OSError:  # its worker died between jobs
+            trainer._worker.reap(REAP_SECONDS)
+    dead = [w for w in lent if w.failure is not None]
+    with _pool_lock:
+        for w in lent:
+            w.lent = False
+        _pool = [w for w in _pool if w not in dead]
+    _discard(dead)
 
 
 atexit.register(shutdown)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from deltafed.model import (
     LmModel,
     Vocab,
     forward,
+    EVAL_BLOCK,
     greedy_decode,
     init_model,
     loss_and_grad,
@@ -173,14 +175,38 @@ class TestPerplexity:
         )
         assert math.isclose(perplexity_of(m, [0, 1, 1, 0, 1, 0, 0]), 2.0, rel_tol=1e-12)
 
-    def test_matches_exp_of_loss_over_same_windows(self, tiny_model):
+    def check_windows(self, model, size):
         rng = np.random.default_rng(3)
-        ids = rng.integers(0, 5, size=57)
-        ctx = tiny_model.cfg.context
+        ids = rng.integers(0, 5, size=size)
+        ctx = model.cfg.context
         windows = [ids[k : k + ctx + 1] for k in range(0, ids.size - 1, ctx)]
         windows = [w for w in windows if w.size >= 2]
-        loss, _ = loss_and_grad(tiny_model, windows)
-        assert math.isclose(perplexity_of(tiny_model, ids), math.exp(loss), rel_tol=1e-9)
+        loss, _ = loss_and_grad(model, windows)
+        assert math.isclose(perplexity_of(model, ids), math.exp(loss), rel_tol=1e-9)
+
+    def test_matches_exp_of_loss_over_same_windows(self, tiny_model):
+        self.check_windows(tiny_model, 57)  # one block
+
+    def test_blocks_match_exp_of_loss_over_same_windows(self, tiny_model):
+        # three blocks and a tail
+        self.check_windows(tiny_model, 57 + 2 * EVAL_BLOCK * tiny_model.cfg.context)
+
+    def test_peak_memory_does_not_grow_with_the_stream(self):
+        model = init_model(LmConfig(vocab_size=24, embed_dim=16, context=16), seed=0)
+        rng = np.random.default_rng(0)
+        peaks = []
+        for n in (20_000, 200_000):
+            ids = rng.integers(0, 24, size=n)
+            tracemalloc.start()
+            try:
+                perplexity_of(model, ids)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one block's temporaries, ~0.4 MB; scoring all 200K ids at once
+        # took 112 MB
+        assert max(peaks) < 1 << 20, peaks
+        assert peaks[1] < 1.05 * peaks[0], peaks
 
     def test_too_short(self, tiny_model):
         with pytest.raises(ArgumentError):

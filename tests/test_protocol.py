@@ -245,10 +245,29 @@ class TestScriptedServer:
         )
         with pytest.raises(
             ProtocolError,
-            match=r"^delta from client 0 does not cover the adapted targets: "
+            match=r"^delta from client 0 in round 1 does not cover the adapted targets: "
             r"missing \['rnn.U'\], extra \[\]$",
-        ):
+        ) as exc:
             run_server(model, server_chs, ExperimentConfig(rounds=1, delta_form="dense"))
+        assert exc.value.ledger is not None
+        assert exc.value.ledger.uplink_bytes(1) > 0  # the update was booked
+
+    def test_factor_delta_must_cover_the_trainable_set(self):
+        model = adapted_model()
+        server_chs, client_chs = memory_pairs(1, timeout=1.0)
+        scripted_join(client_chs[0], 0)
+        stray = ParameterSet([("q", Tensor.from_array(np.zeros(2)), True)])
+        scripted_delta(client_chs[0], 0, 1, stray)
+        with pytest.raises(ProtocolError) as exc:
+            run_server(model, server_chs, ExperimentConfig(rounds=1))
+        missing = sorted(model.params.trainable_names())
+        assert str(exc.value) == (
+            f"delta from client 0 in round 1 does not cover the trainable set: "
+            f"missing {missing}, extra ['q']"
+        )
+        ledger = exc.value.ledger
+        assert ledger is not None
+        assert ledger.downlink_bytes(1) > 0 and ledger.uplink_bytes(1) > 0
 
     def test_duplicate_join_rejected(self):
         model = adapted_model()
@@ -390,6 +409,25 @@ class TestFactorBroadcast:
             ProtocolError, match=r"^round 2 broadcast lacks trainable entry 'rnn.U.lora.B'$"
         ):
             self.answer_round_2(model, short)
+
+    def test_client_error_carries_its_ledger(self):
+        model = adapted_model()
+        server_chs, client_chs = memory_pairs(1, timeout=1.0)
+        server = server_chs[0]
+        full = serialize_params(model.params)
+        short = serialize_params(model.params.trainable_subset().drop(["rnn.U.lora.B"]))
+        for rnd, flags, payload in ((1, FLAG_FACTORS, full), (2, FLAG_FACTORS, short)):
+            server.send(
+                encode_message(WireMessage(KIND_GLOBAL_BROADCAST, rnd, SERVER_SENDER, flags, payload))
+            )
+        trainer = LocalTrainer(tasks_for(model, shards_for(model, 1))[0])
+        with pytest.raises(ProtocolError, match=r"^round 2 broadcast lacks") as exc:
+            run_client(client_chs[0], model, trainer, ExperimentConfig())
+        ledger = exc.value.ledger
+        assert ledger is not None
+        assert ledger.uplink_bytes(0) == HEADER_LEN  # the join
+        assert ledger.uplink_bytes(1) > 0  # round 1's update
+        assert ledger.downlink_bytes(2) == HEADER_LEN + len(short)
 
     def test_frozen_entry_rejected(self):
         model = adapted_model()

@@ -2,17 +2,19 @@
 across the process boundary, no processes left behind."""
 
 import os
+import sys
 import threading
 import time
 
 import pytest
 
+import deltafed.harness as harness
 import deltafed.protocol as protocol
 import deltafed.workers as workers
 import test_harness
 from deltafed.config import override
 from deltafed.errors import DeltaFedError
-from deltafed.harness import run_experiment
+from deltafed.harness import compare_modes, run_experiment
 
 corpus_path = test_harness.corpus_path  # the module-scoped corpus fixture
 small_cfg = test_harness.small_cfg
@@ -179,6 +181,174 @@ class TestPoolFailFast:
         assert message == "client 1: training worker exited with code 3"
 
 
+class TestCompareLanes:
+    """compare_modes runs central on a helper thread beside local, each on a
+    worker of its own, with the same results as in process."""
+
+    def compare(self, cfg, out_dir, monkeypatch):
+        """-> (compare.csv bytes, {mode: result}) of one compare_modes call."""
+        results = {}
+
+        def kept(mode_cfg, *args, **kw):
+            results[mode_cfg.mode] = run_experiment(mode_cfg, *args, **kw)
+            return results[mode_cfg.mode]
+
+        monkeypatch.setattr(harness, "run_experiment", kept)
+        csv_path, _ = compare_modes(cfg, out_dir)
+        monkeypatch.setattr(harness, "run_experiment", run_experiment)
+        return csv_path.read_bytes(), results
+
+    def timeless(self, results):
+        out = {}
+        for mode, res in results.items():
+            models = [res.model] if res.model is not None else res.client_models
+            recs = [(r.round, r.train_loss, r.perplexity, r.uplink_bytes, r.downlink_bytes) for r in res.records]
+            out[mode] = ([params_bytes(m) for m in models], recs, res.extras)
+        return out
+
+    def test_pool_matches_in_process(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
+        train = protocol.local_train_round
+        here = []
+
+        def counted(*args, **kw):
+            here.append(1)  # in a worker this appends to the worker's copy
+            return train(*args, **kw)
+
+        monkeypatch.setattr(protocol, "local_train_round", counted)
+        cfg = small_cfg(corpus_path)
+        in_process(monkeypatch)
+        ref_csv, ref = self.compare(cfg, tmp_path / "ref", monkeypatch)
+        assert here and pool_pids() == []
+        here.clear()
+        pool_of_two(monkeypatch)
+        csv, pooled = self.compare(cfg, tmp_path / "pooled", monkeypatch)
+        assert not here and len(pool_pids()) == 2  # every mode trained in the workers
+        assert csv == ref_csv
+        assert self.timeless(pooled) == self.timeless(ref)
+        assert pooled["local"].extras["clients"] == ref["local"].extras["clients"]
+
+    def test_central_and_local_train_on_different_workers(
+        self, corpus_path, tmp_path, monkeypatch, fresh_pool
+    ):
+        train = workers.WorkerTrainer.train
+        seen = []
+
+        def recorded(self, model):
+            seen.append((threading.current_thread().name, self._worker.pid))
+            return train(self, model)
+
+        monkeypatch.setattr(workers.WorkerTrainer, "train", recorded)
+        pool_of_two(monkeypatch)
+        compare_modes(small_cfg(corpus_path), tmp_path)
+        central = {pid for who, pid in seen if who == "central"}
+        local = {pid for who, pid in seen if who == threading.main_thread().name}
+        assert len(central) == 1 and local - central
+        assert central | local <= set(pool_pids())
+
+    def inject(self, monkeypatch, tmp_path, corpus_path, fault, in_local):
+        """Fire `fault` once in a worker: in central's second round, or in
+        local client 1's second round (in_local)."""
+        cfg = small_cfg(corpus_path)
+        setup = harness._setup(cfg)
+        central_steps = sum(setup.steps.values())
+        local_started = tmp_path / "local-started"
+        marker = tmp_path / "injected"
+        train = protocol.local_train_round
+        run_local = harness._RUNNERS["local"]
+        calls = {}
+
+        def started(*args, **kw):
+            local_started.touch()
+            return run_local(*args, **kw)
+
+        def flaky(*args, **kw):
+            if in_local:
+                key = threading.current_thread().name if local_started.exists() else None
+                fires = key == "client-1"
+            else:
+                key = "central" if kw["steps"] == central_steps else None
+                fires = key is not None
+            calls[key] = calls.get(key, 0) + 1
+            if fires and calls[key] == 2 and not marker.exists():
+                marker.write_text(f"{time.monotonic()!r} {os.getpid()}")
+                fault()
+            return train(*args, **kw)
+
+        monkeypatch.setitem(harness._RUNNERS, "local", started)
+        monkeypatch.setattr(protocol, "local_train_round", flaky)
+        pool_of_two(monkeypatch)
+        return cfg, marker
+
+    def fail_then_recover(self, cfg, marker, tmp_path, error):
+        with pytest.raises(error) as exc:
+            compare_modes(cfg, tmp_path / "failed")
+        elapsed = time.monotonic()
+        injected_at, pid = marker.read_text().split()
+        assert int(pid) != os.getpid()  # the fault fired in a worker
+        assert elapsed - float(injected_at) < 2.0
+        assert threading.active_count() == 1  # both lanes ended
+        csv_path, _ = compare_modes(cfg, tmp_path / "recovered")  # the next run succeeds
+        assert len(csv_path.read_text().splitlines()) == 1 + 3 * cfg.rounds
+        return str(exc.value)
+
+    def test_central_training_error_named(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
+        def fault():
+            raise RuntimeError("injected training fault")
+
+        cfg, marker = self.inject(monkeypatch, tmp_path, corpus_path, fault, in_local=False)
+        message = self.fail_then_recover(cfg, marker, tmp_path, RuntimeError)
+        assert message == "central: injected training fault"
+
+    def test_local_worker_exit_named(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
+        cfg, marker = self.inject(
+            monkeypatch, tmp_path, corpus_path, lambda: os._exit(3), in_local=True
+        )
+        message = self.fail_then_recover(cfg, marker, tmp_path, DeltaFedError)
+        assert message == "local: training worker exited with code 3"
+        assert_no_zombie()
+
+
+class TestLending:
+    def test_a_worker_is_lent_to_one_run_at_a_time(self, corpus_path, monkeypatch, fresh_pool):
+        pool_of_two(monkeypatch)
+        run_experiment(small_cfg(corpus_path), report=False)  # forks the pool
+        pids = set(pool_pids())
+        task = protocol.ClientTask(0, [[0, 1]], None, 1, 1, 0)  # never trains
+        guard = threading.Lock()
+        held, seen, errors = set(), set(), []
+
+        def borrower():
+            try:
+                for _ in range(200):
+                    with workers.client_trainers([task]) as (trainer,):
+                        pid = getattr(getattr(trainer, "_worker", None), "pid", None)
+                        with guard:
+                            assert pid not in held, f"worker {pid} lent twice"
+                            if pid is not None:
+                                held.add(pid)
+                                seen.add(pid)
+                        time.sleep(0)
+                        with guard:
+                            held.discard(pid)
+            except Exception as e:
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=borrower) for _ in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors, errors
+        assert seen == pids
+        assert not any(w.lent for w in workers._pool)
+
+
 class TestNoLeaks:
     def test_runs_leave_no_unreaped_child(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
         pool_of_two(monkeypatch)
@@ -188,7 +358,8 @@ class TestNoLeaks:
         assert len(first) == 2
         assert_no_zombie()
 
-        # a worker killed mid-round: the run fails, the pool is discarded
+        # a worker killed mid-round: the run fails, that worker alone is
+        # discarded and reaped
         train = protocol.local_train_round
 
         def killer(*args, **kw):
@@ -201,7 +372,8 @@ class TestNoLeaks:
         with pytest.raises(DeltaFedError, match="^client 1: training worker killed by signal 9$"):
             run_experiment(cfg, report=False)
         second = pool_pids()
-        assert second == []
+        assert len(second) == 1  # client 0's worker
+        assert not any(w.lent for w in workers._pool)
         assert_no_zombie()
         monkeypatch.undo()
 
