@@ -88,18 +88,15 @@ def fedavg_aggregate(updates: list[ClientUpdate]) -> ParameterSet:
     first = updates[0].params
     for u in updates[1:]:
         check_compatible(first, u.params)
-    mean = weighted_sum(
-        [u.params.trainable_subset() for u in updates], _weights(updates, WEIGHT_SAMPLES)
-    )
-    frozen = first.drop(mean.names())
-    for name, t, _ in frozen.items():
-        for u in updates[1:]:
-            if u.params.tensor(name).data.tobytes() != t.data.tobytes():
-                raise ProtocolError(
-                    f"frozen entry {name!r} differs between clients "
-                    f"{updates[0].client_id} and {u.client_id}"
-                )
-    return frozen.merged_with(mean)
+        if u.params.frozen_flat.tobytes() != first.frozen_flat.tobytes():
+            frozen = set(first.names()) - set(first.trainable_names())
+            name = min(n for n in frozen if u.params.array(n).tobytes() != first.array(n).tobytes())
+            raise ProtocolError(
+                f"frozen entry {name!r} differs between clients "
+                f"{updates[0].client_id} and {u.client_id}"
+            )
+    trained = [u.params.trainable_subset() for u in updates]
+    return first.with_trainable(weighted_sum(trained, _weights(updates, WEIGHT_SAMPLES)).trainable_flat)
 
 
 def mean_delta(updates: list[ClientUpdate], weighting: str = WEIGHT_UNIFORM) -> ParameterSet:

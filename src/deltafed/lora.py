@@ -68,14 +68,12 @@ def attach(
 
     scaling = alpha / rank
     rng = np.random.default_rng([seed, SEED_LORA])
-    frozen = p.with_flags({n: False for n in p.names()})
-    extras = []
+    entries = [(n, t, False) for n, t, _ in p.items()]
     meta = {}
     for t in sorted(names):
         m, n = p.tensor(t).shape
         a = rng.normal(0.0, LORA_INIT_STD, (m, rank))
-        extras.append((f"{t}.lora.A", Tensor.from_array(a), True))
-        extras.append((f"{t}.lora.B", Tensor.from_array(np.zeros((rank, n))), True))
+        entries.append((f"{t}.lora.A", Tensor.from_array(a), True))
+        entries.append((f"{t}.lora.B", Tensor.from_array(np.zeros((rank, n))), True))
         meta[t] = LoraAdapter(t, rank, float(alpha), float(dropout_p), float(scaling))
-    adapted = frozen.merged_with(ParameterSet(extras))
-    return LmModel(model.cfg, adapted, meta)
+    return LmModel(model.cfg, ParameterSet(entries), meta)

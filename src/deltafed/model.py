@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ArgumentError
-from .params import ParameterSet, Tensor
+from .params import ParameterSet, pack
 
 INIT_RANGE = 0.08  # uniform init half-width for weights
 EVAL_BLOCK = 64  # windows per perplexity batch, so its temporaries stay small
@@ -104,13 +104,14 @@ def init_model(cfg: LmConfig, seed: int) -> LmModel:
     """Fresh model, weights uniform(-0.08, 0.08), output bias zero."""
     rng = np.random.default_rng([seed, SEED_MODEL])
     v, d = cfg.vocab_size, cfg.embed_dim
-    entries = [
-        ("embed.W", Tensor.from_array(rng.uniform(-INIT_RANGE, INIT_RANGE, (v, d))), True),
-        ("rnn.U", Tensor.from_array(rng.uniform(-INIT_RANGE, INIT_RANGE, (d, d))), True),
-        ("rnn.b", Tensor.from_array(rng.uniform(-INIT_RANGE, INIT_RANGE, d)), True),
-        ("out.b", Tensor.from_array(np.zeros(v)), True),
-    ]
-    return LmModel(cfg, ParameterSet(entries))
+    values = {
+        "embed.W": rng.uniform(-INIT_RANGE, INIT_RANGE, (v, d)),
+        "rnn.U": rng.uniform(-INIT_RANGE, INIT_RANGE, (d, d)),
+        "rnn.b": rng.uniform(-INIT_RANGE, INIT_RANGE, (d,)),
+        "out.b": np.zeros(v),
+    }
+    entries = ((name, a.shape, True, a.reshape(-1)) for name, a in values.items())
+    return LmModel(cfg, ParameterSet.from_vectors(*pack(entries)))
 
 
 def _check_ids(cfg: LmConfig, ids: np.ndarray) -> None:
@@ -143,10 +144,6 @@ def _length_groups(cfg: LmConfig, batch: Sequence[Sequence[int]]) -> list[np.nda
         _check_ids(cfg, x)
         groups.append(x)
     return groups
-
-
-def _values(params: ParameterSet) -> dict[str, np.ndarray]:
-    return {name: params.array(name) for name in params.names()}
 
 
 def _adapter_product(values: Mapping[str, np.ndarray], target: str, scaling: float) -> np.ndarray:
@@ -256,7 +253,7 @@ def forward(model: LmModel, tokens: Sequence[int]) -> tuple[np.ndarray, dict]:
             f"sequence length {ids.size} exceeds context {model.cfg.context}"
         )
     _check_ids(model.cfg, ids)
-    eff = _effective(model, _values(model.params))
+    eff = _effective(model, model.params.arrays())
     hs = _recur(eff, ids[:, None])[:, 0]
     logits = hs @ eff.w_out.T + eff.c
     probs = np.exp(_log_softmax(logits))
@@ -268,28 +265,33 @@ def trainable_loss_and_grad(
     batch: Sequence[Sequence[int]],
     rng=None,
     values: Mapping[str, np.ndarray] | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean NLL over all predicted positions, plus the analytic gradient of
-    every trainable entry as a shaped array.
+) -> tuple[float, np.ndarray]:
+    """Mean NLL over all predicted positions, plus its analytic gradient as
+    one vector laid out as model.params' trainable vector.
 
     `values` (entry name -> shaped array) stands in for model.params' values,
     so a training loop can pass views of its own buffers; model.params still
-    supplies the shapes and trainable flags. Pass rng to enable adapter
-    dropout (training); without it the pass is deterministic.
+    supplies the layout. Pass rng to enable adapter dropout (training);
+    without it the pass is deterministic.
     """
     groups = _length_groups(model.cfg, batch)
     if values is None:
-        values = _values(model.params)
+        values = model.params.arrays()
     eff = _effective(model, values, rng)
     v, d = eff.w_lookup.shape
+    layout = model.params.layout
+    g = np.zeros(layout.trainable_size)
+    grad = layout.views(g)  # trainable entry name -> its view of g
 
     total_nll = 0.0
     inv = 1.0 / sum(x.size - x.shape[0] for x in groups)
     d_w_lookup = np.zeros((v, d))
     d_w_out = np.zeros((v, d))
-    d_u = np.zeros((d, d))
-    d_b = np.zeros(d)
-    d_c = np.zeros(v)
+    # a trained, unadapted entry accumulates straight into its gradient
+    trained_u = "rnn.U" in grad and "rnn.U" not in model.adapters
+    d_u = grad["rnn.U"] if trained_u else np.zeros((d, d))
+    d_b = grad["rnn.b"] if "rnn.b" in grad else np.zeros(d)
+    d_c = grad["out.b"] if "out.b" in grad else np.zeros(v)
 
     for x in groups:
         nll, hs, dz, s, targets = _nll(eff, x)
@@ -322,68 +324,46 @@ def trainable_loss_and_grad(
         onehot[np.arange(n), x.T[:-1].reshape(n)] = 1.0
         d_w_lookup += onehot.T @ da2
 
-    computed = _assemble_grads(
-        model, eff, values, d_w_lookup, d_w_out, d_u, d_b, d_c
-    )
-    p = model.params
-    grads = {
-        name: computed[name] if name in computed else np.zeros(p.tensor(name).shape)
-        for name in p.trainable_names()
-    }
-    return total_nll * inv, grads
+    _assemble_grads(model, eff, values, grad, d_w_lookup, d_w_out, d_u)
+    return total_nll * inv, g
 
 
 def loss_and_grad(model: LmModel, batch: Sequence[Sequence[int]], rng=None):
     """trainable_loss_and_grad with the gradient as a ParameterSet shaped
     like model.params, exactly zero on frozen entries."""
-    loss, grads = trainable_loss_and_grad(model, batch, rng=rng)
-    return loss, ParameterSet(
-        [
-            (
-                name,
-                Tensor.from_array(grads[name])
-                if flag
-                else Tensor(t.shape, _zeros(t.size)),
-                flag,
-            )
-            for name, t, flag in model.params.items()
-        ]
-    )
+    loss, g = trainable_loss_and_grad(model, batch, rng=rng)
+    layout = model.params.layout
+    return loss, ParameterSet.from_vectors(layout, g, np.zeros(layout.frozen_size))
 
 
-def _zeros(n: int) -> np.ndarray:
-    z = np.zeros(n)
-    z.setflags(write=False)
-    return z
-
-
-def _assemble_grads(model, eff, values, d_w_lookup, d_w_out, d_u, d_b, d_c) -> dict:
-    """Gradients of the effective weights -> gradients of the stored entries.
-
-    An adapted base entry gets none: only its factors see the gradient.
-    """
-    out: dict[str, np.ndarray] = {"rnn.b": d_b, "out.b": d_c}
-
+def _assemble_grads(model, eff, values, grad, d_w_lookup, d_w_out, d_u) -> None:
+    """Gradients of the effective weights -> `grad`, views of the stored
+    trainable entries, where the rest already accumulated theirs. An adapted
+    base entry gets none: only its factors see the gradient."""
     ad_w = model.adapters.get("embed.W")
     if ad_w is None:
-        out["embed.W"] = d_w_lookup + d_w_out
+        if "embed.W" in grad:
+            np.add(d_w_lookup, d_w_out, out=grad["embed.W"])
     else:
         dp = d_w_lookup * (eff.mask_lookup[:, None] if eff.mask_lookup is not None else 1.0)
         dp = dp + d_w_out * (eff.mask_out[None, :] if eff.mask_out is not None else 1.0)
         dp *= ad_w.scaling
-        out["embed.W.lora.A"] = dp @ values["embed.W.lora.B"].T
-        out["embed.W.lora.B"] = values["embed.W.lora.A"].T @ dp
+        _factor_grads(grad, values, "embed.W", dp)
 
     ad_u = model.adapters.get("rnn.U")
-    if ad_u is None:
-        out["rnn.U"] = d_u
-    else:
+    if ad_u is not None:
         dp = d_u * (eff.mask_u[None, :] if eff.mask_u is not None else 1.0)
         dp = dp * ad_u.scaling
-        out["rnn.U.lora.A"] = dp @ values["rnn.U.lora.B"].T
-        out["rnn.U.lora.B"] = values["rnn.U.lora.A"].T @ dp
+        _factor_grads(grad, values, "rnn.U", dp)
 
-    return out
+
+def _factor_grads(grad, values, target: str, dp: np.ndarray) -> None:
+    """The factors' gradients from dp, the scaled gradient of their product."""
+    a, b = f"{target}.lora.A", f"{target}.lora.B"
+    if a in grad:
+        np.matmul(dp, values[b].T, out=grad[a])
+    if b in grad:
+        np.matmul(values[a].T, dp, out=grad[b])
 
 
 def perplexity_of(model: LmModel, ids: Sequence[int]) -> float:
@@ -400,7 +380,7 @@ def perplexity_of(model: LmModel, ids: Sequence[int]) -> float:
     ctx = model.cfg.context
     _check_ids(model.cfg, arr)
 
-    eff = _effective(model, _values(model.params))
+    eff = _effective(model, model.params.arrays())
     total_nll = 0.0
     total_positions = 0
 

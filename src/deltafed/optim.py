@@ -1,11 +1,12 @@
 """AdamW with decoupled weight decay, global-norm clipping, and linear warmup.
 
-The optimizer works on flat vectors: the trainable entries of a parameter
-set, in lexicographic name order, end to end in one contiguous float64
-vector (a FlatLayout). The gradient and both AdamW moments share that
-layout. clip_gradients and adamw_step flatten their ParameterSet arguments
-and run the same kernels that local_train_round runs on its own buffers, so
-ParameterSets are only built where a round starts or ends.
+The optimizer works on a parameter set's trainable vector
+(`ParameterSet.trainable_flat`: the trainable entries, in lexicographic name
+order, end to end). The gradient and both AdamW moments are vectors laid
+out the same way. local_train_round steps a copy of the round-start vector
+in place and hands it to a set that shares the round-start layout and
+frozen vector. clip_gradients and adamw_step do the same arithmetic on
+ParameterSet arguments.
 """
 
 from __future__ import annotations
@@ -17,61 +18,10 @@ import numpy as np
 
 from .errors import ArgumentError, NumericalError, StructureError
 from .model import LmModel, trainable_loss_and_grad
-from .params import ParameterSet
+from .params import Layout, ParameterSet, check_compatible
 
 BETA1, BETA2 = 0.9, 0.999  # AdamW moment decay rates
 EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class FlatLayout:
-    """Names and shapes of the trainable entries, in flat-vector order."""
-
-    names: tuple[str, ...]
-    shapes: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def of(params: ParameterSet) -> "FlatLayout":
-        names = tuple(params.trainable_names())
-        return FlatLayout(names, tuple(params.tensor(n).shape for n in names))
-
-    @property
-    def size(self) -> int:
-        return sum(math.prod(s) for s in self.shapes)
-
-    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
-        """Entry name -> shaped view into vec."""
-        out = {}
-        start = 0
-        for name, shape in zip(self.names, self.shapes):
-            end = start + math.prod(shape)
-            out[name] = vec[start:end].reshape(shape)
-            start = end
-        return out
-
-    def flatten(self, ps: ParameterSet, what: str) -> np.ndarray:
-        """A new vector holding ps's values for this layout's entries."""
-        parts = []
-        for name, shape in zip(self.names, self.shapes):
-            if name not in ps:
-                raise StructureError(f"{what} missing trainable entry {name!r}")
-            t = ps.tensor(name)
-            if t.shape != shape:
-                raise StructureError(
-                    f"{what} entry {name!r} has shape {t.shape}, parameter has {shape}"
-                )
-            parts.append(t.data)
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    def largest(self, vec: np.ndarray) -> str:
-        """The entry holding vec's largest magnitude; NaN counts as largest."""
-
-        def magnitude(view: np.ndarray) -> float:
-            top = float(np.max(np.abs(view), initial=0.0))
-            return math.inf if math.isnan(top) else top
-
-        views = self.views(vec)
-        return max(self.names, key=lambda n: magnitude(views[n]), default="")
 
 
 @dataclass(frozen=True)
@@ -105,16 +55,17 @@ class OptimizerConfig:
 class OptimizerState:
     """AdamW moments of the trainable entries plus the global step counter.
 
-    The moments are two flat vectors laid out by `layout`; `m` and `v` map
-    each entry name to its shaped view into them. local_train_round advances
-    the vectors in place and hands them back in its returned state, so the
-    state passed in must not be reused. The counter never resets between
+    The moments are two vectors laid out as the trainable vector of
+    `layout`, the trainable entries' layout; `m` and `v` map each entry name
+    to its shaped view into them. local_train_round advances the vectors in
+    place and hands them back in its returned state, so the state passed in
+    must not be reused. The counter never resets between
     rounds: one client follows a single warmup trajectory no matter how the
     steps are sliced into rounds.
     """
 
     step: int
-    layout: FlatLayout
+    layout: Layout
     m_flat: np.ndarray
     v_flat: np.ndarray
     m: dict[str, np.ndarray] = field(init=False, repr=False)
@@ -126,15 +77,15 @@ class OptimizerState:
 
 
 def init_state(params: ParameterSet) -> OptimizerState:
-    layout = FlatLayout.of(params)
-    return OptimizerState(0, layout, np.zeros(layout.size), np.zeros(layout.size))
+    layout = params.layout.trainable_only
+    n = layout.trainable_size
+    return OptimizerState(0, layout, np.zeros(n), np.zeros(n))
 
 
-def _require_layout(state: OptimizerState, layout: FlatLayout) -> None:
-    if state.layout != layout:
-        raise StructureError(
-            f"optimizer state covers {state.layout}, the trainable entries are {layout}"
-        )
+def _require_layout(state: OptimizerState, params: ParameterSet) -> None:
+    want = params.layout.trainable_only
+    if state.layout != want:
+        raise StructureError(f"optimizer state covers {state.layout}, the trainable entries are {want}")
 
 
 def lr_at(step: int, cfg: OptimizerConfig) -> float:
@@ -155,21 +106,19 @@ def _grad_norm(g: np.ndarray) -> float:
 
 
 def _nonfinite(
-    layout: FlatLayout, g: np.ndarray, norm: float, context: str = ""
+    layout: Layout, g: np.ndarray, norm: float, context: str = ""
 ) -> NumericalError:
-    """The error for a gradient whose norm is not finite, naming its top entry."""
-    return NumericalError(
-        f"{context}gradient norm {norm:g}; largest gradient in entry "
-        f"{layout.largest(g)!r}"
-    )
+    """The error for a gradient whose norm is not finite, naming the entry
+    that holds its largest magnitude (NaN counts as largest)."""
+    top = int(np.argmax(np.where(np.isnan(g), np.inf, np.abs(g))))
+    name = next(n for n, (f, lo, hi, _) in layout.slots.items() if f and lo <= top < hi)
+    return NumericalError(f"{context}gradient norm {norm:g}; largest gradient in entry {name!r}")
 
 
-def _clip_flat(g: np.ndarray, norm: float, max_norm: float) -> bool:
-    """Scale g (of 2-norm `norm`) down to max_norm; -> whether it was scaled."""
-    if norm <= max_norm:
-        return False
-    g *= max_norm / norm
-    return True
+def _clip_flat(g: np.ndarray, norm: float, max_norm: float) -> None:
+    """Scale g (of 2-norm `norm`) down to max_norm if it is above it."""
+    if norm > max_norm:
+        g *= max_norm / norm
 
 
 def _adamw_flat(
@@ -201,14 +150,12 @@ def _adamw_flat(
 def clip_gradients(grads: ParameterSet, max_norm: float) -> ParameterSet:
     if max_norm <= 0:
         raise ArgumentError(f"max_norm must be positive, got {max_norm}")
-    layout = FlatLayout.of(grads)
-    g = layout.flatten(grads, "gradients")
-    norm = _grad_norm(g)
+    norm = _grad_norm(grads.trainable_flat)
     if not math.isfinite(norm):
-        raise _nonfinite(layout, g, norm)
-    if not _clip_flat(g, norm, max_norm):
+        raise _nonfinite(grads.layout, grads.trainable_flat, norm)
+    if norm <= max_norm:
         return grads
-    return grads.replace_values(layout.views(g))
+    return grads.with_trainable(grads.trainable_flat * (max_norm / norm))
 
 
 def adamw_step(
@@ -217,17 +164,14 @@ def adamw_step(
     state: OptimizerState,
     cfg: OptimizerConfig,
 ) -> tuple[ParameterSet, OptimizerState]:
-    """One update; the state passed in is left as it was."""
-    layout = FlatLayout.of(params)
-    g = layout.flatten(grads, "gradients")
-    _require_layout(state, layout)
-    p = layout.flatten(params, "parameters")
+    """One update; the state passed in is left as it was. The gradients'
+    trainable entries must be the parameters'."""
+    check_compatible(params.trainable_subset(), grads.trainable_subset())
+    _require_layout(state, params)
+    p = params.trainable_flat.copy()
     m, v = state.m_flat.copy(), state.v_flat.copy()
-    _adamw_flat(p, g, m, v, state.step, cfg)
-    return (
-        params.replace_values(layout.views(p)),
-        OptimizerState(state.step + 1, layout, m, v),
-    )
+    _adamw_flat(p, grads.trainable_flat, m, v, state.step, cfg)
+    return params.with_trainable(p), OptimizerState(state.step + 1, state.layout, m, v)
 
 
 def _epoch_batches(
@@ -250,8 +194,9 @@ def local_train_round(
     """Run `steps` minibatch iterations over the shard, reshuffling per epoch.
 
     The trainable values, the gradient and the moments stay in flat vectors
-    for the whole round; the model's ParameterSet is rebuilt once, at the
-    end. Returns the updated model, the carried optimizer state, and the
+    for the whole round; the trained model's ParameterSet takes the values
+    vector over at the end and shares the round-start layout and frozen
+    vector. Returns the updated model, the carried optimizer state, and the
     mean per-position training loss across the round's steps (nan when
     steps=0). A non-finite loss or gradient raises NumericalError naming the
     step and the entry with the largest gradient.
@@ -263,13 +208,9 @@ def local_train_round(
     if steps < 0:
         raise ArgumentError(f"steps must be >= 0, got {steps}")
     params = model.params
-    layout = FlatLayout.of(params)
-    _require_layout(state, layout)
-    p = layout.flatten(params, "parameters")
-    g = np.empty_like(p)
-    p_views, g_views = layout.views(p), layout.views(g)
-    values = {name: params.array(name) for name in params.names()}
-    values.update(p_views)
+    _require_layout(state, params)
+    p = params.trainable_flat.copy()
+    values = params.arrays(trainable=p)
 
     step = state.step
     losses: list[float] = []
@@ -279,18 +220,16 @@ def local_train_round(
             pending = _epoch_batches(len(shard), batch_size, rng)
         idx = pending.pop(0)
         batch = [shard[i] for i in idx]
-        loss, grads = trainable_loss_and_grad(model, batch, rng=rng, values=values)
-        for name, view in g_views.items():
-            view[...] = grads[name]
+        loss, g = trainable_loss_and_grad(model, batch, rng=rng, values=values)
         norm = _grad_norm(g)
         if not (math.isfinite(loss) and math.isfinite(norm)):
             context = f"optimizer step {step + 1}: loss {loss:g}, "
-            raise _nonfinite(layout, g, norm, context)
+            raise _nonfinite(state.layout, g, norm, context)
         _clip_flat(g, norm, cfg.max_grad_norm)
         _adamw_flat(p, g, state.m_flat, state.v_flat, step, cfg)
         step += 1
         losses.append(loss)
     if steps:
-        model = model.with_params(params.replace_values(p_views))
+        model = model.with_params(params.with_trainable(p))
     mean_loss = float(np.mean(losses)) if losses else float("nan")
-    return model, OptimizerState(step, layout, state.m_flat, state.v_flat), mean_loss
+    return model, OptimizerState(step, state.layout, state.m_flat, state.v_flat), mean_loss

@@ -42,7 +42,7 @@ from .config import ExperimentConfig
 from .errors import DeltaFedError, ProtocolError, StructureError
 from .model import SEED_CLIENT, LmModel
 from .optim import OptimizerConfig, OptimizerState, init_state, local_train_round
-from .params import ParameterSet, Tensor, check_compatible, subtract_trainable
+from .params import Layout, ParameterSet, Tensor, check_compatible, subtract_trainable
 from .wire import (
     FLAG_FACTORS,
     FLAG_QUANTIZED,
@@ -64,29 +64,26 @@ SERVER_SENDER = 0xFFFFFFFF
 class TrafficLedger:
     """Per-round, per-client byte and message counts for both directions."""
 
+    _KEYS = ("down", "up", "down_msgs", "up_msgs")
+
     def __init__(self) -> None:
         self._rounds: dict[int, dict] = {}
 
     def _slot(self, rnd: int) -> dict:
         if rnd not in self._rounds:
-            self._rounds[rnd] = {
-                "down": {},
-                "up": {},
-                "down_msgs": {},
-                "up_msgs": {},
-                "wall_ms": 0.0,
-            }
+            self._rounds[rnd] = {key: {} for key in self._KEYS} | {"wall_ms": 0.0}
         return self._rounds[rnd]
 
-    def add_down(self, rnd: int, client_id: int, nbytes: int) -> None:
+    def _add(self, direction: str, rnd: int, client_id: int, nbytes: int) -> None:
         slot = self._slot(rnd)
-        slot["down"][client_id] = slot["down"].get(client_id, 0) + nbytes
-        slot["down_msgs"][client_id] = slot["down_msgs"].get(client_id, 0) + 1
+        for key, n in ((direction, nbytes), (f"{direction}_msgs", 1)):
+            slot[key][client_id] = slot[key].get(client_id, 0) + n
+
+    def add_down(self, rnd: int, client_id: int, nbytes: int) -> None:
+        self._add("down", rnd, client_id, nbytes)
 
     def add_up(self, rnd: int, client_id: int, nbytes: int) -> None:
-        slot = self._slot(rnd)
-        slot["up"][client_id] = slot["up"].get(client_id, 0) + nbytes
-        slot["up_msgs"][client_id] = slot["up_msgs"].get(client_id, 0) + 1
+        self._add("up", rnd, client_id, nbytes)
 
     def set_wall_ms(self, rnd: int, ms: float) -> None:
         self._slot(rnd)["wall_ms"] = ms
@@ -97,37 +94,25 @@ class TrafficLedger:
     def rounds(self) -> list[int]:
         return sorted(self._rounds)
 
-    def downlink_bytes(self, rnd: int | None = None) -> int:
+    def _bytes(self, direction: str, rnd: int | None) -> int:
         rounds = [rnd] if rnd is not None else self.rounds()
-        return sum(
-            sum(self._rounds[r]["down"].values())
-            for r in rounds
-            if r in self._rounds
-        )
+        return sum(sum(self._rounds[r][direction].values()) for r in rounds if r in self._rounds)
+
+    def downlink_bytes(self, rnd: int | None = None) -> int:
+        return self._bytes("down", rnd)
 
     def uplink_bytes(self, rnd: int | None = None) -> int:
-        rounds = [rnd] if rnd is not None else self.rounds()
-        return sum(
-            sum(self._rounds[r]["up"].values())
-            for r in rounds
-            if r in self._rounds
-        )
+        return self._bytes("up", rnd)
 
     def total_bytes(self) -> int:
         return self.downlink_bytes() + self.uplink_bytes()
 
     def byte_table(self) -> dict:
         """Canonical timing-free view, comparable across transports."""
-        out = {}
-        for rnd in self.rounds():
-            slot = self._rounds[rnd]
-            out[rnd] = {
-                "down": dict(sorted(slot["down"].items())),
-                "up": dict(sorted(slot["up"].items())),
-                "down_msgs": dict(sorted(slot["down_msgs"].items())),
-                "up_msgs": dict(sorted(slot["up_msgs"].items())),
-            }
-        return out
+        return {
+            rnd: {key: dict(sorted(self._rounds[rnd][key].items())) for key in self._KEYS}
+            for rnd in self.rounds()
+        }
 
 
 def _expect(cond: bool, message: str, ledger: TrafficLedger) -> None:
@@ -229,18 +214,14 @@ def answer_broadcast(
     `client_id` and `train`. -> (trained model, mean train loss, update message).
     """
     policy = _policy(cfg)
-    trainable = set(model.params.trainable_names())
-    incoming = deserialize_params(msg.payload, trainable=trainable)
-    if msg.round == 1 or not policy.factor_broadcasts:
-        check_compatible(model.params, incoming)
-        model = model.with_params(incoming)
-    else:
-        stray = sorted(trainable ^ set(incoming.names()))
-        if stray:
-            what = "lacks trainable" if stray[0] in trainable else "carries non-trainable"
-            raise ProtocolError(f"round {msg.round} broadcast {what} entry {stray[0]!r}")
-        values = {n: incoming.array(n) for n in incoming.names()}
-        model = model.with_params(model.params.replace_values(values))
+    params = model.params
+    incoming = deserialize_params(msg.payload, trainable=set(params.trainable_names()))
+    factors = msg.round > 1 and policy.factor_broadcasts
+    want = params.layout.trainable_only if factors else params.layout
+    if incoming.layout != want:
+        raise _misfit(msg.round, want, incoming.layout, factors)
+    # a factor broadcast keeps the model's frozen vector
+    model = model.with_params(params.with_trainable(incoming.trainable_flat) if factors else incoming)
     start_params = model.params
 
     model, loss = trainer.train(model)
@@ -251,6 +232,24 @@ def answer_broadcast(
     flags = policy.uplink_flags | (FLAG_QUANTIZED if quantize else 0)
     update = WireMessage(policy.uplink_kind, msg.round, trainer.client_id, flags, payload)
     return model, loss, update
+
+
+def _misfit(rnd: int, want: Layout, got: Layout, factors: bool) -> ProtocolError:
+    """The error for a round-`rnd` broadcast laid out as `got`, not `want`,
+    naming the first entry that does not fit. The flags come from the model."""
+    stray = sorted(set(want.names) ^ set(got.names))
+    if stray:
+        name = stray[0]
+        if name in want.slots:
+            what = "lacks trainable" if factors else "lacks"
+        else:
+            what = "carries non-trainable" if factors else "carries unknown"
+        return ProtocolError(f"round {rnd} broadcast {what} entry {name!r}")
+    name = next(n for n in want.names if got.slots[n][3] != want.slots[n][3])
+    return ProtocolError(
+        f"round {rnd} broadcast entry {name!r} has shape {got.slots[name][3]}, "
+        f"the model's is {want.slots[name][3]}"
+    )
 
 
 def fold_updates(
@@ -368,16 +367,15 @@ def apply_dense(
     """Fold dense per-target deltas into the base and restart the factors.
     `mean` holds adapted targets only, as `_fold_dense` checks."""
     new_vals: dict[str, np.ndarray] = {}
-    for name, t, _ in mean.items():
-        base = params.tensor(name)
+    for name in mean.names():
+        base, delta = params.array(name), mean.array(name)
         _expect(
-            base.shape == t.shape,
-            f"dense delta for {name!r} has shape {t.shape}, base is {base.shape}",
+            base.shape == delta.shape,
+            f"dense delta for {name!r} has shape {delta.shape}, base is {base.shape}",
             ledger,
         )
-        b_name = f"{name}.lora.B"
-        new_vals[name] = params.array(name) + mean.array(name)
-        new_vals[b_name] = np.zeros(params.tensor(b_name).shape)
+        new_vals[name] = base + delta
+        new_vals[f"{name}.lora.B"] = np.zeros_like(params.array(f"{name}.lora.B"))
     return params.replace_values(new_vals)
 
 
@@ -447,14 +445,12 @@ def check_client_ledger(
 
 
 def dense_delta(model: LmModel, start: ParameterSet) -> ParameterSet:
+    def product(ps: ParameterSet, target: str) -> np.ndarray:
+        return ps.array(f"{target}.lora.A") @ ps.array(f"{target}.lora.B")
+
     entries = []
     for target in sorted(model.adapters):
-        ad = model.adapters[target]
-        a0 = start.array(f"{target}.lora.A")
-        b0 = start.array(f"{target}.lora.B")
-        a1 = model.params.array(f"{target}.lora.A")
-        b1 = model.params.array(f"{target}.lora.B")
-        d = ad.scaling * (a1 @ b1 - a0 @ b0)
+        d = model.adapters[target].scaling * (product(model.params, target) - product(start, target))
         entries.append((target, Tensor.from_array(d), True))
     if not entries:
         raise ProtocolError("dense deltas require an adapted model")

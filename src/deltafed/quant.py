@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, FormatError
-from .params import Tensor
 
 BLOCK = 64
 _LEVELS = 15  # codes span 0..15
@@ -63,12 +62,9 @@ def _frozen(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
-def quantize(t) -> QuantizedTensor:
-    """Quantize a Tensor or array to 4-bit blocks."""
-    if isinstance(t, Tensor):
-        arr = t.array
-    else:
-        arr = np.asarray(t, dtype=np.float64)
+def quantize(values) -> QuantizedTensor:
+    """Quantize an array to 4-bit blocks."""
+    arr = np.asarray(values, dtype=np.float64)
     flat = arr.reshape(-1)
     if not np.all(np.isfinite(flat)):
         raise ArgumentError("cannot quantize non-finite values")

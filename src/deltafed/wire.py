@@ -17,13 +17,14 @@ from `quant`.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError
-from .params import ParameterSet, Tensor, _frozen_view
+from .params import ParameterSet, pack
 from .quant import dequantize, from_bytes as quant_from_bytes, packed_size, quantize, to_bytes as quant_to_bytes
 
 MAGIC = b"GDFL"
@@ -121,29 +122,37 @@ def decode_message(data: bytes) -> WireMessage:
     return WireMessage(kind, round_, sender, flags, data[HEADER_LEN:])
 
 
+def _subset(params: ParameterSet, subset: str) -> ParameterSet:
+    if subset == "trainable":
+        return params.trainable_subset()
+    if subset != "all":
+        raise FormatError(f"unknown subset {subset!r}")
+    return params
+
+
 def serialize_params(
     params: ParameterSet, subset: str = "all", quantize_payload: bool = False
 ) -> bytes:
-    if subset == "trainable":
-        params = params.trainable_subset()
-    elif subset != "all":
-        raise FormatError(f"unknown subset {subset!r}")
-    chunks = [struct.pack("<I", len(params))]
-    for name, t, _ in params.items():
+    params = _subset(params, subset)
+    layout = params.layout
+    if not quantize_payload:  # one f32 cast per vector
+        f32 = (params.frozen_flat.astype("<f4"), params.trainable_flat.astype("<f4"))
+    dtype = DTYPE_Q4 if quantize_payload else DTYPE_F32
+    chunks = [struct.pack("<I", len(layout.names))]
+    for name, (flag, lo, hi, shape) in layout.slots.items():
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise FormatError(f"entry name {name[:32]!r}... exceeds 65535 bytes")
-        if len(t.shape) > 0xFF:
-            raise FormatError(f"entry {name!r} rank {len(t.shape)} exceeds 255")
-        dtype = DTYPE_Q4 if quantize_payload else DTYPE_F32
+        if len(shape) > 0xFF:
+            raise FormatError(f"entry {name!r} rank {len(shape)} exceeds 255")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
-        chunks.append(struct.pack("<BB", dtype, len(t.shape)))
-        chunks.append(struct.pack(f"<{len(t.shape)}I", *t.shape))
-        if quantize_payload:
-            chunks.append(quant_to_bytes(quantize(t)))
+        chunks.append(struct.pack("<BB", dtype, len(shape)))
+        chunks.append(struct.pack(f"<{len(shape)}I", *shape))
+        if quantize_payload:  # each entry on its own
+            chunks.append(quant_to_bytes(quantize(params.array(name))))
         else:
-            chunks.append(t.data.astype("<f4").tobytes())
+            chunks.append(f32[flag][lo:hi].tobytes())
     return b"".join(chunks)
 
 
@@ -175,7 +184,7 @@ def deserialize_params(
     """
     r = _Reader(data)
     (count,) = struct.unpack("<I", r.take(4, "entry count"))
-    entries = []
+    entries = []  # (name, dims, trainable, values)
     seen: set[str] = set()
     for _ in range(count):
         (name_len,) = struct.unpack("<H", r.take(2, "name length"))
@@ -195,9 +204,7 @@ def deserialize_params(
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, "dims"))
         if any(d == 0 for d in dims):
             raise FormatError(f"entry {name!r}: zero dimension in {dims}")
-        n = 1
-        for d in dims:
-            n *= d
+        n = math.prod(dims)
         if dtype == DTYPE_F32:
             raw = r.take(4 * n, f"f32 data of {name!r}")
             values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
@@ -207,21 +214,18 @@ def deserialize_params(
             raw = r.take(packed_size(n), f"q4 data of {name!r}")
             values = dequantize(quant_from_bytes(raw, dims)).reshape(-1)
         flag = True if trainable is None else name in trainable
-        entries.append((name, Tensor(tuple(dims), _frozen_view(values)), flag))
+        entries.append((name, tuple(dims), flag, values))
     if r.pos != len(data):
         raise FormatError(
             f"{len(data) - r.pos} trailing bytes after {count} entries"
         )
-    return ParameterSet(entries)
+    return ParameterSet.from_vectors(*pack(entries))
 
 
 def serialized_size(params: ParameterSet, subset: str = "all", quantize_payload: bool = False) -> int:
     """Byte length serialize_params would produce, from the layout formula."""
-    if subset == "trainable":
-        params = params.trainable_subset()
     total = 4
-    for name, t, _ in params.items():
-        n = t.size
-        total += 2 + len(name.encode("utf-8")) + 1 + 1 + 4 * len(t.shape)
-        total += packed_size(n) if quantize_payload else 4 * n
+    for name, (_, lo, hi, shape) in _subset(params, subset).layout.slots.items():
+        total += 2 + len(name.encode("utf-8")) + 1 + 1 + 4 * len(shape)
+        total += packed_size(hi - lo) if quantize_payload else 4 * (hi - lo)
     return total

@@ -24,10 +24,11 @@ and dropped when its run ends. A worker that dies fails the run that holds
 it and is then discarded alone; the next federation forks its replacement.
 
 A job is a small pickled message over a pipe; the values travel through a
-float64 area of shared memory that both processes map, so a round costs a
-few memory copies rather than a pickle and a socket transfer of the model
-each way. Both paths run the same arithmetic on the same float64 values, so
-they agree bit for bit.
+float64 area of shared memory that both processes map: one slice copy each
+way, the trainable vector in and the trained one out, plus the frozen vector
+when a full broadcast has replaced it. The trained model shares the
+round-start set's frozen vector. Both paths run the same arithmetic on the
+same float64 values, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from multiprocessing import Pipe
 import numpy as np
 
 from .errors import DeltaFedError
-from .optim import FlatLayout
+from .params import ParameterSet
 from .protocol import ClientTask, LocalTrainer
 
 REAP_SECONDS = 1.0  # how long to wait for a worker to end before killing it
@@ -70,12 +71,6 @@ def planned_workers(clients: int) -> int:
         cpus = os.cpu_count() or 1
     w = pool_size(clients, cpus)
     return w if w >= 2 else 0
-
-
-def _layouts(params) -> tuple[FlatLayout, FlatLayout]:
-    """-> (every entry, the trainable entries), each in name order."""
-    names = tuple(params.names())
-    return FlatLayout(names, tuple(params.tensor(n).shape for n in names)), FlatLayout.of(params)
 
 
 class _Area:
@@ -162,7 +157,7 @@ _sessions = itertools.count()
 
 def _serve(conn, area: _Area) -> None:
     """A worker's loop: bind, train and unbind sessions until the pipe closes."""
-    sessions: dict[int, tuple] = {}  # id -> (trainer, model skeleton, layouts)
+    sessions: dict[int, tuple] = {}  # id -> (trainer, its latest round-start model)
     while True:
         try:
             op, sid, *args = conn.recv()
@@ -174,16 +169,19 @@ def _serve(conn, area: _Area) -> None:
         vec = area.vector(args[0])
         if op == "bind":
             task, model = args[1:]
-            sessions[sid] = (LocalTrainer(task), model, _layouts(model.params))
-        trainer, skeleton, (everything, trainable) = sessions[sid]
-        if op == "train":
-            params = skeleton.params.replace_values(everything.views(vec))
-            model = skeleton.with_params(params)
+            trainer = LocalTrainer(task)
+        else:
+            trainer, model = sessions[sid]
+            layout, frozen = model.params.layout, model.params.frozen_flat
+            nt = layout.trainable_size
+            if args[1]:  # the frozen values changed too
+                frozen = vec[nt : nt + layout.frozen_size].copy()
+            model = model.with_params(ParameterSet.from_vectors(layout, vec[:nt].copy(), frozen))
+        sessions[sid] = (trainer, model)
         threading.current_thread().name = f"client-{trainer.client_id}"
         try:
             model, loss = trainer.train(model)
-            for name, view in trainable.views(vec).items():
-                view[...] = model.params.array(name)
+            vec[: model.params.layout.trainable_size] = model.params.trainable_flat
             reply = pickle.dumps(("ok", loss))
         except Exception as e:
             try:
@@ -282,23 +280,29 @@ class WorkerTrainer:
         self._task = task
         self._sid = next(_sessions)
         self._bound = False
+        self._frozen = None  # the frozen vector the worker holds
 
     def train(self, model):
-        """-> (trained model, mean loss), as `LocalTrainer.train`."""
+        """-> (trained model, mean loss), as `LocalTrainer.train`. The
+        trained model shares the frozen vector of `model`."""
         params = model.params
-        everything, trainable = _layouts(params)
+        nt, nf = params.layout.trainable_size, params.layout.frozen_size
         worker = self._worker
         with worker.lock:
-            vec = worker.area.fit(everything.size)
+            vec = worker.area.fit(nt + nf)
             if self._bound:
-                for name, view in everything.views(vec).items():
-                    view[...] = params.array(name)
-                job = ("train", self._sid, worker.area.size)
+                vec[:nt] = params.trainable_flat
+                # the worker keeps the frozen vector it last saw
+                send_frozen = params.frozen_flat is not self._frozen
+                if send_frozen:
+                    vec[nt : nt + nf] = params.frozen_flat
+                job = ("train", self._sid, worker.area.size, send_frozen)
             else:
                 job = ("bind", self._sid, worker.area.size, self._task, model)
                 self._bound = True
+            self._frozen = params.frozen_flat
             loss = worker.call(job)
-            trained = params.replace_values(trainable.views(vec))  # copies
+            trained = params.with_trainable(vec[:nt].copy())
         return model.with_params(trained), loss
 
     def unbind(self) -> None:

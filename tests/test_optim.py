@@ -335,15 +335,22 @@ class TestLocalTrainRound:
         assert loss == pytest.approx(first, rel=1e-12)
 
     def test_tensors_built_only_at_round_end(self, monkeypatch):
+        # no Tensor at all, and one ParameterSet, the trained one, per round
         adapted = attach(self.model, ["embed.W", "rnn.U"], rank=2, alpha=4.0, seed=1)
         built = []
         post_init = Tensor.__post_init__
+        from_vectors = ParameterSet.from_vectors.__func__
 
         def counting(t):
             built.append(t.shape)
             post_init(t)
 
+        def counting_sets(cls, *args):
+            built.append(cls)
+            return from_vectors(cls, *args)
+
         monkeypatch.setattr(Tensor, "__post_init__", counting)
+        monkeypatch.setattr(ParameterSet, "from_vectors", classmethod(counting_sets))
         for steps in (1, 12):
             built.clear()
             local_train_round(
@@ -355,7 +362,7 @@ class TestLocalTrainRound:
                 batch_size=4,
                 steps=steps,
             )
-            assert len(built) == len(adapted.params.trainable_names())
+            assert built == [ParameterSet]
 
     def test_state_of_other_structure_rejected(self):
         adapted = attach(self.model, ["embed.W"], rank=2, alpha=4.0, seed=1)

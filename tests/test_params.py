@@ -102,6 +102,38 @@ class TestParameterSet:
         with pytest.raises(ValueError):
             back.tensor(back.names()[0]).data[0] = 1.0  # read-only again
 
+    def test_pickled_set_round_trips_equal_vectors(self):
+        ps = random_set(np.random.default_rng(4), n_entries=6)
+        back = pickle.loads(pickle.dumps(ps))
+        assert back.layout == ps.layout
+        for ours, theirs in ((back.trainable_flat, ps.trainable_flat), (back.frozen_flat, ps.frozen_flat)):
+            assert ours.tobytes() == theirs.tobytes()
+            assert not ours.flags.writeable
+        assert [back.array(n).tobytes() for n in back.names()] == [
+            ps.array(n).tobytes() for n in ps.names()
+        ]
+
+    def test_array_is_a_read_only_view(self):
+        ps = random_set(np.random.default_rng(5), n_entries=6)
+        for name, t, flag in ps.items():
+            a = ps.array(name)
+            assert a.shape == t.shape
+            assert np.shares_memory(a, ps.trainable_flat if flag else ps.frozen_flat)
+            assert np.shares_memory(t.data, a)
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+    def test_layout_offsets_tile_both_vectors(self):
+        ps = random_set(np.random.default_rng(6), n_entries=6)
+        for flag, vec in ((True, ps.trainable_flat), (False, ps.frozen_flat)):
+            parts = [ps.array(n).reshape(-1) for n in ps.names() if ps.trainable(n) == flag]
+            assert np.concatenate(parts or [np.zeros(0)]).tobytes() == vec.tobytes()
+
+    def test_nonfinite_values_name_their_entry(self):
+        ps = make_set({"a": (np.ones(2), True), "b": (np.ones(3), True)})
+        with pytest.raises(ArgumentError, match="'b' contains non-finite"):
+            ps.replace_values({"b": [1.0, np.inf, 1.0]})
+
 
 class TestSubtractTrainable:
     def test_matches_elementwise_oracle(self):
@@ -169,7 +201,8 @@ class TestAddDelta:
         out = add_delta(base, delta)
         for name, t, flag in base.items():
             if not flag:
-                assert out.tensor(name) is t
+                assert np.shares_memory(out.array(name), t.data)
+                assert out.array(name).tobytes() == t.data.tobytes()
 
     def test_unknown_delta_entry(self):
         base = make_set({"a": (np.ones(1), True)})
@@ -257,4 +290,5 @@ def test_delta_linearity(pair):
         if flag:
             assert np.allclose(rebuilt.array(name), t.array, rtol=1e-12, atol=1e-9)
         else:
-            assert rebuilt.tensor(name) is glob.tensor(name)
+            assert np.shares_memory(rebuilt.array(name), glob.array(name))
+            assert rebuilt.array(name).tobytes() == glob.array(name).tobytes()

@@ -166,7 +166,8 @@ class TestScriptedServer:
             assert np.allclose(final.params.array(name), expected, atol=1e-12)
         for name in model.params.names():
             if not model.params.trainable(name):
-                assert final.params.tensor(name) is model.params.tensor(name)
+                assert np.shares_memory(final.params.array(name), model.params.array(name))
+                assert final.params.array(name).tobytes() == model.params.array(name).tobytes()
 
     def test_wrong_round_rejected_with_partial_ledger(self):
         model = adapted_model()
@@ -316,7 +317,8 @@ class TestEndToEndMemory:
         for name in model.params.names():
             assert np.all(np.isfinite(final.params.array(name)))
             if not model.params.trainable(name):
-                assert final.params.tensor(name) is model.params.tensor(name)
+                assert np.shares_memory(final.params.array(name), model.params.array(name))
+                assert final.params.array(name).tobytes() == model.params.array(name).tobytes()
 
     def test_zero_steps_leaves_global_at_f32_start(self):
         model = adapted_model()
@@ -437,6 +439,41 @@ class TestFactorBroadcast:
             ProtocolError, match=r"^round 2 broadcast carries non-trainable entry 'rnn.U'$"
         ):
             self.answer_round_2(model, carried)
+
+    @staticmethod
+    def client_error(model, payloads):
+        """run_client against broadcasts of these payloads for rounds 1, 2, ...;
+        -> the ProtocolError it raised."""
+        server_chs, client_chs = memory_pairs(1, timeout=1.0)
+        for rnd, payload in enumerate(payloads, start=1):
+            server_chs[0].send(
+                encode_message(
+                    WireMessage(KIND_GLOBAL_BROADCAST, rnd, SERVER_SENDER, FLAG_FACTORS, payload)
+                )
+            )
+        trainer = LocalTrainer(tasks_for(model, shards_for(model, 1))[0])
+        with pytest.raises(ProtocolError) as exc:
+            run_client(client_chs[0], model, trainer, ExperimentConfig())
+        assert exc.value.ledger is not None
+        assert exc.value.ledger.downlink_bytes(len(payloads)) == HEADER_LEN + len(payloads[-1])
+        return exc.value
+
+    @staticmethod
+    def reshaped(params, name, shape):
+        wrong = ParameterSet([(name, Tensor.from_array(np.zeros(shape)), params.trainable(name))])
+        return params.drop([name]).merged_with(wrong)
+
+    def test_misshapen_factor_names_round_entry_and_shapes(self):
+        model = adapted_model()
+        bad = self.reshaped(model.params.trainable_subset(), "rnn.U.lora.B", (3, 4))
+        e = self.client_error(model, [serialize_params(model.params), serialize_params(bad)])
+        assert str(e) == "round 2 broadcast entry 'rnn.U.lora.B' has shape (3, 4), the model's is (2, 4)"
+
+    def test_misshapen_full_broadcast_names_round_entry_and_shapes(self):
+        model = adapted_model()
+        bad = self.reshaped(model.params, "rnn.U", (3, 4))
+        e = self.client_error(model, [serialize_params(bad)])
+        assert str(e) == "round 1 broadcast entry 'rnn.U' has shape (3, 4), the model's is (4, 4)"
 
 
 class TestProtocolConfig:

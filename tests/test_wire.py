@@ -166,6 +166,12 @@ class TestSerializeParams:
         with pytest.raises(FormatError):
             serialize_params(param_set(w=[1.0]), subset="frozen")
 
+    def test_serialized_size_rejects_unknown_subset(self):
+        ps = param_set(w=np.zeros((5, 3)))
+        for quantize_payload in (False, True):
+            with pytest.raises(FormatError, match="^unknown subset 'bogus'$"):
+                serialized_size(ps, "bogus", quantize_payload)
+
     def test_quantized_payload_round_trip(self):
         rng = np.random.default_rng(4)
         arr = rng.uniform(-1, 1, size=(16, 9))

@@ -385,3 +385,36 @@ class TestNoLeaks:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)  # reaped, not a zombie or an orphan
         assert_no_zombie()
+
+
+class TestSharedFrozenVector:
+    """A trained model shares its round-start set's layout and frozen vector,
+    whether its worker or this process trained it; and a worker trains on
+    new frozen values once a set brings them."""
+
+    @staticmethod
+    def three_rounds(trainer, model):
+        trained = []
+        for rnd in range(3):
+            if rnd == 2:  # as a full broadcast would: new frozen values
+                bumped = model.params.array("rnn.U") + 0.5
+                model = model.with_params(model.params.replace_values({"rnn.U": bumped}))
+            start = model.params
+            model, _ = trainer.train(model)
+            assert model.params.layout is start.layout
+            assert model.params.frozen_flat is start.frozen_flat
+            trained.append(model.params.trainable_flat.tobytes())
+        return trained
+
+    @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "in-process"])
+    def test_trained_model_shares_frozen_vector(self, pooled, fresh_pool):
+        from test_protocol import adapted_model, shards_for, tasks_for
+
+        model = adapted_model()
+        task = tasks_for(model, shards_for(model, 1))[0]
+        if pooled:
+            workers._grow(1)
+        with workers.client_trainers([task]) as (trainer,):
+            assert isinstance(trainer, workers.WorkerTrainer) == pooled
+            trained = self.three_rounds(trainer, model)
+        assert trained == self.three_rounds(protocol.LocalTrainer(task), model)
