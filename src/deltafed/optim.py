@@ -12,7 +12,7 @@ ParameterSet arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,24 +56,17 @@ class OptimizerState:
     """AdamW moments of the trainable entries plus the global step counter.
 
     The moments are two vectors laid out as the trainable vector of
-    `layout`, the trainable entries' layout; `m` and `v` map each entry name
-    to its shaped view into them. local_train_round advances the vectors in
-    place and hands them back in its returned state, so the state passed in
-    must not be reused. The counter never resets between
-    rounds: one client follows a single warmup trajectory no matter how the
-    steps are sliced into rounds.
+    `layout`, the trainable entries' layout (`layout.views` names their
+    parts). local_train_round advances the vectors in place and hands them
+    back in its returned state, so the state passed in must not be reused.
+    The counter never resets between rounds: one client follows a single
+    warmup trajectory no matter how the steps are sliced into rounds.
     """
 
     step: int
     layout: Layout
     m_flat: np.ndarray
     v_flat: np.ndarray
-    m: dict[str, np.ndarray] = field(init=False, repr=False)
-    v: dict[str, np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", self.layout.views(self.m_flat))
-        object.__setattr__(self, "v", self.layout.views(self.v_flat))
 
 
 def init_state(params: ParameterSet) -> OptimizerState:

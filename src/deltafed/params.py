@@ -129,8 +129,10 @@ _EMPTY.setflags(write=False)
 def pack(
     entries: Iterable[tuple[str, tuple[int, ...], bool, np.ndarray]],
 ) -> tuple[Layout, np.ndarray, np.ndarray]:
-    """(name, shape, trainable, flat float64 values) entries, in any order
-    -> (their layout, a new trainable vector, a new frozen vector)."""
+    """(name, shape, trainable, values) entries, in any order -> (their
+    layout, a new float64 trainable vector, a new float64 frozen vector).
+    `values` is a flat array, or a function that writes them into the flat
+    slot it is given."""
     entries = sorted(entries, key=lambda e: e[0])
     if entries and not entries[0][0]:  # "" sorts first
         raise ArgumentError("entry name must be non-empty")
@@ -138,11 +140,14 @@ def pack(
         if before[0] == after[0]:
             raise ArgumentError(f"duplicate entry name {after[0]!r}")
     layout = Layout(*(tuple(e[i] for e in entries) for i in range(3)))
-    frozen, trainable = (
-        np.concatenate([e[3] for e in entries if e[2] == flag] or [_EMPTY])
-        for flag in (False, True)
-    )
-    return layout, trainable, frozen
+    vectors = (np.empty(layout.frozen_size), np.empty(layout.trainable_size))
+    for name, _, flag, values in entries:
+        slot = vectors[flag][slice(*layout.slots[name][1:3])]
+        if callable(values):
+            values(slot)
+        else:
+            slot[...] = values
+    return layout, vectors[True], vectors[False]
 
 
 def _owned(vec: np.ndarray, layout: Layout, trainable: bool) -> np.ndarray:
@@ -166,7 +171,7 @@ class ParameterSet:
 
     __slots__ = ("layout", "trainable_flat", "frozen_flat")
 
-    def __init__(self, entries: Mapping[str, tuple[Tensor, bool]] | Iterable[tuple[str, Tensor, bool]]):
+    def __new__(cls, entries: Mapping[str, tuple[Tensor, bool]] | Iterable[tuple[str, Tensor, bool]]):
         if isinstance(entries, Mapping):
             items = [(name, t, bool(flag)) for name, (t, flag) in entries.items()]
         else:
@@ -174,20 +179,17 @@ class ParameterSet:
         for name, t, _ in items:
             if not isinstance(t, Tensor):
                 raise ArgumentError(f"entry {name!r} is not a Tensor")
-        self._fill(*pack((name, t.shape, flag, t.data) for name, t, flag in items))
+        return cls.from_vectors(*pack((name, t.shape, flag, t.data) for name, t, flag in items))
 
     @classmethod
     def from_vectors(cls, layout: Layout, trainable: np.ndarray, frozen: np.ndarray) -> "ParameterSet":
         """The set with these values. It takes the vectors over: a
         writeable one is checked for non-finite values and made read-only."""
         ps = object.__new__(cls)
-        ps._fill(layout, trainable, frozen)
+        object.__setattr__(ps, "layout", layout)
+        object.__setattr__(ps, "trainable_flat", _owned(trainable, layout, True))
+        object.__setattr__(ps, "frozen_flat", _owned(frozen, layout, False))
         return ps
-
-    def _fill(self, layout: Layout, trainable: np.ndarray, frozen: np.ndarray) -> None:
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "trainable_flat", _owned(trainable, layout, True))
-        object.__setattr__(self, "frozen_flat", _owned(frozen, layout, False))
 
     def with_trainable(self, trainable: np.ndarray) -> "ParameterSet":
         """This set with `trainable` as its trainable vector; the layout and

@@ -113,12 +113,19 @@ def quantize(values) -> QuantizedTensor:
     return QuantizedTensor(tuple(int(d) for d in arr.shape), scale, zps, codes)
 
 
-def dequantize(q: QuantizedTensor) -> np.ndarray:
-    """Decode to float64, shaped like the original."""
-    sizes = _block_sizes(q.n)
+def dequantize(q: QuantizedTensor, out: np.ndarray | None = None) -> np.ndarray:
+    """Decode to float64, shaped like the original; into `out`, a flat
+    float64 array of q.n values, when given. Full blocks decode as one
+    broadcast multiply, so no per-element copy of the scales is made."""
+    out = np.empty(q.n) if out is None else out
+    k = q.n // BLOCK  # full blocks
+    scales, zps = q.scales.astype(np.float64), q.zero_points.astype(np.int16)
     # code - zp is a small integer, so s * (code - zp) is exact in f64
-    offsets = q.codes.astype(np.int16) - np.repeat(q.zero_points.astype(np.int16), sizes)
-    return (np.repeat(q.scales.astype(np.float64), sizes) * offsets).reshape(q.shape)
+    offsets = q.codes.astype(np.int16)
+    full = offsets[: k * BLOCK].reshape(k, BLOCK) - zps[:k, None]
+    np.multiply(scales[:k, None], full, out=out[: k * BLOCK].reshape(k, BLOCK))
+    np.multiply(scales[k:], offsets[k * BLOCK :] - zps[k:], out=out[k * BLOCK :])  # a short last block
+    return out.reshape(q.shape)
 
 
 def packed_size(n: int) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -207,12 +208,12 @@ def deserialize_params(
         n = math.prod(dims)
         if dtype == DTYPE_F32:
             raw = r.take(4 * n, f"f32 data of {name!r}")
-            values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+            values = np.frombuffer(raw, dtype="<f4")  # widened to float64 by pack
             if not np.isfinite(values).all():
                 raise FormatError(f"entry {name!r}: non-finite f32 values")
         else:
             raw = r.take(packed_size(n), f"q4 data of {name!r}")
-            values = dequantize(quant_from_bytes(raw, dims)).reshape(-1)
+            values = partial(dequantize, quant_from_bytes(raw, dims))  # decoded into its slot
         flag = True if trainable is None else name in trainable
         entries.append((name, tuple(dims), flag, values))
     if r.pos != len(data):

@@ -193,7 +193,7 @@ class TestAdamwStep:
         params = scalar_set(1.0)
         out, state = adamw_step(params, scalar_set(1.0), init_state(params), cfg)
         assert out.array("w")[0] == 1.0  # lr(0) = 0
-        assert state.m["w"][0] != 0.0
+        assert state.layout.views(state.m_flat)["w"][0] != 0.0
 
     def test_shape_mismatch_rejected(self):
         cfg = OptimizerConfig(lr=0.1, total_steps=1, warmup_ratio=0.0)
@@ -461,17 +461,22 @@ def test_flat_round_matches_public_composition(case):
     )
 
     assert state.step == ref_state.step == steps
+    m, v, ref_m, ref_v = (
+        s.layout.views(vec)
+        for s in (state, ref_state)
+        for vec in (s.m_flat, s.v_flat)
+    )
     for name, t, flag in model.params.items():
         got = trained.params.array(name)
         if flag:
             assert np.max(np.abs(got - params.array(name))) <= 1e-12, name
-            assert np.max(np.abs(state.m[name] - ref_state.m[name])) <= 1e-12, name
-            assert np.max(np.abs(state.v[name] - ref_state.v[name])) <= 1e-12, name
+            assert np.max(np.abs(m[name] - ref_m[name])) <= 1e-12, name
+            assert np.max(np.abs(v[name] - ref_v[name])) <= 1e-12, name
             assert not np.array_equal(got, t.array), name
         else:
             assert trained.params.tensor(name).data.tobytes() == t.data.tobytes()
             assert params.tensor(name).data.tobytes() == t.data.tobytes()
-            assert name not in state.m
+            assert name not in m
 
 
 def test_equivalence_cases_exercise_their_branches():
