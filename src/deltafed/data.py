@@ -1,4 +1,9 @@
-"""Corpus ingestion and the IID round-robin partition."""
+"""Corpus ingestion and the IID round-robin partition.
+
+Token ids are int64 arrays from the corpus on: the splits are slices of the
+encoded stream, the windows one id matrix (`model.Windows`), and each shard
+a subset of its rows.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError
-from .model import SEED_PARTITION, Vocab
+from .model import SEED_PARTITION, Vocab, Windows, as_windows
 
 
 def load_corpus(path: str | Path) -> bytes:
@@ -17,12 +22,14 @@ def load_corpus(path: str | Path) -> bytes:
     return data
 
 
-def split_stream(ids: list[int], split: float) -> tuple[list[int], list[int]]:
-    """Front fraction for training, remainder for evaluation."""
+def split_stream(ids, split: float) -> tuple[np.ndarray, np.ndarray]:
+    """Front fraction for training, remainder for evaluation, as int64
+    arrays (slices of `ids` when it is one)."""
     if not 0.0 < split < 1.0:
         raise ArgumentError(f"split must be in (0, 1), got {split}")
-    cut = int(len(ids) * split)
-    train, val = list(ids[:cut]), list(ids[cut:])
+    arr = np.asarray(ids, dtype=np.int64)
+    cut = int(len(arr) * split)
+    train, val = arr[:cut], arr[cut:]
     if len(train) < 2 or len(val) < 2:
         raise ArgumentError(
             f"split {split} leaves too few tokens ({len(train)}/{len(val)})"
@@ -30,34 +37,43 @@ def split_stream(ids: list[int], split: float) -> tuple[list[int], list[int]]:
     return train, val
 
 
-def sequences_of(ids: list[int], context: int) -> list[list[int]]:
-    """Non-overlapping windows of context+1 tokens; tails under 2 are dropped."""
+def sequences_of(ids, context: int) -> Windows:
+    """Non-overlapping windows of context+1 tokens; tails under 2 are dropped.
+
+    The full windows are the stream's front reshaped to (n, context+1); a
+    tail of 2 or more tokens becomes one more, shorter row after them.
+    """
     if context < 1:
         raise ArgumentError(f"context must be >= 1, got {context}")
-    out = []
-    for start in range(0, len(ids), context + 1):
-        window = list(ids[start : start + context + 1])
-        if len(window) >= 2:
-            out.append(window)
-    return out
+    arr = np.asarray(ids, dtype=np.int64)
+    width = context + 1
+    n_full, rest = divmod(arr.size, width)
+    full = arr[: n_full * width].reshape(n_full, width)
+    if rest < 2:
+        return Windows(full, np.full(n_full, width))
+    rows = np.zeros((n_full + 1, width), dtype=np.int64)
+    rows[:n_full] = full
+    rows[n_full, :rest] = arr[n_full * width :]
+    return Windows(rows, np.append(np.full(n_full, width), rest))
 
 
-def partition_iid(
-    sequences: list[list[int]], k: int, seed: int
-) -> list[list[list[int]]]:
-    """Seeded shuffle, then round-robin: shard i takes positions i, i+k, ..."""
+def partition_iid(sequences, k: int, seed: int) -> list[Windows]:
+    """Seeded shuffle, then round-robin: shard i takes positions i, i+k, ...
+
+    `sequences` is Windows or id sequences; each shard is Windows."""
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
-    if len(sequences) < k:
+    windows = as_windows(sequences)
+    if len(windows) < k:
         raise ArgumentError(
-            f"cannot split {len(sequences)} sequences across {k} clients"
+            f"cannot split {len(windows)} sequences across {k} clients"
         )
     rng = np.random.default_rng([seed, SEED_PARTITION])
-    order = rng.permutation(len(sequences))
-    return [[sequences[j] for j in order[i::k]] for i in range(k)]
+    order = rng.permutation(len(windows))
+    return [windows.rows(order[i::k]) for i in range(k)]
 
 
-def corpus_tokens(path: str | Path) -> tuple[Vocab, list[int]]:
+def corpus_tokens(path: str | Path) -> tuple[Vocab, np.ndarray]:
     data = load_corpus(path)
     vocab = Vocab.from_corpus(data)
     return vocab, vocab.encode(data)

@@ -37,6 +37,7 @@ from .model import (
     LmConfig,
     LmModel,
     Vocab,
+    Windows,
     greedy_decode,
     init_model,
     perplexity_of,
@@ -72,9 +73,10 @@ class ExperimentResult:
 @dataclass
 class _Setup:
     vocab: Vocab
-    val_ids: list[int]
-    sequences: list[list[int]]
-    shards: list[list[list[int]]]
+    val_ids: np.ndarray
+    sequences: Windows
+    shards: list[Windows]
+    bleu_windows: Windows  # the held-out windows BLEU continues
     model: LmModel
     counts: dict[int, int]
     steps: dict[int, int]
@@ -82,9 +84,11 @@ class _Setup:
 
 def _setup(cfg: ExperimentConfig) -> _Setup:
     vocab, ids = corpus_tokens(cfg.resolved_corpus_path())
-    train_ids, val_ids = split_stream(ids.tolist(), cfg.split)
+    train_ids, val_ids = split_stream(ids, cfg.split)
     sequences = sequences_of(train_ids, cfg.context)
     shards = partition_iid(sequences, cfg.clients, cfg.seed)
+    held_out = sequences_of(val_ids, cfg.context)
+    bleu_windows = held_out.rows(np.flatnonzero(held_out.lengths >= 4)[:BLEU_SAMPLES])
 
     model = init_model(LmConfig(vocab.size, cfg.embed_dim, cfg.context), cfg.seed)
     if cfg.lora_rank >= 1:
@@ -102,10 +106,10 @@ def _setup(cfg: ExperimentConfig) -> _Setup:
         i: cfg.local_epochs * math.ceil(counts[i] / cfg.batch_size)
         for i in range(cfg.clients)
     }
-    return _Setup(vocab, val_ids, sequences, shards, model, counts, steps)
+    return _Setup(vocab, val_ids, sequences, shards, bleu_windows, model, counts, steps)
 
 
-def _client_task(cfg: ExperimentConfig, client_id: int, shard: list, steps: int) -> ClientTask:
+def _client_task(cfg: ExperimentConfig, client_id: int, shard: Windows, steps: int) -> ClientTask:
     opt_cfg = OptimizerConfig(
         lr=cfg.lr,
         total_steps=cfg.rounds * steps,
@@ -116,19 +120,21 @@ def _client_task(cfg: ExperimentConfig, client_id: int, shard: list, steps: int)
     return ClientTask(client_id, shard, opt_cfg, cfg.batch_size, steps, cfg.seed)
 
 
-def bleu_of(model: LmModel, setup: _Setup, cfg: ExperimentConfig) -> float:
-    """Mean sentence BLEU of greedy continuations over held-out windows."""
-    windows = [
-        w for w in sequences_of(setup.val_ids, cfg.context) if len(w) >= 4
-    ][:BLEU_SAMPLES]
-    if not windows:
+def bleu_of(model: LmModel, setup: _Setup) -> float:
+    """Mean sentence BLEU of greedy continuations over held-out windows:
+    each window's front half is the prefix, its back half the reference.
+    The windows of one length are decoded as one batch."""
+    windows = setup.bleu_windows
+    if not len(windows):
         return 0.0
-    scores = []
-    for w in windows:
-        cut = len(w) // 2
-        prefix, ref = w[:cut], [int(x) for x in w[cut:]]
-        hyp = [int(x) for x in greedy_decode(model, prefix, len(ref))]
-        scores.append(bleu(hyp, [ref]))
+    scores = np.empty(len(windows))
+    for length in windows.widths:
+        rows = np.flatnonzero(windows.lengths == length)
+        cut = length // 2
+        x = windows.ids[rows, :length]
+        hyps = greedy_decode(model, x[:, :cut], length - cut)
+        for r, hyp, ref in zip(rows, hyps, x[:, cut:]):
+            scores[r] = bleu(hyp, [ref])
     return float(np.mean(scores))
 
 
@@ -137,7 +143,7 @@ def _eval_only(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experiment
     setup = setup or _setup(cfg)
     ppl = perplexity_of(setup.model, setup.val_ids)
     rec = RoundRecord(0, cfg.mode, float("nan"), ppl, 0, 0, 0)
-    extras = {"bleu": bleu_of(setup.model, setup, cfg)}
+    extras = {"bleu": bleu_of(setup.model, setup)}
     if cfg.mode == "local":
         return ExperimentResult(None, [rec], extras, client_models=[setup.model] * cfg.clients)
     return ExperimentResult(setup.model, [rec], extras)
@@ -258,7 +264,7 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
             )
         )
     extras = {
-        "bleu": bleu_of(model, setup, cfg),
+        "bleu": bleu_of(model, setup),
         "overhead_bytes": {
             "join_uplink": ledger.uplink_bytes(0),
             "shutdown_downlink": ledger.downlink_bytes(cfg.rounds + 1),
@@ -300,7 +306,7 @@ def run_central(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experimen
         for t, (loss, model, wall_ms) in enumerate(rounds, start=1):
             ppl = perplexity_of(model, setup.val_ids)
             records.append(RoundRecord(t, "central", loss, ppl, int(wall_ms), 0, 0))
-    return ExperimentResult(model, records, {"bleu": bleu_of(model, setup, cfg)})
+    return ExperimentResult(model, records, {"bleu": bleu_of(model, setup)})
 
 
 def run_local(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
@@ -332,7 +338,7 @@ def run_local(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentR
         for t in range(cfg.rounds)
     ]
     extras = {
-        "bleu": float(np.mean([bleu_of(m, setup, cfg) for m in models])),
+        "bleu": float(np.mean([bleu_of(m, setup) for m in models])),
         "clients": {
             str(i): {
                 "final_train_loss": float(losses[i, -1]),

@@ -11,7 +11,7 @@ Entries: "embed.W" (V x d, tied embedding/output), "rnn.U" (d x d),
 analytic and verified against central finite differences in the tests.
 
 Adapters (see lora.py) ride along as extra entries named
-"<target>.lora.A"/"<target>.lora.B"; when present, forward uses the adapted
+"<target>.lora.A"/"<target>.lora.B"; when present, every pass uses the adapted
 effective weights and gradients flow to the factors only, with the base
 receiving exactly zero.
 """
@@ -51,20 +51,20 @@ class Vocab:
 
     @staticmethod
     def from_corpus(data: bytes) -> "Vocab":
-        return Vocab(bytes(sorted(set(data))))
+        counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
+        return Vocab(np.flatnonzero(counts).astype(np.uint8).tobytes())
 
     @property
     def size(self) -> int:
         return len(self.symbols)
 
     def encode(self, data: bytes) -> np.ndarray:
-        table = np.full(256, -1, dtype=np.int64)
+        unknown = data.translate(None, self.symbols)  # the bytes not in it
+        if unknown:
+            raise ArgumentError(f"byte 0x{unknown[0]:02x} not in vocabulary")
+        table = np.zeros(256, dtype=np.uint8)  # byte -> id; ids fit a byte
         table[np.frombuffer(self.symbols, dtype=np.uint8)] = np.arange(self.size)
-        ids = table[np.frombuffer(data, dtype=np.uint8)]
-        if ids.size and ids.min() < 0:
-            bad = int(np.frombuffer(data, dtype=np.uint8)[ids < 0][0])
-            raise ArgumentError(f"byte 0x{bad:02x} not in vocabulary")
-        return ids
+        return np.frombuffer(data.translate(table.tobytes()), dtype=np.uint8).astype(np.int64)
 
     def decode(self, ids: Sequence[int]) -> bytes:
         arr = np.asarray(ids, dtype=np.int64)
@@ -119,31 +119,72 @@ def _check_ids(cfg: LmConfig, ids: np.ndarray) -> None:
         raise ArgumentError("token id out of range for the model vocabulary")
 
 
-def _length_groups(cfg: LmConfig, batch: Sequence[Sequence[int]]) -> list[np.ndarray]:
-    """The batch as one (count, length) id matrix per distinct length, shortest
-    first, each sequence kept in batch order within its matrix."""
-    if not len(batch):
-        raise ArgumentError("batch must be non-empty")
-    by_len: dict[int, list] = {}
-    for s in batch:
-        by_len.setdefault(len(s), []).append(s)
-    groups = []
-    for length in sorted(by_len):
-        if length < 2:
-            raise ArgumentError("every sequence must be 1-D with length >= 2")
-        if length > cfg.context + 1:
-            raise ArgumentError(
-                f"sequence length {length} exceeds context+1 = {cfg.context + 1}"
-            )
-        try:
-            x = np.asarray(by_len[length], dtype=np.int64)
-        except (TypeError, ValueError):
-            x = None
-        if x is None or x.ndim != 2:
-            raise ArgumentError("every sequence must be 1-D with length >= 2")
-        _check_ids(cfg, x)
-        groups.append(x)
-    return groups
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """Token windows as arrays: row r of `ids` holds window r's first
+    `lengths[r]` tokens, then padding.
+
+    A corpus split gives full windows of context+1 tokens and at most one
+    shorter tail row (see data.sequences_of); a shard is a subset of those
+    rows in its own order.
+    """
+
+    ids: np.ndarray  # (n, width) int64
+    lengths: np.ndarray  # (n,) int64, each in [2, width]
+    widths: np.ndarray = field(init=False)  # the distinct lengths, ascending
+
+    def __post_init__(self):
+        object.__setattr__(self, "widths", np.flatnonzero(np.bincount(self.lengths)))
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def rows(self, idx: np.ndarray) -> "Windows":
+        return Windows(np.take(self.ids, idx, axis=0), self.lengths[idx])
+
+    def batch(self, idx: np.ndarray) -> list[np.ndarray]:
+        """The rows at `idx` as one (count, length) id matrix per distinct
+        length, shortest first, each row kept in `idx` order within its
+        matrix."""
+        if len(self.widths) == 1:
+            return [self.ids[idx, : self.widths[0]]]
+        lengths = self.lengths[idx]
+        groups = []
+        for n in self.widths:
+            sel = idx[lengths == n]
+            if sel.size:
+                groups.append(self.ids[sel, :n])
+        return groups
+
+    def tolist(self) -> list[list[int]]:
+        return [row[:n].tolist() for row, n in zip(self.ids, self.lengths)]
+
+
+def as_windows(rows) -> Windows:
+    """`rows` itself if it is Windows, else its 1-D id sequences, each of
+    length >= 2, copied into Windows."""
+    if isinstance(rows, Windows):
+        return rows
+    try:
+        arrays = [np.asarray(r, dtype=np.int64) for r in rows]
+    except (TypeError, ValueError):
+        arrays = None
+    if arrays is None or any(a.ndim != 1 or a.size < 2 for a in arrays):
+        raise ArgumentError("every sequence must be 1-D with length >= 2")
+    lengths = np.array([a.size for a in arrays], dtype=np.int64)
+    ids = np.zeros((len(arrays), lengths.max(initial=0)), dtype=np.int64)
+    for r, a in enumerate(arrays):
+        ids[r, : a.size] = a
+    return Windows(ids, lengths)
+
+
+def check_windows(cfg: LmConfig, windows: Windows) -> None:
+    """Every window fits the context, and every id the vocabulary."""
+    if len(windows) and windows.widths[-1] > cfg.context + 1:
+        raise ArgumentError(
+            f"sequence length {windows.widths[-1]} exceeds context+1 = {cfg.context + 1}"
+        )
+    _check_ids(cfg, windows.ids)
 
 
 def _adapter_product(values: Mapping[str, np.ndarray], target: str, scaling: float) -> np.ndarray:
@@ -199,15 +240,18 @@ def _effective(model: LmModel, values: Mapping[str, np.ndarray], rng=None) -> _E
     return eff
 
 
-def _recur(eff: _Effective, xt: np.ndarray) -> np.ndarray:
-    """Hidden states for a time-major (steps, batch) id matrix; returns
-    (steps, batch, d)."""
+def _recur(eff: _Effective, xt: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+    """Hidden states for a time-major (steps, batch) id matrix, carried on
+    from the (batch, d) states `h` (zeros if None); returns (steps, batch, d)."""
     steps, bsz = xt.shape
     hs = np.empty((steps, bsz, eff.u.shape[0]))
     pre = eff.w_lookup[xt]  # input term of every step at once
     pre += eff.b
     u_t = eff.u.T
-    np.tanh(pre[0], out=hs[0])
+    if h is None:
+        np.tanh(pre[0], out=hs[0])
+    else:
+        np.tanh(h @ u_t + pre[0], out=hs[0])
     for i in range(1, steps):
         np.tanh(hs[i - 1] @ u_t + pre[i], out=hs[i])
     return hs
@@ -239,42 +283,21 @@ def _nll(eff: _Effective, x: np.ndarray):
     return nll, hs, e, s, targets
 
 
-def forward(model: LmModel, tokens: Sequence[int]) -> tuple[np.ndarray, dict]:
-    """Next-token distributions for one sequence, evaluation mode.
-
-    Row i is P(. | tokens[0..i]), so row i scores the token at position i+1.
-    Returns (probs of shape (len, V), cache with hidden states).
-    """
-    ids = np.asarray(tokens, dtype=np.int64)
-    if ids.ndim != 1 or ids.size < 1:
-        raise ArgumentError("forward wants a non-empty 1-D token sequence")
-    if ids.size > model.cfg.context:
-        raise ArgumentError(
-            f"sequence length {ids.size} exceeds context {model.cfg.context}"
-        )
-    _check_ids(model.cfg, ids)
-    eff = _effective(model, model.params.arrays())
-    hs = _recur(eff, ids[:, None])[:, 0]
-    logits = hs @ eff.w_out.T + eff.c
-    probs = np.exp(_log_softmax(logits))
-    return probs, {"hidden": hs, "logits": logits}
-
-
 def trainable_loss_and_grad(
     model: LmModel,
-    batch: Sequence[Sequence[int]],
+    groups: list[np.ndarray],
     rng=None,
     values: Mapping[str, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean NLL over all predicted positions, plus its analytic gradient as
     one vector laid out as model.params' trainable vector.
 
-    `values` (entry name -> shaped array) stands in for model.params' values,
-    so a training loop can pass views of its own buffers; model.params still
-    supplies the layout. Pass rng to enable adapter dropout (training);
-    without it the pass is deterministic.
+    `groups` is a batch as `Windows.batch` gives it, from windows that
+    passed `check_windows`. `values` (entry name -> shaped array) stands in
+    for model.params' values, so a training loop can pass views of its own
+    buffers; model.params still supplies the layout. Pass rng to enable
+    adapter dropout (training); without it the pass is deterministic.
     """
-    groups = _length_groups(model.cfg, batch)
     if values is None:
         values = model.params.arrays()
     eff = _effective(model, values, rng)
@@ -328,10 +351,16 @@ def trainable_loss_and_grad(
     return total_nll * inv, g
 
 
-def loss_and_grad(model: LmModel, batch: Sequence[Sequence[int]], rng=None):
-    """trainable_loss_and_grad with the gradient as a ParameterSet shaped
-    like model.params, exactly zero on frozen entries."""
-    loss, g = trainable_loss_and_grad(model, batch, rng=rng)
+def loss_and_grad(model: LmModel, batch, rng=None):
+    """trainable_loss_and_grad of every window in `batch` (Windows, or id
+    sequences), with the gradient as a ParameterSet shaped like
+    model.params, exactly zero on frozen entries."""
+    windows = as_windows(batch)
+    if not len(windows):
+        raise ArgumentError("batch must be non-empty")
+    check_windows(model.cfg, windows)
+    groups = windows.batch(np.arange(len(windows)))
+    loss, g = trainable_loss_and_grad(model, groups, rng=rng)
     layout = model.params.layout
     return loss, ParameterSet.from_vectors(layout, g, np.zeros(layout.frozen_size))
 
@@ -402,18 +431,35 @@ def perplexity_of(model: LmModel, ids: Sequence[int]) -> float:
     return float(np.exp(total_nll / total_positions))
 
 
-def greedy_decode(model: LmModel, prefix: Sequence[int], n_tokens: int) -> np.ndarray:
-    """Extend prefix by n_tokens argmax picks (ties to the lowest id)."""
+def greedy_decode(model: LmModel, prefix, n_tokens: int) -> np.ndarray:
+    """Extend each prefix row by n_tokens argmax picks (ties to the lowest id).
+
+    `prefix` is a (b, cut) id matrix, one prefix per row, or one 1-D prefix;
+    the picks come back as (b, n_tokens), or (n_tokens,). Each pick is the
+    argmax of P(. | the row's last `context` ids), as the model scores one
+    window in evaluation mode. While a row fits the context its hidden state
+    is carried, so a pick costs one recurrence step for all rows; past that,
+    each pick runs the last `context` ids afresh.
+    """
     if n_tokens < 0:
         raise ArgumentError("n_tokens must be >= 0")
-    ids = list(np.asarray(prefix, dtype=np.int64))
-    if not ids:
+    ids = np.asarray(prefix, dtype=np.int64)
+    rows = ids[None, :] if ids.ndim == 1 else ids
+    if rows.ndim != 2 or rows.size == 0:
         raise ArgumentError("prefix must be non-empty")
-    out = []
-    for _ in range(n_tokens):
-        window = ids[-model.cfg.context :]
-        probs, _ = forward(model, window)
-        nxt = int(np.argmax(probs[-1]))
-        ids.append(nxt)
-        out.append(nxt)
-    return np.asarray(out, dtype=np.int64)
+    _check_ids(model.cfg, rows)
+    ctx = model.cfg.context
+    b, cut = rows.shape
+    seq = np.empty((b, cut + n_tokens), dtype=np.int64)
+    seq[:, :cut] = rows
+    eff = _effective(model, model.params.arrays())
+    h, done = None, 0  # h: the states after seq[:, :done]
+    for end in range(cut, cut + n_tokens):
+        if end > ctx:  # the window slides: run its ids from a zero state
+            h, done = None, end - ctx
+        h = _recur(eff, seq[:, done:end].T, h)[-1]
+        done = end
+        probs = np.exp(_log_softmax(h @ eff.w_out.T + eff.c))
+        seq[:, end] = np.argmax(probs, axis=1)
+    picks = seq[:, cut:]
+    return picks[0] if ids.ndim == 1 else picks

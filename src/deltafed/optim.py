@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericalError, StructureError
-from .model import LmModel, trainable_loss_and_grad
+from .model import LmModel, Windows, as_windows, check_windows, trainable_loss_and_grad
 from .params import Layout, ParameterSet, check_compatible
 
 BETA1, BETA2 = 0.9, 0.999  # AdamW moment decay rates
@@ -177,7 +177,7 @@ def _epoch_batches(
 def local_train_round(
     model: LmModel,
     state: OptimizerState,
-    shard: list[list[int]],
+    shard: Windows,
     cfg: OptimizerConfig,
     rng: np.random.Generator,
     *,
@@ -186,7 +186,9 @@ def local_train_round(
 ) -> tuple[LmModel, OptimizerState, float]:
     """Run `steps` minibatch iterations over the shard, reshuffling per epoch.
 
-    The trainable values, the gradient and the moments stay in flat vectors
+    The shard (Windows, or id sequences made into Windows here) is checked
+    against the model once; each step gathers its batch by row index. The
+    trainable values, the gradient and the moments stay in flat vectors
     for the whole round; the trained model's ParameterSet takes the values
     vector over at the end and shares the round-start layout and frozen
     vector. Returns the updated model, the carried optimizer state, and the
@@ -194,7 +196,8 @@ def local_train_round(
     steps=0). A non-finite loss or gradient raises NumericalError naming the
     step and the entry with the largest gradient.
     """
-    if not shard:
+    windows = as_windows(shard)
+    if not len(windows):
         raise ArgumentError("training shard is empty")
     if batch_size < 1:
         raise ArgumentError(f"batch_size must be >= 1, got {batch_size}")
@@ -202,6 +205,7 @@ def local_train_round(
         raise ArgumentError(f"steps must be >= 0, got {steps}")
     params = model.params
     _require_layout(state, params)
+    check_windows(model.cfg, windows)
     p = params.trainable_flat.copy()
     values = params.arrays(trainable=p)
 
@@ -210,9 +214,8 @@ def local_train_round(
     pending: list[np.ndarray] = []
     for _ in range(steps):
         if not pending:
-            pending = _epoch_batches(len(shard), batch_size, rng)
-        idx = pending.pop(0)
-        batch = [shard[i] for i in idx]
+            pending = _epoch_batches(len(windows), batch_size, rng)
+        batch = windows.batch(pending.pop(0))
         loss, g = trainable_loss_and_grad(model, batch, rng=rng, values=values)
         norm = _grad_norm(g)
         if not (math.isfinite(loss) and math.isfinite(norm)):

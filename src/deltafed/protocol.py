@@ -40,7 +40,7 @@ from .aggregate import (
 )
 from .config import ExperimentConfig
 from .errors import DeltaFedError, ProtocolError, StructureError
-from .model import SEED_CLIENT, LmModel
+from .model import SEED_CLIENT, LmModel, Windows
 from .optim import OptimizerConfig, OptimizerState, init_state, local_train_round
 from .params import Layout, ParameterSet, Tensor, check_compatible, subtract_trainable
 from .wire import (
@@ -382,7 +382,7 @@ def apply_dense(
 @dataclass(frozen=True)
 class ClientTask:
     client_id: int
-    shard: list
+    shard: Windows
     opt_cfg: OptimizerConfig
     batch_size: int
     steps_per_round: int

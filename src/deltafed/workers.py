@@ -163,6 +163,10 @@ def _serve(conn, area: _Area) -> None:
             op, sid, *args = conn.recv()
         except EOFError:
             return
+        except Exception as e:  # a job that does not unpickle, say
+            error = DeltaFedError(f"training worker could not read its job: {e!r}")
+            conn.send_bytes(pickle.dumps(("err", error)))
+            continue
         if op == "unbind":
             sessions.pop(sid, None)
             continue

@@ -180,8 +180,8 @@ class TestConfigFiles:
 class TestSplitStream:
     def test_front_back_split(self):
         train, val = split_stream(list(range(10)), 0.8)
-        assert train == list(range(8))
-        assert val == [8, 9]
+        assert train.tolist() == list(range(8))
+        assert val.tolist() == [8, 9]
 
     def test_too_small_rejected(self):
         with pytest.raises(ArgumentError):
@@ -191,15 +191,15 @@ class TestSplitStream:
 class TestSequencesOf:
     def test_exact_windows(self):
         seqs = sequences_of(list(range(9)), context=2)
-        assert seqs == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        assert seqs.tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
 
     def test_short_tail_dropped(self):
         seqs = sequences_of(list(range(10)), context=2)
-        assert seqs == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]  # lone token 9 dropped
+        assert seqs.tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]  # lone token 9 dropped
 
     def test_two_token_tail_kept(self):
         seqs = sequences_of(list(range(11)), context=2)
-        assert seqs[-1] == [9, 10]
+        assert seqs.tolist()[-1] == [9, 10]
 
 
 class TestPartition:
@@ -210,8 +210,8 @@ class TestPartition:
         seqs = self.seqs(7)
         shards = partition_iid(seqs, 1, seed=3)
         assert len(shards) == 1
-        assert sorted(map(tuple, shards[0])) == sorted(map(tuple, seqs))
-        assert shards[0] != seqs  # seeded shuffle actually permutes
+        assert sorted(map(tuple, shards[0].tolist())) == sorted(map(tuple, seqs))
+        assert shards[0].tolist() != seqs  # seeded shuffle actually permutes
 
     def test_even_division(self):
         shards = partition_iid(self.seqs(10), 5, seed=0)
@@ -226,7 +226,7 @@ class TestPartition:
     def test_disjoint_cover_multiset(self):
         seqs = self.seqs(23)
         shards = partition_iid(seqs, 4, seed=9)
-        merged = Counter(tuple(s) for shard in shards for s in shard)
+        merged = Counter(tuple(s) for shard in shards for s in shard.tolist())
         assert merged == Counter(tuple(s) for s in seqs)
 
     def test_seeded_determinism(self):
@@ -234,8 +234,8 @@ class TestPartition:
         a = partition_iid(seqs, 3, seed=5)
         b = partition_iid(seqs, 3, seed=5)
         c = partition_iid(seqs, 3, seed=6)
-        assert a == b
-        assert a != c
+        assert [s.tolist() for s in a] == [s.tolist() for s in b]
+        assert [s.tolist() for s in a] != [s.tolist() for s in c]
 
     def test_fewer_sequences_than_clients(self):
         with pytest.raises(ArgumentError):

@@ -12,7 +12,8 @@ from deltafed.metrics import (
     emit_report,
     format_rows,
 )
-from deltafed.model import LmConfig, forward, init_model
+from deltafed.model import LmConfig, init_model
+from oracles import forward
 from rounds_csv import parse_rounds_csv
 
 

@@ -9,7 +9,6 @@ from deltafed.model import (
     LmConfig,
     LmModel,
     Vocab,
-    forward,
     EVAL_BLOCK,
     greedy_decode,
     init_model,
@@ -17,6 +16,8 @@ from deltafed.model import (
     perplexity_of,
 )
 from deltafed.params import ParameterSet, Tensor
+
+from oracles import forward
 
 
 def finite_difference_grads(model, batch, eps=1e-5):

@@ -1,6 +1,7 @@
 """The training-worker pool: same results as in-process training, fail-fast
 across the process boundary, no processes left behind."""
 
+import dataclasses
 import os
 import sys
 import threading
@@ -179,6 +180,39 @@ class TestPoolFailFast:
         marker = self.inject(monkeypatch, tmp_path, lambda: os._exit(3))
         message = self.fail_then_recover(corpus_path, marker, DeltaFedError)
         assert message == "client 1: training worker exited with code 3"
+
+    def test_unreadable_job_named(self, corpus_path, monkeypatch, fresh_pool):
+        task_of = harness._client_task
+
+        def unreadable_for_client_1(cfg, client_id, shard, steps):
+            task = task_of(cfg, client_id, shard, steps)
+            return dataclasses.replace(task, shard=_Unreadable()) if client_id == 1 else task
+
+        monkeypatch.setattr(harness, "_client_task", unreadable_for_client_1)
+        pool_of_two(monkeypatch)
+        cfg = small_cfg(corpus_path)
+        with pytest.raises(DeltaFedError) as exc:
+            run_experiment(cfg, report=False)
+        assert str(exc.value) == (
+            "client 1: training worker could not read its job: ValueError('shard refused')"
+        )
+        pids = pool_pids()
+        assert len(pids) == 2  # the worker lives on and serves the next run
+        monkeypatch.setattr(harness, "_client_task", task_of)
+        res = run_experiment(cfg, report=False)
+        assert len(res.records) == cfg.rounds
+        assert pool_pids() == pids
+
+
+def _refuse_to_unpickle():
+    raise ValueError("shard refused")
+
+
+class _Unreadable:
+    """A shard that pickles here and raises where it is unpickled."""
+
+    def __reduce__(self):
+        return (_refuse_to_unpickle, ())
 
 
 class TestCompareLanes:
