@@ -178,7 +178,11 @@ def _open_channels(cfg: ExperimentConfig):
 def _federate(cfg: ExperimentConfig, setup: _Setup, trainers: list):
     """Server on this thread, client i on thread `client-<i>` training with
     trainers[i]; -> (client results, final model, server ledger, per-round
-    global models)."""
+    perplexities).
+
+    Each round's global model is scored as its round ends, off the round
+    clock, and only the score is kept; a scoring error fails the run there.
+    """
     acquire, connectors, stop_listening = _open_channels(cfg)
     results: list = [None] * cfg.clients
     # (who, exception) in the order they happened; list.append is atomic
@@ -203,29 +207,28 @@ def _federate(cfg: ExperimentConfig, setup: _Setup, trainers: list):
     for th in threads:
         th.start()
 
-    snapshots: dict[int, LmModel] = {}
+    ppls: list[float] = []
+    channels = []
     try:
         channels = acquire()
-        try:
-            model, ledger = run_server(
-                setup.model,
-                channels,
-                cfg,
-                sample_counts=setup.counts,
-                on_round=lambda t, m: snapshots.__setitem__(t, m),
-            )
-        finally:
-            for channel in channels:
-                channel.close()  # a client still waiting sees the end at once
+        model, ledger = run_server(
+            setup.model,
+            channels,
+            cfg,
+            sample_counts=setup.counts,
+            on_round=lambda t, m: ppls.append(perplexity_of(m, setup.val_ids)),
+        )
     except Exception as e:
-        failures.append(("server", e))
+        failures.append(("server", e))  # before the close wakes the clients
     finally:
+        for channel in channels:
+            channel.close()  # a client still waiting sees the end at once
         for th in threads:
             th.join()
         stop_listening()
     # later failures are peers seeing a channel close
     _raise_first(failures)
-    return results, model, ledger, snapshots
+    return results, model, ledger, ppls
 
 
 def _raise_first(failures: list[tuple[str, Exception]]) -> None:
@@ -245,24 +248,22 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
     ]
     # the pool, if any, forks before a channel or a thread exists
     with client_trainers(tasks) as trainers:
-        results, model, ledger, snapshots = _federate(cfg, setup, trainers)
+        results, model, ledger, ppls = _federate(cfg, setup, trainers)
     for i, result in enumerate(results):
         check_client_ledger(ledger, i, result.ledger)
 
-    records = []
-    for t in range(1, cfg.rounds + 1):
-        loss = float(np.mean([results[i].losses[t - 1] for i in range(cfg.clients)]))
-        records.append(
-            RoundRecord(
-                t,
-                "federated",
-                loss,
-                perplexity_of(snapshots[t], setup.val_ids),
-                int(ledger.wall_ms(t)),
-                ledger.uplink_bytes(t),
-                ledger.downlink_bytes(t),
-            )
+    records = [
+        RoundRecord(
+            t,
+            "federated",
+            float(np.mean([result.losses[t - 1] for result in results])),
+            ppl,
+            int(ledger.wall_ms(t)),
+            ledger.uplink_bytes(t),
+            ledger.downlink_bytes(t),
         )
+        for t, ppl in enumerate(ppls, start=1)
+    ]
     extras = {
         "bleu": bleu_of(model, setup),
         "overhead_bytes": {

@@ -287,23 +287,6 @@ class ParameterSet:
             raise ArgumentError(f"no entry named {sorted(unknown)[0]!r}")
         return ParameterSet.from_vectors(self.layout, vectors[True], vectors[False])
 
-    def with_flags(self, flags: Mapping[str, bool]) -> "ParameterSet":
-        unknown = set(flags) - set(self.layout.slots)
-        if unknown:
-            raise ArgumentError(f"no entry named {sorted(unknown)[0]!r}")
-        return ParameterSet([(n, t, flags.get(n, f)) for n, t, f in self.items()])
-
-    def merged_with(self, other: "ParameterSet") -> "ParameterSet":
-        """Union of two sets with disjoint names."""
-        clash = set(self.layout.names) & set(other.layout.names)
-        if clash:
-            raise ArgumentError(f"duplicate entry name {sorted(clash)[0]!r}")
-        return ParameterSet(list(self.items()) + list(other.items()))
-
-    def drop(self, names: Iterable[str]) -> "ParameterSet":
-        gone = set(names)
-        return ParameterSet([(n, t, f) for n, t, f in self.items() if n not in gone])
-
 
 def check_compatible(a: ParameterSet, b: ParameterSet) -> None:
     """Raise StructureError naming the first mismatching entry (lexicographic)."""

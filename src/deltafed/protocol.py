@@ -212,6 +212,7 @@ def answer_broadcast(
 
     `trainer` is the client's: a `LocalTrainer`, or anything with its
     `client_id` and `train`. -> (trained model, mean train loss, update message).
+    An exception from training gets its message prefixed `round <t>: `.
     """
     policy = _policy(cfg)
     params = model.params
@@ -224,7 +225,11 @@ def answer_broadcast(
     model = model.with_params(params.with_trainable(incoming.trainable_flat) if factors else incoming)
     start_params = model.params
 
-    model, loss = trainer.train(model)
+    try:
+        model, loss = trainer.train(model)
+    except Exception as e:  # keeps its class, attributes and traceback
+        e.args = (f"round {msg.round}: {e}", *e.args[1:])
+        raise
 
     quantize = cfg.quantize_payload and policy.form is not None  # never full models
     uplink = policy.encode(model, start_params)

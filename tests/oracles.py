@@ -4,7 +4,8 @@ The data functions build Python lists of token ids, one window at a time;
 `list_train_round` gathers each batch as a list and groups it by length
 anew at every step; `forward` scores one window; `serial_greedy_decode`
 decodes one prefix, running `forward` over the whole window for every pick.
-They are slow and plain on purpose.
+They are slow and plain on purpose. `with_flags`, `merged_with` and `drop`
+build the odd parameter sets tests feed to the checks, entry by entry.
 """
 
 import math
@@ -27,6 +28,7 @@ from deltafed.optim import (
     _epoch_batches,
     _grad_norm,
 )
+from deltafed.params import ParameterSet
 
 
 def vocab_symbols(data: bytes) -> bytes:
@@ -123,3 +125,19 @@ def serial_greedy_decode(model, prefix, n_tokens):
         ids.append(nxt)
         out.append(nxt)
     return np.asarray(out, dtype=np.int64)
+
+
+def with_flags(params, flags):
+    """`params` with the named entries' trainable flags replaced."""
+    return ParameterSet([(n, t, flags.get(n, f)) for n, t, f in params.items()])
+
+
+def merged_with(params, other):
+    """The union of two sets with disjoint names."""
+    return ParameterSet(list(params.items()) + list(other.items()))
+
+
+def drop(params, names):
+    """`params` without the named entries."""
+    gone = set(names)
+    return ParameterSet([(n, t, f) for n, t, f in params.items() if n not in gone])

@@ -3,6 +3,7 @@ import math
 import socket
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from deltafed.config import ExperimentConfig, override, save_config
 from deltafed.errors import ProtocolError
 from deltafed.harness import bleu_of, compare_modes, run_experiment
 from rounds_csv import parse_rounds_csv
+from test_data_path import make_corpus
 from deltafed.wire import serialize_params
 
 
@@ -175,8 +177,9 @@ class TestFailFast:
             run_experiment(cfg, report=False)
         return exc.value, time.monotonic() - injected_at[0]
 
-    @pytest.mark.parametrize("transport", ["memory", "tcp"])
-    def test_client_failure_mid_round(self, corpus_path, transport, monkeypatch):
+    def fail_training(self, cfg, monkeypatch, client, rnd):
+        """Run cfg with client `client`'s training raising in round `rnd`;
+        -> (the error, seconds from the fault to the raise)."""
         train = protocol.local_train_round
         calls = {}
         injected_at = []
@@ -184,15 +187,26 @@ class TestFailFast:
         def flaky(*args, **kw):
             name = threading.current_thread().name
             calls[name] = calls.get(name, 0) + 1
-            if name == "client-1" and calls[name] == 2:
+            if name == f"client-{client}" and calls[name] == rnd:
                 injected_at.append(time.monotonic())
                 raise RuntimeError("injected training fault")
             return train(*args, **kw)
 
         monkeypatch.setattr(protocol, "local_train_round", flaky)
+        return self.run_and_time(cfg, injected_at)
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_client_failure_mid_round(self, corpus_path, transport, monkeypatch):
         cfg = small_cfg(corpus_path, transport=transport)
-        err, elapsed = self.run_and_time(cfg, injected_at)
-        assert str(err) == "client 1: injected training fault"
+        err, elapsed = self.fail_training(cfg, monkeypatch, client=1, rnd=2)
+        assert str(err) == "client 1: round 2: injected training fault"
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_client_failure_names_its_round(self, corpus_path, transport, monkeypatch):
+        cfg = small_cfg(corpus_path, transport=transport, rounds=4)
+        err, elapsed = self.fail_training(cfg, monkeypatch, client=0, rnd=3)
+        assert str(err) == "client 0: round 3: injected training fault"
         assert elapsed < 2.0
 
     @pytest.mark.parametrize("transport", ["memory", "tcp"])
@@ -233,6 +247,29 @@ class TestFailFast:
         err, elapsed = self.run_and_time(cfg, injected_at)
         assert str(err) == "client 1: injected connect fault"
         assert elapsed < 2.0
+
+
+class TestMemory:
+    def test_peak_flat_in_rounds(self, tmp_path):
+        """Federated keeps each round's perplexity, not its global model: a
+        15-round run peaks less than one model's bytes above a 3-round run."""
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(make_corpus(1000, 1), encoding="ascii")
+        cfg = ExperimentConfig(
+            corpus_path=str(corpus), split=0.4, embed_dim=128, lora_rank=0, clients=2, seed=1
+        )
+
+        def peak(rounds):
+            tracemalloc.start()
+            try:
+                run_experiment(override(cfg, rounds=rounds), report=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_experiment(override(cfg, rounds=1), report=False)  # forks the pool, if any
+        model_bytes = 8 * harness._setup(cfg).model.params.layout.trainable_size
+        assert peak(15) - peak(3) < model_bytes
 
 
 class TestClientLedgers:

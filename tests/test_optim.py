@@ -16,6 +16,7 @@ from deltafed.optim import (
     lr_at,
 )
 from deltafed.params import ParameterSet, Tensor, l2_norm
+from oracles import with_flags
 
 
 def scalar_set(value, trainable=True):
@@ -428,7 +429,7 @@ _TAIL_SHARD = _SHARD[:5] + [[1, 2, 3, 4]]
 EQUIVALENCE_CASES = {
     "rank0": (_plain, _SHARD, 0.3, 4),
     "rank0-out.b-frozen": (
-        lambda: _plain().with_params(_plain().params.with_flags({"out.b": False})),
+        lambda: _plain().with_params(with_flags(_plain().params, {"out.b": False})),
         _SHARD,
         0.3,
         4,

@@ -36,6 +36,7 @@ from deltafed.wire import (
     serialize_params,
     serialized_size,
 )
+from oracles import drop, merged_with
 
 
 def adapted_model(seed=1, vocab=6, dim=4, rank=2):
@@ -202,8 +203,8 @@ class TestScriptedServer:
         model = adapted_model()
         reshaped = ParameterSet([("rnn.U", Tensor.from_array(np.zeros((2, 2))), False)])
         for bad, entry in (
-            (model.params.drop(["rnn.b"]), "rnn.b"),
-            (model.params.drop(["rnn.U"]).merged_with(reshaped), "rnn.U"),
+            (drop(model.params, ["rnn.b"]), "rnn.b"),
+            (merged_with(drop(model.params, ["rnn.U"]), reshaped), "rnn.U"),
         ):
             server_chs, client_chs = memory_pairs(1, timeout=1.0)
             scripted_join(client_chs[0], 0)
@@ -406,7 +407,7 @@ class TestFactorBroadcast:
 
     def test_missing_factor_rejected(self):
         model = adapted_model()
-        short = model.params.trainable_subset().drop(["rnn.U.lora.B"])
+        short = drop(model.params.trainable_subset(), ["rnn.U.lora.B"])
         with pytest.raises(
             ProtocolError, match=r"^round 2 broadcast lacks trainable entry 'rnn.U.lora.B'$"
         ):
@@ -417,7 +418,7 @@ class TestFactorBroadcast:
         server_chs, client_chs = memory_pairs(1, timeout=1.0)
         server = server_chs[0]
         full = serialize_params(model.params)
-        short = serialize_params(model.params.trainable_subset().drop(["rnn.U.lora.B"]))
+        short = serialize_params(drop(model.params.trainable_subset(), ["rnn.U.lora.B"]))
         for rnd, flags, payload in ((1, FLAG_FACTORS, full), (2, FLAG_FACTORS, short)):
             server.send(
                 encode_message(WireMessage(KIND_GLOBAL_BROADCAST, rnd, SERVER_SENDER, flags, payload))
@@ -434,7 +435,7 @@ class TestFactorBroadcast:
     def test_frozen_entry_rejected(self):
         model = adapted_model()
         frozen = [n for n in model.params.names() if not model.params.trainable(n)]
-        carried = model.params.drop(n for n in frozen if n != "rnn.U")
+        carried = drop(model.params, (n for n in frozen if n != "rnn.U"))
         with pytest.raises(
             ProtocolError, match=r"^round 2 broadcast carries non-trainable entry 'rnn.U'$"
         ):
@@ -461,7 +462,7 @@ class TestFactorBroadcast:
     @staticmethod
     def reshaped(params, name, shape):
         wrong = ParameterSet([(name, Tensor.from_array(np.zeros(shape)), params.trainable(name))])
-        return params.drop([name]).merged_with(wrong)
+        return merged_with(drop(params, [name]), wrong)
 
     def test_misshapen_factor_names_round_entry_and_shapes(self):
         model = adapted_model()

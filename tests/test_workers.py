@@ -3,6 +3,9 @@ across the process boundary, no processes left behind."""
 
 import dataclasses
 import os
+import select
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -161,7 +164,7 @@ class TestPoolFailFast:
 
         marker = self.inject(monkeypatch, tmp_path, fault)
         message = self.fail_then_recover(corpus_path, marker, RuntimeError)
-        assert message == "client 1: injected training fault"
+        assert message == "client 1: round 2: injected training fault"
 
     def test_unpicklable_error_becomes_deltafed_error(
         self, corpus_path, tmp_path, monkeypatch, fresh_pool
@@ -174,12 +177,12 @@ class TestPoolFailFast:
 
         marker = self.inject(monkeypatch, tmp_path, fault)
         message = self.fail_then_recover(corpus_path, marker, DeltaFedError)
-        assert message == "client 1: training raised Local('odd')"
+        assert message == "client 1: round 2: training raised Local('odd')"
 
     def test_worker_exit_named(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
         marker = self.inject(monkeypatch, tmp_path, lambda: os._exit(3))
         message = self.fail_then_recover(corpus_path, marker, DeltaFedError)
-        assert message == "client 1: training worker exited with code 3"
+        assert message == "client 1: round 2: training worker exited with code 3"
 
     def test_unreadable_job_named(self, corpus_path, monkeypatch, fresh_pool):
         task_of = harness._client_task
@@ -194,7 +197,7 @@ class TestPoolFailFast:
         with pytest.raises(DeltaFedError) as exc:
             run_experiment(cfg, report=False)
         assert str(exc.value) == (
-            "client 1: training worker could not read its job: ValueError('shard refused')"
+            "client 1: round 1: training worker could not read its job: ValueError('shard refused')"
         )
         pids = pool_pids()
         assert len(pids) == 2  # the worker lives on and serves the next run
@@ -331,15 +334,101 @@ class TestCompareLanes:
 
         cfg, marker = self.inject(monkeypatch, tmp_path, corpus_path, fault, in_local=False)
         message = self.fail_then_recover(cfg, marker, tmp_path, RuntimeError)
-        assert message == "central: injected training fault"
+        assert message == "central: round 2: injected training fault"
 
     def test_local_worker_exit_named(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
         cfg, marker = self.inject(
             monkeypatch, tmp_path, corpus_path, lambda: os._exit(3), in_local=True
         )
         message = self.fail_then_recover(cfg, marker, tmp_path, DeltaFedError)
-        assert message == "local: training worker exited with code 3"
+        assert message == "local: round 2: training worker exited with code 3"
         assert_no_zombie()
+
+
+class TestScoringFailFast:
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_scoring_error_fails_at_its_round(
+        self, corpus_path, transport, monkeypatch, fresh_pool
+    ):
+        """Each round is scored as it ends, so a scoring error fails the run
+        there, as the server's, and leaves the pool to the next run."""
+        score = harness.perplexity_of
+        calls, injected_at = [], []
+
+        def flaky(*args, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                injected_at.append(time.monotonic())
+                raise RuntimeError("injected scoring fault")
+            return score(*args, **kw)
+
+        monkeypatch.setattr(harness, "perplexity_of", flaky)
+        pool_of_two(monkeypatch)
+        cfg = small_cfg(corpus_path, transport=transport, rounds=5)
+        with pytest.raises(RuntimeError) as exc:
+            run_experiment(cfg, report=False)
+        assert time.monotonic() - injected_at[0] < 2.0
+        assert str(exc.value) == "server: injected scoring fault"
+        assert len(calls) == 2  # no round was scored after it
+        pids = pool_pids()
+        assert len(pids) == 2
+        res = run_experiment(cfg, report=False)  # the next run succeeds
+        assert len(res.records) == cfg.rounds
+        assert pool_pids() == pids
+
+
+# A federated run of 200 rounds that prints a line once round 1 is scored;
+# argv: source directory, corpus path, transport.
+_INTERRUPTED_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import deltafed.harness as harness
+import deltafed.workers as workers
+from deltafed.config import ExperimentConfig
+
+workers.planned_workers = lambda clients: min(clients, 2)
+score = harness.perplexity_of
+
+def announced(*args, **kw):
+    harness.perplexity_of = score
+    ppl = score(*args, **kw)
+    print("round 1 scored", flush=True)
+    return ppl
+
+harness.perplexity_of = announced
+cfg = ExperimentConfig(
+    corpus_path=sys.argv[2], transport=sys.argv[3], rounds=200, clients=2, context=8,
+    embed_dim=8, lr=0.01, batch_size=8, lora_rank=2, lora_dropout=0.0, seed=1,
+)
+harness.run_experiment(cfg, report=False)
+"""
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_ctrl_c_ends_the_run_and_its_workers(self, corpus_path, transport):
+        """^C at a terminal sends SIGINT to the foreground process group.
+        Workers ignore it; the run ends at once with KeyboardInterrupt and
+        reaps them on its way out."""
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        argv = [sys.executable, "-c", _INTERRUPTED_RUN, src, str(corpus_path), transport]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        ) as child:
+            try:
+                assert select.select([child.stdout], [], [], 30.0)[0], "round 1 never ended"
+                assert child.stdout.readline() == "round 1 scored\n"
+                os.killpg(child.pid, signal.SIGINT)
+                sent = time.monotonic()
+                child.wait(timeout=2.0)
+                assert time.monotonic() - sent < 2.0
+                assert "KeyboardInterrupt" in child.stderr.read()
+            finally:
+                if child.poll() is None:
+                    os.killpg(child.pid, signal.SIGKILL)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child.pid, 0)  # no worker left in the group
 
 
 class TestLending:
@@ -403,7 +492,7 @@ class TestNoLeaks:
 
         workers.shutdown()
         monkeypatch.setattr(protocol, "local_train_round", killer)
-        with pytest.raises(DeltaFedError, match="^client 1: training worker killed by signal 9$"):
+        with pytest.raises(DeltaFedError, match="^client 1: round 1: training worker killed by signal 9$"):
             run_experiment(cfg, report=False)
         second = pool_pids()
         assert len(second) == 1  # client 0's worker
