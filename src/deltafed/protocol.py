@@ -11,9 +11,11 @@ A round is three functions: the server's `broadcast`, each client's
 `answer_broadcast` and the server's `fold_updates`. `run_server` and
 `run_client` call them over channels; central mode calls them directly. All
 five take the run's `ExperimentConfig`; what depends on its aggregation and
-delta form is one `RoundPolicy` table entry. A client trains through its
-trainer: a `LocalTrainer` in this process, or a `workers.WorkerTrainer` that
-runs one in a forked worker.
+delta form is one `RoundPolicy` table entry, which names the layout every
+update of a round must have. `fold_updates` checks each update against it
+once, as it arrives, so the rules in `aggregate` only fold. A client trains
+through its trainer: a `LocalTrainer` in this process, or a
+`workers.WorkerTrainer` that runs one in a forked worker.
 """
 
 from __future__ import annotations
@@ -30,19 +32,16 @@ from .aggregate import (
     AGG_GRADUALDIFF,
     FORM_DENSE,
     FORM_FACTORS,
-    KIND_DELTA,
-    KIND_FULL,
     ClientUpdate,
-    check_coverage,
     fedavg_aggregate,
     gradualdiff_aggregate,
     mean_delta,
 )
 from .config import ExperimentConfig
-from .errors import DeltaFedError, ProtocolError, StructureError
+from .errors import DeltaFedError, ProtocolError
 from .model import SEED_CLIENT, LmModel, Windows
 from .optim import OptimizerConfig, OptimizerState, init_state, local_train_round
-from .params import Layout, ParameterSet, Tensor, check_compatible, subtract_trainable
+from .params import Layout, ParameterSet, subtract_trainable
 from .wire import (
     FLAG_FACTORS,
     FLAG_QUANTIZED,
@@ -139,53 +138,46 @@ def _recv(channel, ledger: TrafficLedger) -> bytes:
 
 @dataclass(frozen=True)
 class RoundPolicy:
-    """What one (aggregation, delta_form) pair sends, and how it is folded."""
+    """What one (aggregation, delta_form) pair sends, the layout its updates
+    must have, and how they are folded. The functions look the aggregation
+    rules up in this module at call time, so a wrapper put there sees them."""
 
     factor_broadcasts: bool  # rounds >= 2 broadcast the trainable entries only
     uplink_kind: int
     uplink_flags: int  # FLAG_QUANTIZED is added when a delta is quantized
     form: str | None  # the uplink's delta form; None for full models
+    covers: str  # what an update's entries are, for errors
+    layout: Callable  # global params -> the layout every update must have
     encode: Callable  # (trained model, round-start params) -> uplinked params
-    fold: Callable  # (global params, [ClientUpdate], weighting, ledger) -> params
+    fold: Callable  # (global params, [ClientUpdate], weighting) -> params
 
 
-def _fold_fedavg(global_, updates, weighting, ledger) -> ParameterSet:
-    for u in updates:
-        try:
-            check_compatible(global_, u.params)
-        except StructureError as e:
-            raise ProtocolError(
-                f"full model from client {u.client_id} does not match the "
-                f"global model: {e}",
-                ledger=ledger,
-            ) from e
-    return fedavg_aggregate(updates)
-
-
-def _fold_factors(global_, updates, weighting, ledger) -> ParameterSet:
-    return gradualdiff_aggregate(global_, updates, weighting)
-
-
-def _fold_dense(global_, updates, weighting, ledger) -> ParameterSet:
-    targets = [n.removesuffix(".lora.B") for n in global_.names() if n.endswith(".lora.B")]
-    for u in updates:
-        check_coverage(targets, u, "adapted targets")
-    return apply_dense(global_, mean_delta(updates, weighting), ledger)
+def _dense_layout(params: ParameterSet) -> Layout:
+    """One trainable entry per adapted target, shaped like its base entry."""
+    targets = sorted(n.removesuffix(".lora.B") for n in params.names() if n.endswith(".lora.B"))
+    shapes = tuple(params.layout.slots[t][3] for t in targets)
+    return Layout(tuple(targets), shapes, (True,) * len(targets))
 
 
 # Full models carry no delta form, so both fedavg keys share one entry.
 _FEDAVG = RoundPolicy(
-    False, KIND_FULL_MODEL_UPDATE, 0, None,
-    lambda model, start: model.params, _fold_fedavg,
+    False, KIND_FULL_MODEL_UPDATE, 0, None, "global model",
+    lambda params: params.layout,
+    lambda model, start: model.params,
+    lambda params, updates, weighting: fedavg_aggregate(updates),
 )
 _POLICIES = {
     (AGG_GRADUALDIFF, FORM_FACTORS): RoundPolicy(
-        True, KIND_DELTA_UPDATE, FLAG_FACTORS, FORM_FACTORS,
-        lambda model, start: subtract_trainable(model.params, start), _fold_factors,
+        True, KIND_DELTA_UPDATE, FLAG_FACTORS, FORM_FACTORS, "trainable set",
+        lambda params: params.layout.trainable_only,
+        lambda model, start: subtract_trainable(model.params, start),
+        lambda params, updates, weighting: gradualdiff_aggregate(params, updates, weighting),
     ),
     (AGG_GRADUALDIFF, FORM_DENSE): RoundPolicy(
-        False, KIND_DELTA_UPDATE, 0, FORM_DENSE,
-        lambda model, start: dense_delta(model, start), _fold_dense,
+        False, KIND_DELTA_UPDATE, 0, FORM_DENSE, "adapted targets",
+        _dense_layout,
+        lambda model, start: dense_delta(model, start),
+        lambda params, updates, weighting: apply_dense(params, mean_delta(updates, weighting)),
     ),
     (AGG_FEDAVG, FORM_FACTORS): _FEDAVG,
     (AGG_FEDAVG, FORM_DENSE): _FEDAVG,
@@ -239,18 +231,28 @@ def answer_broadcast(
     return model, loss, update
 
 
+def _differences(want: Layout, got: Layout) -> tuple[list[str], list[str], str | None]:
+    """How `got`, a layout other than `want`, departs from it: (the entries it
+    lacks, those it adds, None), or with want's names, ([], [], the first
+    entry whose shape differs)."""
+    missing = sorted(set(want.names) - set(got.names))
+    extra = sorted(set(got.names) - set(want.names))
+    if missing or extra:
+        return missing, extra, None
+    return [], [], next(n for n in want.names if got.slots[n][3] != want.slots[n][3])
+
+
 def _misfit(rnd: int, want: Layout, got: Layout, factors: bool) -> ProtocolError:
     """The error for a round-`rnd` broadcast laid out as `got`, not `want`,
     naming the first entry that does not fit. The flags come from the model."""
-    stray = sorted(set(want.names) ^ set(got.names))
-    if stray:
-        name = stray[0]
-        if name in want.slots:
+    missing, extra, name = _differences(want, got)
+    if name is None:
+        name = min(missing + extra)
+        if name in missing:
             what = "lacks trainable" if factors else "lacks"
         else:
             what = "carries non-trainable" if factors else "carries unknown"
         return ProtocolError(f"round {rnd} broadcast {what} entry {name!r}")
-    name = next(n for n in want.names if got.slots[n][3] != want.slots[n][3])
     return ProtocolError(
         f"round {rnd} broadcast entry {name!r} has shape {got.slots[name][3]}, "
         f"the model's is {want.slots[name][3]}"
@@ -266,12 +268,13 @@ def fold_updates(
     ledger: TrafficLedger | None = None,
 ) -> LmModel:
     """The server's round end: check and decode each (client id, update) as
-    it arrives, then fold them all into the global model."""
+    it arrives, then fold them all into the global model. An update must have
+    exactly its policy's layout: the same entry names and shapes."""
     policy = _policy(cfg)
+    want = policy.layout(model.params)
     # a full model takes its trainable flags from the global model
     full = policy.form is None
     trainable = set(model.params.trainable_names()) if full else None
-    kind = KIND_FULL if full else KIND_DELTA
     received = []
     for cid, msg in updates:
         _expect(
@@ -294,11 +297,18 @@ def fold_updates(
         except DeltaFedError as e:
             e.args = (f"update from client {cid} in round {rnd}: {e}", *e.args[1:])
             raise
-        received.append(
-            ClientUpdate(cid, rnd, sample_counts[cid], kind, params, form=policy.form)
-        )
-    with _ledgered(ledger):  # aggregate's own checks know no ledger
-        folded = policy.fold(model.params, received, cfg.delta_weighting, ledger)
+        if params.layout != want:
+            missing, extra, name = _differences(want, params.layout)
+            if name is None:
+                why = f"does not cover the {policy.covers}: missing {missing}, extra {extra}"
+            else:
+                shape, expected = params.layout.slots[name][3], want.slots[name][3]
+                why = f"has entry {name!r} of shape {shape}, expected {expected}"
+            what = "full model" if full else "delta"
+            raise ProtocolError(f"{what} from client {cid} in round {rnd} {why}", ledger=ledger)
+        received.append(ClientUpdate(cid, sample_counts[cid], params))
+    with _ledgered(ledger):  # fedavg's frozen-entry check knows no ledger
+        folded = policy.fold(model.params, received, cfg.delta_weighting)
     return model.with_params(folded)
 
 
@@ -324,6 +334,7 @@ def run_server(
     `on_round(t, model)` fires after each round, off the round clock.
     """
     ledger = TrafficLedger()
+    _expect(bool(channels), "a federation needs at least one client channel", ledger)
     by_client: dict[int, object] = {}
     for ch in channels:
         raw = _recv(ch, ledger)
@@ -366,20 +377,12 @@ def run_server(
     return model, ledger
 
 
-def apply_dense(
-    params: ParameterSet, mean: ParameterSet, ledger: TrafficLedger | None = None
-) -> ParameterSet:
-    """Fold dense per-target deltas into the base and restart the factors.
-    `mean` holds adapted targets only, as `_fold_dense` checks."""
+def apply_dense(params: ParameterSet, mean: ParameterSet) -> ParameterSet:
+    """Fold the mean dense delta, laid out as `_dense_layout(params)`, into
+    the base entries and restart the factors."""
     new_vals: dict[str, np.ndarray] = {}
     for name in mean.names():
-        base, delta = params.array(name), mean.array(name)
-        _expect(
-            base.shape == delta.shape,
-            f"dense delta for {name!r} has shape {delta.shape}, base is {base.shape}",
-            ledger,
-        )
-        new_vals[name] = base + delta
+        new_vals[name] = params.array(name) + mean.array(name)
         new_vals[f"{name}.lora.B"] = np.zeros_like(params.array(f"{name}.lora.B"))
     return params.replace_values(new_vals)
 
@@ -450,16 +453,19 @@ def check_client_ledger(
 
 
 def dense_delta(model: LmModel, start: ParameterSet) -> ParameterSet:
+    """Each adapted target's change in scaling * A @ B since `start`, laid
+    out as `_dense_layout(start)`."""
     def product(ps: ParameterSet, target: str) -> np.ndarray:
         return ps.array(f"{target}.lora.A") @ ps.array(f"{target}.lora.B")
 
-    entries = []
-    for target in sorted(model.adapters):
-        d = model.adapters[target].scaling * (product(model.params, target) - product(start, target))
-        entries.append((target, Tensor.from_array(d), True))
-    if not entries:
+    layout = _dense_layout(start)
+    if not layout.names:
         raise ProtocolError("dense deltas require an adapted model")
-    return ParameterSet(entries)
+    vec = np.empty(layout.trainable_size)
+    for target, view in layout.views(vec).items():
+        change = product(model.params, target) - product(start, target)
+        view[...] = model.adapters[target].scaling * change
+    return ParameterSet.from_vectors(layout, vec, np.zeros(0))
 
 
 def run_client(channel, model: LmModel, trainer, cfg: ExperimentConfig) -> ClientResult:

@@ -78,13 +78,13 @@ class TestCriterion1:
                 via_delta = gradualdiff_aggregate(
                     global_,
                     [
-                        ClientUpdate(i, 1, 1, "delta", d, form="factors")
+                        ClientUpdate(i, 1, d)
                         for i, d in enumerate(deltas)
                     ],
                 )
                 via_fedavg = fedavg_aggregate(
                     [
-                        ClientUpdate(i, 1, 1, "full", add_delta(global_, d))
+                        ClientUpdate(i, 1, add_delta(global_, d))
                         for i, d in enumerate(deltas)
                     ]
                 )

@@ -1,10 +1,12 @@
 import socket
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from deltafed import protocol
 from deltafed.config import ExperimentConfig
 from deltafed.errors import ConfigError, FormatError, ProtocolError
 from deltafed.lora import attach
@@ -123,6 +125,34 @@ def delta_like(params, value):
     )
 
 
+# policy -> (its config, what its updates are called and cover in errors,
+# the entry its misfit cases drop and reshape, and that entry's wrong shape)
+POLICIES = {
+    "factors": (
+        ExperimentConfig(rounds=1), "delta", "trainable set", "rnn.U.lora.A", (4, 3)
+    ),
+    "dense": (
+        ExperimentConfig(rounds=1, delta_form="dense"), "delta", "adapted targets", "rnn.U", (3, 4)
+    ),
+    "fedavg": (
+        ExperimentConfig(rounds=1, aggregation="fedavg"), "full model", "global model", "rnn.U", (2, 2)
+    ),
+}
+
+
+def fitting_update(model, policy):
+    """(kind, flags, params) of a round-1 update with the policy's layout."""
+    p = model.params
+    if policy == "factors":
+        return KIND_DELTA_UPDATE, FLAG_FACTORS, delta_like(p, 0.0)
+    if policy == "dense":
+        targets = ("embed.W", "rnn.U")
+        return KIND_DELTA_UPDATE, 0, ParameterSet(
+            [(t, Tensor.from_array(np.zeros(p.tensor(t).shape)), True) for t in targets]
+        )
+    return KIND_FULL_MODEL_UPDATE, 0, p
+
+
 class TestScriptedServer:
     def test_t0_runs_join_and_shutdown_handshake(self):
         model = adapted_model()
@@ -199,26 +229,6 @@ class TestScriptedServer:
                 model, server_chs, ExperimentConfig(rounds=1, aggregation="fedavg")
             )
 
-    def test_fedavg_rejects_full_model_unlike_global(self):
-        model = adapted_model()
-        reshaped = ParameterSet([("rnn.U", Tensor.from_array(np.zeros((2, 2))), False)])
-        for bad, entry in (
-            (drop(model.params, ["rnn.b"]), "rnn.b"),
-            (merged_with(drop(model.params, ["rnn.U"]), reshaped), "rnn.U"),
-        ):
-            server_chs, client_chs = memory_pairs(1, timeout=1.0)
-            scripted_join(client_chs[0], 0)
-            client_chs[0].send(
-                encode_message(
-                    WireMessage(KIND_FULL_MODEL_UPDATE, 1, 0, 0, serialize_params(bad))
-                )
-            )
-            with pytest.raises(ProtocolError, match=f"client 0 .*'{entry}'") as exc:
-                run_server(
-                    model, server_chs, ExperimentConfig(rounds=1, aggregation="fedavg")
-                )
-            assert exc.value.ledger is not None
-
     def test_nonfinite_update_names_client_round_and_entry(self):
         model = adapted_model()
         server_chs, client_chs = memory_pairs(1, timeout=1.0)
@@ -236,40 +246,41 @@ class TestScriptedServer:
             f"update from client 0 in round 1: entry {last!r}: non-finite f32 values"
         )
 
-    def test_dense_delta_must_cover_every_adapted_target(self):
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("misfit", ["missing", "extra", "misshapen"])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_misfit_update_names_client_round_and_entry(self, policy, misfit, k):
+        cfg, who, covers, entry, shape = POLICIES[policy]
         model = adapted_model()
-        server_chs, client_chs = memory_pairs(1, timeout=1.0)
-        scripted_join(client_chs[0], 0)
-        shape = model.params.tensor("embed.W").shape
-        partial = ParameterSet([("embed.W", Tensor.from_array(np.ones(shape)), True)])
-        client_chs[0].send(
-            encode_message(WireMessage(KIND_DELTA_UPDATE, 1, 0, 0, serialize_params(partial)))
-        )
-        with pytest.raises(
-            ProtocolError,
-            match=r"^delta from client 0 in round 1 does not cover the adapted targets: "
-            r"missing \['rnn.U'\], extra \[\]$",
-        ) as exc:
-            run_server(model, server_chs, ExperimentConfig(rounds=1, delta_form="dense"))
-        assert exc.value.ledger is not None
-        assert exc.value.ledger.uplink_bytes(1) > 0  # the update was booked
-
-    def test_factor_delta_must_cover_the_trainable_set(self):
-        model = adapted_model()
-        server_chs, client_chs = memory_pairs(1, timeout=1.0)
-        scripted_join(client_chs[0], 0)
-        stray = ParameterSet([("q", Tensor.from_array(np.zeros(2)), True)])
-        scripted_delta(client_chs[0], 0, 1, stray)
+        kind, flags, fits = fitting_update(model, policy)
+        if misfit == "missing":
+            bad = drop(fits, [entry])
+            why = f" does not cover the {covers}: missing [{entry!r}], extra []"
+        elif misfit == "extra":
+            bad = merged_with(fits, ParameterSet([("q", Tensor.from_array(np.zeros(2)), True)]))
+            why = f" does not cover the {covers}: missing [], extra ['q']"
+        else:
+            wrong = ParameterSet([(entry, Tensor.from_array(np.zeros(shape)), True)])
+            bad = merged_with(drop(fits, [entry]), wrong)
+            why = f" has entry {entry!r} of shape {shape}, expected {fits.tensor(entry).shape}"
+        server_chs, client_chs = memory_pairs(k, timeout=1.0)
+        last = k - 1
+        for cid in range(k):
+            scripted_join(client_chs[cid], cid)
+            params = bad if cid == last else fits
+            client_chs[cid].send(
+                encode_message(WireMessage(kind, 1, cid, flags, serialize_params(params)))
+            )
         with pytest.raises(ProtocolError) as exc:
-            run_server(model, server_chs, ExperimentConfig(rounds=1))
-        missing = sorted(model.params.trainable_names())
-        assert str(exc.value) == (
-            f"delta from client 0 in round 1 does not cover the trainable set: "
-            f"missing {missing}, extra ['q']"
-        )
+            run_server(model, server_chs, cfg)
+        assert str(exc.value) == f"{who} from client {last} in round 1{why}"
         ledger = exc.value.ledger
         assert ledger is not None
-        assert ledger.downlink_bytes(1) > 0 and ledger.uplink_bytes(1) > 0
+        assert ledger.byte_table()[1]["up"][last] > 0  # the update was booked
+
+    def test_empty_rejected(self):
+        with pytest.raises(ProtocolError, match="^a federation needs at least one client channel$"):
+            run_server(adapted_model(), [], ExperimentConfig(rounds=1))
 
     def test_duplicate_join_rejected(self):
         model = adapted_model()
@@ -379,6 +390,21 @@ class TestEndToEndMemory:
         full_sz = serialized_size(model.params, "all")
         assert ledger.downlink_bytes(2) == 2 * (HEADER_LEN + full_sz)
 
+    def test_channel_order_leaves_the_run_bitwise_alike(self):
+        model = adapted_model()
+        cfg = ExperimentConfig(rounds=2)
+        shards = shards_for(model, 3)
+        runs = []
+        for order in (1, -1):
+            tasks = tasks_for(model, shards, rounds=2)
+            server_chs, client_chs = memory_pairs(3, timeout=10.0)
+            final, ledger, _ = federate(model, tasks, cfg, server_chs[::order], client_chs)
+            runs.append((final.params, ledger.byte_table()))
+        (ours, table), (theirs, reversed_table) = runs
+        assert ours.trainable_flat.tobytes() == theirs.trainable_flat.tobytes()
+        assert ours.frozen_flat.tobytes() == theirs.frozen_flat.tobytes()
+        assert table == reversed_table
+
     def test_sample_weighted_deltas(self):
         model = adapted_model()
         server_chs, client_chs = memory_pairs(2, timeout=1.0)
@@ -393,6 +419,32 @@ class TestEndToEndMemory:
         name = model.params.trainable_names()[0]
         moved = final.params.array(name) - model.params.array(name)
         assert np.allclose(moved, 0.75, atol=1e-12)
+
+
+class TestAggregationSpans:
+    """The benchmark's tracer times aggregation by wrapping these names in
+    `deltafed.protocol`, so each policy's round must call its own through them."""
+
+    CALLED = {
+        "factors": {"gradualdiff_aggregate"},
+        "dense": {"mean_delta", "apply_dense", "dense_delta"},
+        "fedavg": {"fedavg_aggregate"},
+    }
+
+    @pytest.mark.parametrize("policy", sorted(CALLED))
+    def test_round_calls_its_rules_by_module_name(self, monkeypatch, policy):
+        calls = Counter()
+        for name in set().union(*self.CALLED.values()):
+            def counting(*args, _fn=getattr(protocol, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(protocol, name, counting)
+        model = adapted_model()
+        tasks = tasks_for(model, shards_for(model, 1), rounds=1)
+        server_chs, client_chs = memory_pairs(1, timeout=10.0)
+        federate(model, tasks, POLICIES[policy][0], server_chs, client_chs)
+        assert set(calls) == self.CALLED[policy]
 
 
 class TestFactorBroadcast:
