@@ -1,5 +1,15 @@
 """Desk-scale federated fine-tuning with delta aggregation and LoRA adapters."""
 
+import os
+
+# One BLAS thread per process unless the caller chose otherwise: the model's
+# matrices are small and runs already train clients in parallel worker
+# processes, so more threads only oversubscribe the cores. Set before numpy
+# loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .config import ExperimentConfig, load_config, parse_config, save_config
 from .errors import (
     ArgumentError,
@@ -13,7 +23,6 @@ from .errors import (
 from .harness import ExperimentResult, compare_modes, run_experiment
 from .params import (
     ParameterSet,
-    Tensor,
     add_delta,
     l2_norm,
     subtract_trainable,
@@ -33,7 +42,6 @@ __all__ = [
     "ParameterSet",
     "ProtocolError",
     "StructureError",
-    "Tensor",
     "add_delta",
     "compare_modes",
     "l2_norm",

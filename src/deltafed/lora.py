@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .model import SEED_LORA, LmModel
-from .params import ParameterSet, Tensor
+from .params import ParameterSet
 
 LORA_INIT_STD = 0.02
 
@@ -58,7 +58,7 @@ def attach(
     for t in names:
         if t not in p:
             raise ArgumentError(f"no entry named {t!r}")
-        shape = p.tensor(t).shape
+        shape = p.array(t).shape
         if len(shape) != 2:
             raise ArgumentError(f"adapter target {t!r} must be 2-D, got shape {shape}")
         if rank > min(shape):
@@ -68,12 +68,11 @@ def attach(
 
     scaling = alpha / rank
     rng = np.random.default_rng([seed, SEED_LORA])
-    entries = [(n, t, False) for n, t, _ in p.items()]
+    entries = [(n, a, False) for n, a, _ in p.items()]
     meta = {}
     for t in sorted(names):
-        m, n = p.tensor(t).shape
-        a = rng.normal(0.0, LORA_INIT_STD, (m, rank))
-        entries.append((f"{t}.lora.A", Tensor.from_array(a), True))
-        entries.append((f"{t}.lora.B", Tensor.from_array(np.zeros((rank, n))), True))
+        m, n = p.array(t).shape
+        entries.append((f"{t}.lora.A", rng.normal(0.0, LORA_INIT_STD, (m, rank)), True))
+        entries.append((f"{t}.lora.B", np.zeros((rank, n)), True))
         meta[t] = LoraAdapter(t, rank, float(alpha), float(dropout_p), float(scaling))
     return LmModel(model.cfg, ParameterSet(entries), meta)

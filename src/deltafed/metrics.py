@@ -1,4 +1,4 @@
-"""Evaluation metrics and run reports: BLEU, perplexity, CSV/JSON emission."""
+"""Evaluation metrics and run reports: BLEU, round records, CSV/JSON emission."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from typing import Sequence
 
 from .config import MODES
 from .errors import ArgumentError
-from .model import LmModel, perplexity_of
 
 CSV_COLUMNS = (
     "round",
@@ -67,10 +66,6 @@ def bleu(hypothesis: Sequence, references: list, max_n: int = 4) -> float:
     r = min(ref_lens, key=lambda L: (abs(L - c), L))  # ties -> shorter
     bp = min(1.0, math.exp(1.0 - r / c))
     return bp * math.exp(log_sum / orders)
-
-
-def corpus_perplexity(model: LmModel, ids: Sequence[int]) -> float:
-    return perplexity_of(model, ids)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ order, end to end). The gradient and both AdamW moments are vectors laid
 out the same way. local_train_round steps a copy of the round-start vector
 in place and hands it to a set that shares the round-start layout and
 frozen vector. clip_gradients and adamw_step do the same arithmetic on
-ParameterSet arguments.
+ParameterSet arguments. The gradients' and the state's layouts must be the
+parameters' trainable entries alone; `params.check_layout` raises a
+StructureError naming the entry that is not.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericalError, StructureError
+from .errors import ArgumentError, NumericalError
 from .model import LmModel, Windows, as_windows, check_windows, trainable_loss_and_grad
-from .params import Layout, ParameterSet, check_compatible
+from .params import Layout, ParameterSet, check_layout
 
 BETA1, BETA2 = 0.9, 0.999  # AdamW moment decay rates
 EPS = 1e-8
@@ -73,12 +75,6 @@ def init_state(params: ParameterSet) -> OptimizerState:
     layout = params.layout.trainable_only
     n = layout.trainable_size
     return OptimizerState(0, layout, np.zeros(n), np.zeros(n))
-
-
-def _require_layout(state: OptimizerState, params: ParameterSet) -> None:
-    want = params.layout.trainable_only
-    if state.layout != want:
-        raise StructureError(f"optimizer state covers {state.layout}, the trainable entries are {want}")
 
 
 def lr_at(step: int, cfg: OptimizerConfig) -> float:
@@ -159,8 +155,8 @@ def adamw_step(
 ) -> tuple[ParameterSet, OptimizerState]:
     """One update; the state passed in is left as it was. The gradients'
     trainable entries must be the parameters'."""
-    check_compatible(params.trainable_subset(), grads.trainable_subset())
-    _require_layout(state, params)
+    check_layout(params.layout.trainable_only, grads.layout.trainable_only)
+    check_layout(params.layout.trainable_only, state.layout)
     p = params.trainable_flat.copy()
     m, v = state.m_flat.copy(), state.v_flat.copy()
     _adamw_flat(p, grads.trainable_flat, m, v, state.step, cfg)
@@ -204,7 +200,7 @@ def local_train_round(
     if steps < 0:
         raise ArgumentError(f"steps must be >= 0, got {steps}")
     params = model.params
-    _require_layout(state, params)
+    check_layout(params.layout.trainable_only, state.layout)
     check_windows(model.cfg, windows)
     p = params.trainable_flat.copy()
     values = params.arrays(trainable=p)

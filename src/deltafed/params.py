@@ -5,9 +5,11 @@ around. A set is a shared, immutable `Layout` and two read-only float64
 vectors: its trainable entries end to end in name order, and its frozen
 entries likewise. A set derived from another shares its layout and, unless
 it changes frozen values, its frozen vector, so those are never copied.
-`array(name)` and `tensor(name)` are views; the delta algebra is one vector
-operation. 32-bit floats exist only in the wire module. Lexicographic name
-order makes summation order, serialization, and ledgers reproducible.
+A set is built from arrays, which it copies, or takes two vectors over
+(`from_vectors`); `array(name)` is a read-only view. The delta algebra is
+one vector operation, and `check_layout` is the one check that two sets'
+layouts agree. 32-bit floats exist only in the wire module. Lexicographic
+name order makes summation order, serialization, and ledgers reproducible.
 """
 
 from __future__ import annotations
@@ -20,70 +22,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ArgumentError, StructureError
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """A dense row-major float64 tensor with an explicit shape.
-
-    `data` is a read-only 1-D array; `shape` dims are positive and their
-    product equals len(data). Values are finite.
-    """
-
-    shape: tuple[int, ...]
-    data: np.ndarray
-
-    @staticmethod
-    def from_array(arr: np.ndarray | Sequence) -> "Tensor":
-        a = np.asarray(arr, dtype=np.float64)
-        if a.ndim == 0:
-            a = a.reshape(1)
-        flat = a.reshape(-1).copy()  # own the buffer; no aliasing with the caller
-        flat.setflags(write=False)
-        return Tensor(tuple(int(d) for d in a.shape), flat)
-
-    def __post_init__(self):
-        if not self.shape or any(d <= 0 for d in self.shape):
-            raise ArgumentError(f"tensor shape must be positive dims, got {self.shape}")
-        if self.data.ndim != 1:
-            raise ArgumentError("tensor data must be flat (1-D)")
-        if math.prod(self.shape) != self.data.size:
-            raise ArgumentError(
-                f"shape {self.shape} wants {math.prod(self.shape)} elements, "
-                f"data has {self.data.size}"
-            )
-        if self.data.dtype != np.float64:
-            raise ArgumentError(f"tensor data must be float64, got {self.data.dtype}")
-        if not np.all(np.isfinite(self.data)):
-            raise ArgumentError("tensor contains non-finite values")
-        if self.data.flags.writeable:
-            # defensive copy so no caller can mutate us through an alias
-            safe = self.data.copy()
-            safe.setflags(write=False)
-            object.__setattr__(self, "data", safe)
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only view shaped like `shape`."""
-        return self.data.reshape(self.shape)
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tensor)
-            and self.shape == other.shape
-            and np.array_equal(self.data, other.data)
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.data.tobytes()))
-
-    def __reduce__(self):
-        # through the constructor, so an unpickled tensor is read-only again
-        return Tensor, (self.shape, self.data)
 
 
 @dataclass(frozen=True)
@@ -164,22 +102,28 @@ def _owned(vec: np.ndarray, layout: Layout, trainable: bool) -> np.ndarray:
     return vec
 
 
+def _entry(name: str, values, trainable) -> tuple[str, tuple[int, ...], bool, np.ndarray]:
+    """An array entry as pack takes it; a scalar is one value."""
+    a = np.asarray(values, dtype=np.float64)
+    shape = a.shape or (1,)
+    if 0 in shape:
+        raise ArgumentError(f"entry {name!r} has shape {shape}; dims must be positive")
+    return name, shape, bool(trainable), a.reshape(-1)
+
+
 class ParameterSet:
-    """Ordered name -> (Tensor, trainable) map over `layout`,
+    """Ordered name -> (values, trainable) map over `layout`,
     `trainable_flat` and `frozen_flat`, immutable after construction. All
     operations return new sets."""
 
     __slots__ = ("layout", "trainable_flat", "frozen_flat")
 
-    def __new__(cls, entries: Mapping[str, tuple[Tensor, bool]] | Iterable[tuple[str, Tensor, bool]]):
+    def __new__(cls, entries: Mapping[str, tuple[object, bool]] | Iterable[tuple[str, object, bool]]):
+        """A set of copies of the given arrays: (name, array, trainable)
+        triples or {name: (array, trainable)}."""
         if isinstance(entries, Mapping):
-            items = [(name, t, bool(flag)) for name, (t, flag) in entries.items()]
-        else:
-            items = [(name, t, bool(flag)) for name, t, flag in entries]
-        for name, t, _ in items:
-            if not isinstance(t, Tensor):
-                raise ArgumentError(f"entry {name!r} is not a Tensor")
-        return cls.from_vectors(*pack((name, t.shape, flag, t.data) for name, t, flag in items))
+            entries = ((name, a, flag) for name, (a, flag) in entries.items())
+        return cls.from_vectors(*pack(_entry(*e) for e in entries))
 
     @classmethod
     def from_vectors(cls, layout: Layout, trainable: np.ndarray, frozen: np.ndarray) -> "ParameterSet":
@@ -219,9 +163,6 @@ class ParameterSet:
         except KeyError:
             raise ArgumentError(f"no entry named {name!r}") from None
 
-    def tensor(self, name: str) -> Tensor:
-        return Tensor(self._slot(name)[3], self.array(name).reshape(-1))
-
     def array(self, name: str) -> np.ndarray:
         """Read-only view of the entry's values, shaped like it."""
         flag, lo, hi, shape = self._slot(name)
@@ -237,15 +178,12 @@ class ParameterSet:
     def trainable(self, name: str) -> bool:
         return self._slot(name)[0]
 
-    def items(self) -> Iterator[tuple[str, Tensor, bool]]:
-        """Entries in lexicographic name order."""
-        return ((n, self.tensor(n), f) for n, f in zip(self.layout.names, self.layout.flags))
+    def items(self) -> Iterator[tuple[str, np.ndarray, bool]]:
+        """(name, read-only view, trainable) in lexicographic name order."""
+        return ((n, self.array(n), f) for n, f in zip(self.layout.names, self.layout.flags))
 
     def trainable_names(self) -> list[str]:
         return list(self.layout.trainable_only.names)
-
-    def num_params(self, trainable_only: bool = False) -> int:
-        return self.layout.trainable_size + (0 if trainable_only else self.layout.frozen_size)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParameterSet):
@@ -288,20 +226,31 @@ class ParameterSet:
         return ParameterSet.from_vectors(self.layout, vectors[True], vectors[False])
 
 
-def check_compatible(a: ParameterSet, b: ParameterSet) -> None:
-    """Raise StructureError naming the first mismatching entry (lexicographic)."""
-    if a.layout == b.layout:
+def differences(want: Layout, got: Layout) -> tuple[list[str], list[str], str | None]:
+    """How `got` departs from `want`: (the entries it lacks, those it adds,
+    None), or with want's names, ([], [], the first entry whose shape or
+    trainable flag differs, or None when the layouts are equal)."""
+    missing = sorted(set(want.names) - set(got.names))
+    extra = sorted(set(got.names) - set(want.names))
+    if missing or extra:
+        return missing, extra, None
+    w, g = want.slots, got.slots  # name -> (flag, start, stop, shape)
+    return [], [], next((n for n in want.names if (w[n][0], w[n][3]) != (g[n][0], g[n][3])), None)
+
+
+def check_layout(want: Layout, got: Layout) -> None:
+    """Raise StructureError unless `got` is `want`, naming every entry it
+    lacks and adds, or else the first entry whose shape or flag differs."""
+    if got == want:
         return
-    stray = sorted(set(a.layout.names) ^ set(b.layout.names))
-    if stray:
-        where = "first set only" if stray[0] in a else "second set only"
-        raise StructureError(f"entry {stray[0]!r} present in {where}")
-    la, lb = a.layout, b.layout
-    for name, sa, sb, fa, fb in zip(la.names, la.shapes, lb.shapes, la.flags, lb.flags):
-        if sa != sb:
-            raise StructureError(f"entry {name!r}: shape {sa} != {sb}")
-        if fa != fb:
-            raise StructureError(f"entry {name!r}: trainable flags differ")
+    missing, extra, name = differences(want, got)
+    if name is None:
+        parts = [f"{what} entries {names}" for what, names in (("missing", missing), ("extra", extra)) if names]
+        raise StructureError("layouts differ: " + ", ".join(parts))
+    (want_flag, *_, want_shape), (got_flag, *_, got_shape) = want.slots[name], got.slots[name]
+    if got_shape != want_shape:
+        raise StructureError(f"entry {name!r}: shape {got_shape}, expected {want_shape}")
+    raise StructureError(f"entry {name!r}: trainable {got_flag}, expected {want_flag}")
 
 
 def subtract_trainable(local: ParameterSet, global_: ParameterSet) -> ParameterSet:
@@ -310,28 +259,16 @@ def subtract_trainable(local: ParameterSet, global_: ParameterSet) -> ParameterS
     This is the client-side delta: what local training changed relative to
     the round-start global state. Frozen entries never appear in the result.
     """
-    check_compatible(local, global_)
+    check_layout(global_.layout, local.layout)
     diff = local.trainable_flat - global_.trainable_flat
     return ParameterSet.from_vectors(local.layout.trainable_only, diff, _EMPTY)
 
 
 def add_delta(base: ParameterSet, delta: ParameterSet) -> ParameterSet:
-    """base + delta on the entries delta names; everything else passes through.
-
-    Every delta entry must exist in base, match its shape, and be trainable
-    there. Frozen entries are reused bitwise, never recomputed.
-    """
-    for name, shape in zip(delta.layout.names, delta.layout.shapes):
-        if name not in base:
-            raise StructureError(f"entry {name!r} present in second set only")
-        flag, _, _, base_shape = base.layout.slots[name]
-        if base_shape != shape:
-            raise StructureError(f"entry {name!r}: shape {base_shape} != {shape}")
-        if not flag:
-            raise StructureError(f"entry {name!r} is frozen in the base set")
-    if delta.layout == base.layout.trainable_only:
-        return base.with_trainable(base.trainable_flat + delta.trainable_flat)
-    return base.replace_values({n: base.array(n) + delta.array(n) for n in delta.names()})
+    """base + delta, a delta laid out as base's trainable entries alone (as
+    subtract_trainable makes one). Frozen entries are reused bitwise."""
+    check_layout(base.layout.trainable_only, delta.layout)
+    return base.with_trainable(base.trainable_flat + delta.trainable_flat)
 
 
 def weighted_sum(sets: Sequence[ParameterSet], weights: Sequence[float]) -> ParameterSet:
@@ -347,7 +284,7 @@ def weighted_sum(sets: Sequence[ParameterSet], weights: Sequence[float]) -> Para
             raise ArgumentError(f"weight must be finite, got {w}")
     first = sets[0]
     for other in sets[1:]:
-        check_compatible(first, other)
+        check_layout(first.layout, other.layout)
 
     def mix(vectors: list[np.ndarray]) -> np.ndarray:
         acc = vectors[0] * float(weights[0])

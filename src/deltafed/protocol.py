@@ -41,7 +41,7 @@ from .config import ExperimentConfig
 from .errors import DeltaFedError, ProtocolError
 from .model import SEED_CLIENT, LmModel, Windows
 from .optim import OptimizerConfig, OptimizerState, init_state, local_train_round
-from .params import Layout, ParameterSet, subtract_trainable
+from .params import Layout, ParameterSet, differences, subtract_trainable
 from .wire import (
     FLAG_FACTORS,
     FLAG_QUANTIZED,
@@ -231,21 +231,10 @@ def answer_broadcast(
     return model, loss, update
 
 
-def _differences(want: Layout, got: Layout) -> tuple[list[str], list[str], str | None]:
-    """How `got`, a layout other than `want`, departs from it: (the entries it
-    lacks, those it adds, None), or with want's names, ([], [], the first
-    entry whose shape differs)."""
-    missing = sorted(set(want.names) - set(got.names))
-    extra = sorted(set(got.names) - set(want.names))
-    if missing or extra:
-        return missing, extra, None
-    return [], [], next(n for n in want.names if got.slots[n][3] != want.slots[n][3])
-
-
 def _misfit(rnd: int, want: Layout, got: Layout, factors: bool) -> ProtocolError:
     """The error for a round-`rnd` broadcast laid out as `got`, not `want`,
     naming the first entry that does not fit. The flags come from the model."""
-    missing, extra, name = _differences(want, got)
+    missing, extra, name = differences(want, got)
     if name is None:
         name = min(missing + extra)
         if name in missing:
@@ -298,7 +287,7 @@ def fold_updates(
             e.args = (f"update from client {cid} in round {rnd}: {e}", *e.args[1:])
             raise
         if params.layout != want:
-            missing, extra, name = _differences(want, params.layout)
+            missing, extra, name = differences(want, params.layout)
             if name is None:
                 why = f"does not cover the {policy.covers}: missing {missing}, extra {extra}"
             else:

@@ -8,17 +8,17 @@ from deltafed.aggregate import (
     mean_delta,
 )
 from deltafed.errors import ArgumentError, ProtocolError
-from deltafed.params import ParameterSet, Tensor, subtract_trainable
+from deltafed.params import ParameterSet, subtract_trainable
 
 
 def scalar_model(value, trainable=True):
-    return ParameterSet({"w": (Tensor.from_array(np.array([value])), trainable)})
+    return ParameterSet({"w": (np.array([value]), trainable)})
 
 
 def random_set(rng, frozen_base=False):
     entries = {
-        "a.W": (Tensor.from_array(rng.standard_normal((4, 3))), not frozen_base),
-        "b.v": (Tensor.from_array(rng.standard_normal(5)), True),
+        "a.W": (rng.standard_normal((4, 3)), not frozen_base),
+        "b.v": (rng.standard_normal(5), True),
     }
     return ParameterSet(entries)
 
@@ -89,11 +89,11 @@ class TestGradualdiff:
         rng = np.random.default_rng(7)
         g = random_set(rng)
         zero = g.replace_values(
-            {n: np.zeros(g.tensor(n).shape) for n in g.names()}
+            {n: np.zeros(g.array(n).shape) for n in g.names()}
         )
         out = gradualdiff_aggregate(g, [update(i, zero) for i in range(4)])
         for name in g.names():
-            assert out.tensor(name).data.tobytes() == g.tensor(name).data.tobytes()
+            assert out.array(name).tobytes() == g.array(name).tobytes()
 
     def test_matches_fedavg_of_reconstructed_locals(self):
         rng = np.random.default_rng(8)
@@ -133,7 +133,7 @@ class TestGradualdiff:
         out1 = gradualdiff_aggregate(g, ds)
         out2 = gradualdiff_aggregate(g, list(reversed(ds)))
         for name in g.names():
-            assert out1.tensor(name).data.tobytes() == out2.tensor(name).data.tobytes()
+            assert out1.array(name).tobytes() == out2.array(name).tobytes()
 
     def test_frozen_entries_untouched(self):
         rng = np.random.default_rng(11)

@@ -55,7 +55,7 @@ class TestAttach:
     def test_trainable_count_formula(self, adapted):
         # sum of r*(m+n) over targets: embed.W is 6x4, rnn.U is 4x4, r=2
         expected = 2 * (6 + 4) + 2 * (4 + 4)
-        assert adapted.params.num_params(trainable_only=True) == expected
+        assert adapted.params.layout.trainable_size == expected
 
     def test_b_zero_init_preserves_forward(self, plain, adapted):
         seq = [0, 1, 2, 3, 4]

@@ -8,11 +8,10 @@ from deltafed.errors import ArgumentError
 from deltafed.metrics import (
     RoundRecord,
     bleu,
-    corpus_perplexity,
     emit_report,
     format_rows,
 )
-from deltafed.model import LmConfig, init_model
+from deltafed.model import LmConfig, init_model, perplexity_of
 from oracles import forward
 from rounds_csv import parse_rounds_csv
 
@@ -78,7 +77,7 @@ class TestBleu:
 
 def uniform_model(vocab=7):
     m = init_model(LmConfig(vocab_size=vocab, embed_dim=3, context=5), seed=0)
-    zeros = {n: np.zeros(m.params.tensor(n).shape) for n in m.params.names()}
+    zeros = {n: np.zeros(m.params.array(n).shape) for n in m.params.names()}
     return m.with_params(m.params.replace_values(zeros))
 
 
@@ -86,7 +85,7 @@ class TestCorpusPerplexity:
     def test_uniform_model_gives_vocab_size(self):
         m = uniform_model(vocab=7)
         ids = list(np.random.default_rng(1).integers(0, 7, size=40))
-        assert corpus_perplexity(m, ids) == pytest.approx(7.0, rel=1e-12)
+        assert perplexity_of(m, ids) == pytest.approx(7.0, rel=1e-12)
 
     def test_matches_per_token_loop_oracle(self):
         m = init_model(LmConfig(vocab_size=5, embed_dim=4, context=4), seed=9)
@@ -102,7 +101,7 @@ class TestCorpusPerplexity:
                 total += -math.log(probs[i, window[i + 1]])
                 positions += 1
         oracle = math.exp(total / positions)
-        assert corpus_perplexity(m, ids) == pytest.approx(oracle, rel=1e-9)
+        assert perplexity_of(m, ids) == pytest.approx(oracle, rel=1e-9)
 
     def test_decreases_under_training(self):
         from deltafed.optim import OptimizerConfig, init_state, local_train_round
@@ -111,7 +110,7 @@ class TestCorpusPerplexity:
         ids = [0, 1, 2, 3] * 30  # learnable structure, not noise
         shard = [ids[i : i + 7] for i in range(0, 112, 7)]
         cfg = OptimizerConfig(lr=0.02, total_steps=50, warmup_ratio=0.0)
-        before = corpus_perplexity(m, ids)
+        before = perplexity_of(m, ids)
         rng = np.random.default_rng(0)
         state = init_state(m.params)
         mid, state, _ = local_train_round(
@@ -120,8 +119,8 @@ class TestCorpusPerplexity:
         after, _, _ = local_train_round(
             mid, state, shard, cfg, rng, batch_size=4, steps=25,
         )
-        p_mid = corpus_perplexity(mid, ids)
-        p_after = corpus_perplexity(after, ids)
+        p_mid = perplexity_of(mid, ids)
+        p_after = perplexity_of(after, ids)
         assert p_mid < before
         assert p_after < p_mid
 

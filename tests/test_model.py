@@ -15,7 +15,6 @@ from deltafed.model import (
     loss_and_grad,
     perplexity_of,
 )
-from deltafed.params import ParameterSet, Tensor
 
 from oracles import forward
 
@@ -27,7 +26,7 @@ def finite_difference_grads(model, batch, eps=1e-5):
         if not flag:
             continue
         g = np.zeros(t.size)
-        base = t.data.copy()
+        base = t.reshape(-1).copy()
         for j in range(t.size):
             for sign in (+1, -1):
                 bumped = base.copy()
@@ -152,7 +151,7 @@ class TestLossAndGrad:
         _, grads = loss_and_grad(tiny_model, [[0, 1]])
         assert grads.names() == tiny_model.params.names()
         for name, t, flag in grads.items():
-            assert t.shape == tiny_model.params.tensor(name).shape
+            assert t.shape == tiny_model.params.array(name).shape
             assert flag == tiny_model.params.trainable(name)
 
 

@@ -12,7 +12,7 @@ from deltafed.errors import ConfigError, FormatError, ProtocolError
 from deltafed.lora import attach
 from deltafed.model import LmConfig, init_model
 from deltafed.optim import OptimizerConfig
-from deltafed.params import ParameterSet, Tensor
+from deltafed.params import ParameterSet
 from deltafed.protocol import (
     SERVER_SENDER,
     ClientTask,
@@ -119,7 +119,7 @@ def delta_like(params, value):
     """Constant dyadic-valued delta over the trainable entries."""
     return ParameterSet(
         [
-            (n, Tensor.from_array(np.full(params.tensor(n).shape, value)), True)
+            (n, np.full(params.array(n).shape, value), True)
             for n in params.trainable_names()
         ]
     )
@@ -148,7 +148,7 @@ def fitting_update(model, policy):
     if policy == "dense":
         targets = ("embed.W", "rnn.U")
         return KIND_DELTA_UPDATE, 0, ParameterSet(
-            [(t, Tensor.from_array(np.zeros(p.tensor(t).shape)), True) for t in targets]
+            [(t, np.zeros(p.array(t).shape), True) for t in targets]
         )
     return KIND_FULL_MODEL_UPDATE, 0, p
 
@@ -257,12 +257,12 @@ class TestScriptedServer:
             bad = drop(fits, [entry])
             why = f" does not cover the {covers}: missing [{entry!r}], extra []"
         elif misfit == "extra":
-            bad = merged_with(fits, ParameterSet([("q", Tensor.from_array(np.zeros(2)), True)]))
+            bad = merged_with(fits, ParameterSet([("q", np.zeros(2), True)]))
             why = f" does not cover the {covers}: missing [], extra ['q']"
         else:
-            wrong = ParameterSet([(entry, Tensor.from_array(np.zeros(shape)), True)])
+            wrong = ParameterSet([(entry, np.zeros(shape), True)])
             bad = merged_with(drop(fits, [entry]), wrong)
-            why = f" has entry {entry!r} of shape {shape}, expected {fits.tensor(entry).shape}"
+            why = f" has entry {entry!r} of shape {shape}, expected {fits.array(entry).shape}"
         server_chs, client_chs = memory_pairs(k, timeout=1.0)
         last = k - 1
         for cid in range(k):
@@ -513,7 +513,7 @@ class TestFactorBroadcast:
 
     @staticmethod
     def reshaped(params, name, shape):
-        wrong = ParameterSet([(name, Tensor.from_array(np.zeros(shape)), params.trainable(name))])
+        wrong = ParameterSet([(name, np.zeros(shape), params.trainable(name))])
         return merged_with(drop(params, [name]), wrong)
 
     def test_misshapen_factor_names_round_entry_and_shapes(self):
@@ -679,7 +679,7 @@ class TestTcpTransport:
 
         for name in model.params.names():
             assert (
-                final_mem.params.tensor(name).data.tobytes()
-                == final_tcp.params.tensor(name).data.tobytes()
+                final_mem.params.array(name).tobytes()
+                == final_tcp.params.array(name).tobytes()
             )
         assert ledger_mem.byte_table() == ledger_tcp.byte_table()
