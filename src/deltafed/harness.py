@@ -2,15 +2,14 @@
 
 The three modes share corpus ingestion, partitioning, and the per-round step
 budget so their loss curves sit on the same axis, and one round: the
-protocol's own round functions. Central and local mode play a federation of
-one client with no channel and no thread (`_alone`): central on the whole
-training split at the summed step budget, local client i on shard i, so it
-honours `delta_form` and `quantize_payload`. Every value still takes the f32
-wire casts, so K=1 local, central and K=1 federated runs are bitwise equal.
-Every mode gets its trainers from `workers.client_trainers`: federated
-clients train in the pool's worker processes when there are two or more
-clients and cores, a lone client on an idle worker if the pool has one, all
-with the same results as in process.
+protocol's own steps. A federated run is the server and its K clients, all
+driven by `protocol.run_server` on this thread. Central and local mode drive
+one `protocol.Client` with no channel (`_alone`): central on the whole
+training split at the summed step budget, local client i on shard i. Every
+value still takes the f32 wire casts, so K=1 local, central and K=1
+federated runs are bitwise equal. Every mode trains through
+`workers.client_trainers`, with the same results in a pool worker as in
+process. An error names who raised it: `client <i>: ...` or `server: ...`.
 
 `compare_modes` reads the corpus once for all three modes. The federated
 run goes first and alone, so its round times stay comparable; then central
@@ -24,6 +23,7 @@ import json
 import math
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -44,16 +44,18 @@ from .model import (
 )
 from .optim import OptimizerConfig
 from .protocol import (
+    Client,
     ClientTask,
     TrafficLedger,
-    answer_broadcast,
+    blame,
     broadcast,
     check_client_ledger,
     fold_updates,
-    run_client,
+    prefixed,
     run_server,
 )
-from .transport import TcpListener, memory_pairs, tcp_connect
+from .transport import Hub, TcpListener, memory_pairs, tcp_connect
+from .wire import decode_message, encode_message
 from .workers import client_trainers
 
 BLEU_SAMPLES = 24
@@ -152,111 +154,55 @@ def _eval_only(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experiment
 # -- federated ---------------------------------------------------------------
 
 
-def _open_channels(cfg: ExperimentConfig):
-    """-> (acquire_server_channels, per-client connect fns, stop_listening).
-
-    `stop_listening` may run more than once and from any thread; on TCP it
-    ends a pending accept at once."""
+@contextmanager
+def _channels(cfg: ExperimentConfig):
+    """-> (server ends, client ends), index-aligned. Each TCP client is
+    accepted before the next connects, so K may exceed the listen backlog."""
     if cfg.transport == "memory":
-        server_sides, client_sides = memory_pairs(cfg.clients)
-        return (
-            lambda: server_sides,
-            [lambda i=i: client_sides[i] for i in range(cfg.clients)],
-            lambda: None,
-        )
-    listener = TcpListener(cfg.tcp_host, cfg.tcp_port)
-    return (
-        lambda: listener.accept(cfg.clients),
-        [
-            lambda: tcp_connect(listener.host, listener.port)
-            for _ in range(cfg.clients)
-        ],
-        listener.close,
-    )
-
-
-def _federate(cfg: ExperimentConfig, setup: _Setup, trainers: list):
-    """Server on this thread, client i on thread `client-<i>` training with
-    trainers[i]; -> (client results, final model, server ledger, per-round
-    perplexities).
-
-    Each round's global model is scored as its round ends, off the round
-    clock, and only the score is kept; a scoring error fails the run there.
-    """
-    acquire, connectors, stop_listening = _open_channels(cfg)
-    results: list = [None] * cfg.clients
-    # (who, exception) in the order they happened; list.append is atomic
-    failures: list[tuple[str, Exception]] = []
-
-    def client_main(i: int) -> None:
-        channel = None
-        try:
-            channel = connectors[i]()
-            results[i] = run_client(channel, setup.model, trainers[i], cfg)
-        except Exception as e:
-            failures.append((f"client {i}", e))  # before the close wakes the server
-            stop_listening()  # a server still in accept gives up now
-        finally:
-            if channel is not None:
-                channel.close()
-
-    threads = [
-        threading.Thread(target=client_main, args=(i,), name=f"client-{i}")
-        for i in range(cfg.clients)
-    ]
-    for th in threads:
-        th.start()
-
-    ppls: list[float] = []
-    channels = []
+        yield memory_pairs(cfg.clients)
+        return
+    server_ends, client_ends = [], []
+    listener, hub = TcpListener(cfg.tcp_host, cfg.tcp_port), Hub()
     try:
-        channels = acquire()
-        model, ledger = run_server(
-            setup.model,
-            channels,
-            cfg,
-            sample_counts=setup.counts,
-            on_round=lambda t, m: ppls.append(perplexity_of(m, setup.val_ids)),
-        )
-    except Exception as e:
-        failures.append(("server", e))  # before the close wakes the clients
+        for i in range(cfg.clients):
+            with blame(f"client {i}"):
+                client_ends.append(tcp_connect(listener.host, listener.port, hub))
+            with blame("server"):
+                server_ends.append(listener.accept(hub))
+        yield server_ends, client_ends
     finally:
-        for channel in channels:
-            channel.close()  # a client still waiting sees the end at once
-        for th in threads:
-            th.join()
-        stop_listening()
-    # later failures are peers seeing a channel close
-    _raise_first(failures)
-    return results, model, ledger, ppls
-
-
-def _raise_first(failures: list[tuple[str, Exception]]) -> None:
-    """Raise the first (who, exception), the root cause, prefixed with who.
-    It keeps its class, attributes and traceback."""
-    if failures:
-        who, e = failures[0]
-        e.args = (f"{who}: {e}", *e.args[1:])
-        raise e
+        listener.close()
+        for end in server_ends + client_ends:
+            end.close()
 
 
 def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
+    """The server and its K clients, all driven by `run_server` on this
+    thread. Each round's global model is scored as its round ends, off the
+    round clock, and only the score is kept; a scoring error fails there."""
     setup = setup or _setup(cfg)
     tasks = [
         _client_task(cfg, i, setup.shards[i], setup.steps[i])
         for i in range(cfg.clients)
     ]
-    # the pool, if any, forks before a channel or a thread exists
-    with client_trainers(tasks) as trainers:
-        results, model, ledger, ppls = _federate(cfg, setup, trainers)
-    for i, result in enumerate(results):
-        check_client_ledger(ledger, i, result.ledger)
+    ppls: list[float] = []
+    # the pool, if any, forks before a channel exists
+    with client_trainers(tasks) as trainers, _channels(cfg) as (server_ends, client_ends):
+        clients = [Client(setup.model, trainer, cfg) for trainer in trainers]
+        with blame("server"):
+            model, ledger = run_server(
+                setup.model, server_ends, cfg, setup.counts,
+                on_round=lambda t, m: ppls.append(perplexity_of(m, setup.val_ids)),
+                clients=list(zip(client_ends, clients)),
+            )
+    for client in clients:
+        check_client_ledger(ledger, client.id, client.ledger)
 
     records = [
         RoundRecord(
             t,
             "federated",
-            float(np.mean([result.losses[t - 1] for result in results])),
+            float(np.mean([client.losses[t - 1] for client in clients])),
             ppl,
             int(ledger.wall_ms(t)),
             ledger.uplink_bytes(t),
@@ -278,17 +224,17 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
 
 
 def _alone(cfg: ExperimentConfig, setup: _Setup, trainer, count: int):
-    """A federation of one client with no channel; per round yields
-    (train loss, global model, wall ms), timing the round alone."""
-    counts = {trainer.client_id: count}
-    model = local = setup.model
+    """A federation of one client with no channel. Per round yields (train
+    loss, global model, wall ms), timing the round alone."""
+    client = Client(setup.model, trainer, cfg)
+    counts = {client.id: count}
+    model = setup.model
     for t in range(1, cfg.rounds + 1):
         start = time.perf_counter()
-        local, loss, update = answer_broadcast(
-            broadcast(model, t, cfg), local, trainer, cfg
-        )
-        model = fold_updates(model, t, [(trainer.client_id, update)], cfg, counts)
-        yield loss, model, (time.perf_counter() - start) * 1000.0
+        client.receive(encode_message(broadcast(model, t, cfg)))
+        update = decode_message(client.update())
+        model = fold_updates(model, t, [(client.id, update)], cfg, counts)
+        yield client.losses[-1], model, (time.perf_counter() - start) * 1000.0
 
 
 def run_central(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
@@ -387,24 +333,26 @@ def compare_modes(cfg: ExperimentConfig, out_dir: str | Path | None = None):
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     setup = _setup(cfg)
     results: dict[str, ExperimentResult] = {}
-    failures: list[tuple[str, Exception]] = []
+    failures: list[Exception] = []  # in the order they happened
 
     def run(mode: str) -> None:
         try:
-            mode_cfg = override(cfg, mode=mode)
-            results[mode] = run_experiment(mode_cfg, report=False, setup=setup)
+            with prefixed(mode):
+                results[mode] = run_experiment(override(cfg, mode=mode), report=False, setup=setup)
         except Exception as e:
-            failures.append((mode, e))
+            failures.append(e)
 
     run("federated")  # the pool grows here, before the helper thread starts
-    _raise_first(failures)
+    if failures:
+        raise failures[0]
     helper = threading.Thread(target=run, args=("central",), name="central")
     helper.start()
     try:
         run("local")
     finally:
         helper.join()
-    _raise_first(failures)
+    if failures:
+        raise failures[0]
     records = [rec for mode in MODES for rec in results[mode].records]
 
     out.mkdir(parents=True, exist_ok=True)

@@ -1,28 +1,29 @@
-"""Round state machine for the delta-averaging federation.
+"""The federation's round, without I/O, and the one loop that drives it.
 
-Server loop per round t: broadcast the global model (full set in round 1,
-trainable entries only afterwards when running delta aggregation with factor
-deltas), block until all K clients answer for round t, aggregate, advance.
-Join handshakes are acks for round 0; the final shutdown is ledgered under
-round T+1. All byte counts are taken on encoded messages, so memory and TCP
-transports account identically.
+A round is the server's `broadcast` of the global model (the full set in
+round 1, then only the trainable entries under delta aggregation with factor
+deltas); each client's install, training (`submit`, then `collect`) and
+update, all in `Client`, one client's side as bytes in and bytes out with
+its own ledger; and the server's `fold_updates`, which checks each update
+once, as it arrives, against the layout its `RoundPolicy` names. Joins are
+round 0 and the shutdown round T+1. Bytes are counted on encoded messages,
+so memory and TCP transports account identically.
 
-A round is three functions: the server's `broadcast`, each client's
-`answer_broadcast` and the server's `fold_updates`. `run_server` and
-`run_client` call them over channels; central mode calls them directly. All
-five take the run's `ExperimentConfig`; what depends on its aggregation and
-delta form is one `RoundPolicy` table entry, which names the layout every
-update of a round must have. `fold_updates` checks each update against it
-once, as it arrives, so the rules in `aggregate` only fold. A client trains
-through its trainer: a `LocalTrainer` in this process, or a
-`workers.WorkerTrainer` that runs one in a forked worker.
+`run_server` is the one round loop. On one thread it holds the server's
+channel ends and each in-process client with its own end: the broadcast
+goes out on every channel and each client submits its training; then, in
+client-id order, each client collects and sends its update and the server
+receives it. A client's error is prefixed `client <i>: ` as it is raised
+(`blame`) and carries the client's ledger. Central and local mode drive one
+`Client` with no channel (`harness._alone`). A client trains through a
+`LocalTrainer` in this process or a `workers.WorkerTrainer`.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -38,7 +39,7 @@ from .aggregate import (
     mean_delta,
 )
 from .config import ExperimentConfig
-from .errors import DeltaFedError, ProtocolError
+from .errors import ProtocolError
 from .model import SEED_CLIENT, LmModel, Windows
 from .optim import OptimizerConfig, OptimizerState, init_state, local_train_round
 from .params import Layout, ParameterSet, differences, subtract_trainable
@@ -120,20 +121,25 @@ def _expect(cond: bool, message: str, ledger: TrafficLedger) -> None:
 
 
 @contextmanager
-def _ledgered(ledger: TrafficLedger | None):
-    """Attach the partial ledger to a ProtocolError raised without one."""
+def prefixed(text: str | None, ledger: TrafficLedger | None = None, culprit: bool = False):
+    """Prefix an exception raised inside with `text: `, keeping its class,
+    attributes and traceback; a `culprit` prefix names who failed, once. A
+    ProtocolError raised without a ledger gets `ledger`."""
     try:
         yield
-    except ProtocolError as e:
-        if e.ledger is None:
+    except Exception as e:
+        if text and not (culprit and hasattr(e, "culprit")):
+            e.args = (f"{text}: {e}", *e.args[1:])
+            if culprit:
+                e.culprit = text
+        if isinstance(e, ProtocolError) and e.ledger is None:
             e.ledger = ledger
         raise
 
 
-def _recv(channel, ledger: TrafficLedger) -> bytes:
-    """recv that re-raises transport failures with the partial ledger attached."""
-    with _ledgered(ledger):
-        return channel.recv()
+def blame(who: str, ledger: TrafficLedger | None = None):
+    """Name `who` as the culprit of a failure inside."""
+    return prefixed(who, ledger, culprit=True)
 
 
 @dataclass(frozen=True)
@@ -197,40 +203,6 @@ def broadcast(model: LmModel, rnd: int, cfg: ExperimentConfig) -> WireMessage:
     return WireMessage(KIND_GLOBAL_BROADCAST, rnd, SERVER_SENDER, flags, payload)
 
 
-def answer_broadcast(
-    msg: WireMessage, model: LmModel, trainer, cfg: ExperimentConfig
-) -> tuple[LmModel, float, WireMessage]:
-    """A client's round: install the broadcast, train, encode the update.
-
-    `trainer` is the client's: a `LocalTrainer`, or anything with its
-    `client_id` and `train`. -> (trained model, mean train loss, update message).
-    An exception from training gets its message prefixed `round <t>: `.
-    """
-    policy = _policy(cfg)
-    params = model.params
-    incoming = deserialize_params(msg.payload, trainable=set(params.trainable_names()))
-    factors = msg.round > 1 and policy.factor_broadcasts
-    want = params.layout.trainable_only if factors else params.layout
-    if incoming.layout != want:
-        raise _misfit(msg.round, want, incoming.layout, factors)
-    # a factor broadcast keeps the model's frozen vector
-    model = model.with_params(params.with_trainable(incoming.trainable_flat) if factors else incoming)
-    start_params = model.params
-
-    try:
-        model, loss = trainer.train(model)
-    except Exception as e:  # keeps its class, attributes and traceback
-        e.args = (f"round {msg.round}: {e}", *e.args[1:])
-        raise
-
-    quantize = cfg.quantize_payload and policy.form is not None  # never full models
-    uplink = policy.encode(model, start_params)
-    payload = serialize_params(uplink, "all", quantize_payload=quantize)
-    flags = policy.uplink_flags | (FLAG_QUANTIZED if quantize else 0)
-    update = WireMessage(policy.uplink_kind, msg.round, trainer.client_id, flags, payload)
-    return model, loss, update
-
-
 def _misfit(rnd: int, want: Layout, got: Layout, factors: bool) -> ProtocolError:
     """The error for a round-`rnd` broadcast laid out as `got`, not `want`,
     naming the first entry that does not fit. The flags come from the model."""
@@ -281,11 +253,8 @@ def fold_updates(
             f"client {cid} sent kind {msg.kind}, expected {policy.uplink_kind}",
             ledger,
         )
-        try:
+        with prefixed(f"update from client {cid} in round {rnd}"):
             params = deserialize_params(msg.payload, trainable=trainable)
-        except DeltaFedError as e:
-            e.args = (f"update from client {cid} in round {rnd}: {e}", *e.args[1:])
-            raise
         if params.layout != want:
             missing, extra, name = differences(want, params.layout)
             if name is None:
@@ -296,48 +265,37 @@ def fold_updates(
             what = "full model" if full else "delta"
             raise ProtocolError(f"{what} from client {cid} in round {rnd} {why}", ledger=ledger)
         received.append(ClientUpdate(cid, sample_counts[cid], params))
-    with _ledgered(ledger):  # fedavg's frozen-entry check knows no ledger
+    with prefixed(None, ledger):  # fedavg's frozen-entry check knows no ledger
         folded = policy.fold(model.params, received, cfg.delta_weighting)
     return model.with_params(folded)
 
 
-def _receive_updates(by_client: dict, rnd: int, ledger: TrafficLedger):
-    for cid in sorted(by_client):
-        raw = _recv(by_client[cid], ledger)
-        msg = decode_message(raw)
-        ledger.add_up(rnd, cid, len(raw))
-        yield cid, msg
-
-
 def run_server(
-    model: LmModel,
-    channels: list,
-    cfg: ExperimentConfig,
-    sample_counts: dict[int, int] | None = None,
-    on_round=None,
+    model: LmModel, channels: list, cfg: ExperimentConfig,
+    sample_counts: dict[int, int] | None = None, on_round=None,
+    clients: Iterable[tuple[object, Client]] = (),
 ) -> tuple[LmModel, TrafficLedger]:
-    """Drive T = cfg.rounds rounds over the given per-client channels.
-
-    `channels` carry one client each, in any order; the join ack's sender_id
-    binds them. Returns the final global model and the server-side ledger.
-    `on_round(t, model)` fires after each round, off the round clock.
-    """
+    """Drive T = cfg.rounds rounds on this thread; -> (final global model,
+    server ledger). `channels` are the server's ends, one per client, in any
+    order; the join ack's sender_id binds them. `clients` pairs each
+    in-process `Client` with its own end of one; any other client answers
+    from the far end. `on_round(t, model)` fires after each round, off the
+    round clock."""
     ledger = TrafficLedger()
     _expect(bool(channels), "a federation needs at least one client channel", ledger)
+    ours: dict[int, tuple[object, Client]] = {}
+    for end, client in clients:
+        with blame(f"client {client.id}", client.ledger):
+            end.send(client.join())
+        ours[client.id] = end, client
     by_client: dict[int, object] = {}
     for ch in channels:
-        raw = _recv(ch, ledger)
+        with prefixed(None, ledger):
+            raw = ch.recv()
         msg = decode_message(raw)
-        _expect(
-            msg.kind == KIND_ROUND_ACK and msg.round == 0,
-            f"expected a join ack, got kind {msg.kind} round {msg.round}",
-            ledger,
-        )
-        _expect(
-            msg.sender_id not in by_client,
-            f"duplicate join from client {msg.sender_id}",
-            ledger,
-        )
+        why = f"expected a join ack, got kind {msg.kind} round {msg.round}"
+        _expect(msg.kind == KIND_ROUND_ACK and msg.round == 0, why, ledger)
+        _expect(msg.sender_id not in by_client, f"duplicate join from client {msg.sender_id}", ledger)
         by_client[msg.sender_id] = ch
         ledger.add_up(0, msg.sender_id, len(raw))
     client_ids = sorted(by_client)
@@ -346,23 +304,36 @@ def run_server(
     for cid in client_ids:
         _expect(cid in counts, f"no sample count for client {cid}", ledger)
 
-    for t in range(1, cfg.rounds + 1):
-        start = time.perf_counter()
-        raw = encode_message(broadcast(model, t, cfg))
+    def deliver(msg: WireMessage) -> None:
+        """Send `msg` on every channel; each in-process client takes it."""
+        raw = encode_message(msg)
         for cid in client_ids:
             by_client[cid].send(raw)
-            ledger.add_down(t, cid, len(raw))
-        model = fold_updates(
-            model, t, _receive_updates(by_client, t, ledger), cfg, counts, ledger
-        )
+            ledger.add_down(msg.round, cid, len(raw))
+        for cid, (end, client) in sorted(ours.items()):
+            with blame(f"client {cid}", client.ledger):
+                client.receive(end.recv())
+
+    def updates(rnd: int):
+        """Each client's update, in id order; an in-process client sends its own first."""
+        for cid in client_ids:
+            if cid in ours:
+                end, client = ours[cid]
+                with blame(f"client {cid}", client.ledger):
+                    end.send(client.update())
+            with prefixed(f"no update from client {cid} for round {rnd}", ledger):
+                raw = by_client[cid].recv()
+            ledger.add_up(rnd, cid, len(raw))
+            yield cid, decode_message(raw)
+
+    for t in range(1, cfg.rounds + 1):
+        start = time.perf_counter()
+        deliver(broadcast(model, t, cfg))
+        model = fold_updates(model, t, updates(t), cfg, counts, ledger)
         ledger.set_wall_ms(t, (time.perf_counter() - start) * 1000.0)
         if on_round is not None:
             on_round(t, model)
-
-    raw = encode_message(WireMessage(KIND_SHUTDOWN, cfg.rounds + 1, SERVER_SENDER))
-    for cid in client_ids:
-        by_client[cid].send(raw)
-        ledger.add_down(cfg.rounds + 1, cid, len(raw))
+    deliver(WireMessage(KIND_SHUTDOWN, cfg.rounds + 1, SERVER_SENDER))
     return model, ledger
 
 
@@ -390,36 +361,88 @@ class ClientTask:
 
 
 class LocalTrainer:
-    """A client's training in this process: its task, plus the optimizer
-    state and the shuffle/dropout RNG it carries from round to round."""
+    """A client's training in this process, run inside `submit`: its task,
+    and the optimizer state and shuffle/dropout RNG it carries across rounds."""
 
     def __init__(self, task: ClientTask) -> None:
         self.task = task
         self.client_id = task.client_id
         self._rng = task.rng()
         self._state: OptimizerState | None = None
+        self._result: tuple[LmModel, float] | None = None
 
-    def train(self, model: LmModel) -> tuple[LmModel, float]:
-        """One round of local steps from `model`; -> (trained model, mean loss)."""
+    def submit(self, model: LmModel) -> None:
+        """One round of local steps from `model`, kept for `collect`."""
         if self._state is None:
             self._state = init_state(model.params)
         task = self.task
         model, self._state, loss = local_train_round(
-            model,
-            self._state,
-            task.shard,
-            task.opt_cfg,
-            self._rng,
-            batch_size=task.batch_size,
-            steps=task.steps_per_round,
+            model, self._state, task.shard, task.opt_cfg, self._rng,
+            batch_size=task.batch_size, steps=task.steps_per_round,
         )
-        return model, loss
+        self._result = model, loss
+
+    def collect(self) -> tuple[LmModel, float]:
+        """-> (trained model, mean loss) of the submitted round."""
+        return self._result
 
 
-@dataclass
-class ClientResult:
-    losses: list[float] = field(default_factory=list)
-    ledger: TrafficLedger = field(default_factory=TrafficLedger)
+class Client:
+    """One client's side of the protocol, without I/O: `join`, then `receive`
+    each server message and answer each broadcast with `update`. The bytes
+    are booked in the client's own ledger, which its ProtocolErrors carry."""
+
+    def __init__(self, model: LmModel, trainer, cfg: ExperimentConfig) -> None:
+        self.id = trainer.client_id
+        self.model = model  # installed, then trained
+        self.trainer = trainer
+        self.cfg = cfg
+        self.ledger = TrafficLedger()
+        self.losses: list[float] = []
+        self._start: ParameterSet | None = None  # the round-start values
+
+    def join(self) -> bytes:
+        raw = encode_message(WireMessage(KIND_ROUND_ACK, 0, self.id))
+        self.ledger.add_up(0, self.id, len(raw))
+        return raw
+
+    def receive(self, raw: bytes) -> bool:
+        """Take one message from the server: install a broadcast and submit
+        its training; -> False at the shutdown."""
+        rnd = len(self.losses) + 1
+        with prefixed(None, self.ledger):
+            msg = decode_message(raw)
+            self.ledger.add_down(msg.round, self.id, len(raw))
+            if msg.kind == KIND_SHUTDOWN and msg.round == rnd:
+                return False
+            why = f"expected round {rnd}, got kind {msg.kind} round {msg.round}"
+            _expect(msg.kind == KIND_GLOBAL_BROADCAST and msg.round == rnd, why, self.ledger)
+            # a factor broadcast keeps the frozen vector; each kind must fit exactly
+            params = self.model.params
+            incoming = deserialize_params(msg.payload, trainable=set(params.trainable_names()))
+            factors = rnd > 1 and _policy(self.cfg).factor_broadcasts
+            want = params.layout.trainable_only if factors else params.layout
+            if incoming.layout != want:
+                raise _misfit(rnd, want, incoming.layout, factors)
+            self._start = params.with_trainable(incoming.trainable_flat) if factors else incoming
+            self.model = self.model.with_params(self._start)
+            with prefixed(f"round {rnd}"):
+                self.trainer.submit(self.model)
+        return True
+
+    def update(self) -> bytes:
+        """Collect the round's training; -> its encoded update."""
+        rnd = len(self.losses) + 1
+        with prefixed(f"round {rnd}"):
+            self.model, loss = self.trainer.collect()
+        self.losses.append(loss)
+        policy = _policy(self.cfg)
+        quantize = self.cfg.quantize_payload and policy.form is not None  # never full models
+        payload = serialize_params(policy.encode(self.model, self._start), "all", quantize_payload=quantize)
+        flags = policy.uplink_flags | (FLAG_QUANTIZED if quantize else 0)
+        raw = encode_message(WireMessage(policy.uplink_kind, rnd, self.id, flags, payload))
+        self.ledger.add_up(rnd, self.id, len(raw))
+        return raw
 
 
 def check_client_ledger(
@@ -455,43 +478,3 @@ def dense_delta(model: LmModel, start: ParameterSet) -> ParameterSet:
         change = product(model.params, target) - product(start, target)
         view[...] = model.adapters[target].scaling * change
     return ParameterSet.from_vectors(layout, vec, np.zeros(0))
-
-
-def run_client(channel, model: LmModel, trainer, cfg: ExperimentConfig) -> ClientResult:
-    """Mirror of the server loop for one client; runs until shutdown.
-    `trainer` trains each round, as in `answer_broadcast`."""
-    ledger = TrafficLedger()
-    client_id = trainer.client_id
-    losses: list[float] = []
-
-    raw = encode_message(WireMessage(KIND_ROUND_ACK, 0, client_id))
-    channel.send(raw)
-    ledger.add_up(0, client_id, len(raw))
-
-    expected = 1
-    while True:
-        raw = _recv(channel, ledger)
-        msg = decode_message(raw)
-        ledger.add_down(msg.round, client_id, len(raw))
-        if msg.kind == KIND_SHUTDOWN:
-            if msg.round != expected:
-                raise ProtocolError(
-                    f"shutdown for round {msg.round}, expected {expected}",
-                    ledger=ledger,
-                )
-            break
-        if msg.kind != KIND_GLOBAL_BROADCAST or msg.round != expected:
-            raise ProtocolError(
-                f"expected broadcast for round {expected}, got kind "
-                f"{msg.kind} round {msg.round}",
-                ledger=ledger,
-            )
-        with _ledgered(ledger):
-            model, loss, update = answer_broadcast(msg, model, trainer, cfg)
-        losses.append(loss)
-        raw = encode_message(update)
-        channel.send(raw)
-        ledger.add_up(expected, client_id, len(raw))
-        expected += 1
-
-    return ClientResult(losses=losses, ledger=ledger)

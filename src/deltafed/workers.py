@@ -1,39 +1,32 @@
 """Training workers: clients train in forked processes, one core each.
 
-K client threads that train in one process take turns on the GIL. Here each
-client's `train` hands the installed model values to a persistent worker
-process, which runs the client's `LocalTrainer` there and hands back the
-trained trainable values and the mean loss. Everything else a client does
-(the protocol loop, the wire codec, the transport, the ledger) stays in the
-calling process, so every byte still crosses a channel that process owns.
+A client's trainer sends the installed values to a persistent worker process
+on `submit` and reads back the trained values and the mean loss on
+`collect`; the worker runs the client's `LocalTrainer`. All else stays on
+the one thread that drives the federation.
 
 The pool is forked once per process, by the first federation of two or more
 clients that can use it: W = min(K, C) workers for K clients on C usable
-cores. It grows only before the caller starts any thread, since forking
-beside live threads is unsafe; with W < 2, without `os.fork` or when a fork
-fails it stays as it is. The pool lends its idle workers to runs, each lent
-to one run at a time: a federation borrows up to W, and client i trains on
-the (i mod n)-th of the n it got, one job at a time; a lone client borrows
-one and never grows the pool. A run that borrows none trains in process, so
-a central run on its own trains in process, while central and local side by
-side in a compare each train on a worker of their own.
+cores, only while the caller runs no other thread, and none with W < 2,
+without `os.fork` or after a failed fork. Each idle worker is lent to one
+run at a time: a federation borrows up to W, and client i trains on the
+(i mod n)-th of the n it got; a lone client borrows one; a run that borrows
+none trains in process. A worker runs one job at a time; one submitted
+while another is in flight waits in the worker's queue until that one is
+collected. It keeps a session per client (task, optimizer state, RNG) until
+its run ends, which first waits out a job in flight. A worker that dies
+fails its run and is discarded alone; the next federation forks anew.
 
-A worker keeps one session per client it serves: the task (shard, optimizer
-config), the optimizer state and the RNG, bound on the client's first `train`
-and dropped when its run ends. A worker that dies fails the run that holds
-it and is then discarded alone; the next federation forks its replacement.
-
-A job is a small pickled message over a pipe; the values travel through a
-float64 area of shared memory that both processes map: one slice copy each
-way, the trainable vector in and the trained one out, plus the frozen vector
-when a full broadcast has replaced it. The trained model shares the
-round-start set's frozen vector. Both paths run the same arithmetic on the
-same float64 values, so they agree bit for bit.
+Values travel through a float64 area of shared memory both processes map:
+the trainable vector in and the trained one out, plus the frozen vector when
+a full broadcast replaced it. Both paths run the same arithmetic on the same
+float64 values, so they agree bit for bit.
 """
 
 from __future__ import annotations
 
 import atexit
+import collections
 import ctypes
 import itertools
 import mmap
@@ -43,7 +36,7 @@ import signal
 import tempfile
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from multiprocessing import Pipe
 
 import numpy as np
@@ -114,20 +107,22 @@ class _Worker:
         self.pid = pid
         self.conn = conn
         self.area = area
-        self.lock = threading.Lock()  # one job at a time; guards the area
+        self.queue: collections.deque = collections.deque()  # trainers awaiting replies; the first's in flight
         self.failure: str | None = None  # how it ended, once reaped
         self.lent = False  # to a run, under _pool_lock
 
-    def call(self, job):
-        """Send one job, wait for its reply; re-raise a training error."""
-        try:
-            self.conn.send(job)
-            status, reply = self.conn.recv()
-        except (EOFError, OSError):
-            raise DeltaFedError(f"training worker {self.reap(REAP_SECONDS)}") from None
-        if status == "err":
-            raise reply
-        return reply
+    def settle(self) -> None:
+        """Wait out a job still in flight and drop the queue, so the pipe
+        holds nothing stale; kill a worker whose job takes too long."""
+        if self.queue and self.failure is None:
+            try:
+                if self.conn.poll(REAP_SECONDS):
+                    self.conn.recv()
+                else:
+                    self.reap(0.0)
+            except (EOFError, OSError):
+                self.reap(REAP_SECONDS)
+        self.queue.clear()
 
     def reap(self, seconds: float) -> str:
         """Wait up to `seconds` for the process to end, kill it after that;
@@ -182,9 +177,9 @@ def _serve(conn, area: _Area) -> None:
                 frozen = vec[nt : nt + layout.frozen_size].copy()
             model = model.with_params(ParameterSet.from_vectors(layout, vec[:nt].copy(), frozen))
         sessions[sid] = (trainer, model)
-        threading.current_thread().name = f"client-{trainer.client_id}"
         try:
-            model, loss = trainer.train(model)
+            trainer.submit(model)
+            model, loss = trainer.collect()
             vec[: model.params.layout.trainable_size] = model.params.trainable_flat
             reply = pickle.dumps(("ok", loss))
         except Exception as e:
@@ -285,34 +280,59 @@ class WorkerTrainer:
         self._sid = next(_sessions)
         self._bound = False
         self._frozen = None  # the frozen vector the worker holds
+        self._model = None  # the submitted round-start model
 
-    def train(self, model):
-        """-> (trained model, mean loss), as `LocalTrainer.train`. The
-        trained model shares the frozen vector of `model`."""
-        params = model.params
+    def submit(self, model) -> None:
+        """Queue a round of training from `model`; it starts once the jobs before it are collected."""
+        self._model = model
+        self._worker.queue.append(self)
+        if len(self._worker.queue) == 1:
+            self._start()
+
+    def _start(self) -> None:
+        """Write the job's values into the worker's area and send it."""
+        params = self._model.params
         nt, nf = params.layout.trainable_size, params.layout.frozen_size
         worker = self._worker
-        with worker.lock:
-            vec = worker.area.fit(nt + nf)
-            if self._bound:
-                vec[:nt] = params.trainable_flat
-                # the worker keeps the frozen vector it last saw
-                send_frozen = params.frozen_flat is not self._frozen
-                if send_frozen:
-                    vec[nt : nt + nf] = params.frozen_flat
-                job = ("train", self._sid, worker.area.size, send_frozen)
-            else:
-                job = ("bind", self._sid, worker.area.size, self._task, model)
-                self._bound = True
-            self._frozen = params.frozen_flat
-            loss = worker.call(job)
-            trained = params.with_trainable(vec[:nt].copy())
+        vec = worker.area.fit(nt + nf)
+        if self._bound:
+            vec[:nt] = params.trainable_flat
+            # the worker keeps the frozen vector it last saw
+            send_frozen = params.frozen_flat is not self._frozen
+            if send_frozen:
+                vec[nt : nt + nf] = params.frozen_flat
+            job = ("train", self._sid, worker.area.size, send_frozen)
+        else:
+            job = ("bind", self._sid, worker.area.size, self._task, self._model)
+            self._bound = True
+        self._frozen = params.frozen_flat
+        # a worker that died fails this job's own `collect`, not its caller
+        with suppress(OSError):
+            worker.conn.send(job)
+
+    def collect(self):
+        """-> (trained model, mean loss), as `LocalTrainer.collect`. The
+        trained model shares the frozen vector of the submitted one."""
+        worker = self._worker
+        try:
+            status, loss = worker.conn.recv()
+        except (EOFError, OSError):
+            raise DeltaFedError(f"training worker {worker.reap(REAP_SECONDS)}") from None
+        worker.queue.popleft()
+        if status == "err":
+            worker.queue.clear()  # the run ends here
+            raise loss
+        model, self._model = self._model, None
+        params = model.params
+        nt = params.layout.trainable_size
+        trained = params.with_trainable(worker.area.fit(nt)[:nt].copy())
+        if worker.queue:
+            worker.queue[0]._start()
         return model.with_params(trained), loss
 
     def unbind(self) -> None:
         if self._bound and self._worker.failure is None:
-            with self._worker.lock:
-                self._worker.conn.send(("unbind", self._sid))
+            self._worker.conn.send(("unbind", self._sid))
 
 
 @contextmanager
@@ -351,6 +371,8 @@ def _borrow(n: int) -> list[_Worker]:
 def _give_back(lent: list[_Worker], trainers: list[WorkerTrainer]) -> None:
     """Unbind the sessions and return the workers; discard the dead ones."""
     global _pool
+    for w in lent:
+        w.settle()
     for trainer in trainers:
         try:
             trainer.unbind()

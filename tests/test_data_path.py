@@ -160,7 +160,8 @@ def assert_decodes_like_serial(model, setup):
 def trained(setup, cfg):
     """The initial model after client 0's first round."""
     trainer = LocalTrainer(harness._client_task(cfg, 0, setup.shards[0], setup.steps[0]))
-    return trainer.train(setup.model)[0]
+    trainer.submit(setup.model)
+    return trainer.collect()[0]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

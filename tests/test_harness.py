@@ -4,6 +4,7 @@ import socket
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import deltafed.harness as harness
 import deltafed.protocol as protocol
+import deltafed.transport as transport_mod
 import deltafed.workers as workers
 from deltafed.cli import main as cli_main
 from deltafed.config import ExperimentConfig, override, save_config
@@ -18,7 +20,7 @@ from deltafed.errors import ProtocolError
 from deltafed.harness import bleu_of, compare_modes, run_experiment
 from rounds_csv import parse_rounds_csv
 from test_data_path import make_corpus
-from deltafed.wire import serialize_params
+from deltafed.wire import KIND_DELTA_UPDATE, decode_message, serialize_params
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +166,7 @@ class TestEquivalence:
 class TestFailFast:
     """An injected fault surfaces at once as itself, not as a peer timeout.
 
-    The faults are injected in this process and keyed on thread names, so
+    The faults are injected in this process and pick their client by id, so
     these runs train in process; tests/test_workers.py has the pool's twins.
     """
 
@@ -172,27 +174,26 @@ class TestFailFast:
     def in_process(self, monkeypatch):
         monkeypatch.setattr(workers, "planned_workers", lambda clients: 0)
 
-    def run_and_time(self, cfg, injected_at):
-        with pytest.raises(RuntimeError) as exc:
+    def run_and_time(self, cfg, injected_at, error=RuntimeError):
+        with pytest.raises(error) as exc:
             run_experiment(cfg, report=False)
         return exc.value, time.monotonic() - injected_at[0]
 
     def fail_training(self, cfg, monkeypatch, client, rnd):
         """Run cfg with client `client`'s training raising in round `rnd`;
         -> (the error, seconds from the fault to the raise)."""
-        train = protocol.local_train_round
-        calls = {}
+        submit = protocol.LocalTrainer.submit
+        calls = Counter()
         injected_at = []
 
-        def flaky(*args, **kw):
-            name = threading.current_thread().name
-            calls[name] = calls.get(name, 0) + 1
-            if name == f"client-{client}" and calls[name] == rnd:
+        def flaky(self, model):
+            calls[self.client_id] += 1
+            if self.client_id == client and calls[client] == rnd:
                 injected_at.append(time.monotonic())
                 raise RuntimeError("injected training fault")
-            return train(*args, **kw)
+            return submit(self, model)
 
-        monkeypatch.setattr(protocol, "local_train_round", flaky)
+        monkeypatch.setattr(protocol.LocalTrainer, "submit", flaky)
         return self.run_and_time(cfg, injected_at)
 
     @pytest.mark.parametrize("transport", ["memory", "tcp"])
@@ -227,26 +228,86 @@ class TestFailFast:
         assert elapsed < 2.0
 
     def test_client_failure_before_tcp_connect(self, corpus_path, monkeypatch):
-        # client 0 connects, client 1 never does: the server must leave
-        # accept and drop client 0 at once, not wait out either timeout
+        # client 0 connects, client 1 never does: the run must end at once,
+        # with client 0's ends closed, not wait out either timeout
         connect = harness.tcp_connect
-        connected = threading.Event()
+        opened = []
         injected_at = []
 
         def flaky(*args, **kw):
-            if threading.current_thread().name != "client-1":
-                channel = connect(*args, **kw)
-                connected.set()
-                return channel
-            connected.wait(timeout=5.0)
-            injected_at.append(time.monotonic())
-            raise RuntimeError("injected connect fault")
+            if len(opened) == 1:  # clients connect in id order
+                injected_at.append(time.monotonic())
+                raise RuntimeError("injected connect fault")
+            opened.append(connect(*args, **kw))
+            return opened[-1]
 
         monkeypatch.setattr(harness, "tcp_connect", flaky)
         cfg = small_cfg(corpus_path, transport="tcp", clients=2)
         err, elapsed = self.run_and_time(cfg, injected_at)
         assert str(err) == "client 1: injected connect fault"
         assert elapsed < 2.0
+        assert opened[0]._sock.fileno() == -1  # closed
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_dropped_update_names_client_and_round(self, corpus_path, transport, monkeypatch):
+        """A lost uplink is named by the server, which waits for it: at once
+        on memory, within the channel timeout on TCP."""
+        injected_at = []
+
+        def dropping(send):
+            def send_unless_dropped(self, data):
+                msg = decode_message(data)
+                if (msg.kind, msg.round, msg.sender_id) == (KIND_DELTA_UPDATE, 2, 1):
+                    injected_at.append(time.monotonic())
+                    return None
+                return send(self, data)
+
+            return send_unless_dropped
+
+        for channel in (transport_mod.MemoryChannel, transport_mod.TcpChannel):
+            monkeypatch.setattr(channel, "send", dropping(channel.send))
+        monkeypatch.setattr(harness, "Hub", lambda: transport_mod.Hub(timeout=0.5))
+        cfg = small_cfg(corpus_path, transport=transport)
+        err, elapsed = self.run_and_time(cfg, injected_at, ProtocolError)
+        assert str(err).startswith("server: no update from client 1 for round 2: ")
+        assert err.ledger.uplink_bytes(2) > 0 and 1 not in err.ledger.byte_table()[2]["up"]
+        assert elapsed < (1.0 if transport == "tcp" else 0.2)
+
+
+class TestOneThread:
+    """A federated run drives the server, its clients and their training
+    jobs from the calling thread: no thread is started for a client."""
+
+    @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "in-process"])
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_no_thread_per_client(self, corpus_path, transport, pooled, monkeypatch):
+        counts = []
+
+        def counted(method):
+            def call(self, *args):
+                counts.append(threading.active_count())
+                return method(self, *args)
+
+            return call
+
+        if pooled:
+            monkeypatch.setattr(workers, "planned_workers", lambda clients: min(clients, 2))
+            trainer = workers.WorkerTrainer
+        else:
+            monkeypatch.setattr(workers, "planned_workers", lambda clients: 0)
+            trainer = protocol.LocalTrainer
+        for name in ("submit", "collect"):
+            monkeypatch.setattr(trainer, name, counted(getattr(trainer, name)))
+        cfg = small_cfg(corpus_path, transport=transport, clients=3)
+        run_experiment(cfg, report=False)
+        assert counts == [1] * (2 * cfg.clients * cfg.rounds)
+
+    def test_more_clients_than_the_listen_backlog(self, corpus_path, monkeypatch):
+        # the listener's backlog is 16, and Linux queues one connection more
+        monkeypatch.setattr(workers, "planned_workers", lambda clients: 0)
+        cfg = small_cfg(corpus_path, transport="tcp", clients=20, rounds=1, batch_size=64)
+        res = run_experiment(cfg, report=False)
+        assert sorted(res.ledger.byte_table()[1]["up"]) == list(range(20))
 
 
 class TestMemory:
@@ -278,11 +339,15 @@ class TestClientLedgers:
             """Client 1's own ledger books one byte too many in round 2."""
 
             def add_up(self, rnd, client_id, nbytes):
-                if threading.current_thread().name == "client-1" and rnd == 2:
-                    nbytes += 1
-                super().add_up(rnd, client_id, nbytes)
+                super().add_up(rnd, client_id, nbytes + (rnd == 2))
 
-        monkeypatch.setattr(protocol, "TrafficLedger", Skewed)
+        class SkewedClient(protocol.Client):
+            def __init__(self, *args):
+                super().__init__(*args)
+                if self.id == 1:
+                    self.ledger = Skewed()
+
+        monkeypatch.setattr(harness, "Client", SkewedClient)
         with pytest.raises(ProtocolError) as exc:
             run_experiment(small_cfg(corpus_path), report=False)
         assert str(exc.value).startswith("client 1's ledger holds ")

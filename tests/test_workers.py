@@ -120,29 +120,46 @@ class TestPoolMatchesInProcess:
         ref, pooled = self.run_both(cfg, monkeypatch)
         assert outcome(pooled) == outcome(ref)
 
+    def test_shared_worker_takes_its_clients_in_turn(self, corpus_path, monkeypatch, fresh_pool):
+        """Client i trains on worker i mod 2, one job at a time: a client's
+        job starts once the worker's previous one is collected."""
+        start = workers.WorkerTrainer._start
+        started = []
+
+        def recorded(self):
+            started.append((self.client_id, self._worker.pid, self._worker.queue[0] is self))
+            return start(self)
+
+        monkeypatch.setattr(workers.WorkerTrainer, "_start", recorded)
+        pool_of_two(monkeypatch)
+        cfg = small_cfg(corpus_path, clients=5, rounds=2)
+        run_experiment(cfg, report=False)
+        pids = pool_pids()
+        assert started == [(i, pids[i % 2], True) for i in range(5)] * cfg.rounds
+
 
 class TestPoolFailFast:
     """Faults injected in a worker surface as the in-process ones do.
 
     The fault is patched in before the pool forks, so it lives in the
-    workers. It fires once: a marker file records the injection time
-    (CLOCK_MONOTONIC is system-wide) and keeps it from firing again.
+    workers, and picks client 1 by id. It fires once: a marker file records
+    the injection time (CLOCK_MONOTONIC is system-wide) and keeps it from
+    firing again.
     """
 
     def inject(self, monkeypatch, tmp_path, fault):
-        train = protocol.local_train_round
+        submit = protocol.LocalTrainer.submit
         marker = tmp_path / "injected"
         calls = {}
 
-        def flaky(*args, **kw):
-            name = threading.current_thread().name
-            calls[name] = calls.get(name, 0) + 1
-            if name == "client-1" and calls[name] == 2 and not marker.exists():
+        def flaky(self, model):
+            calls[self.client_id] = calls.get(self.client_id, 0) + 1
+            if self.client_id == 1 and calls[1] == 2 and not marker.exists():
                 marker.write_text(f"{time.monotonic()!r} {os.getpid()}")
                 fault()
-            return train(*args, **kw)
+            return submit(self, model)
 
-        monkeypatch.setattr(protocol, "local_train_round", flaky)
+        monkeypatch.setattr(protocol.LocalTrainer, "submit", flaky)
         pool_of_two(monkeypatch)
         return marker
 
@@ -267,14 +284,14 @@ class TestCompareLanes:
     def test_central_and_local_train_on_different_workers(
         self, corpus_path, tmp_path, monkeypatch, fresh_pool
     ):
-        train = workers.WorkerTrainer.train
+        submit = workers.WorkerTrainer.submit
         seen = []
 
         def recorded(self, model):
             seen.append((threading.current_thread().name, self._worker.pid))
-            return train(self, model)
+            return submit(self, model)
 
-        monkeypatch.setattr(workers.WorkerTrainer, "train", recorded)
+        monkeypatch.setattr(workers.WorkerTrainer, "submit", recorded)
         pool_of_two(monkeypatch)
         compare_modes(small_cfg(corpus_path), tmp_path)
         central = {pid for who, pid in seen if who == "central"}
@@ -290,7 +307,7 @@ class TestCompareLanes:
         central_steps = sum(setup.steps.values())
         local_started = tmp_path / "local-started"
         marker = tmp_path / "injected"
-        train = protocol.local_train_round
+        submit = protocol.LocalTrainer.submit
         run_local = harness._RUNNERS["local"]
         calls = {}
 
@@ -298,21 +315,21 @@ class TestCompareLanes:
             local_started.touch()
             return run_local(*args, **kw)
 
-        def flaky(*args, **kw):
+        def flaky(self, model):
             if in_local:
-                key = threading.current_thread().name if local_started.exists() else None
-                fires = key == "client-1"
+                key = self.client_id if local_started.exists() else None
+                fires = key == 1
             else:
-                key = "central" if kw["steps"] == central_steps else None
+                key = "central" if self.task.steps_per_round == central_steps else None
                 fires = key is not None
             calls[key] = calls.get(key, 0) + 1
             if fires and calls[key] == 2 and not marker.exists():
                 marker.write_text(f"{time.monotonic()!r} {os.getpid()}")
                 fault()
-            return train(*args, **kw)
+            return submit(self, model)
 
         monkeypatch.setitem(harness._RUNNERS, "local", started)
-        monkeypatch.setattr(protocol, "local_train_round", flaky)
+        monkeypatch.setattr(protocol.LocalTrainer, "submit", flaky)
         pool_of_two(monkeypatch)
         return cfg, marker
 
@@ -483,15 +500,15 @@ class TestNoLeaks:
 
         # a worker killed mid-round: the run fails, that worker alone is
         # discarded and reaped
-        train = protocol.local_train_round
+        submit = protocol.LocalTrainer.submit
 
-        def killer(*args, **kw):
-            if threading.current_thread().name == "client-1":
+        def killer(self, model):
+            if self.client_id == 1:
                 os.kill(os.getpid(), 9)
-            return train(*args, **kw)
+            return submit(self, model)
 
         workers.shutdown()
-        monkeypatch.setattr(protocol, "local_train_round", killer)
+        monkeypatch.setattr(protocol.LocalTrainer, "submit", killer)
         with pytest.raises(DeltaFedError, match="^client 1: round 1: training worker killed by signal 9$"):
             run_experiment(cfg, report=False)
         second = pool_pids()
@@ -523,7 +540,8 @@ class TestSharedFrozenVector:
                 bumped = model.params.array("rnn.U") + 0.5
                 model = model.with_params(model.params.replace_values({"rnn.U": bumped}))
             start = model.params
-            model, _ = trainer.train(model)
+            trainer.submit(model)
+            model, _ = trainer.collect()
             assert model.params.layout is start.layout
             assert model.params.frozen_flat is start.frozen_flat
             trained.append(model.params.trainable_flat.tobytes())
