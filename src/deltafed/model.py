@@ -10,6 +10,17 @@ Entries: "embed.W" (V x d, tied embedding/output), "rnn.U" (d x d),
 "rnn.b" (d), "out.b" (V). Internals are float64 throughout; gradients are
 analytic and verified against central finite differences in the tests.
 
+A step's arrays are small (a batch's logits are a few hundred positions by
+a few dozen symbols), so the number of numpy calls sets its pace more than
+the arithmetic does. The recurrences therefore run in place: the forward
+pass gathers every step's input term into its output slot and completes
+each slot with `cur += prev @ U^T; tanh(cur)`, and the backward pass turns
+dL/dh into dL/da in the same buffer, one `prev += da_i @ U; prev *= gate`
+per step. Logits are vocab-major, (V, n) for n predicted positions, so the
+softmax's max and sums run down the columns, a target's logit sits at flat
+index `target * n + position`, and the output gradients come from the same
+layout (`out.b`'s is the row sums, `dz @ h` the weight's).
+
 Adapters (see lora.py) ride along as extra entries named
 "<target>.lora.A"/"<target>.lora.B"; when present, every pass uses the adapted
 effective weights and gradients flow to the factors only, with the base
@@ -193,8 +204,7 @@ def _adapter_product(values: Mapping[str, np.ndarray], target: str, scaling: flo
 
 def _dropout_mask(rng, size: int, p: float) -> np.ndarray:
     # inverted dropout: zero with probability p, else 1/(1-p)
-    keep = rng.random(size) >= p
-    return keep.astype(np.float64) / (1.0 - p)
+    return (rng.random(size) >= p) * (1.0 / (1.0 - p))
 
 
 @dataclass
@@ -242,18 +252,21 @@ def _effective(model: LmModel, values: Mapping[str, np.ndarray], rng=None) -> _E
 
 def _recur(eff: _Effective, xt: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
     """Hidden states for a time-major (steps, batch) id matrix, carried on
-    from the (batch, d) states `h` (zeros if None); returns (steps, batch, d)."""
-    steps, bsz = xt.shape
-    hs = np.empty((steps, bsz, eff.u.shape[0]))
-    pre = eff.w_lookup[xt]  # input term of every step at once
-    pre += eff.b
+    from the (batch, d) states `h` (zeros if None); returns (steps, batch, d).
+
+    Each step's input term is gathered into its output slot, which the step
+    then completes in place: cur += prev @ U^T, tanh(cur)."""
+    hs = eff.w_lookup[xt]  # input term of every step at once
+    hs += eff.b
+    # the transposed view, not a contiguous copy: BLAS sums some shapes
+    # (batch 1, d = 64) in another order for the copy
     u_t = eff.u.T
-    if h is None:
-        np.tanh(pre[0], out=hs[0])
-    else:
-        np.tanh(h @ u_t + pre[0], out=hs[0])
-    for i in range(1, steps):
-        np.tanh(hs[i - 1] @ u_t + pre[i], out=hs[i])
+    prev = h
+    for cur in hs:
+        if prev is not None:
+            cur += prev @ u_t
+        np.tanh(cur, out=cur)
+        prev = cur
     return hs
 
 
@@ -266,21 +279,29 @@ def _nll(eff: _Effective, x: np.ndarray):
     """Summed next-token NLL of a (batch, length) id matrix.
 
     -> (nll, hidden states (length-1, batch, d) that emit the predictions,
-    exp of the max-shifted logits (n, V) with n = (length-1) * batch, their
-    row sums (n, 1), target ids (n,)), all rows in time-major order.
+    exp of the max-shifted logits (V, n) with n = (length-1) * batch, their
+    column sums (n,), the flat index into them of each target (n,)), all
+    positions in time-major order.
     """
     xt = x.T
     hs = _recur(eff, xt[:-1])
     n = hs.shape[0] * hs.shape[1]
-    targets = xt[1:].reshape(n)
-    z = hs.reshape(n, -1) @ eff.w_out.T
-    z += eff.c
-    z -= z.max(axis=1, keepdims=True)
-    target_logits = z[np.arange(n), targets].sum()
+    z = eff.w_out @ hs.reshape(n, -1).T  # vocab-major: reductions run down columns
+    z += eff.c[:, None]
+    z -= z.max(axis=0)
+    at_target = _flat_index(xt[1:].reshape(n), n)
+    target_logits = z.take(at_target).sum()
     e = np.exp(z, out=z)
-    s = e.sum(axis=1, keepdims=True)
+    s = e.sum(axis=0)
     nll = float(np.log(s).sum() - target_logits)
-    return nll, hs, e, s, targets
+    return nll, hs, e, s, at_target
+
+
+def _flat_index(ids: np.ndarray, n: int) -> np.ndarray:
+    """Flat index of (ids[k], k) in a C-ordered (V, n) array."""
+    at = ids * n
+    at += np.arange(n)
+    return at
 
 
 def trainable_loss_and_grad(
@@ -317,52 +338,40 @@ def trainable_loss_and_grad(
     d_c = grad["out.b"] if "out.b" in grad else np.zeros(v)
 
     for x in groups:
-        nll, hs, dz, s, targets = _nll(eff, x)
+        nll, hs, dz, s, at_target = _nll(eff, x)
         total_nll += nll
         steps, bsz = hs.shape[:2]
         n = steps * bsz
         hm = hs.reshape(n, d)
-        # softmax minus one-hot, already divided by the position count
+        # softmax minus one-hot, (V, n), already divided by the position count
         dz *= inv / s
-        dz[np.arange(n), targets] -= inv
-        d_c += dz.sum(axis=0)
-        d_w_out += dz.T @ hm
-        dh_out = (dz @ eff.w_out).reshape(steps, bsz, d)
-        gate = 1.0 - hs * hs
+        dz.reshape(-1)[at_target] -= inv
+        d_c += dz.sum(axis=1)
+        d_w_out += dz @ hm
+        da = (dz.T @ eff.w_out).reshape(steps, bsz, d)  # dL/dh, then dL/da
+        gate = np.multiply(hs, hs)
+        np.subtract(1.0, gate, out=gate)
 
-        # only the carry recursion runs step by step
-        da = np.empty_like(gate)
-        carry = dh_out[-1]
+        # only the carry recursion runs step by step, in place in da
+        da[-1] *= gate[-1]
         for i in range(steps - 1, 0, -1):
-            np.multiply(carry, gate[i], out=da[i])
-            carry = dh_out[i - 1] + da[i] @ eff.u
-        np.multiply(carry, gate[0], out=da[0])
+            prev = da[i - 1]
+            prev += da[i] @ eff.u
+            prev *= gate[i - 1]
 
         da2 = da.reshape(n, d)
         d_b += da2.sum(axis=0)
         d_u += da[1:].reshape(-1, d).T @ hs[:-1].reshape(-1, d)
         # scatter-add of every step's da onto its input row, as one matmul
-        # with the one-hot input matrix (several times faster than np.add.at)
-        onehot = np.zeros((n, v))
-        onehot[np.arange(n), x.T[:-1].reshape(n)] = 1.0
-        d_w_lookup += onehot.T @ da2
+        # with the (V, n) one-hot input matrix, built in dz's spent buffer
+        # (several times faster than np.add.at)
+        onehot = dz
+        onehot.fill(0.0)
+        onehot.reshape(-1)[_flat_index(x.T[:-1].reshape(n), n)] = 1.0
+        d_w_lookup += onehot @ da2
 
     _assemble_grads(model, eff, values, grad, d_w_lookup, d_w_out, d_u)
     return total_nll * inv, g
-
-
-def loss_and_grad(model: LmModel, batch, rng=None):
-    """trainable_loss_and_grad of every window in `batch` (Windows, or id
-    sequences), with the gradient as a ParameterSet shaped like
-    model.params, exactly zero on frozen entries."""
-    windows = as_windows(batch)
-    if not len(windows):
-        raise ArgumentError("batch must be non-empty")
-    check_windows(model.cfg, windows)
-    groups = windows.batch(np.arange(len(windows)))
-    loss, g = trainable_loss_and_grad(model, groups, rng=rng)
-    layout = model.params.layout
-    return loss, ParameterSet.from_vectors(layout, g, np.zeros(layout.frozen_size))
 
 
 def _assemble_grads(model, eff, values, grad, d_w_lookup, d_w_out, d_u) -> None:

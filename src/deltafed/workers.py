@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import atexit
 import collections
-import ctypes
 import itertools
 import mmap
 import os
@@ -46,7 +45,6 @@ from .params import ParameterSet
 from .protocol import ClientTask, LocalTrainer
 
 REAP_SECONDS = 1.0  # how long to wait for a worker to end before killing it
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
 
 def pool_size(clients: int, cpus: int) -> int:
@@ -191,26 +189,6 @@ def _serve(conn, area: _Area) -> None:
         conn.send_bytes(reply)
 
 
-def _keep_heap() -> None:
-    """Keep a worker's heap from shrinking and regrowing at every step.
-
-    A worker allocates and frees the same large temporaries at each optimizer
-    step. With glibc's default dynamic thresholds a forked worker hands its
-    heap top back to the system each time, and every regrown page faults:
-    34K faults and a third more time per round of 32 steps on a 256-wide
-    model. Fixed thresholds keep the freed memory for the next step. Where
-    there is no `mallopt` this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, 32 << 20)  # glibc's largest
-    mallopt(M_TRIM_THRESHOLD, 1 << 30)
-
-
 def _forget_pool() -> None:
     """In any forked child: close what it inherited of the pool. A worker
     whose pipe end stays open in another process never sees the EOF. The
@@ -243,7 +221,6 @@ def _grow(n: int) -> None:
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
                 parent_end.close()
-                _keep_heap()
                 _serve(child_end, area)
                 code = 0
             finally:

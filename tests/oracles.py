@@ -4,8 +4,16 @@ The data functions build Python lists of token ids, one window at a time;
 `list_train_round` gathers each batch as a list and groups it by length
 anew at every step; `forward` scores one window; `serial_greedy_decode`
 decodes one prefix, running `forward` over the whole window for every pick.
-They are slow and plain on purpose. `with_flags`, `merged_with` and `drop`
-build the odd parameter sets tests feed to the checks, entry by entry.
+They are slow and plain on purpose. `reference_loss_and_grad` is the
+training step's gradient as it was before its kernels worked in place on
+vocab-major logits: row-major (n, V) logits, a separate input-term buffer in
+the recurrence and a carry temporary per backward step; it builds the
+effective weights with the model's own `_effective`.
+`reference_dropout_mask` is the mask cast from booleans, for the mask's
+bitwise test. `loss_and_grad` is the step's ParameterSet front end, for
+tests that build batches and compare gradients entry by entry.
+`with_flags`, `merged_with` and `drop` build the odd parameter sets tests
+feed to the checks, entry by entry.
 """
 
 import math
@@ -15,10 +23,12 @@ import numpy as np
 from deltafed.errors import ArgumentError
 from deltafed.model import (
     SEED_PARTITION,
+    _assemble_grads,
     _check_ids,
     _effective,
     _log_softmax,
-    _recur,
+    as_windows,
+    check_windows,
     trainable_loss_and_grad,
 )
 from deltafed.optim import (
@@ -108,7 +118,7 @@ def forward(model, tokens):
         )
     _check_ids(model.cfg, ids)
     eff = _effective(model, model.params.arrays())
-    hs = _recur(eff, ids[:, None])[:, 0]
+    hs = reference_recur(eff, ids[:, None])[:, 0]
     logits = hs @ eff.w_out.T + eff.c
     probs = np.exp(_log_softmax(logits))
     return probs, {"hidden": hs, "logits": logits}
@@ -141,3 +151,106 @@ def drop(params, names):
     """`params` without the named entries."""
     gone = set(names)
     return ParameterSet([(n, t, f) for n, t, f in params.items() if n not in gone])
+
+
+def loss_and_grad(model, batch, rng=None):
+    """trainable_loss_and_grad of every window in `batch` (Windows, or id
+    sequences), with the gradient as a ParameterSet shaped like
+    model.params, exactly zero on frozen entries."""
+    windows = as_windows(batch)
+    if not len(windows):
+        raise ArgumentError("batch must be non-empty")
+    check_windows(model.cfg, windows)
+    groups = windows.batch(np.arange(len(windows)))
+    loss, g = trainable_loss_and_grad(model, groups, rng=rng)
+    layout = model.params.layout
+    return loss, ParameterSet.from_vectors(layout, g, np.zeros(layout.frozen_size))
+
+
+def reference_dropout_mask(rng, size, p):
+    keep = rng.random(size) >= p
+    return keep.astype(np.float64) / (1.0 - p)
+
+
+def reference_recur(eff, xt, h=None):
+    steps, bsz = xt.shape
+    hs = np.empty((steps, bsz, eff.u.shape[0]))
+    pre = eff.w_lookup[xt]  # input term of every step at once
+    pre += eff.b
+    u_t = eff.u.T
+    if h is None:
+        np.tanh(pre[0], out=hs[0])
+    else:
+        np.tanh(h @ u_t + pre[0], out=hs[0])
+    for i in range(1, steps):
+        np.tanh(hs[i - 1] @ u_t + pre[i], out=hs[i])
+    return hs
+
+
+def reference_nll(eff, x):
+    xt = x.T
+    hs = reference_recur(eff, xt[:-1])
+    n = hs.shape[0] * hs.shape[1]
+    targets = xt[1:].reshape(n)
+    z = hs.reshape(n, -1) @ eff.w_out.T
+    z += eff.c
+    z -= z.max(axis=1, keepdims=True)
+    target_logits = z[np.arange(n), targets].sum()
+    e = np.exp(z, out=z)
+    s = e.sum(axis=1, keepdims=True)
+    nll = float(np.log(s).sum() - target_logits)
+    return nll, hs, e, s, targets
+
+
+def reference_loss_and_grad(model, groups, rng=None, values=None):
+    if values is None:
+        values = model.params.arrays()
+    eff = _effective(model, values, rng)
+    v, d = eff.w_lookup.shape
+    layout = model.params.layout
+    g = np.zeros(layout.trainable_size)
+    grad = layout.views(g)  # trainable entry name -> its view of g
+
+    total_nll = 0.0
+    inv = 1.0 / sum(x.size - x.shape[0] for x in groups)
+    d_w_lookup = np.zeros((v, d))
+    d_w_out = np.zeros((v, d))
+    # a trained, unadapted entry accumulates straight into its gradient
+    trained_u = "rnn.U" in grad and "rnn.U" not in model.adapters
+    d_u = grad["rnn.U"] if trained_u else np.zeros((d, d))
+    d_b = grad["rnn.b"] if "rnn.b" in grad else np.zeros(d)
+    d_c = grad["out.b"] if "out.b" in grad else np.zeros(v)
+
+    for x in groups:
+        nll, hs, dz, s, targets = reference_nll(eff, x)
+        total_nll += nll
+        steps, bsz = hs.shape[:2]
+        n = steps * bsz
+        hm = hs.reshape(n, d)
+        # softmax minus one-hot, already divided by the position count
+        dz *= inv / s
+        dz[np.arange(n), targets] -= inv
+        d_c += dz.sum(axis=0)
+        d_w_out += dz.T @ hm
+        dh_out = (dz @ eff.w_out).reshape(steps, bsz, d)
+        gate = 1.0 - hs * hs
+
+        # only the carry recursion runs step by step
+        da = np.empty_like(gate)
+        carry = dh_out[-1]
+        for i in range(steps - 1, 0, -1):
+            np.multiply(carry, gate[i], out=da[i])
+            carry = dh_out[i - 1] + da[i] @ eff.u
+        np.multiply(carry, gate[0], out=da[0])
+
+        da2 = da.reshape(n, d)
+        d_b += da2.sum(axis=0)
+        d_u += da[1:].reshape(-1, d).T @ hs[:-1].reshape(-1, d)
+        # scatter-add of every step's da onto its input row, as one matmul
+        # with the one-hot input matrix (several times faster than np.add.at)
+        onehot = np.zeros((n, v))
+        onehot[np.arange(n), x.T[:-1].reshape(n)] = 1.0
+        d_w_lookup += onehot.T @ da2
+
+    _assemble_grads(model, eff, values, grad, d_w_lookup, d_w_out, d_u)
+    return total_nll * inv, g

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from oracles import loss_and_grad
 from test_model import finite_difference_grads, max_rel_error
 
 from deltafed.aggregate import ClientUpdate, fedavg_aggregate, gradualdiff_aggregate
@@ -18,7 +19,7 @@ from deltafed.config import ExperimentConfig, override
 from deltafed.harness import compare_modes, run_experiment
 from deltafed.lora import attach
 from deltafed.metrics import bleu
-from deltafed.model import LmConfig, LmModel, init_model, loss_and_grad, perplexity_of
+from deltafed.model import LmConfig, LmModel, init_model, perplexity_of
 from deltafed.params import ParameterSet, add_delta
 from deltafed.wire import HEADER_LEN, deserialize_params, serialize_params, serialized_size
 

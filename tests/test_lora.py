@@ -3,11 +3,11 @@ import pytest
 
 from deltafed.errors import ArgumentError
 from deltafed.lora import attach
-from deltafed.model import LmConfig, init_model, loss_and_grad
+from deltafed.model import LmConfig, init_model
 from deltafed.params import subtract_trainable
 from deltafed.protocol import dense_delta
 
-from oracles import forward
+from oracles import forward, loss_and_grad
 from test_model import finite_difference_grads, max_rel_error
 
 

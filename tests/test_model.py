@@ -5,18 +5,29 @@ import numpy as np
 import pytest
 
 from deltafed.errors import ArgumentError
+from deltafed.lora import attach
 from deltafed.model import (
     LmConfig,
     LmModel,
     Vocab,
     EVAL_BLOCK,
+    _dropout_mask,
+    _effective,
+    _recur,
+    as_windows,
     greedy_decode,
     init_model,
-    loss_and_grad,
     perplexity_of,
+    trainable_loss_and_grad,
 )
 
-from oracles import forward
+from oracles import (
+    forward,
+    loss_and_grad,
+    reference_dropout_mask,
+    reference_loss_and_grad,
+    reference_recur,
+)
 
 
 def finite_difference_grads(model, batch, eps=1e-5):
@@ -153,6 +164,84 @@ class TestLossAndGrad:
         for name, t, flag in grads.items():
             assert t.shape == tiny_model.params.array(name).shape
             assert flag == tiny_model.params.trainable(name)
+
+
+STEP_VOCAB, STEP_CONTEXT = 24, 16  # the fed-lora workload's shape
+
+
+def step_model(d: int, adapters: str) -> LmModel:
+    """A model of width d: "full" trains every entry; otherwise LoRA rank 4
+    on the comma-separated targets, dropout 0.1, with both factors random
+    so that neither factor's gradient is zero."""
+    plain = init_model(LmConfig(STEP_VOCAB, d, STEP_CONTEXT), seed=3)
+    if adapters == "full":
+        return plain
+    adapted = attach(plain, adapters.split(","), rank=4, alpha=8.0, dropout_p=0.1, seed=3)
+    rng = np.random.default_rng(7)
+    return adapted.with_params(
+        adapted.params.replace_values(
+            {n: rng.uniform(-0.3, 0.3, t.shape) for n, t, f in adapted.params.items() if f}
+        )
+    )
+
+
+def step_groups(shape: str):
+    """A batch as Windows.batch gives it: 16 full windows; 15 full windows
+    and a 9-token tail row; or one full window."""
+    rng = np.random.default_rng(11)
+    full = rng.integers(0, STEP_VOCAB, (16, STEP_CONTEXT + 1))
+    rows = {
+        "one width": list(full),
+        "two widths": list(full[:15]) + [full[15, :9]],
+        "single window": [full[0]],
+    }[shape]
+    windows = as_windows(rows)
+    return windows.batch(np.arange(len(windows)))
+
+
+class TestStepAgainstReference:
+    """The training step's in-place, vocab-major kernels against the
+    row-major step they replaced: the same loss and gradient up to the order
+    of the softmax, bias and weight-gradient sums, and the same draws."""
+
+    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("shape", ["one width", "two widths", "single window"])
+    @pytest.mark.parametrize(
+        "adapters, dropout",
+        [
+            ("embed.W,rnn.U", True),
+            ("embed.W,rnn.U", False),
+            ("rnn.U", True),
+            ("full", False),
+        ],
+    )
+    def test_loss_and_gradient_match(self, d, shape, adapters, dropout):
+        model = step_model(d, adapters)
+        groups = step_groups(shape)
+        rng_new = np.random.default_rng(5) if dropout else None
+        rng_ref = np.random.default_rng(5) if dropout else None
+        loss, g = trainable_loss_and_grad(model, groups, rng=rng_new)
+        ref_loss, ref_g = reference_loss_and_grad(model, groups, rng=rng_ref)
+        assert math.isclose(loss, ref_loss, rel_tol=1e-13, abs_tol=0.0)
+        assert np.abs(g - ref_g).max() <= 1e-12 * np.abs(ref_g).max()
+        assert np.abs(ref_g).max() > 0
+        if dropout:  # the step drew as many numbers as the reference
+            assert rng_new.random() == rng_ref.random()
+
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_recurrence_is_bitwise_equal(self, d):
+        model = step_model(d, "embed.W,rnn.U")
+        eff = _effective(model, model.params.arrays(), np.random.default_rng(2))
+        xt = step_groups("one width")[0].T
+        assert np.array_equal(_recur(eff, xt), reference_recur(eff, xt))
+        h = np.random.default_rng(4).uniform(-1, 1, (xt.shape[1], d))
+        assert np.array_equal(_recur(eff, xt[:5], h), reference_recur(eff, xt[:5], h))
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_dropout_mask_is_bitwise_equal(self, p):
+        rng_new, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+        assert np.array_equal(_dropout_mask(rng_new, 300, p), reference_dropout_mask(rng_ref, 300, p))
+        assert rng_new.random() == rng_ref.random()
 
 
 class TestPerplexity:

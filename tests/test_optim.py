@@ -6,7 +6,7 @@ import pytest
 from deltafed import optim
 from deltafed.errors import ArgumentError, NumericalError, StructureError
 from deltafed.lora import attach
-from deltafed.model import LmConfig, init_model, loss_and_grad
+from deltafed.model import LmConfig, init_model
 from deltafed.optim import (
     OptimizerConfig,
     adamw_step,
@@ -16,7 +16,7 @@ from deltafed.optim import (
     lr_at,
 )
 from deltafed.params import ParameterSet, l2_norm
-from oracles import with_flags
+from oracles import loss_and_grad, with_flags
 
 
 def scalar_set(value, trainable=True):
