@@ -3,13 +3,13 @@
 The three modes share corpus ingestion, partitioning, and the per-round step
 budget so their loss curves sit on the same axis, and one round: the
 protocol's own steps. A federated run is the server and its K clients, all
-driven by `protocol.run_server` on this thread. Central and local mode drive
-one `protocol.Client` with no channel (`_alone`): central on the whole
-training split at the summed step budget, local client i on shard i. Every
-value still takes the f32 wire casts, so K=1 local, central and K=1
-federated runs are bitwise equal. Every mode trains through
-`workers.client_trainers`, with the same results in a pool worker as in
-process. An error names who raised it: `client <i>: ...` or `server: ...`.
+driven by `protocol.run_server` on this thread. Central and local mode
+share one runner, `run_alone`, of lone `protocol.Client`s with no channel:
+central's one on the whole training split at the summed step budget, local
+client i on shard i. Every value still takes the f32 wire casts, so K=1
+local, central and K=1 federated runs are bitwise equal. Every mode trains
+through `workers.client_trainers`, with the same results in a pool worker
+as in process. An error names who raised it: `client <i>: ...` or `server: ...`.
 
 `compare_modes` reads the corpus once for all three modes. The federated
 run goes first and alone, so its round times stay comparable; then central
@@ -223,84 +223,69 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> Experim
 # -- central and local: federations of one client ----------------------------
 
 
-def _alone(cfg: ExperimentConfig, setup: _Setup, trainer, count: int):
-    """A federation of one client with no channel. Per round yields (train
-    loss, global model, wall ms), timing the round alone."""
-    client = Client(setup.model, trainer, cfg)
-    counts = {client.id: count}
-    model = setup.model
-    for t in range(1, cfg.rounds + 1):
-        start = time.perf_counter()
-        client.receive(encode_message(broadcast(model, t, cfg)))
-        update = decode_message(client.update())
-        model = fold_updates(model, t, [(client.id, update)], cfg, counts)
-        yield client.losses[-1], model, (time.perf_counter() - start) * 1000.0
-
-
-def run_central(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
-    """One trainer on the full training split at the federated step budget.
-
-    The rounds are the federation's own, played as client 0 without a
-    channel, so central is the exact K=1 trajectory rather than an
-    approximation of it. Its records carry no bytes.
-    """
+def run_alone(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
+    """Central or local mode: lone clients, one after another, each playing
+    the federation's rounds with no channel on a worker it borrows. Central
+    is client 0 on the whole training split at the summed step budget, the
+    exact K=1 federated trajectory; local client i plays federated client
+    i's rounds on shard i. Each round is timed alone and scored after the
+    clock stops. Records average the clients' curves and sum their round
+    times; they carry no bytes."""
     setup = setup or _setup(cfg)
-    shard = partition_iid(setup.sequences, 1, cfg.seed)[0]
-    task = _client_task(cfg, 0, shard, sum(setup.steps.values()))
-    records = []
-    with client_trainers([task]) as (trainer,):
-        rounds = _alone(cfg, setup, trainer, sum(setup.counts.values()))
-        for t, (loss, model, wall_ms) in enumerate(rounds, start=1):
-            ppl = perplexity_of(model, setup.val_ids)
-            records.append(RoundRecord(t, "central", loss, ppl, int(wall_ms), 0, 0))
-    return ExperimentResult(model, records, {"bleu": bleu_of(model, setup)})
-
-
-def run_local(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
-    """K trainers that never communicate; records average their curves.
-    Client i plays federated client i's rounds as a federation of one."""
-    setup = setup or _setup(cfg)
+    if cfg.mode == "central":
+        shard = partition_iid(setup.sequences, 1, cfg.seed)[0]
+        task = _client_task(cfg, 0, shard, sum(setup.steps.values()))
+        alone = [(task, sum(setup.counts.values()))]
+    else:
+        alone = [
+            (_client_task(cfg, i, setup.shards[i], setup.steps[i]), setup.counts[i])
+            for i in range(cfg.clients)
+        ]
     curves, models = [], []
-    for i in range(cfg.clients):
-        task = _client_task(cfg, i, setup.shards[i], setup.steps[i])
-        curve = []
-        # the clients take turns, each on the worker it borrows
+    for task, count in alone:
+        curve, model = [], setup.model
         with client_trainers([task]) as (trainer,):
-            for loss, model, wall_ms in _alone(cfg, setup, trainer, setup.counts[i]):
-                curve.append((loss, perplexity_of(model, setup.val_ids), wall_ms))
+            client = Client(model, trainer, cfg)
+            for t in range(1, cfg.rounds + 1):
+                start = time.perf_counter()
+                client.receive(encode_message(broadcast(model, t, cfg)))
+                update = decode_message(client.update())
+                model = fold_updates(model, t, [(client.id, update)], cfg, {client.id: count})
+                wall_ms = (time.perf_counter() - start) * 1000.0
+                curve.append((client.losses[-1], perplexity_of(model, setup.val_ids), wall_ms))
         curves.append(curve)
         models.append(model)
-    losses, ppls, walls = np.moveaxis(np.array(curves), 2, 0)  # each (K, rounds)
+    losses, ppls, walls = np.moveaxis(np.array(curves), 2, 0)  # each (clients, rounds)
 
     records = [
         RoundRecord(
             t + 1,
-            "local",
+            cfg.mode,
             float(losses[:, t].mean()),
             float(ppls[:, t].mean()),
-            int(walls[:, t].sum()),  # clients run sequentially here
+            int(walls[:, t].sum()),  # the clients run one after another
             0,
             0,
         )
         for t in range(cfg.rounds)
     ]
-    extras = {
-        "bleu": float(np.mean([bleu_of(m, setup) for m in models])),
-        "clients": {
-            str(i): {
-                "final_train_loss": float(losses[i, -1]),
-                "train_loss": [float(x) for x in losses[i]],
-                "perplexity": [float(x) for x in ppls[i]],
-            }
-            for i in range(cfg.clients)
-        },
+    extras = {"bleu": float(np.mean([bleu_of(m, setup) for m in models]))}
+    if cfg.mode == "central":
+        return ExperimentResult(models[0], records, extras)
+    extras["clients"] = {
+        str(i): {
+            "final_train_loss": float(losses[i, -1]),
+            "train_loss": [float(x) for x in losses[i]],
+            "perplexity": [float(x) for x in ppls[i]],
+        }
+        for i in range(cfg.clients)
     }
     return ExperimentResult(None, records, extras, client_models=models)
 
 
 # -- entry points ------------------------------------------------------------
 
-_RUNNERS = {"federated": run_federated, "central": run_central, "local": run_local}
+_RUNNERS = {"federated": run_federated, "central": run_alone, "local": run_alone}
 
 
 def run_experiment(

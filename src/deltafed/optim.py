@@ -5,10 +5,9 @@ The optimizer works on a parameter set's trainable vector
 order, end to end). The gradient and both AdamW moments are vectors laid
 out the same way. local_train_round steps a copy of the round-start vector
 in place and hands it to a set that shares the round-start layout and
-frozen vector. clip_gradients and adamw_step do the same arithmetic on
-ParameterSet arguments. The gradients' and the state's layouts must be the
-parameters' trainable entries alone; `params.check_layout` raises a
-StructureError naming the entry that is not.
+frozen vector. The state's layout must be the parameters' trainable entries
+alone; `params.check_layout` raises a StructureError naming the entry that
+is not.
 """
 
 from __future__ import annotations
@@ -131,36 +130,6 @@ def _adamw_flat(
     v_hat = v / (1.0 - BETA2**t)
     p -= lr * cfg.weight_decay * p
     p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
-
-
-# -- ParameterSet front ends -----------------------------------------------------
-
-
-def clip_gradients(grads: ParameterSet, max_norm: float) -> ParameterSet:
-    if max_norm <= 0:
-        raise ArgumentError(f"max_norm must be positive, got {max_norm}")
-    norm = _grad_norm(grads.trainable_flat)
-    if not math.isfinite(norm):
-        raise _nonfinite(grads.layout, grads.trainable_flat, norm)
-    if norm <= max_norm:
-        return grads
-    return grads.with_trainable(grads.trainable_flat * (max_norm / norm))
-
-
-def adamw_step(
-    params: ParameterSet,
-    grads: ParameterSet,
-    state: OptimizerState,
-    cfg: OptimizerConfig,
-) -> tuple[ParameterSet, OptimizerState]:
-    """One update; the state passed in is left as it was. The gradients'
-    trainable entries must be the parameters'."""
-    check_layout(params.layout.trainable_only, grads.layout.trainable_only)
-    check_layout(params.layout.trainable_only, state.layout)
-    p = params.trainable_flat.copy()
-    m, v = state.m_flat.copy(), state.v_flat.copy()
-    _adamw_flat(p, grads.trainable_flat, m, v, state.step, cfg)
-    return params.with_trainable(p), OptimizerState(state.step + 1, state.layout, m, v)
 
 
 def _epoch_batches(

@@ -206,25 +206,6 @@ class ParameterSet:
     def trainable_subset(self) -> "ParameterSet":
         return ParameterSet.from_vectors(self.layout.trainable_only, self.trainable_flat, _EMPTY)
 
-    def replace_values(self, values: Mapping[str, np.ndarray]) -> "ParameterSet":
-        """New set with the named entries' values swapped, flags kept. A
-        vector none of them lives in is shared."""
-        vectors = [self.frozen_flat, self.trainable_flat]  # copied on first write
-        for name, (flag, lo, hi, shape) in self.layout.slots.items():
-            if name in values:
-                a = np.asarray(values[name], dtype=np.float64)
-                if (a.shape or (1,)) != shape:  # a scalar is one value
-                    raise StructureError(
-                        f"entry {name!r}: replacement shape {a.shape or (1,)} != {shape}"
-                    )
-                if not vectors[flag].flags.writeable:
-                    vectors[flag] = vectors[flag].copy()
-                vectors[flag][lo:hi] = a.reshape(-1)
-        unknown = set(values) - set(self.layout.slots)
-        if unknown:
-            raise ArgumentError(f"no entry named {sorted(unknown)[0]!r}")
-        return ParameterSet.from_vectors(self.layout, vectors[True], vectors[False])
-
 
 def differences(want: Layout, got: Layout) -> tuple[list[str], list[str], str | None]:
     """How `got` departs from `want`: (the entries it lacks, those it adds,

@@ -14,8 +14,8 @@ channel ends and each in-process client with its own end: the broadcast
 goes out on every channel and each client submits its training; then, in
 client-id order, each client collects and sends its update and the server
 receives it. A client's error is prefixed `client <i>: ` as it is raised
-(`blame`) and carries the client's ledger. Central and local mode drive one
-`Client` with no channel (`harness._alone`). A client trains through a
+(`blame`) and carries the client's ledger. Central and local mode drive
+each `Client` with no channel (`harness.run_alone`). A client trains through a
 `LocalTrainer` in this process or a `workers.WorkerTrainer`.
 """
 
@@ -340,11 +340,14 @@ def run_server(
 def apply_dense(params: ParameterSet, mean: ParameterSet) -> ParameterSet:
     """Fold the mean dense delta, laid out as `_dense_layout(params)`, into
     the base entries and restart the factors."""
-    new_vals: dict[str, np.ndarray] = {}
+    vectors = [params.frozen_flat.copy(), params.trainable_flat.copy()]
+    slots = params.layout.slots
     for name in mean.names():
-        new_vals[name] = params.array(name) + mean.array(name)
-        new_vals[f"{name}.lora.B"] = np.zeros_like(params.array(f"{name}.lora.B"))
-    return params.replace_values(new_vals)
+        flag, lo, hi, _ = slots[name]
+        vectors[flag][lo:hi] += mean.array(name).reshape(-1)
+        flag, lo, hi, _ = slots[f"{name}.lora.B"]
+        vectors[flag][lo:hi] = 0.0
+    return ParameterSet.from_vectors(params.layout, vectors[True], vectors[False])
 
 
 @dataclass(frozen=True)

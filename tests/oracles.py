@@ -10,17 +10,18 @@ vocab-major logits: row-major (n, V) logits, a separate input-term buffer in
 the recurrence and a carry temporary per backward step; it builds the
 effective weights with the model's own `_effective`.
 `reference_dropout_mask` is the mask cast from booleans, for the mask's
-bitwise test. `loss_and_grad` is the step's ParameterSet front end, for
-tests that build batches and compare gradients entry by entry.
-`with_flags`, `merged_with` and `drop` build the odd parameter sets tests
-feed to the checks, entry by entry.
+bitwise test. `loss_and_grad`, `clip_gradients` and `adamw_step` are the
+step's gradient, clip and AdamW update as ParameterSet front ends of the
+flat kernels, for tests that compare them entry by entry and compose a
+round from them. `with_flags`, `merged_with`, `drop` and `replace_values`
+build the odd parameter sets tests feed to the checks, entry by entry.
 """
 
 import math
 
 import numpy as np
 
-from deltafed.errors import ArgumentError
+from deltafed.errors import ArgumentError, StructureError
 from deltafed.model import (
     SEED_PARTITION,
     _assemble_grads,
@@ -37,8 +38,9 @@ from deltafed.optim import (
     _clip_flat,
     _epoch_batches,
     _grad_norm,
+    _nonfinite,
 )
-from deltafed.params import ParameterSet
+from deltafed.params import ParameterSet, check_layout
 
 
 def vocab_symbols(data: bytes) -> bytes:
@@ -151,6 +153,50 @@ def drop(params, names):
     """`params` without the named entries."""
     gone = set(names)
     return ParameterSet([(n, t, f) for n, t, f in params.items() if n not in gone])
+
+
+def replace_values(params, values):
+    """`params` with the named entries' values swapped, flags kept; a
+    vector none of them lives in is shared."""
+    vectors = [params.frozen_flat, params.trainable_flat]  # copied on first write
+    for name, (flag, lo, hi, shape) in params.layout.slots.items():
+        if name in values:
+            a = np.asarray(values[name], dtype=np.float64)
+            if (a.shape or (1,)) != shape:  # a scalar is one value
+                raise StructureError(
+                    f"entry {name!r}: replacement shape {a.shape or (1,)} != {shape}"
+                )
+            if not vectors[flag].flags.writeable:
+                vectors[flag] = vectors[flag].copy()
+            vectors[flag][lo:hi] = a.reshape(-1)
+    unknown = set(values) - set(params.layout.slots)
+    if unknown:
+        raise ArgumentError(f"no entry named {sorted(unknown)[0]!r}")
+    return ParameterSet.from_vectors(params.layout, vectors[True], vectors[False])
+
+
+def clip_gradients(grads, max_norm):
+    """_clip_flat on a gradient set: the same set when its norm is within
+    max_norm, else a scaled copy."""
+    if max_norm <= 0:
+        raise ArgumentError(f"max_norm must be positive, got {max_norm}")
+    norm = _grad_norm(grads.trainable_flat)
+    if not math.isfinite(norm):
+        raise _nonfinite(grads.layout, grads.trainable_flat, norm)
+    if norm <= max_norm:
+        return grads
+    return grads.with_trainable(grads.trainable_flat * (max_norm / norm))
+
+
+def adamw_step(params, grads, state, cfg):
+    """One _adamw_flat update on sets; the state passed in is left as it
+    was. The gradients' trainable entries must be the parameters'."""
+    check_layout(params.layout.trainable_only, grads.layout.trainable_only)
+    check_layout(params.layout.trainable_only, state.layout)
+    p = params.trainable_flat.copy()
+    m, v = state.m_flat.copy(), state.v_flat.copy()
+    _adamw_flat(p, grads.trainable_flat, m, v, state.step, cfg)
+    return params.with_trainable(p), OptimizerState(state.step + 1, state.layout, m, v)
 
 
 def loss_and_grad(model, batch, rng=None):

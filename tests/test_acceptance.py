@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import loss_and_grad
+from oracles import loss_and_grad, replace_values
 from test_model import finite_difference_grads, max_rel_error
 
 from deltafed.aggregate import ClientUpdate, fedavg_aggregate, gradualdiff_aggregate
@@ -74,7 +74,7 @@ class TestCriterion1:
                         n: rng.standard_normal(global_.array(n).shape)
                         for n in global_.trainable_names()
                     }
-                    deltas.append(global_.trainable_subset().replace_values(vals))
+                    deltas.append(replace_values(global_.trainable_subset(), vals))
 
                 via_delta = gradualdiff_aggregate(
                     global_,
@@ -118,7 +118,7 @@ class TestCriterion2:
                     )
                     # give B signal so its gradient is informative
                     model = model.with_params(
-                        model.params.replace_values(
+                        replace_values(model.params,
                             {
                                 n: 0.1 * rng.standard_normal(model.params.array(n).shape)
                                 for n in model.params.trainable_names()
@@ -250,7 +250,7 @@ class TestCriterion5:
             cfg = LmConfig(vocab_size=7, embed_dim=4, context=8)
             model = init_model(cfg, seed=0)
             zeroed = model.with_params(
-                model.params.replace_values(
+                replace_values(model.params,
                     {
                         n: np.zeros(model.params.array(n).shape)
                         for n in model.params.names()

@@ -9,6 +9,7 @@ from deltafed.aggregate import (
 )
 from deltafed.errors import ArgumentError, ProtocolError
 from deltafed.params import ParameterSet, subtract_trainable
+from oracles import replace_values
 
 
 def scalar_model(value, trainable=True):
@@ -55,7 +56,7 @@ class TestFedavg:
         rng = np.random.default_rng(4)
         base = random_set(rng, frozen_base=True)
         others = [
-            base.replace_values({"b.v": rng.standard_normal(5)}) for _ in range(3)
+            replace_values(base, {"b.v": rng.standard_normal(5)}) for _ in range(3)
         ]
         out = fedavg_aggregate([update(i, s) for i, s in enumerate(others)])
         assert np.shares_memory(out.array("a.W"), others[0].array("a.W"))
@@ -88,7 +89,7 @@ class TestGradualdiff:
     def test_zero_deltas_keep_global_bitwise(self):
         rng = np.random.default_rng(7)
         g = random_set(rng)
-        zero = g.replace_values(
+        zero = replace_values(g,
             {n: np.zeros(g.array(n).shape) for n in g.names()}
         )
         out = gradualdiff_aggregate(g, [update(i, zero) for i in range(4)])

@@ -404,14 +404,25 @@ class TestCli:
         assert "rounds.csv" in out and "federated" in out
         assert (tmp_path / "runs" / "rounds.csv").exists()
 
-    def test_run_mode_and_out_overrides(self, tmp_path, corpus_path):
+    @pytest.mark.parametrize("mode", ["central", "local"])
+    def test_run_mode_and_out_overrides(self, tmp_path, corpus_path, mode):
         path = self.write_cfg(tmp_path, corpus_path)
         code = cli_main(
-            ["run", "--config", str(path), "--mode", "central", "--out", str(tmp_path / "alt")]
+            ["run", "--config", str(path), "--mode", mode, "--out", str(tmp_path / "alt")]
         )
         assert code == 0
         rows = parse_rounds_csv((tmp_path / "alt" / "rounds.csv").read_text())
-        assert all(r.mode == "central" for r in rows)
+        assert rows and all(r.mode == mode for r in rows)
+        summary = json.loads((tmp_path / "alt" / "summary.json").read_text())
+        assert "bleu" in summary
+        cfg = summary["config"]
+        if mode == "local":
+            curves = summary["clients"]
+            assert sorted(curves) == [str(i) for i in range(cfg["clients"])]
+            for curve in curves.values():
+                assert len(curve["train_loss"]) == len(curve["perplexity"]) == cfg["rounds"]
+        else:
+            assert "clients" not in summary
 
     def test_compare_writes_both_files(self, tmp_path, corpus_path):
         path = self.write_cfg(tmp_path, corpus_path)

@@ -7,7 +7,7 @@ from deltafed.model import LmConfig, init_model
 from deltafed.params import subtract_trainable
 from deltafed.protocol import dense_delta
 
-from oracles import forward, loss_and_grad
+from oracles import forward, loss_and_grad, replace_values
 from test_model import finite_difference_grads, max_rel_error
 
 
@@ -98,7 +98,7 @@ class TestEffectiveWeight:
         # B = 0 that change is s * A @ B, here taken by the oracle
         rng = np.random.default_rng(8)
         bumped = adapted.with_params(
-            adapted.params.replace_values(
+            replace_values(adapted.params,
                 {
                     "embed.W.lora.B": rng.standard_normal((2, 4)),
                     "rnn.U.lora.B": rng.standard_normal((2, 4)),
@@ -125,7 +125,7 @@ class TestGradientFlow:
         rng = np.random.default_rng(21)
         # move B off zero so both factors carry signal
         adapted = adapted.with_params(
-            adapted.params.replace_values(
+            replace_values(adapted.params,
                 {
                     "embed.W.lora.B": 0.1 * rng.standard_normal((2, 4)),
                     "rnn.U.lora.B": 0.1 * rng.standard_normal((2, 4)),
@@ -141,7 +141,7 @@ class TestGradientFlow:
         # a hand-applied factor update shows up only on .lora.* entries
         rng = np.random.default_rng(2)
         moved = adapted.with_params(
-            adapted.params.replace_values(
+            replace_values(adapted.params,
                 {"embed.W.lora.B": rng.standard_normal((2, 4))}
             )
         )
@@ -155,7 +155,7 @@ class TestMerge:
         # merged here with the oracle product, computes the adapted forward
         rng = np.random.default_rng(31)
         adapted = adapted.with_params(
-            adapted.params.replace_values(
+            replace_values(adapted.params,
                 {
                     "embed.W.lora.B": 0.2 * rng.standard_normal((2, 4)),
                     "rnn.U.lora.B": 0.2 * rng.standard_normal((2, 4)),
@@ -168,7 +168,7 @@ class TestMerge:
             + ad.scaling * naive_matmul(p.array(f"{t}.lora.A"), p.array(f"{t}.lora.B"))
             for t, ad in adapted.adapters.items()
         }
-        oracle = plain.with_params(plain.params.replace_values(merged))
+        oracle = plain.with_params(replace_values(plain.params, merged))
         seq = [5, 4, 3, 2, 1, 0]
         before, _ = forward(adapted, seq)
         after, _ = forward(oracle, seq)
@@ -187,7 +187,7 @@ class TestDropout:
         m = attach(plain, ["embed.W", "rnn.U"], 2, 4.0, dropout_p=0.5, seed=3)
         rng = np.random.default_rng(12)
         m = m.with_params(
-            m.params.replace_values(
+            replace_values(m.params,
                 {
                     "embed.W.lora.B": rng.standard_normal((2, 4)),
                     "rnn.U.lora.B": rng.standard_normal((2, 4)),

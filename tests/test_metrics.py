@@ -12,7 +12,7 @@ from deltafed.metrics import (
     format_rows,
 )
 from deltafed.model import LmConfig, init_model, perplexity_of
-from oracles import forward
+from oracles import forward, replace_values
 from rounds_csv import parse_rounds_csv
 
 
@@ -78,7 +78,7 @@ class TestBleu:
 def uniform_model(vocab=7):
     m = init_model(LmConfig(vocab_size=vocab, embed_dim=3, context=5), seed=0)
     zeros = {n: np.zeros(m.params.array(n).shape) for n in m.params.names()}
-    return m.with_params(m.params.replace_values(zeros))
+    return m.with_params(replace_values(m.params, zeros))
 
 
 class TestCorpusPerplexity:

@@ -27,6 +27,7 @@ from oracles import (
     reference_dropout_mask,
     reference_loss_and_grad,
     reference_recur,
+    replace_values,
 )
 
 
@@ -43,7 +44,7 @@ def finite_difference_grads(model, batch, eps=1e-5):
                 bumped = base.copy()
                 bumped[j] += sign * eps
                 m2 = model.with_params(
-                    model.params.replace_values({name: bumped.reshape(t.shape)})
+                    replace_values(model.params, {name: bumped.reshape(t.shape)})
                 )
                 loss, _ = loss_and_grad(m2, batch)
                 g[j] += sign * loss
@@ -96,7 +97,7 @@ class TestForward:
     def test_zero_output_layer_is_uniform(self, tiny_model):
         v = tiny_model.cfg.vocab_size
         zeroed = tiny_model.with_params(
-            tiny_model.params.replace_values(
+            replace_values(tiny_model.params,
                 {"embed.W": np.zeros((v, 3)), "out.b": np.zeros(v)}
             )
         )
@@ -110,7 +111,7 @@ class TestForward:
         w = tiny_model.params.array("embed.W").copy()
         w[0, :] += 0.5  # row 0: embedding of token 0 AND logit row of token 0
         bumped = tiny_model.with_params(
-            tiny_model.params.replace_values({"embed.W": w})
+            replace_values(tiny_model.params, {"embed.W": w})
         )
         probs_after, _ = forward(bumped, [0, 1])
         # output side: P(token 0) changes at every position
@@ -145,7 +146,7 @@ class TestLossAndGrad:
     def test_uniform_model_loss_is_log_v(self, tiny_model):
         v = tiny_model.cfg.vocab_size
         zeroed = tiny_model.with_params(
-            tiny_model.params.replace_values(
+            replace_values(tiny_model.params,
                 {"embed.W": np.zeros((v, 3)), "out.b": np.zeros(v)}
             )
         )
@@ -179,7 +180,7 @@ def step_model(d: int, adapters: str) -> LmModel:
     adapted = attach(plain, adapters.split(","), rank=4, alpha=8.0, dropout_p=0.1, seed=3)
     rng = np.random.default_rng(7)
     return adapted.with_params(
-        adapted.params.replace_values(
+        replace_values(adapted.params,
             {n: rng.uniform(-0.3, 0.3, t.shape) for n, t, f in adapted.params.items() if f}
         )
     )
@@ -248,7 +249,7 @@ class TestPerplexity:
     def test_uniform_model_gives_vocab_size(self, tiny_model):
         v = tiny_model.cfg.vocab_size
         uniform = tiny_model.with_params(
-            tiny_model.params.replace_values(
+            replace_values(tiny_model.params,
                 {"embed.W": np.zeros((v, 3)), "out.b": np.zeros(v)}
             )
         )
@@ -260,7 +261,7 @@ class TestPerplexity:
         cfg = LmConfig(vocab_size=2, embed_dim=2, context=4)
         m = init_model(cfg, seed=0)
         m = m.with_params(
-            m.params.replace_values({"embed.W": np.zeros((2, 2)), "out.b": np.zeros(2)})
+            replace_values(m.params, {"embed.W": np.zeros((2, 2)), "out.b": np.zeros(2)})
         )
         assert math.isclose(perplexity_of(m, [0, 1, 1, 0, 1, 0, 0]), 2.0, rel_tol=1e-12)
 

@@ -9,14 +9,12 @@ from deltafed.lora import attach
 from deltafed.model import LmConfig, init_model
 from deltafed.optim import (
     OptimizerConfig,
-    adamw_step,
-    clip_gradients,
     init_state,
     local_train_round,
     lr_at,
 )
 from deltafed.params import ParameterSet, l2_norm
-from oracles import loss_and_grad, with_flags
+from oracles import adamw_step, clip_gradients, loss_and_grad, replace_values, with_flags
 
 
 def scalar_set(value, trainable=True):
@@ -360,7 +358,7 @@ class TestLocalTrainRound:
         # B starts at zero, so the forward pass is untouched, but B's
         # gradient A.T @ dU overflows the squared gradient norm
         blown = adapted.with_params(
-            adapted.params.replace_values({"rnn.U.lora.A": np.full((4, 2), 1e300)})
+            replace_values(adapted.params, {"rnn.U.lora.A": np.full((4, 2), 1e300)})
         )
         with pytest.raises(NumericalError, match=r"step 1:.*'rnn\.U\.lora\.B'"):
             local_train_round(

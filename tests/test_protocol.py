@@ -36,7 +36,7 @@ from deltafed.wire import (
     serialize_params,
     serialized_size,
 )
-from oracles import drop, merged_with
+from oracles import drop, merged_with, replace_values
 
 
 def adapted_model(seed=1, vocab=6, dim=4, rank=2):
@@ -401,6 +401,35 @@ class TestEndToEndMemory:
         name = model.params.trainable_names()[0]
         moved = final.params.array(name) - model.params.array(name)
         assert np.allclose(moved, 0.75, atol=1e-12)
+
+
+def test_apply_dense_folds_the_mean_into_the_base_entries():
+    rng = np.random.default_rng(4)
+    params = adapted_model().params
+    factors_b = [n for n in params.names() if n.endswith(".lora.B")]
+    # nonzero B factors, so that restarting them shows
+    params = replace_values(
+        params, {n: rng.standard_normal(params.array(n).shape) for n in factors_b}
+    )
+    layout = protocol._dense_layout(params)
+    assert layout.names == ("embed.W", "rnn.U")
+    mean = ParameterSet.from_vectors(
+        layout, rng.standard_normal(layout.trainable_size), np.zeros(0)
+    )
+    trainable, frozen = params.trainable_flat.copy(), params.frozen_flat.copy()
+
+    out = protocol.apply_dense(params, mean)
+    assert out.layout is params.layout
+    for name, got, _ in out.items():
+        if name in layout.names:
+            want = params.array(name) + mean.array(name)
+        elif name in factors_b:
+            want = np.zeros_like(got)
+        else:  # the .lora.A factors and every untargeted entry
+            want = params.array(name)
+        assert got.tobytes() == want.tobytes(), name
+    assert params.trainable_flat.tobytes() == trainable.tobytes()
+    assert params.frozen_flat.tobytes() == frozen.tobytes()
 
 
 class TestAggregationSpans:

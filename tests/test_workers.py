@@ -19,6 +19,7 @@ import test_harness
 from deltafed.config import override
 from deltafed.errors import DeltaFedError
 from deltafed.harness import compare_modes, run_experiment
+from oracles import replace_values
 
 corpus_path = test_harness.corpus_path  # the module-scoped corpus fixture
 small_cfg = test_harness.small_cfg
@@ -538,7 +539,7 @@ class TestSharedFrozenVector:
         for rnd in range(3):
             if rnd == 2:  # as a full broadcast would: new frozen values
                 bumped = model.params.array("rnn.U") + 0.5
-                model = model.with_params(model.params.replace_values({"rnn.U": bumped}))
+                model = model.with_params(replace_values(model.params, {"rnn.U": bumped}))
             start = model.params
             trainer.submit(model)
             model, _ = trainer.collect()
