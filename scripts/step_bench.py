@@ -4,8 +4,10 @@ Times, in this one process with one BLAS thread, the kernels a client's
 round is made of:
 
 - `grad`: `model.trainable_loss_and_grad` on one batch (the step's loss and
-  gradient);
-- `clip_adamw`: `optim._clip_flat` + `optim._adamw_flat` on its gradient;
+  gradient), on a workspace built once as `optim.local_train_round` builds
+  it;
+- `clip_adamw`: `optim._clip_flat` + `optim._adamw_flat` on its gradient,
+  with AdamW's scratch built once as the round builds it;
 - `round`: one `optim.local_train_round` of a client's steps per round;
 - `perplexity`: `model.perplexity_of` over the held-out stream.
 
@@ -19,11 +21,18 @@ Each at three shapes, built as `harness._setup` builds a run, seed 1:
 Each kernel is sampled 15 times (2 with `--quick`); a sample is the mean CPU time of a
 few back-to-back calls. The JSON printed gives the best and the median
 sample in milliseconds, and the machine fingerprint `bench/run.py` records.
-`--src PATH` times the `deltafed` package under another checkout's `src/`,
-so two trees can be timed alternately on one host:
+`--src PATH` times the `deltafed` package under another checkout's `src/`
+(a tree from before the step's workspace is timed as its round calls the
+step: no workspace, no AdamW scratch). `--against PATH` times two trees on
+one host: it runs this script on `--src` and on PATH in turn, five times a
+side (once with `--quick`), alternating which side runs first, and prints
+both sides in `BENCH_step.json`'s form, PATH as "parent" and `--src` as
+"change": the fastest sample over all runs, and the median over runs of
+each run's median sample.
 
     python3 scripts/step_bench.py
     python3 scripts/step_bench.py --src ../other-checkout/src
+    python3 scripts/step_bench.py --against ../parent-checkout/src
     python3 scripts/step_bench.py --quick    # a smoke run of every kernel
 """
 
@@ -31,8 +40,10 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import json
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -49,6 +60,8 @@ SHAPES = {
 }
 SEED = 1
 SAMPLES = 15
+RUNS = 5  # runs a side with --against
+KERNELS = ("grad", "clip_adamw", "round", "perplexity")
 
 
 def load_module(name: str, path: Path):
@@ -74,6 +87,7 @@ def time_shape(settings: dict, corpus_bytes, work_dir: Path, samples: int, quick
     import numpy as np
 
     import deltafed.harness as harness
+    import deltafed.model as model_module
     from deltafed import ExperimentConfig
     from deltafed.model import perplexity_of, trainable_loss_and_grad
     from deltafed.optim import _adamw_flat, _clip_flat, _grad_norm, init_state, local_train_round
@@ -95,17 +109,22 @@ def time_shape(settings: dict, corpus_bytes, work_dir: Path, samples: int, quick
     values = params.arrays(trainable=p)
     groups = shard.batch(np.arange(min(cfg.batch_size, len(shard))))
     rng = task.rng()
+    # the step's arrays, as local_train_round builds them once per round
+    workspace = getattr(model_module, "Workspace", None)
+    ws = {"ws": workspace(model)} if workspace else {}
+    has_scratch = "scratch" in inspect.signature(_adamw_flat).parameters
+    scratch = (np.empty((2, p.size)),) if has_scratch else ()
 
     def grad():
-        return trainable_loss_and_grad(model, groups, rng=rng, values=values)
+        return trainable_loss_and_grad(model, groups, rng=rng, values=values, **ws)
 
-    g = grad()[1]
+    g = grad()[1].copy()
     state = init_state(params)
     m, v = state.m_flat.copy(), state.v_flat.copy()
 
     def clip_adamw():
         _clip_flat(g, _grad_norm(g), cfg.max_grad_norm)
-        _adamw_flat(p, g, m, v, 0, task.opt_cfg)
+        _adamw_flat(p, g, m, v, 0, task.opt_cfg, *scratch)
 
     def train_round():
         local_train_round(
@@ -126,25 +145,67 @@ def time_shape(settings: dict, corpus_bytes, work_dir: Path, samples: int, quick
     }
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description="Time the training step's layers; print JSON.")
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the src/ holding deltafed")
-    parser.add_argument("--quick", action="store_true", help="two samples of a few calls each")
-    args = parser.parse_args()
-    src = args.src.resolve()
+def one_tree(src: Path, quick: bool) -> dict:
+    """Every kernel at every shape, timed on the deltafed under `src`."""
     sys.path.insert(0, str(src))
     import deltafed
 
     if Path(deltafed.__file__).resolve().parent != src / "deltafed":
         sys.exit(f"deltafed was imported from {deltafed.__file__}, not {src}")
-    samples = 2 if args.quick else SAMPLES
+    samples = 2 if quick else SAMPLES
     with tempfile.TemporaryDirectory() as tmp:
         shapes = {
-            name: time_shape(settings, corpus_bytes, Path(tmp), samples, args.quick)
+            name: time_shape(settings, corpus_bytes, Path(tmp), samples, quick)
             for name, (settings, corpus_bytes) in SHAPES.items()
         }
     fingerprint = load_module("bench_run", ROOT / "bench" / "run.py").fingerprint()
-    print(json.dumps({"src": str(src), "machine": fingerprint, "shapes": shapes}, indent=1))
+    return {"src": str(src), "machine": fingerprint, "shapes": shapes}
+
+
+def two_trees(src: Path, against: Path, quick: bool) -> dict:
+    """`one_tree` on both trees in fresh processes, alternating which runs
+    first, merged side by side."""
+    sides = {"parent": against, "change": src}
+    runs = {side: [] for side in sides}
+    for i in range(1 if quick else RUNS):
+        order = ("change", "parent") if i % 2 else ("parent", "change")
+        for side in order:
+            cmd = [sys.executable, __file__, "--src", str(sides[side])] + ["--quick"] * quick
+            out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+            runs[side].append(json.loads(out))
+    shapes = {}
+    for name in SHAPES:
+        row = {"steps_per_round": {s: runs[s][0]["shapes"][name]["steps_per_round"] for s in sides}}
+        for kernel in KERNELS:
+            row[kernel] = {}
+            for side in sides:
+                timings = [r["shapes"][name][kernel] for r in runs[side]]
+                row[kernel][side] = {
+                    "best_ms": min(t["best_ms"] for t in timings),
+                    "median_ms": round(statistics.median(t["median_ms"] for t in timings), 4),
+                }
+        shapes[name] = row
+    return {
+        "columns": {side: str(path) for side, path in sides.items()},
+        "runs_per_side": len(runs["change"]),
+        "statistics": "best_ms: the fastest sample over all runs; median_ms: the median over runs of each run's median sample",
+        "machine": runs["change"][0]["machine"],
+        "shapes": shapes,
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description="Time the training step's layers; print JSON.")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the src/ holding deltafed")
+    parser.add_argument("--against", type=Path, help="another src/ to time alternately with --src")
+    parser.add_argument("--quick", action="store_true", help="two samples of a few calls each")
+    args = parser.parse_args()
+    src = args.src.resolve()
+    if args.against is None:
+        result = one_tree(src, args.quick)
+    else:
+        result = two_trees(src, args.against.resolve(), args.quick)
+    print(json.dumps(result, indent=1))
 
 
 if __name__ == "__main__":

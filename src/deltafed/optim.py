@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericalError
-from .model import LmModel, Windows, as_windows, check_windows, trainable_loss_and_grad
+from .model import (
+    LmModel,
+    Windows,
+    Workspace,
+    as_windows,
+    check_windows,
+    trainable_loss_and_grad,
+)
 from .params import Layout, ParameterSet, check_layout
 
 BETA1, BETA2 = 0.9, 0.999  # AdamW moment decay rates
@@ -116,20 +123,29 @@ def _adamw_flat(
     v: np.ndarray,
     step: int,
     cfg: OptimizerConfig,
+    scratch: np.ndarray,
 ) -> None:
-    """One AdamW update of p, m and v from the pre-increment counter `step`."""
+    """One AdamW update of p, m and v from the pre-increment counter `step`.
+
+    `scratch` is a (2, p.size) array the update's intermediates are written
+    into, in the order the formula computes them."""
     # lr is taken at the pre-increment counter, so the first warmup step is
     # a pure moment update (lr 0), matching the usual scheduler convention.
     lr = lr_at(step, cfg)
     t = step + 1
+    s1, s2 = scratch
     m *= BETA1
-    m += (1.0 - BETA1) * g
+    m += np.multiply(g, 1.0 - BETA1, out=s1)
     v *= BETA2
-    v += (1.0 - BETA2) * g * g
-    m_hat = m / (1.0 - BETA1**t)
-    v_hat = v / (1.0 - BETA2**t)
-    p -= lr * cfg.weight_decay * p
-    p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+    np.multiply(g, 1.0 - BETA2, out=s1)
+    v += np.multiply(s1, g, out=s1)
+    p -= np.multiply(p, lr * cfg.weight_decay, out=s1)
+    m_hat = np.divide(m, 1.0 - BETA1**t, out=s1)
+    v_hat = np.divide(v, 1.0 - BETA2**t, out=s2)
+    denom = np.sqrt(v_hat, out=s2)
+    denom += EPS
+    m_hat *= lr
+    p -= np.divide(m_hat, denom, out=s1)
 
 
 def _epoch_batches(
@@ -154,9 +170,10 @@ def local_train_round(
     The shard (Windows, or id sequences made into Windows here) is checked
     against the model once; each step gathers its batch by row index. The
     trainable values, the gradient and the moments stay in flat vectors
-    for the whole round; the trained model's ParameterSet takes the values
-    vector over at the end and shares the round-start layout and frozen
-    vector. Returns the updated model, the carried optimizer state, and the
+    for the whole round, and every step writes into one model.Workspace
+    and one pair of AdamW scratch vectors built here; the trained model's
+    ParameterSet takes the values vector over at the end and shares the
+    round-start layout and frozen vector. Returns the updated model, the carried optimizer state, and the
     mean per-position training loss across the round's steps (nan when
     steps=0). A non-finite loss or gradient raises NumericalError naming the
     step and the entry with the largest gradient.
@@ -173,6 +190,8 @@ def local_train_round(
     check_windows(model.cfg, windows)
     p = params.trainable_flat.copy()
     values = params.arrays(trainable=p)
+    ws = Workspace(model)
+    scratch = np.empty((2, p.size))
 
     step = state.step
     losses: list[float] = []
@@ -181,13 +200,13 @@ def local_train_round(
         if not pending:
             pending = _epoch_batches(len(windows), batch_size, rng)
         batch = windows.batch(pending.pop(0))
-        loss, g = trainable_loss_and_grad(model, batch, rng=rng, values=values)
+        loss, g = trainable_loss_and_grad(model, batch, rng=rng, values=values, ws=ws)
         norm = _grad_norm(g)
         if not (math.isfinite(loss) and math.isfinite(norm)):
             context = f"optimizer step {step + 1}: loss {loss:g}, "
             raise _nonfinite(state.layout, g, norm, context)
         _clip_flat(g, norm, cfg.max_grad_norm)
-        _adamw_flat(p, g, state.m_flat, state.v_flat, step, cfg)
+        _adamw_flat(p, g, state.m_flat, state.v_flat, step, cfg, scratch)
         step += 1
         losses.append(loss)
     if steps:

@@ -8,9 +8,12 @@ They are slow and plain on purpose. `reference_loss_and_grad` is the
 training step's gradient as it was before its kernels worked in place on
 vocab-major logits: row-major (n, V) logits, a separate input-term buffer in
 the recurrence and a carry temporary per backward step; it builds the
-effective weights with the model's own `_effective`.
-`reference_dropout_mask` is the mask cast from booleans, for the mask's
-bitwise test. `loss_and_grad`, `clip_gradients` and `adamw_step` are the
+effective weights with the snapshot's. The `snapshot_` functions are the
+step as it was before it ran on a workspace (one draw per dropout mask,
+every product allocated, a fresh gradient per call, AdamW with its
+temporaries), which the step must match bit for bit; `snapshot_train_round`
+drives a round with them. `reference_dropout_mask` is the mask cast from
+booleans, for the mask's bitwise test. `loss_and_grad`, `clip_gradients` and `adamw_step` are the
 step's gradient, clip and AdamW update as ParameterSet front ends of the
 flat kernels, for tests that compare them entry by entry and compose a
 round from them. `with_flags`, `merged_with`, `drop` and `replace_values`
@@ -18,27 +21,30 @@ build the odd parameter sets tests feed to the checks, entry by entry.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from deltafed.errors import ArgumentError, StructureError
 from deltafed.model import (
     SEED_PARTITION,
-    _assemble_grads,
     _check_ids,
-    _effective,
     _log_softmax,
     as_windows,
     check_windows,
     trainable_loss_and_grad,
 )
 from deltafed.optim import (
+    BETA1,
+    BETA2,
+    EPS,
     OptimizerState,
     _adamw_flat,
     _clip_flat,
     _epoch_batches,
     _grad_norm,
     _nonfinite,
+    lr_at,
 )
 from deltafed.params import ParameterSet, check_layout
 
@@ -98,7 +104,7 @@ def list_train_round(model, state, shard, cfg, rng, *, batch_size, steps):
         norm = _grad_norm(g)
         assert math.isfinite(loss) and math.isfinite(norm)
         _clip_flat(g, norm, cfg.max_grad_norm)
-        _adamw_flat(p, g, m, v, step, cfg)
+        _adamw_flat(p, g, m, v, step, cfg, np.empty((2, p.size)))
         step += 1
         losses.append(loss)
     trained = model.with_params(params.with_trainable(p))
@@ -119,7 +125,7 @@ def forward(model, tokens):
             f"sequence length {ids.size} exceeds context {model.cfg.context}"
         )
     _check_ids(model.cfg, ids)
-    eff = _effective(model, model.params.arrays())
+    eff = snapshot_effective(model, model.params.arrays())
     hs = reference_recur(eff, ids[:, None])[:, 0]
     logits = hs @ eff.w_out.T + eff.c
     probs = np.exp(_log_softmax(logits))
@@ -195,7 +201,7 @@ def adamw_step(params, grads, state, cfg):
     check_layout(params.layout.trainable_only, state.layout)
     p = params.trainable_flat.copy()
     m, v = state.m_flat.copy(), state.v_flat.copy()
-    _adamw_flat(p, grads.trainable_flat, m, v, state.step, cfg)
+    _adamw_flat(p, grads.trainable_flat, m, v, state.step, cfg, np.empty((2, p.size)))
     return params.with_trainable(p), OptimizerState(state.step + 1, state.layout, m, v)
 
 
@@ -251,7 +257,7 @@ def reference_nll(eff, x):
 def reference_loss_and_grad(model, groups, rng=None, values=None):
     if values is None:
         values = model.params.arrays()
-    eff = _effective(model, values, rng)
+    eff = snapshot_effective(model, values, rng)
     v, d = eff.w_lookup.shape
     layout = model.params.layout
     g = np.zeros(layout.trainable_size)
@@ -298,5 +304,211 @@ def reference_loss_and_grad(model, groups, rng=None, values=None):
         onehot[np.arange(n), x.T[:-1].reshape(n)] = 1.0
         d_w_lookup += onehot.T @ da2
 
-    _assemble_grads(model, eff, values, grad, d_w_lookup, d_w_out, d_u)
+    snapshot_assemble_grads(model, eff, values, grad, d_w_lookup, d_w_out, d_u)
     return total_nll * inv, g
+
+
+# -- the snapshot step ---------------------------------------------------------
+# The training step as it was before it ran on a per-round workspace: one
+# `rng.random` call per dropout mask, every product allocated by `@`, fresh
+# gradient and accumulator arrays per call, and an AdamW update that builds
+# its temporaries. The step that replaced it must match it bitwise.
+
+
+def snapshot_dropout_mask(rng, size, p):
+    # inverted dropout: zero with probability p, else 1/(1-p)
+    return (rng.random(size) >= p) * (1.0 / (1.0 - p))
+
+
+@dataclass
+class SnapshotEffective:
+    """Per-call effective weights plus the dropout masks that shaped them."""
+
+    w_lookup: np.ndarray
+    w_out: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    mask_lookup: np.ndarray = None  # over vocab rows
+    mask_out: np.ndarray = None  # over embed columns
+    mask_u: np.ndarray = None  # over embed columns
+
+
+def snapshot_adapter_product(values, target, scaling):
+    return scaling * (values[f"{target}.lora.A"] @ values[f"{target}.lora.B"])
+
+
+def snapshot_effective(model, values, rng=None):
+    w = values["embed.W"]
+    u = values["rnn.U"]
+    eff = SnapshotEffective(w, w, u, values["rnn.b"], values["out.b"])
+
+    ad_w = model.adapters.get("embed.W")
+    if ad_w is not None:
+        prod = snapshot_adapter_product(values, "embed.W", ad_w.scaling)
+        if rng is not None and ad_w.dropout_p > 0:
+            eff.mask_lookup = snapshot_dropout_mask(rng, w.shape[0], ad_w.dropout_p)
+            eff.mask_out = snapshot_dropout_mask(rng, w.shape[1], ad_w.dropout_p)
+            eff.w_lookup = w + prod * eff.mask_lookup[:, None]
+            eff.w_out = w + prod * eff.mask_out[None, :]
+        else:
+            eff.w_lookup = eff.w_out = w + prod
+
+    ad_u = model.adapters.get("rnn.U")
+    if ad_u is not None:
+        prod = snapshot_adapter_product(values, "rnn.U", ad_u.scaling)
+        if rng is not None and ad_u.dropout_p > 0:
+            eff.mask_u = snapshot_dropout_mask(rng, u.shape[1], ad_u.dropout_p)
+            eff.u = u + prod * eff.mask_u[None, :]
+        else:
+            eff.u = u + prod
+
+    return eff
+
+
+def snapshot_recur(eff, xt, h=None):
+    hs = eff.w_lookup[xt]  # input term of every step at once
+    hs += eff.b
+    u_t = eff.u.T
+    prev = h
+    for cur in hs:
+        if prev is not None:
+            cur += prev @ u_t
+        np.tanh(cur, out=cur)
+        prev = cur
+    return hs
+
+
+def snapshot_flat_index(ids, n):
+    at = ids * n
+    at += np.arange(n)
+    return at
+
+
+def snapshot_nll(eff, x):
+    xt = x.T
+    hs = snapshot_recur(eff, xt[:-1])
+    n = hs.shape[0] * hs.shape[1]
+    z = eff.w_out @ hs.reshape(n, -1).T  # vocab-major: reductions run down columns
+    z += eff.c[:, None]
+    z -= z.max(axis=0)
+    at_target = snapshot_flat_index(xt[1:].reshape(n), n)
+    target_logits = z.take(at_target).sum()
+    e = np.exp(z, out=z)
+    s = e.sum(axis=0)
+    nll = float(np.log(s).sum() - target_logits)
+    return nll, hs, e, s, at_target
+
+
+def snapshot_loss_and_grad(model, groups, rng=None, values=None):
+    if values is None:
+        values = model.params.arrays()
+    eff = snapshot_effective(model, values, rng)
+    v, d = eff.w_lookup.shape
+    layout = model.params.layout
+    g = np.zeros(layout.trainable_size)
+    grad = layout.views(g)
+
+    total_nll = 0.0
+    inv = 1.0 / sum(x.size - x.shape[0] for x in groups)
+    d_w_lookup = np.zeros((v, d))
+    d_w_out = np.zeros((v, d))
+    trained_u = "rnn.U" in grad and "rnn.U" not in model.adapters
+    d_u = grad["rnn.U"] if trained_u else np.zeros((d, d))
+    d_b = grad["rnn.b"] if "rnn.b" in grad else np.zeros(d)
+    d_c = grad["out.b"] if "out.b" in grad else np.zeros(v)
+
+    for x in groups:
+        nll, hs, dz, s, at_target = snapshot_nll(eff, x)
+        total_nll += nll
+        steps, bsz = hs.shape[:2]
+        n = steps * bsz
+        hm = hs.reshape(n, d)
+        dz *= inv / s
+        dz.reshape(-1)[at_target] -= inv
+        d_c += dz.sum(axis=1)
+        d_w_out += dz @ hm
+        da = (dz.T @ eff.w_out).reshape(steps, bsz, d)
+        gate = np.multiply(hs, hs)
+        np.subtract(1.0, gate, out=gate)
+
+        da[-1] *= gate[-1]
+        for i in range(steps - 1, 0, -1):
+            prev = da[i - 1]
+            prev += da[i] @ eff.u
+            prev *= gate[i - 1]
+
+        da2 = da.reshape(n, d)
+        d_b += da2.sum(axis=0)
+        d_u += da[1:].reshape(-1, d).T @ hs[:-1].reshape(-1, d)
+        onehot = dz
+        onehot.fill(0.0)
+        onehot.reshape(-1)[snapshot_flat_index(x.T[:-1].reshape(n), n)] = 1.0
+        d_w_lookup += onehot @ da2
+
+    snapshot_assemble_grads(model, eff, values, grad, d_w_lookup, d_w_out, d_u)
+    return total_nll * inv, g
+
+
+def snapshot_assemble_grads(model, eff, values, grad, d_w_lookup, d_w_out, d_u):
+    ad_w = model.adapters.get("embed.W")
+    if ad_w is None:
+        if "embed.W" in grad:
+            np.add(d_w_lookup, d_w_out, out=grad["embed.W"])
+    else:
+        dp = d_w_lookup * (eff.mask_lookup[:, None] if eff.mask_lookup is not None else 1.0)
+        dp = dp + d_w_out * (eff.mask_out[None, :] if eff.mask_out is not None else 1.0)
+        dp *= ad_w.scaling
+        snapshot_factor_grads(grad, values, "embed.W", dp)
+
+    ad_u = model.adapters.get("rnn.U")
+    if ad_u is not None:
+        dp = d_u * (eff.mask_u[None, :] if eff.mask_u is not None else 1.0)
+        dp = dp * ad_u.scaling
+        snapshot_factor_grads(grad, values, "rnn.U", dp)
+
+
+def snapshot_factor_grads(grad, values, target, dp):
+    a, b = f"{target}.lora.A", f"{target}.lora.B"
+    if a in grad:
+        np.matmul(dp, values[b].T, out=grad[a])
+    if b in grad:
+        np.matmul(values[a].T, dp, out=grad[b])
+
+
+def snapshot_adamw_flat(p, g, m, v, step, cfg):
+    lr = lr_at(step, cfg)
+    t = step + 1
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    p -= lr * cfg.weight_decay * p
+    p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+def snapshot_train_round(model, state, windows, cfg, rng, *, batch_size, steps):
+    """optim.local_train_round driven by the snapshot step and AdamW: a
+    fresh gradient per step, on Windows batches. Returns the trained
+    vector, the state and the mean loss; a non-finite step raises as the
+    round does."""
+    params = model.params
+    p = params.trainable_flat.copy()
+    m, v = state.m_flat.copy(), state.v_flat.copy()
+    values = params.arrays(trainable=p)
+    step, losses, pending = state.step, [], []
+    for _ in range(steps):
+        if not pending:
+            pending = _epoch_batches(len(windows), batch_size, rng)
+        batch = windows.batch(pending.pop(0))
+        loss, g = snapshot_loss_and_grad(model, batch, rng=rng, values=values)
+        norm = _grad_norm(g)
+        if not (math.isfinite(loss) and math.isfinite(norm)):
+            raise _nonfinite(state.layout, g, norm, f"optimizer step {step + 1}: loss {loss:g}, ")
+        _clip_flat(g, norm, cfg.max_grad_norm)
+        snapshot_adamw_flat(p, g, m, v, step, cfg)
+        step += 1
+        losses.append(loss)
+    return p, OptimizerState(step, state.layout, m, v), float(np.mean(losses))

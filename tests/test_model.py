@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from deltafed.model import (
     LmModel,
     Vocab,
     EVAL_BLOCK,
-    _dropout_mask,
+    Workspace,
     _effective,
     _recur,
     as_windows,
@@ -28,6 +29,7 @@ from oracles import (
     reference_loss_and_grad,
     reference_recur,
     replace_values,
+    snapshot_loss_and_grad,
 )
 
 
@@ -188,13 +190,15 @@ def step_model(d: int, adapters: str) -> LmModel:
 
 def step_groups(shape: str):
     """A batch as Windows.batch gives it: 16 full windows; 15 full windows
-    and a 9-token tail row; or one full window."""
+    and a 9-token tail row; one full window; or 8 full windows (the
+    wide-q4-tcp workload's batch)."""
     rng = np.random.default_rng(11)
     full = rng.integers(0, STEP_VOCAB, (16, STEP_CONTEXT + 1))
     rows = {
         "one width": list(full),
         "two widths": list(full[:15]) + [full[15, :9]],
         "single window": [full[0]],
+        "batch 8": list(full[:8]),
     }[shape]
     windows = as_windows(rows)
     return windows.batch(np.arange(len(windows)))
@@ -232,17 +236,64 @@ class TestStepAgainstReference:
     @pytest.mark.parametrize("d", [16, 64])
     def test_recurrence_is_bitwise_equal(self, d):
         model = step_model(d, "embed.W,rnn.U")
-        eff = _effective(model, model.params.arrays(), np.random.default_rng(2))
+        ws = Workspace(model)
+        eff = _effective(model, model.params.arrays(), ws, np.random.default_rng(2))
         xt = step_groups("one width")[0].T
-        assert np.array_equal(_recur(eff, xt), reference_recur(eff, xt))
-        h = np.random.default_rng(4).uniform(-1, 1, (xt.shape[1], d))
-        assert np.array_equal(_recur(eff, xt[:5], h), reference_recur(eff, xt[:5], h))
+        bsz = xt.shape[1]
+        assert np.array_equal(_recur(eff, xt, ws.shape(bsz, 18)), reference_recur(eff, xt))
+        h = np.random.default_rng(4).uniform(-1, 1, (bsz, d))
+        got = _recur(eff, xt[:5], ws.shape(bsz, 6), h)
+        assert np.array_equal(got, reference_recur(eff, xt[:5], h))
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_dropout_mask_is_bitwise_equal(self, p):
-        rng_new, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
-        assert np.array_equal(_dropout_mask(rng_new, 300, p), reference_dropout_mask(rng_ref, 300, p))
-        assert rng_new.random() == rng_ref.random()
+        # every mask of a step comes from one draw, in the order of one
+        # draw per mask: embed rows, embed columns, U columns; U's p may
+        # differ from embed's
+        plain = init_model(LmConfig(STEP_VOCAB, 16, STEP_CONTEXT), seed=3)
+        model = attach(plain, ["embed.W", "rnn.U"], rank=4, alpha=8.0, dropout_p=p, seed=3)
+        for p_u in (p, 0.3):
+            adapters = dict(model.adapters, **{"rnn.U": replace(model.adapters["rnn.U"], dropout_p=p_u)})
+            adapted = replace(model, adapters=adapters)
+            rng_new, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+            eff = _effective(adapted, adapted.params.arrays(), Workspace(adapted), rng_new)
+            assert np.array_equal(eff.mask_lookup[:, 0], reference_dropout_mask(rng_ref, STEP_VOCAB, p))
+            assert np.array_equal(eff.mask_out, reference_dropout_mask(rng_ref, 16, p))
+            assert np.array_equal(eff.mask_u, reference_dropout_mask(rng_ref, 16, p_u))
+            assert rng_new.random() == rng_ref.random()
+
+
+class TestStepAgainstSnapshot:
+    """The training step on a workspace against the snapshot step it
+    replaced (`tests/oracles.py`), which allocated every product and drew
+    one mask at a time: the same loss, gradient and generator stream, bit
+    for bit, with or without a workspace and when one is reused."""
+
+    @pytest.mark.parametrize("d", [16, 64, 256])
+    @pytest.mark.parametrize("shape", ["one width", "two widths", "single window", "batch 8"])
+    @pytest.mark.parametrize(
+        "adapters, dropout",
+        [
+            ("embed.W,rnn.U", True),
+            ("embed.W,rnn.U", False),
+            ("rnn.U", True),
+            ("full", False),
+        ],
+    )
+    def test_step_is_bitwise_equal(self, d, shape, adapters, dropout):
+        model = step_model(d, adapters)
+        groups = step_groups(shape)
+        rng_new = np.random.default_rng(5) if dropout else None
+        rng_ref = np.random.default_rng(5) if dropout else None
+        ws = Workspace(model)
+        for workspace in (None, ws, ws):
+            loss, g = trainable_loss_and_grad(model, groups, rng=rng_new, ws=workspace)
+            ref_loss, ref_g = snapshot_loss_and_grad(model, groups, rng=rng_ref)
+            assert loss == ref_loss
+            assert g.tobytes() == ref_g.tobytes()
+            assert np.abs(ref_g).max() > 0
+            if dropout:  # the step drew the same numbers as the snapshot
+                assert rng_new.random() == rng_ref.random()
 
 
 class TestPerplexity:

@@ -6,15 +6,24 @@ import pytest
 from deltafed import optim
 from deltafed.errors import ArgumentError, NumericalError, StructureError
 from deltafed.lora import attach
-from deltafed.model import LmConfig, init_model
+from deltafed.model import LmConfig, as_windows, init_model
 from deltafed.optim import (
     OptimizerConfig,
+    _adamw_flat,
     init_state,
     local_train_round,
     lr_at,
 )
 from deltafed.params import ParameterSet, l2_norm
-from oracles import adamw_step, clip_gradients, loss_and_grad, replace_values, with_flags
+from oracles import (
+    adamw_step,
+    clip_gradients,
+    loss_and_grad,
+    replace_values,
+    snapshot_adamw_flat,
+    snapshot_train_round,
+    with_flags,
+)
 
 
 def scalar_set(value, trainable=True):
@@ -186,6 +195,21 @@ class TestAdamwStep:
             ))
         assert params.array("frozen").tobytes() == base.tobytes()
         assert params.array("live")[0] != 1.0
+
+    def test_kernel_matches_snapshot_bitwise(self):
+        # the update written into two scratch vectors against the one that
+        # built its temporaries, over warmup and past it, with decay
+        cfg = OptimizerConfig(lr=0.05, total_steps=20, weight_decay=0.01, warmup_ratio=0.1)
+        rng = np.random.default_rng(8)
+        p, m, v = rng.standard_normal(300), np.zeros(300), np.zeros(300)
+        ref_p, ref_m, ref_v = p.copy(), m.copy(), v.copy()
+        scratch = np.empty((2, 300))
+        for step in range(8):
+            g = rng.standard_normal(300)
+            _adamw_flat(p, g, m, v, step, cfg, scratch)
+            snapshot_adamw_flat(ref_p, g, ref_m, ref_v, step, cfg)
+            for got, want in ((p, ref_p), (m, ref_m), (v, ref_v)):
+                assert got.tobytes() == want.tobytes()
 
     def test_warmup_first_step_freezes_params_but_advances_moments(self):
         cfg = OptimizerConfig(lr=0.1, total_steps=100, warmup_ratio=0.1)
@@ -460,3 +484,45 @@ def test_equivalence_cases_exercise_their_branches():
     _, grads = loss_and_grad(model, _SHARD[:4], rng=np.random.default_rng(0))
     assert l2_norm(grads) > EQUIVALENCE_CASES["tiny-max-grad-norm"][2]
     assert len({len(s) for s in _TAIL_SHARD}) == 2
+
+
+@pytest.mark.parametrize("case", ["rank0", "rank0-out.b-frozen", "rank4-dropout"])
+def test_round_on_one_workspace_matches_snapshot_round(case):
+    # more than two epochs of a shard whose batches of 4 leave a short last
+    # batch, some of them two widths: the round's one workspace, reused
+    # across every step and shape, gives the snapshot step's round bit for
+    # bit
+    model = EQUIVALENCE_CASES[case][0]()
+    cfg = OptimizerConfig(lr=0.05, total_steps=20, max_grad_norm=0.3, warmup_ratio=0.1)
+    trained, got, loss = local_train_round(
+        model, init_state(model.params), _TAIL_SHARD, cfg, np.random.default_rng(5), batch_size=4, steps=7
+    )
+    p, want, ref_loss = snapshot_train_round(
+        model, init_state(model.params), as_windows(_TAIL_SHARD), cfg, np.random.default_rng(5), batch_size=4, steps=7
+    )
+    assert trained.params.trainable_flat.tobytes() == p.tobytes()
+    assert got.m_flat.tobytes() == want.m_flat.tobytes()
+    assert got.v_flat.tobytes() == want.v_flat.tobytes()
+    assert got.step == want.step == 7
+    assert loss == ref_loss
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("case, step", [("rank0", 6), ("rank4-dropout", 4)])
+def test_blow_up_at_a_later_step_names_that_step_and_entry(case, step):
+    # an absurd learning rate lets the first steps pass and then overflows
+    # the weights; the error names the step and the entry as the snapshot
+    # round, which builds each step's gradient afresh, does
+    model = EQUIVALENCE_CASES[case][0]()
+    cfg = OptimizerConfig(lr=1e100, total_steps=20, warmup_ratio=0.1)
+    with pytest.raises(NumericalError, match=rf"optimizer step {step}: .*entry '") as got:
+        local_train_round(
+            model, init_state(model.params), _TAIL_SHARD, cfg, np.random.default_rng(5),
+            batch_size=4, steps=12,
+        )
+    with pytest.raises(NumericalError) as want:
+        snapshot_train_round(
+            model, init_state(model.params), as_windows(_TAIL_SHARD), cfg,
+            np.random.default_rng(5), batch_size=4, steps=12,
+        )
+    assert str(got.value) == str(want.value)
