@@ -1,8 +1,8 @@
 """Corpus ingestion and the IID round-robin partition.
 
 Token ids are int64 arrays from the corpus on: the splits are slices of the
-encoded stream, the windows one id matrix (`model.Windows`), and each shard
-a subset of its rows.
+encoded stream, the windows one id matrix (`model.Windows`), shuffled once
+into a read-only copy, and each shard a strided row view of that copy.
 """
 
 from __future__ import annotations
@@ -13,13 +13,6 @@ import numpy as np
 
 from .errors import ArgumentError
 from .model import SEED_PARTITION, Vocab, Windows, as_windows
-
-
-def load_corpus(path: str | Path) -> bytes:
-    data = Path(path).read_bytes()
-    if len(data) < 4:
-        raise ArgumentError(f"corpus {path} is too small ({len(data)} bytes)")
-    return data
 
 
 def split_stream(ids, split: float) -> tuple[np.ndarray, np.ndarray]:
@@ -57,23 +50,32 @@ def sequences_of(ids, context: int) -> Windows:
     return Windows(rows, np.append(np.full(n_full, width), rest))
 
 
-def partition_iid(sequences, k: int, seed: int) -> list[Windows]:
-    """Seeded shuffle, then round-robin: shard i takes positions i, i+k, ...
-
-    `sequences` is Windows or id sequences; each shard is Windows."""
+def round_robin(windows: Windows, k: int) -> list[Windows]:
+    """Shard i is rows i, i+k, ... of `windows`, as views."""
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
-    windows = as_windows(sequences)
     if len(windows) < k:
         raise ArgumentError(
             f"cannot split {len(windows)} sequences across {k} clients"
         )
-    rng = np.random.default_rng([seed, SEED_PARTITION])
-    order = rng.permutation(len(windows))
-    return [windows.rows(order[i::k]) for i in range(k)]
+    return [Windows(windows.ids[i::k], windows.lengths[i::k]) for i in range(k)]
+
+
+def partition_iid(sequences, k: int, seed: int) -> list[Windows]:
+    """Seeded shuffle into one read-only copy, then round-robin: shard i is
+    rows i, i+k, ... of it. With k = 1 the one shard is all of that copy.
+
+    `sequences` is Windows or id sequences; each shard is Windows."""
+    windows = as_windows(sequences)
+    shuffled = windows.rows(np.random.default_rng([seed, SEED_PARTITION]).permutation(len(windows)))
+    for a in (shuffled.ids, shuffled.lengths):
+        a.setflags(write=False)
+    return round_robin(shuffled, k)
 
 
 def corpus_tokens(path: str | Path) -> tuple[Vocab, np.ndarray]:
-    data = load_corpus(path)
+    data = Path(path).read_bytes()
+    if len(data) < 4:
+        raise ArgumentError(f"corpus {path} is too small ({len(data)} bytes)")
     vocab = Vocab.from_corpus(data)
     return vocab, vocab.encode(data)

@@ -1,14 +1,14 @@
 """Experiment driver: federated, central, and local runs from one config.
 
-The three modes share corpus ingestion, partitioning, and the per-round step
-budget so their loss curves sit on the same axis, and one round: the
-protocol's own steps. A federated run is the server and its K clients, all
-driven by `protocol.run_server` on this thread. Central and local mode
-share one runner, `run_alone`, of lone `protocol.Client`s with no channel:
-central's one on the whole training split at the summed step budget, local
-client i on shard i. Every value still takes the f32 wire casts, so K=1
-local, central and K=1 federated runs are bitwise equal. Every mode trains
-through `workers.client_trainers`, with the same results in a pool worker
+The modes share one setup and one result, and differ only in how a round
+is played. `_setup` shuffles the training windows once into a read-only
+copy, central's shard; client i's shard is rows i, i+K, ... of it, as views.
+`run_federated` drives the server and its K clients through
+`protocol.run_server` on this thread; `run_alone` plays lone
+`protocol.Client`s with no channel: central's one at the summed step
+budget, or local client i on shard i. `_result` turns what either played
+into records and extras. Values still take the f32 wire casts, so K=1
+local, central and K=1 federated runs are bitwise equal, in a pool worker
 as in process. An error names who raised it: `client <i>: ...` or `server: ...`.
 
 `compare_modes` reads the corpus once for all three modes. The federated
@@ -30,13 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import MODES, ExperimentConfig, override
-from .data import corpus_tokens, partition_iid, sequences_of, split_stream
+from .data import corpus_tokens, partition_iid, round_robin, sequences_of, split_stream
 from .lora import attach
 from .metrics import RoundRecord, bleu, emit_report, format_rows, mode_totals
 from .model import (
     LmConfig,
     LmModel,
-    Vocab,
     Windows,
     greedy_decode,
     init_model,
@@ -74,21 +73,19 @@ class ExperimentResult:
 
 @dataclass
 class _Setup:
-    vocab: Vocab
     val_ids: np.ndarray
-    sequences: Windows
-    shards: list[Windows]
+    sequences: Windows  # the training windows, shuffled once, read-only: central's shard
+    shards: list[Windows]  # shard i: rows i, i+K, ... of `sequences`, as views
     bleu_windows: Windows  # the held-out windows BLEU continues
     model: LmModel
-    counts: dict[int, int]
     steps: dict[int, int]
 
 
 def _setup(cfg: ExperimentConfig) -> _Setup:
     vocab, ids = corpus_tokens(cfg.resolved_corpus_path())
     train_ids, val_ids = split_stream(ids, cfg.split)
-    sequences = sequences_of(train_ids, cfg.context)
-    shards = partition_iid(sequences, cfg.clients, cfg.seed)
+    sequences = partition_iid(sequences_of(train_ids, cfg.context), 1, cfg.seed)[0]  # the one shuffle
+    shards = round_robin(sequences, cfg.clients)
     held_out = sequences_of(val_ids, cfg.context)
     bleu_windows = held_out.rows(np.flatnonzero(held_out.lengths >= 4)[:BLEU_SAMPLES])
 
@@ -103,12 +100,11 @@ def _setup(cfg: ExperimentConfig) -> _Setup:
             seed=cfg.seed,
         )
 
-    counts = {i: len(shards[i]) for i in range(cfg.clients)}
     steps = {
-        i: cfg.local_epochs * math.ceil(counts[i] / cfg.batch_size)
-        for i in range(cfg.clients)
+        i: cfg.local_epochs * math.ceil(len(shard) / cfg.batch_size)
+        for i, shard in enumerate(shards)
     }
-    return _Setup(vocab, val_ids, sequences, shards, bleu_windows, model, counts, steps)
+    return _Setup(val_ids, sequences, shards, bleu_windows, model, steps)
 
 
 def _client_task(cfg: ExperimentConfig, client_id: int, shard: Windows, steps: int) -> ClientTask:
@@ -140,15 +136,22 @@ def bleu_of(model: LmModel, setup: _Setup) -> float:
     return float(np.mean(scores))
 
 
-def _eval_only(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
+def _eval_only(cfg: ExperimentConfig, setup: _Setup) -> ExperimentResult:
     """A zero-round run of any mode: the initial model's metrics as round 0."""
-    setup = setup or _setup(cfg)
     ppl = perplexity_of(setup.model, setup.val_ids)
     rec = RoundRecord(0, cfg.mode, float("nan"), ppl, 0, 0, 0)
     extras = {"bleu": bleu_of(setup.model, setup)}
     if cfg.mode == "local":
         return ExperimentResult(None, [rec], extras, client_models=[setup.model] * cfg.clients)
     return ExperimentResult(setup.model, [rec], extras)
+
+
+def _tasks(cfg: ExperimentConfig, setup: _Setup) -> list[ClientTask]:
+    """Central's one client on the whole shuffle at the summed step budget,
+    or client i on shard i."""
+    if cfg.mode == "central":
+        return [_client_task(cfg, 0, setup.sequences, sum(setup.steps.values()))]
+    return [_client_task(cfg, i, shard, setup.steps[i]) for i, shard in enumerate(setup.shards)]
 
 
 # -- federated ---------------------------------------------------------------
@@ -176,102 +179,92 @@ def _channels(cfg: ExperimentConfig):
             end.close()
 
 
-def run_federated(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
+def run_federated(cfg: ExperimentConfig, setup: _Setup) -> tuple:
     """The server and its K clients, all driven by `run_server` on this
-    thread. Each round's global model is scored as its round ends, off the
-    round clock, and only the score is kept; a scoring error fails there."""
-    setup = setup or _setup(cfg)
-    tasks = [
-        _client_task(cfg, i, setup.shards[i], setup.steps[i])
-        for i in range(cfg.clients)
-    ]
+    thread; -> what `_result` takes. Each round's global model is scored as
+    its round ends, off the round clock, and only the score is kept; a
+    scoring error fails there."""
+    tasks = _tasks(cfg, setup)
+    counts = {i: len(shard) for i, shard in enumerate(setup.shards)}
     ppls: list[float] = []
     # the pool, if any, forks before a channel exists
     with client_trainers(tasks) as trainers, _channels(cfg) as (server_ends, client_ends):
         clients = [Client(setup.model, trainer, cfg) for trainer in trainers]
         with blame("server"):
             model, ledger = run_server(
-                setup.model, server_ends, cfg, setup.counts,
+                setup.model, server_ends, cfg, counts,
                 on_round=lambda t, m: ppls.append(perplexity_of(m, setup.val_ids)),
                 clients=list(zip(client_ends, clients)),
             )
     for client in clients:
         check_client_ledger(ledger, client.id, client.ledger)
-
-    records = [
-        RoundRecord(
-            t,
-            "federated",
-            float(np.mean([client.losses[t - 1] for client in clients])),
-            ppl,
-            int(ledger.wall_ms(t)),
-            ledger.uplink_bytes(t),
-            ledger.downlink_bytes(t),
-        )
-        for t, ppl in enumerate(ppls, start=1)
-    ]
-    extras = {
-        "bleu": bleu_of(model, setup),
-        "overhead_bytes": {
-            "join_uplink": ledger.uplink_bytes(0),
-            "shutdown_downlink": ledger.downlink_bytes(cfg.rounds + 1),
-        },
-    }
-    return ExperimentResult(model, records, extras, ledger=ledger)
+    walls = [ledger.wall_ms(t) for t in range(1, cfg.rounds + 1)]
+    return [model], np.array([client.losses for client in clients]), np.array([ppls]), walls, ledger
 
 
 # -- central and local: federations of one client ----------------------------
 
 
-def run_alone(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentResult:
+def run_alone(cfg: ExperimentConfig, setup: _Setup) -> tuple:
     """Central or local mode: lone clients, one after another, each playing
-    the federation's rounds with no channel on a worker it borrows. Central
-    is client 0 on the whole training split at the summed step budget, the
-    exact K=1 federated trajectory; local client i plays federated client
-    i's rounds on shard i. Each round is timed alone and scored after the
-    clock stops. Records average the clients' curves and sum their round
-    times; they carry no bytes."""
-    setup = setup or _setup(cfg)
-    if cfg.mode == "central":
-        shard = partition_iid(setup.sequences, 1, cfg.seed)[0]
-        task = _client_task(cfg, 0, shard, sum(setup.steps.values()))
-        alone = [(task, sum(setup.counts.values()))]
-    else:
-        alone = [
-            (_client_task(cfg, i, setup.shards[i], setup.steps[i]), setup.counts[i])
-            for i in range(cfg.clients)
-        ]
+    the federation's rounds with no channel on a worker it borrows; -> what
+    `_result` takes. Central is the exact K=1 federated trajectory; local
+    client i plays federated client i's rounds on shard i. Each round is
+    timed alone and scored after the clock stops; a round's wall sums the
+    clients'."""
     curves, models = [], []
-    for task, count in alone:
+    for task in _tasks(cfg, setup):
         curve, model = [], setup.model
         with client_trainers([task]) as (trainer,):
             client = Client(model, trainer, cfg)
+            count = {client.id: len(task.shard)}
             for t in range(1, cfg.rounds + 1):
                 start = time.perf_counter()
-                client.receive(encode_message(broadcast(model, t, cfg)))
-                update = decode_message(client.update())
-                model = fold_updates(model, t, [(client.id, update)], cfg, {client.id: count})
+                with blame(f"client {client.id}", client.ledger):
+                    client.receive(encode_message(broadcast(model, t, cfg)))
+                    update = decode_message(client.update())
+                model = fold_updates(model, t, [(client.id, update)], cfg, count)
                 wall_ms = (time.perf_counter() - start) * 1000.0
                 curve.append((client.losses[-1], perplexity_of(model, setup.val_ids), wall_ms))
         curves.append(curve)
         models.append(model)
     losses, ppls, walls = np.moveaxis(np.array(curves), 2, 0)  # each (clients, rounds)
+    return models, losses, ppls, walls.sum(axis=0), None
 
+
+# -- one result for every mode -----------------------------------------------
+
+
+def _result(
+    cfg: ExperimentConfig, setup: _Setup, models: list[LmModel], losses: np.ndarray,
+    ppls: np.ndarray, walls, ledger: TrafficLedger | None,
+) -> ExperimentResult:
+    """Every mode's records and extras from what its rounds played: the
+    final models (the global one, or each lone client's), each client's
+    training losses and each model's perplexities as (clients or models,
+    rounds) arrays, each round's wall ms, and the server's ledger (None for
+    lone clients). A record averages the losses and the perplexities and
+    carries the ledger's bytes."""
     records = [
         RoundRecord(
             t + 1,
             cfg.mode,
             float(losses[:, t].mean()),
             float(ppls[:, t].mean()),
-            int(walls[:, t].sum()),  # the clients run one after another
-            0,
-            0,
+            int(walls[t]),
+            ledger.uplink_bytes(t + 1) if ledger is not None else 0,
+            ledger.downlink_bytes(t + 1) if ledger is not None else 0,
         )
         for t in range(cfg.rounds)
     ]
     extras = {"bleu": float(np.mean([bleu_of(m, setup) for m in models]))}
-    if cfg.mode == "central":
-        return ExperimentResult(models[0], records, extras)
+    if ledger is not None:
+        extras["overhead_bytes"] = {
+            "join_uplink": ledger.uplink_bytes(0),
+            "shutdown_downlink": ledger.downlink_bytes(cfg.rounds + 1),
+        }
+    if cfg.mode != "local":
+        return ExperimentResult(models[0], records, extras, ledger=ledger)
     extras["clients"] = {
         str(i): {
             "final_train_loss": float(losses[i, -1]),
@@ -285,15 +278,14 @@ def run_alone(cfg: ExperimentConfig, setup: _Setup | None = None) -> ExperimentR
 
 # -- entry points ------------------------------------------------------------
 
-_RUNNERS = {"federated": run_federated, "central": run_alone, "local": run_alone}
-
 
 def run_experiment(
     cfg: ExperimentConfig, report: bool = True, setup: _Setup | None = None
 ) -> ExperimentResult:
     """Run cfg's mode; `setup`, if given, is `_setup(cfg)` already made."""
-    runner = _eval_only if cfg.rounds == 0 else _RUNNERS[cfg.mode]
-    result = runner(cfg, setup)
+    setup = setup or _setup(cfg)
+    play = run_federated if cfg.mode == "federated" else run_alone
+    result = _result(cfg, setup, *play(cfg, setup)) if cfg.rounds else _eval_only(cfg, setup)
     if report:
         extras = dict(result.extras)
         extras["config"] = asdict(cfg)

@@ -15,8 +15,9 @@ goes out on every channel and each client submits its training; then, in
 client-id order, each client collects and sends its update and the server
 receives it. A client's error is prefixed `client <i>: ` as it is raised
 (`blame`) and carries the client's ledger. Central and local mode drive
-each `Client` with no channel (`harness.run_alone`). A client trains through a
-`LocalTrainer` in this process or a `workers.WorkerTrainer`.
+lone `Client`s with no channel (`harness.run_alone`), under the same
+`blame`. A client trains through a `LocalTrainer` in this process or a
+`workers.WorkerTrainer`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import deltafed.harness as harness
 import oracles
 from deltafed.config import ExperimentConfig
 from deltafed.errors import ArgumentError
-from deltafed.data import partition_iid, sequences_of, split_stream
+from deltafed.data import corpus_tokens, partition_iid, sequences_of, split_stream
 from deltafed.lora import attach
 from deltafed.metrics import bleu
 from deltafed.model import LmConfig, Vocab, as_windows, greedy_decode, init_model
@@ -89,6 +89,35 @@ def test_data_path_matches_list_oracle(drawn):
     if len(want_windows) >= k:
         want_shards = oracles.partition_iid(want_windows, k, seed)
         assert [s.tolist() for s in partition_iid(windows, k, seed)] == want_shards
+
+
+def test_setup_shards_are_views_of_one_shuffle(tmp_path):
+    """The setup shuffles the training windows once: that read-only copy is
+    central's shard, and each client's shard is a row view of it, with the
+    rows `partition_iid` deals."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(make_corpus(1000, 1), encoding="ascii")
+    cfg = ExperimentConfig(corpus_path=str(corpus), split=0.7, clients=3, seed=1, rounds=1)
+    setup = harness._setup(cfg)
+    _, ids = corpus_tokens(cfg.resolved_corpus_path())
+    windows = sequences_of(split_stream(ids, cfg.split)[0], cfg.context)
+    assert list(windows.widths) == [12, 17]  # a tail row
+
+    def bits(w):
+        return w.ids.dtype, w.ids.shape, w.ids.tobytes(), w.lengths.dtype, w.lengths.tobytes()
+
+    assert bits(setup.sequences) == bits(partition_iid(windows, 1, cfg.seed)[0])
+    want = partition_iid(windows, 3, cfg.seed)
+    assert [bits(s) for s in setup.shards] == [bits(s) for s in want]
+    for shard in setup.shards:
+        assert np.shares_memory(shard.ids, setup.sequences.ids)
+        assert np.shares_memory(shard.lengths, setup.sequences.lengths)
+    with pytest.raises(ValueError, match="read-only"):
+        setup.sequences.ids[0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        setup.sequences.lengths[0] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        setup.shards[2].ids[0, 0] = 0
 
 
 # -- one training round -----------------------------------------------------------

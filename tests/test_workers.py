@@ -164,8 +164,8 @@ class TestPoolFailFast:
         pool_of_two(monkeypatch)
         return marker
 
-    def fail_then_recover(self, corpus_path, marker, error):
-        cfg = small_cfg(corpus_path)
+    def fail_then_recover(self, corpus_path, marker, error, mode="federated"):
+        cfg = small_cfg(corpus_path, mode=mode)
         with pytest.raises(error) as exc:
             run_experiment(cfg, report=False)
         elapsed = time.monotonic()
@@ -201,6 +201,16 @@ class TestPoolFailFast:
         marker = self.inject(monkeypatch, tmp_path, lambda: os._exit(3))
         message = self.fail_then_recover(corpus_path, marker, DeltaFedError)
         assert message == "client 1: round 2: training worker exited with code 3"
+
+    def test_local_mode_names_its_client(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
+        """Lone clients train one after another, each on a worker it
+        borrows from the pool; the failing one is named."""
+        marker = self.inject(monkeypatch, tmp_path, lambda: os._exit(3))
+        workers._grow(2)  # a lone client borrows, but never grows the pool
+        assert len(pool_pids()) == 2
+        message = self.fail_then_recover(corpus_path, marker, DeltaFedError, mode="local")
+        assert message == "client 1: round 2: training worker exited with code 3"
+        assert_no_zombie()
 
     def test_unreadable_job_named(self, corpus_path, monkeypatch, fresh_pool):
         task_of = harness._client_task
@@ -309,12 +319,12 @@ class TestCompareLanes:
         local_started = tmp_path / "local-started"
         marker = tmp_path / "injected"
         submit = protocol.LocalTrainer.submit
-        run_local = harness._RUNNERS["local"]
         calls = {}
 
-        def started(*args, **kw):
-            local_started.touch()
-            return run_local(*args, **kw)
+        def started(mode_cfg, *args, **kw):
+            if mode_cfg.mode == "local":
+                local_started.touch()
+            return run_experiment(mode_cfg, *args, **kw)
 
         def flaky(self, model):
             if in_local:
@@ -329,7 +339,7 @@ class TestCompareLanes:
                 fault()
             return submit(self, model)
 
-        monkeypatch.setitem(harness._RUNNERS, "local", started)
+        monkeypatch.setattr(harness, "run_experiment", started)
         monkeypatch.setattr(protocol.LocalTrainer, "submit", flaky)
         pool_of_two(monkeypatch)
         return cfg, marker
@@ -352,14 +362,14 @@ class TestCompareLanes:
 
         cfg, marker = self.inject(monkeypatch, tmp_path, corpus_path, fault, in_local=False)
         message = self.fail_then_recover(cfg, marker, tmp_path, RuntimeError)
-        assert message == "central: round 2: injected training fault"
+        assert message == "central: client 0: round 2: injected training fault"
 
     def test_local_worker_exit_named(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
         cfg, marker = self.inject(
             monkeypatch, tmp_path, corpus_path, lambda: os._exit(3), in_local=True
         )
         message = self.fail_then_recover(cfg, marker, tmp_path, DeltaFedError)
-        assert message == "local: round 2: training worker exited with code 3"
+        assert message == "local: client 1: round 2: training worker exited with code 3"
         assert_no_zombie()
 
 
