@@ -11,6 +11,14 @@ into records and extras. Values still take the f32 wire casts, so K=1
 local, central and K=1 federated runs are bitwise equal, in a pool worker
 as in process. An error names who raised it: `client <i>: ...` or `server: ...`.
 
+Every round's model is scored off the round clock. A pooled federation
+scores round t's on the worker of its last client, right behind that
+client's round t+1 training, so the scoring overlaps the server's encode,
+receive, decode and fold of round t+1 instead of sitting between rounds
+on this thread; the workers train nothing then, so no training waits.
+Runs without a pool, and lone clients, whose one worker has no idle
+window, score on this thread.
+
 `compare_modes` reads the corpus once for all three modes. The federated
 run goes first and alone, so its round times stay comparable; then central
 runs on a helper thread beside local on the calling thread, each training
@@ -55,7 +63,7 @@ from .protocol import (
 )
 from .transport import Hub, TcpListener, memory_pairs, tcp_connect
 from .wire import decode_message, encode_message
-from .workers import client_trainers
+from .workers import WorkerTrainer, client_trainers
 
 BLEU_SAMPLES = 24
 
@@ -181,21 +189,40 @@ def _channels(cfg: ExperimentConfig):
 
 def run_federated(cfg: ExperimentConfig, setup: _Setup) -> tuple:
     """The server and its K clients, all driven by `run_server` on this
-    thread; -> what `_result` takes. Each round's global model is scored as
-    its round ends, off the round clock, and only the score is kept; a
-    scoring error fails there."""
+    thread; -> what `_result` takes. Each round's global model is scored off
+    the round clock and only the score is kept. On a pool, round t's model
+    goes to the worker of the client collected last, which scores it right
+    behind its round t+1 training reply, while this thread encodes,
+    receives, decodes and folds that round; the score is read as round t+1
+    ends, and the final model's after the last round. Without a pool each
+    model is scored here as its round ends. A scoring error fails the run
+    as `server: round <t>: ...`."""
     tasks = _tasks(cfg, setup)
     counts = {i: len(shard) for i, shard in enumerate(setup.shards)}
     ppls: list[float] = []
     # the pool, if any, forks before a channel exists
     with client_trainers(tasks) as trainers, _channels(cfg) as (server_ends, client_ends):
         clients = [Client(setup.model, trainer, cfg) for trainer in trainers]
+        scorer = trainers[-1] if isinstance(trainers[-1], WorkerTrainer) else None
+
+        def score(t: int, model: LmModel) -> None:
+            if scorer is None:
+                with prefixed(f"round {t}"):
+                    ppls.append(perplexity_of(model, setup.val_ids))
+                return
+            if t > 1:
+                with prefixed(f"round {t - 1}"):
+                    ppls.append(scorer.score())
+            scorer.hand(model, setup.val_ids)
+
         with blame("server"):
             model, ledger = run_server(
-                setup.model, server_ends, cfg, counts,
-                on_round=lambda t, m: ppls.append(perplexity_of(m, setup.val_ids)),
+                setup.model, server_ends, cfg, counts, on_round=score,
                 clients=list(zip(client_ends, clients)),
             )
+            if scorer is not None:
+                with prefixed(f"round {cfg.rounds}"):
+                    ppls.append(scorer.score())
     for client in clients:
         check_client_ledger(ledger, client.id, client.ledger)
     walls = [ledger.wall_ms(t) for t in range(1, cfg.rounds + 1)]

@@ -154,6 +154,11 @@ class Windows:
     def __len__(self) -> int:
         return len(self.lengths)
 
+    def __reduce__(self):
+        # a shard is a strided view; contiguous copies pickle without a
+        # second one, and out of band (pickle protocol 5) without any
+        return Windows, (np.ascontiguousarray(self.ids), np.ascontiguousarray(self.lengths))
+
     def rows(self, idx: np.ndarray) -> "Windows":
         return Windows(np.take(self.ids, idx, axis=0), self.lengths[idx])
 

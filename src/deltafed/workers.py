@@ -2,8 +2,15 @@
 
 A client's trainer sends the installed values to a persistent worker process
 on `submit` and reads back the trained values and the mean loss on
-`collect`; the worker runs the client's `LocalTrainer`. All else stays on
-the one thread that drives the federation.
+`collect`; the worker runs the client's `LocalTrainer`. A federation also
+scores its rounds there: round t's global model is handed to the trainer of
+the client collected last (`hand`), that client's round t+1 job carries
+the score, and the worker scores the model with `model.perplexity_of`
+right after it replies to the training, while the driving thread folds the
+round; `score` reads the perplexity, a second reply. The final model goes
+alone, in a score job. So scoring overlaps the server's fold, not any
+training, and no training job waits behind it. All else stays on the one
+thread that drives the federation.
 
 The pool is forked once per process, by the first federation of two or more
 clients that can use it: W = min(K, C) workers for K clients on C usable
@@ -13,13 +20,17 @@ run at a time: a federation borrows up to W, and client i trains on the
 (i mod n)-th of the n it got; a lone client borrows one; a run that borrows
 none trains in process. A worker runs one job at a time; one submitted
 while another is in flight waits in the worker's queue until that one is
-collected. It keeps a session per client (task, optimizer state, RNG) until
-its run ends, which first waits out a job in flight. A worker that dies
-fails its run and is discarded alone; the next federation forks anew.
+collected. It keeps a session per client (task, optimizer state, RNG, the
+held-out ids it scores on) until its run ends, which first reads every
+reply still owed. A worker that dies fails its run and is discarded alone;
+the next federation forks anew.
 
 Values travel through a float64 area of shared memory both processes map:
 the trainable vector in and the trained one out, plus the frozen vector when
-a full broadcast replaced it. Both paths run the same arithmetic on the same
+a full broadcast replaced it; and behind them, in a second slot, both
+vectors of a global model to score, written when the model is handed, off
+the round clock, and rewritten only once its score is read. Jobs are pickled with their arrays out of band, so a shard is copied
+once, to make it contiguous. Both paths run the same arithmetic on the same
 float64 values, so they agree bit for bit.
 """
 
@@ -41,6 +52,7 @@ from multiprocessing import Pipe
 import numpy as np
 
 from .errors import DeltaFedError
+from .model import perplexity_of
 from .params import ParameterSet
 from .protocol import ClientTask, LocalTrainer
 
@@ -106,13 +118,15 @@ class _Worker:
         self.conn = conn
         self.area = area
         self.queue: collections.deque = collections.deque()  # trainers awaiting replies; the first's in flight
+        self.scores = 0  # score replies sent for, not yet read
         self.failure: str | None = None  # how it ended, once reaped
         self.lent = False  # to a run, under _pool_lock
 
     def settle(self) -> None:
-        """Wait out a job still in flight and drop the queue, so the pipe
-        holds nothing stale; kill a worker whose job takes too long."""
-        if self.queue and self.failure is None:
+        """Read every reply still owed, the job in flight's and any score's,
+        so the pipe holds nothing stale; kill a worker that takes too long."""
+        owed = bool(self.queue) + self.scores
+        while owed and self.failure is None:
             try:
                 if self.conn.poll(REAP_SECONDS):
                     self.conn.recv()
@@ -120,7 +134,9 @@ class _Worker:
                     self.reap(0.0)
             except (EOFError, OSError):
                 self.reap(REAP_SECONDS)
+            owed -= 1
         self.queue.clear()
+        self.scores = 0
 
     def reap(self, seconds: float) -> str:
         """Wait up to `seconds` for the process to end, kill it after that;
@@ -148,12 +164,69 @@ _pool_lock = threading.Lock()  # guards _pool and each worker's `lent`
 _sessions = itertools.count()
 
 
+def _send(conn, job) -> None:
+    """Send a job: its pickle, then each array in it out of band as the
+    array's own bytes, so a shard is copied once, to make it contiguous."""
+    buffers: list[pickle.PickleBuffer] = []
+    stream = pickle.dumps(job, protocol=5, buffer_callback=buffers.append)
+    conn.send((len(buffers), stream))
+    for buf in buffers:
+        conn.send_bytes(buf.raw())
+
+
+def _receive(conn):
+    """-> the job `_send` sent; every part of it is read before it is unpickled."""
+    count, stream = conn.recv()
+    buffers = [conn.recv_bytes() for _ in range(count)]
+    return pickle.loads(stream, buffers=buffers)
+
+
+def _outcome(what: str, run) -> bytes:
+    """A job's reply: ("ok", run()), or ("err", what it raised), or a
+    DeltaFedError naming that when it does not pickle."""
+    try:
+        return pickle.dumps(("ok", run()))
+    except Exception as e:
+        try:
+            reply = pickle.dumps(("err", e))
+            pickle.loads(reply)
+        except Exception:
+            reply = pickle.dumps(("err", DeltaFedError(f"{what} raised {e!r}")))
+        return reply
+
+
+def _from_slot(model, vec: np.ndarray, slot: int, frozen: bool = True):
+    """`model` with copies of the values in the area's `slot` (0: the job's,
+    1: the global model to score); keeps its frozen vector unless `frozen`."""
+    layout = model.params.layout
+    nt, nf = layout.trainable_size, layout.frozen_size
+    lo = slot * (nt + nf)
+    kept = vec[lo + nt : lo + nt + nf].copy() if frozen else model.params.frozen_flat
+    return model.with_params(ParameterSet.from_vectors(layout, vec[lo : lo + nt].copy(), kept))
+
+
+def _train(trainer: LocalTrainer, model, vec: np.ndarray) -> float:
+    """One round from `model`; the trained values go to the area's first slot."""
+    trainer.submit(model)
+    model, loss = trainer.collect()
+    vec[: model.params.layout.trainable_size] = model.params.trainable_flat
+    return loss
+
+
+def _score(model, vec: np.ndarray, ids: np.ndarray) -> float:
+    """The perplexity on `ids` of the global model in the area's second
+    slot, laid out as `model`."""
+    return perplexity_of(_from_slot(model, vec, 1), ids)
+
+
 def _serve(conn, area: _Area) -> None:
-    """A worker's loop: bind, train and unbind sessions until the pipe closes."""
-    sessions: dict[int, tuple] = {}  # id -> (trainer, its latest round-start model)
+    """A worker's loop: bind, train, score and unbind sessions until the
+    pipe closes. A job that scores replies twice: first for its training,
+    then with the perplexity."""
+    sessions: dict[int, list] = {}  # id -> [trainer, its latest round-start model, held-out ids]
     while True:
         try:
-            op, sid, *args = conn.recv()
+            op, sid, *args = _receive(conn)
         except EOFError:
             return
         except Exception as e:  # a job that does not unpickle, say
@@ -164,29 +237,21 @@ def _serve(conn, area: _Area) -> None:
             sessions.pop(sid, None)
             continue
         vec = area.vector(args[0])
+        score = False
         if op == "bind":
             task, model = args[1:]
-            trainer = LocalTrainer(task)
+            session = sessions[sid] = [LocalTrainer(task), model, None]
         else:
-            trainer, model = sessions[sid]
-            layout, frozen = model.params.layout, model.params.frozen_flat
-            nt = layout.trainable_size
-            if args[1]:  # the frozen values changed too
-                frozen = vec[nt : nt + layout.frozen_size].copy()
-            model = model.with_params(ParameterSet.from_vectors(layout, vec[:nt].copy(), frozen))
-        sessions[sid] = (trainer, model)
-        try:
-            trainer.submit(model)
-            model, loss = trainer.collect()
-            vec[: model.params.layout.trainable_size] = model.params.trainable_flat
-            reply = pickle.dumps(("ok", loss))
-        except Exception as e:
-            try:
-                reply = pickle.dumps(("err", e))
-                pickle.loads(reply)
-            except Exception:
-                reply = pickle.dumps(("err", DeltaFedError(f"training raised {e!r}")))
-        conn.send_bytes(reply)
+            session = sessions[sid]
+            send_frozen, score, ids = args[1:]
+            if ids is not None:
+                session[2] = ids
+            if op == "train":
+                session[1] = _from_slot(session[1], vec, 0, send_frozen)
+        if op != "score":
+            conn.send_bytes(_outcome("training", lambda: _train(session[0], session[1], vec)))
+        if score:  # the parent rewrites the second slot only once it has read this
+            conn.send_bytes(_outcome("scoring", lambda: _score(session[1], vec, session[2])))
 
 
 def _forget_pool() -> None:
@@ -258,6 +323,8 @@ class WorkerTrainer:
         self._bound = False
         self._frozen = None  # the frozen vector the worker holds
         self._model = None  # the submitted round-start model
+        self._handed = None  # the held-out ids to score the second slot on, until a job takes them
+        self._ids = None  # the held-out ids the worker holds
 
     def submit(self, model) -> None:
         """Queue a round of training from `model`; it starts once the jobs before it are collected."""
@@ -265,6 +332,31 @@ class WorkerTrainer:
         self._worker.queue.append(self)
         if len(self._worker.queue) == 1:
             self._start()
+
+    def hand(self, model, ids: np.ndarray) -> None:
+        """Write `model` into the second slot of the worker's area, to be
+        scored on `ids` right after the worker replies to this trainer's
+        next training job, or alone in `score` if none takes it. The worker
+        must owe no reply: `score` reads each perplexity before the next
+        model is handed. This trainer's replies must be the last its worker
+        sends, as a federation's last client's are."""
+        params = model.params
+        nt = params.layout.trainable_size
+        n = nt + params.layout.frozen_size
+        vec = self._worker.area.fit(2 * n)
+        vec[n : n + nt] = params.trainable_flat
+        vec[n + nt : 2 * n] = params.frozen_flat
+        self._handed = ids
+
+    def _score_fields(self) -> tuple:
+        """-> a job's (score, ids) fields: whether it scores the handed
+        model, and the held-out ids unless the worker holds them."""
+        if self._handed is None:
+            return False, None
+        ids, self._handed = self._handed, None
+        sent, self._ids = (None if ids is self._ids else ids), ids
+        self._worker.scores += 1
+        return True, sent
 
     def _start(self) -> None:
         """Write the job's values into the worker's area and send it."""
@@ -278,14 +370,14 @@ class WorkerTrainer:
             send_frozen = params.frozen_flat is not self._frozen
             if send_frozen:
                 vec[nt : nt + nf] = params.frozen_flat
-            job = ("train", self._sid, worker.area.size, send_frozen)
+            job = ("train", self._sid, worker.area.size, send_frozen, *self._score_fields())
         else:
             job = ("bind", self._sid, worker.area.size, self._task, self._model)
             self._bound = True
         self._frozen = params.frozen_flat
         # a worker that died fails this job's own `collect`, not its caller
         with suppress(OSError):
-            worker.conn.send(job)
+            _send(worker.conn, job)
 
     def collect(self):
         """-> (trained model, mean loss), as `LocalTrainer.collect`. The
@@ -307,9 +399,26 @@ class WorkerTrainer:
             worker.queue[0]._start()
         return model.with_params(trained), loss
 
+    def score(self) -> float:
+        """-> the perplexity of the model handed last: read from behind the
+        training reply that carried it, or scored alone now. The session
+        must be bound and its worker owe no training reply."""
+        worker = self._worker
+        if self._handed is not None:  # no training job took it
+            with suppress(OSError):  # a dead worker fails the read below
+                _send(worker.conn, ("score", self._sid, worker.area.size, False, *self._score_fields()))
+        try:
+            status, ppl = worker.conn.recv()
+        except (EOFError, OSError):
+            raise DeltaFedError(f"scoring worker {worker.reap(REAP_SECONDS)}") from None
+        worker.scores -= 1
+        if status == "err":
+            raise ppl
+        return ppl
+
     def unbind(self) -> None:
         if self._bound and self._worker.failure is None:
-            self._worker.conn.send(("unbind", self._sid))
+            _send(self._worker.conn, ("unbind", self._sid))
 
 
 @contextmanager

@@ -30,6 +30,47 @@ def test_import_keeps_a_value_the_caller_set():
     assert blas_vars_after_import(OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]
 
 
+# Prints the thread count of the loaded BLAS, through its own getter, after
+# `import numpy` and then `import deltafed`; "-" when no getter resolves.
+_THREADS_AFTER_NUMPY = """
+import ctypes
+import numpy
+import deltafed
+
+GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads", "MKL_Get_Max_Threads")
+blas = [p for p in deltafed._loaded_libraries() if "blas" in p.lower() or "mkl" in p.lower()]
+for name in GETTERS:
+    for path in blas:
+        getter = getattr(ctypes.CDLL(path), name, None)
+        if getter is not None:
+            getter.argtypes = ()
+            getter.restype = ctypes.c_int
+            print(getter())
+            raise SystemExit
+print("-")
+"""
+
+
+def blas_threads_numpy_first(**preset: str) -> str:
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", _THREADS_AFTER_NUMPY], env=env, capture_output=True, text=True, check=True
+    )
+    threads = out.stdout.strip()
+    if threads == "-":
+        pytest.skip("no BLAS thread-count getter resolves in this numpy")
+    return threads
+
+
+def test_numpy_imported_first_still_runs_one_blas_thread():
+    assert blas_threads_numpy_first() == "1"
+
+
+def test_numpy_imported_first_keeps_the_callers_thread_count():
+    assert blas_threads_numpy_first(OPENBLAS_NUM_THREADS="2") == "2"
+
+
 HEAP_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
 FREED_BYTES = 4 << 20
 

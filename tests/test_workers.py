@@ -9,14 +9,18 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+from multiprocessing import Pipe
+from multiprocessing.reduction import ForkingPickler
 
+import numpy as np
 import pytest
 
 import deltafed.harness as harness
 import deltafed.protocol as protocol
 import deltafed.workers as workers
 import test_harness
-from deltafed.config import override
+from deltafed.config import ExperimentConfig, override
 from deltafed.errors import DeltaFedError
 from deltafed.harness import compare_modes, run_experiment
 from oracles import replace_values
@@ -202,6 +206,25 @@ class TestPoolFailFast:
         message = self.fail_then_recover(corpus_path, marker, DeltaFedError)
         assert message == "client 1: round 2: training worker exited with code 3"
 
+    def test_a_failed_round_leaves_no_stale_score(
+        self, corpus_path, tmp_path, monkeypatch, fresh_pool
+    ):
+        """Client 1 fails in round 2 while client 2's job, which carries
+        round 1's score, is in flight on worker 0; the next run on that
+        worker reads its own replies, not the leftover score."""
+        def fault():
+            raise RuntimeError("injected training fault")
+
+        marker = self.inject(monkeypatch, tmp_path, fault)
+        cfg = small_cfg(corpus_path)
+        with pytest.raises(RuntimeError):
+            run_experiment(cfg, report=False)
+        assert all(w.scores == 0 and not w.queue for w in workers._pool)
+        pooled = run_experiment(cfg, report=False)
+        assert marker.exists() and len(pool_pids()) == 2
+        in_process(monkeypatch)
+        assert outcome(pooled) == outcome(run_experiment(cfg, report=False))
+
     def test_local_mode_names_its_client(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
         """Lone clients train one after another, each on a worker it
         borrows from the pool; the failing one is named."""
@@ -373,13 +396,124 @@ class TestCompareLanes:
         assert_no_zombie()
 
 
+class TestScoringOnTheLastWorker:
+    """A pooled federation scores each round's global model on the worker of
+    its last client, with the same records as one scored in process."""
+
+    @pytest.mark.parametrize("rounds", [1, 3])
+    @pytest.mark.parametrize("aggregation", ["gradualdiff", "fedavg"])
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    @pytest.mark.parametrize("clients", [2, 3])
+    def test_pool_scores_as_in_process(
+        self, corpus_path, clients, transport, aggregation, rounds, monkeypatch
+    ):
+        score = harness.perplexity_of
+        here = []
+
+        def counted(*args, **kw):
+            here.append(1)  # a worker scores through workers.perplexity_of
+            return score(*args, **kw)
+
+        monkeypatch.setattr(harness, "perplexity_of", counted)
+        cfg = small_cfg(
+            corpus_path, clients=clients, transport=transport, aggregation=aggregation, rounds=rounds
+        )
+        in_process(monkeypatch)
+        ref = run_experiment(cfg, report=False)
+        assert len(here) == rounds
+        here.clear()
+        pool_of_two(monkeypatch)
+        pooled = run_experiment(cfg, report=False)
+        assert not here and len(pool_pids()) == 2
+        assert [r.perplexity for r in pooled.records] == [r.perplexity for r in ref.records]
+        assert outcome(pooled) == outcome(ref)
+
+    def test_scores_behind_the_last_clients_training(self, corpus_path, monkeypatch, fresh_pool):
+        """Round t's model rides on the last client's round t+1 job; the
+        final model is scored by a job of its own."""
+        send = workers._send
+        jobs = []
+
+        def recorded(conn, job):
+            if job[0] in ("train", "score"):
+                jobs.append((job[0], job[4]))
+            return send(conn, job)
+
+        monkeypatch.setattr(workers, "_send", recorded)
+        pool_of_two(monkeypatch)
+        cfg = small_cfg(corpus_path, clients=3, rounds=3)
+        run_experiment(cfg, report=False)
+        # clients 0 and 1 train plain; client 2 carries the score from round 2
+        assert jobs == [("train", False), ("train", False), ("train", True)] * 2 + [("score", True)]
+        assert all(w.scores == 0 for w in workers._pool)
+
+
 class TestScoringFailFast:
+    """A scoring fault fails the run at once as the server's, naming the
+    round it scored, and no later round is scored.
+
+    In a pool the fault is patched into `workers.perplexity_of` before the
+    pool forks, so it fires in the scoring worker. Each call appends a line
+    to a file; the second one fires, once: a marker file records the time
+    (CLOCK_MONOTONIC is system-wide) and keeps it from firing again.
+    """
+
+    def inject(self, monkeypatch, tmp_path, fault):
+        score = workers.perplexity_of
+        marker, calls = tmp_path / "injected", tmp_path / "scored"
+
+        def flaky(*args, **kw):
+            with calls.open("a") as f:
+                f.write("scored\n")
+            if len(calls.read_text().splitlines()) == 2 and not marker.exists():
+                marker.write_text(f"{time.monotonic()!r} {os.getpid()}")
+                fault()
+            return score(*args, **kw)
+
+        monkeypatch.setattr(workers, "perplexity_of", flaky)
+        pool_of_two(monkeypatch)
+        return marker, calls
+
+    def fail_then_recover(self, corpus_path, transport, marker, calls, error):
+        cfg = small_cfg(corpus_path, transport=transport, rounds=5)
+        with pytest.raises(error) as exc:
+            run_experiment(cfg, report=False)
+        elapsed = time.monotonic()
+        injected_at, pid = marker.read_text().split()
+        assert int(pid) != os.getpid()  # the fault fired in a worker
+        assert elapsed - float(injected_at) < 2.0
+        assert len(calls.read_text().splitlines()) == 2  # no round was scored after it
+        res = run_experiment(cfg, report=False)  # the next run succeeds
+        assert len(res.records) == cfg.rounds
+        assert len(pool_pids()) == 2
+        return str(exc.value)
+
     @pytest.mark.parametrize("transport", ["memory", "tcp"])
     def test_scoring_error_fails_at_its_round(
-        self, corpus_path, transport, monkeypatch, fresh_pool
+        self, corpus_path, tmp_path, transport, monkeypatch, fresh_pool
     ):
-        """Each round is scored as it ends, so a scoring error fails the run
-        there, as the server's, and leaves the pool to the next run."""
+        def fault():
+            raise RuntimeError("injected scoring fault")
+
+        marker, calls = self.inject(monkeypatch, tmp_path, fault)
+        run_experiment(small_cfg(corpus_path, rounds=1), report=False)  # forks the pool
+        calls.unlink()
+        pids = pool_pids()
+        message = self.fail_then_recover(corpus_path, transport, marker, calls, RuntimeError)
+        assert message == "server: round 2: injected scoring fault"
+        assert pool_pids() == pids  # the worker lives on and served the next run
+
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_worker_exit_while_scoring_named(
+        self, corpus_path, tmp_path, transport, monkeypatch, fresh_pool
+    ):
+        marker, calls = self.inject(monkeypatch, tmp_path, lambda: os._exit(3))
+        message = self.fail_then_recover(corpus_path, transport, marker, calls, DeltaFedError)
+        assert message == "server: round 2: scoring worker exited with code 3"
+        assert_no_zombie()
+
+    def test_in_process_scoring_error_fails_at_its_round(self, corpus_path, monkeypatch):
+        """Without a pool each round is scored here as it ends."""
         score = harness.perplexity_of
         calls, injected_at = [], []
 
@@ -391,22 +525,17 @@ class TestScoringFailFast:
             return score(*args, **kw)
 
         monkeypatch.setattr(harness, "perplexity_of", flaky)
-        pool_of_two(monkeypatch)
-        cfg = small_cfg(corpus_path, transport=transport, rounds=5)
+        in_process(monkeypatch)
+        cfg = small_cfg(corpus_path, rounds=5)
         with pytest.raises(RuntimeError) as exc:
             run_experiment(cfg, report=False)
         assert time.monotonic() - injected_at[0] < 2.0
-        assert str(exc.value) == "server: injected scoring fault"
+        assert str(exc.value) == "server: round 2: injected scoring fault"
         assert len(calls) == 2  # no round was scored after it
-        pids = pool_pids()
-        assert len(pids) == 2
-        res = run_experiment(cfg, report=False)  # the next run succeeds
-        assert len(res.records) == cfg.rounds
-        assert pool_pids() == pids
 
 
-# A federated run of 200 rounds that prints a line once round 1 is scored;
-# argv: source directory, corpus path, transport.
+# A federated run of 200 rounds whose scoring worker prints a line once it
+# has scored round 1; argv: source directory, corpus path, transport.
 _INTERRUPTED_RUN = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -415,15 +544,15 @@ import deltafed.workers as workers
 from deltafed.config import ExperimentConfig
 
 workers.planned_workers = lambda clients: min(clients, 2)
-score = harness.perplexity_of
+score = workers.perplexity_of
 
 def announced(*args, **kw):
-    harness.perplexity_of = score
+    workers.perplexity_of = score
     ppl = score(*args, **kw)
     print("round 1 scored", flush=True)
     return ppl
 
-harness.perplexity_of = announced
+workers.perplexity_of = announced  # the pool forks with it
 cfg = ExperimentConfig(
     corpus_path=sys.argv[2], transport=sys.argv[3], rounds=200, clients=2, context=8,
     embed_dim=8, lr=0.01, batch_size=8, lora_rank=2, lora_dropout=0.0, seed=1,
@@ -570,3 +699,52 @@ class TestSharedFrozenVector:
             assert isinstance(trainer, workers.WorkerTrainer) == pooled
             trained = self.three_rounds(trainer, model)
         assert trained == self.three_rounds(protocol.LocalTrainer(task), model)
+
+
+class TestBindJob:
+    """A bind job carries the client's shard, a strided view of the shuffled
+    windows; it is sent with one contiguous copy and no other."""
+
+    @staticmethod
+    def bind_job():
+        cfg = ExperimentConfig(clients=2)  # the bundled corpus: a 0.53 MB shard
+        setup = harness._setup(cfg)
+        task = harness._tasks(cfg, setup)[1]
+        assert not task.shard.ids.flags.c_contiguous
+        return ("bind", 0, 8, task, setup.model), task.shard.ids.nbytes + task.shard.lengths.nbytes
+
+    def test_sending_peaks_at_one_and_a_half_shards(self):
+        class Discarding:
+            """A pipe end that pickles what it is sent, as a Connection does, and drops it."""
+
+            def send(self, obj):
+                ForkingPickler.dumps(obj)
+
+            def send_bytes(self, buf):
+                pass
+
+        job, shard_bytes = self.bind_job()
+        tracemalloc.start()
+        try:
+            workers._send(Discarding(), job)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * shard_bytes, peak / shard_bytes
+
+    def test_the_worker_reads_the_shard_back(self):
+        job, _ = self.bind_job()
+        parent_end, child_end = Pipe()
+        sender = threading.Thread(target=workers._send, args=(parent_end, job))
+        sender.start()
+        try:
+            op, sid, size, task, model = workers._receive(child_end)
+        finally:
+            sender.join()
+            parent_end.close()
+            child_end.close()
+        shard = job[3].shard
+        assert (op, sid, size) == job[:3]
+        assert np.array_equal(task.shard.ids, shard.ids)
+        assert np.array_equal(task.shard.lengths, shard.lengths)
+        assert params_bytes(model) == params_bytes(job[4])
