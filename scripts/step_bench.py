@@ -18,17 +18,20 @@ Each at three shapes, built as `harness._setup` builds a run, seed 1:
 - `full-d256-b8`: every entry trains, d 256, batch 8, on a 1000-byte
   generated corpus at split 0.4 (wide-q4-tcp).
 
-Each kernel is sampled 15 times (2 with `--quick`); a sample is the mean CPU time of a
-few back-to-back calls. The JSON printed gives the best and the median
+Each kernel is sampled 15 times (2 with `--quick`); a sample is the mean
+CPU time of a few back-to-back calls. The JSON printed gives the best and the median
 sample in milliseconds, and the machine fingerprint `bench/run.py` records.
 `--src PATH` times the `deltafed` package under another checkout's `src/`
 (a tree from before the step's workspace is timed as its round calls the
 step: no workspace, no AdamW scratch). `--against PATH` times two trees on
-one host: it runs this script on `--src` and on PATH in turn, five times a
-side (once with `--quick`), alternating which side runs first, and prints
-both sides in `BENCH_step.json`'s form, PATH as "parent" and `--src` as
-"change": the fastest sample over all runs, and the median over runs of
-each run's median sample.
+one host side by side: one long-lived process per tree builds every
+kernel once, and the two take turns, one sample of one kernel each, 60
+samples a side (2 with `--quick`), alternating which side samples first.
+So a slow spell of the host falls on both sides alike, where whole runs
+taken in turn can differ by more than the change. It prints both sides in
+`BENCH_step.json`'s form, PATH as "parent" and `--src` as "change": each
+side's best and median sample, the ratio of the medians (change over
+parent), and in how many of the turns the change's sample was the faster.
 
     python3 scripts/step_bench.py
     python3 scripts/step_bench.py --src ../other-checkout/src
@@ -42,11 +45,12 @@ import argparse
 import importlib.util
 import inspect
 import json
+import multiprocessing
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
+from contextlib import suppress
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,7 +64,7 @@ SHAPES = {
 }
 SEED = 1
 SAMPLES = 15
-RUNS = 5  # runs a side with --against
+PAIRS = 60  # samples a side, taken in turns, with --against
 KERNELS = ("grad", "clip_adamw", "round", "perplexity")
 
 
@@ -71,19 +75,21 @@ def load_module(name: str, path: Path):
     return module
 
 
-def cpu_ms(fn, samples: int, calls: int) -> dict:
-    """Best and median of `samples` samples, each the mean CPU time of
-    `calls` calls of fn, in milliseconds."""
-    times = []
-    for _ in range(samples):
-        t0 = time.process_time_ns()
-        for _ in range(calls):
-            fn()
-        times.append((time.process_time_ns() - t0) / calls / 1e6)
+def sample_ms(fn, calls: int) -> float:
+    """The mean CPU time of `calls` calls of fn, in milliseconds."""
+    t0 = time.process_time_ns()
+    for _ in range(calls):
+        fn()
+    return (time.process_time_ns() - t0) / calls / 1e6
+
+
+def summary(times: list[float]) -> dict:
     return {"best_ms": round(min(times), 4), "median_ms": round(statistics.median(times), 4)}
 
 
-def time_shape(settings: dict, corpus_bytes, work_dir: Path, samples: int, quick: bool) -> dict:
+def kernels(settings: dict, corpus_bytes, work_dir: Path, quick: bool) -> tuple[int, dict]:
+    """One shape's steps per round, and its kernels: name -> (fn, calls
+    per sample)."""
     import numpy as np
 
     import deltafed.harness as harness
@@ -136,60 +142,107 @@ def time_shape(settings: dict, corpus_bytes, work_dir: Path, samples: int, quick
         perplexity_of(model, setup.val_ids)
 
     calls = 1 if quick else 20
-    return {
-        "steps_per_round": steps,
-        "grad": cpu_ms(grad, samples, calls),
-        "clip_adamw": cpu_ms(clip_adamw, samples, calls),
-        "round": cpu_ms(train_round, samples, 1),
-        "perplexity": cpu_ms(perplexity, samples, 1 if quick else 5),
+    return steps, {
+        "grad": (grad, calls),
+        "clip_adamw": (clip_adamw, calls),
+        "round": (train_round, 1),
+        "perplexity": (perplexity, 1 if quick else 5),
     }
 
 
-def one_tree(src: Path, quick: bool) -> dict:
-    """Every kernel at every shape, timed on the deltafed under `src`."""
+def import_tree(src: Path) -> None:
+    """Import the deltafed under `src`, and no other."""
     sys.path.insert(0, str(src))
     import deltafed
 
     if Path(deltafed.__file__).resolve().parent != src / "deltafed":
         sys.exit(f"deltafed was imported from {deltafed.__file__}, not {src}")
+
+
+def fingerprint() -> dict:
+    return load_module("bench_run", ROOT / "bench" / "run.py").fingerprint()
+
+
+def one_tree(src: Path, quick: bool) -> dict:
+    """Every kernel at every shape, timed on the deltafed under `src`."""
+    import_tree(src)
     samples = 2 if quick else SAMPLES
+    shapes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        shapes = {
-            name: time_shape(settings, corpus_bytes, Path(tmp), samples, quick)
+        for name, (settings, corpus_bytes) in SHAPES.items():
+            steps, timed = kernels(settings, corpus_bytes, Path(tmp), quick)
+            shapes[name] = {"steps_per_round": steps}
+            for kernel, (fn, calls) in timed.items():
+                shapes[name][kernel] = summary([sample_ms(fn, calls) for _ in range(samples)])
+    return {"src": str(src), "machine": fingerprint(), "shapes": shapes}
+
+
+def serve(src: Path, quick: bool, conn) -> None:
+    """One side of `two_trees`, in a process of its own: build every
+    shape's kernels on the deltafed under `src`, send each shape's steps
+    per round and the machine, then answer each (shape, kernel) asked for
+    with one sample, until None comes."""
+    import_tree(src)
+    with tempfile.TemporaryDirectory() as tmp:
+        built = {
+            name: kernels(settings, corpus_bytes, Path(tmp), quick)
             for name, (settings, corpus_bytes) in SHAPES.items()
         }
-    fingerprint = load_module("bench_run", ROOT / "bench" / "run.py").fingerprint()
-    return {"src": str(src), "machine": fingerprint, "shapes": shapes}
+        conn.send(({name: steps for name, (steps, _) in built.items()}, fingerprint()))
+        for name, kernel in iter(conn.recv, None):
+            fn, calls = built[name][1][kernel]
+            conn.send(sample_ms(fn, calls))
 
 
 def two_trees(src: Path, against: Path, quick: bool) -> dict:
-    """`one_tree` on both trees in fresh processes, alternating which runs
-    first, merged side by side."""
+    """Both trees in long-lived processes of their own, sampled in turns:
+    for each kernel, one sample from each side, the side that goes first
+    alternating; merged side by side."""
     sides = {"parent": against, "change": src}
-    runs = {side: [] for side in sides}
-    for i in range(1 if quick else RUNS):
-        order = ("change", "parent") if i % 2 else ("parent", "change")
-        for side in order:
-            cmd = [sys.executable, __file__, "--src", str(sides[side])] + ["--quick"] * quick
-            out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
-            runs[side].append(json.loads(out))
+    turns = 2 if quick else PAIRS
+    spawn = multiprocessing.get_context("spawn")  # a fresh interpreter imports each tree
+    conns, procs = {}, []
+    try:
+        for side, path in sides.items():
+            here, there = spawn.Pipe()
+            procs.append(spawn.Process(target=serve, args=(path, quick, there), daemon=True))
+            procs[-1].start()
+            conns[side] = here
+        built = {side: conn.recv() for side, conn in conns.items()}
+        times = {(name, kernel, side): [] for name in SHAPES for kernel in KERNELS for side in sides}
+        for i in range(turns):
+            order = ("change", "parent") if i % 2 else ("parent", "change")
+            for name in SHAPES:
+                for kernel in KERNELS:
+                    for side in order:
+                        conns[side].send((name, kernel))
+                        times[name, kernel, side].append(conns[side].recv())
+    finally:
+        for conn in conns.values():
+            with suppress(OSError):  # a side that died has told its error
+                conn.send(None)
+        for proc in procs:
+            proc.join()
     shapes = {}
     for name in SHAPES:
-        row = {"steps_per_round": {s: runs[s][0]["shapes"][name]["steps_per_round"] for s in sides}}
+        row = {"steps_per_round": {side: built[side][0][name] for side in sides}}
         for kernel in KERNELS:
-            row[kernel] = {}
-            for side in sides:
-                timings = [r["shapes"][name][kernel] for r in runs[side]]
-                row[kernel][side] = {
-                    "best_ms": min(t["best_ms"] for t in timings),
-                    "median_ms": round(statistics.median(t["median_ms"] for t in timings), 4),
-                }
+            parent, change = (times[name, kernel, side] for side in sides)
+            row[kernel] = {
+                "parent": summary(parent),
+                "change": summary(change),
+                "ratio": round(statistics.median(change) / statistics.median(parent), 3),
+                "change_wins": sum(c < p for p, c in zip(parent, change)),
+            }
         shapes[name] = row
     return {
         "columns": {side: str(path) for side, path in sides.items()},
-        "runs_per_side": len(runs["change"]),
-        "statistics": "best_ms: the fastest sample over all runs; median_ms: the median over runs of each run's median sample",
-        "machine": runs["change"][0]["machine"],
+        "samples_per_side": turns,
+        "statistics": (
+            "best_ms, median_ms: a side's fastest and median sample; ratio: the change's median "
+            "over the parent's; change_wins: turns in which the change's sample was the faster"
+        ),
+        "machine": built["change"][1],
         "shapes": shapes,
     }
 

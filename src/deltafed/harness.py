@@ -15,8 +15,9 @@ Every round's model is scored off the round clock. A pooled federation
 scores round t's on the worker of its last client, right behind that
 client's round t+1 training, so the scoring overlaps the server's encode,
 receive, decode and fold of round t+1 instead of sitting between rounds
-on this thread; the workers train nothing then, so no training waits.
-Runs without a pool, and lone clients, whose one worker has no idle
+on this thread; the workers train nothing then, so no training waits. The
+final model's score runs on that worker while this thread works out its
+BLEU. Runs without a pool, and lone clients, whose one worker has no idle
 window, score on this thread.
 
 `compare_modes` reads the corpus once for all three modes. The federated
@@ -194,9 +195,10 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup) -> tuple:
     goes to the worker of the client collected last, which scores it right
     behind its round t+1 training reply, while this thread encodes,
     receives, decodes and folds that round; the score is read as round t+1
-    ends, and the final model's after the last round. Without a pool each
-    model is scored here as its round ends. A scoring error fails the run
-    as `server: round <t>: ...`."""
+    ends, and the final model's after the last round, once this thread has
+    worked out the final model's BLEU beside it. Without a pool each model
+    is scored here as its round ends. A scoring error fails the run as
+    `server: round <t>: ...`."""
     tasks = _tasks(cfg, setup)
     counts = {i: len(shard) for i, shard in enumerate(setup.shards)}
     ppls: list[float] = []
@@ -221,12 +223,16 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup) -> tuple:
                 clients=list(zip(client_ends, clients)),
             )
             if scorer is not None:
+                scorer.send_score()  # the final model, scored beside its BLEU
+            bleus = [bleu_of(model, setup)]
+            if scorer is not None:
                 with prefixed(f"round {cfg.rounds}"):
                     ppls.append(scorer.score())
     for client in clients:
         check_client_ledger(ledger, client.id, client.ledger)
     walls = [ledger.wall_ms(t) for t in range(1, cfg.rounds + 1)]
-    return [model], np.array([client.losses for client in clients]), np.array([ppls]), walls, ledger
+    losses = np.array([client.losses for client in clients])
+    return [model], bleus, losses, np.array([ppls]), walls, ledger
 
 
 # -- central and local: federations of one client ----------------------------
@@ -239,7 +245,7 @@ def run_alone(cfg: ExperimentConfig, setup: _Setup) -> tuple:
     client i plays federated client i's rounds on shard i. Each round is
     timed alone and scored after the clock stops; a round's wall sums the
     clients'."""
-    curves, models = [], []
+    curves, models, bleus = [], [], []
     for task in _tasks(cfg, setup):
         curve, model = [], setup.model
         with client_trainers([task]) as (trainer,):
@@ -255,23 +261,25 @@ def run_alone(cfg: ExperimentConfig, setup: _Setup) -> tuple:
                 curve.append((client.losses[-1], perplexity_of(model, setup.val_ids), wall_ms))
         curves.append(curve)
         models.append(model)
+        bleus.append(bleu_of(model, setup))
     losses, ppls, walls = np.moveaxis(np.array(curves), 2, 0)  # each (clients, rounds)
-    return models, losses, ppls, walls.sum(axis=0), None
+    return models, bleus, losses, ppls, walls.sum(axis=0), None
 
 
 # -- one result for every mode -----------------------------------------------
 
 
 def _result(
-    cfg: ExperimentConfig, setup: _Setup, models: list[LmModel], losses: np.ndarray,
+    cfg: ExperimentConfig, models: list[LmModel], bleus: list[float], losses: np.ndarray,
     ppls: np.ndarray, walls, ledger: TrafficLedger | None,
 ) -> ExperimentResult:
     """Every mode's records and extras from what its rounds played: the
-    final models (the global one, or each lone client's), each client's
-    training losses and each model's perplexities as (clients or models,
-    rounds) arrays, each round's wall ms, and the server's ledger (None for
-    lone clients). A record averages the losses and the perplexities and
-    carries the ledger's bytes."""
+    final models (the global one, or each lone client's) and their BLEU,
+    each client's training losses and each model's perplexities as (clients
+    or models, rounds) arrays, each round's wall ms, and the server's ledger
+    (None for lone clients). A record averages the losses and the
+    perplexities and carries the ledger's bytes; the BLEU extra averages the
+    models'."""
     records = [
         RoundRecord(
             t + 1,
@@ -284,7 +292,7 @@ def _result(
         )
         for t in range(cfg.rounds)
     ]
-    extras = {"bleu": float(np.mean([bleu_of(m, setup) for m in models]))}
+    extras = {"bleu": float(np.mean(bleus))}
     if ledger is not None:
         extras["overhead_bytes"] = {
             "join_uplink": ledger.uplink_bytes(0),
@@ -312,7 +320,7 @@ def run_experiment(
     """Run cfg's mode; `setup`, if given, is `_setup(cfg)` already made."""
     setup = setup or _setup(cfg)
     play = run_federated if cfg.mode == "federated" else run_alone
-    result = _result(cfg, setup, *play(cfg, setup)) if cfg.rounds else _eval_only(cfg, setup)
+    result = _result(cfg, *play(cfg, setup)) if cfg.rounds else _eval_only(cfg, setup)
     if report:
         extras = dict(result.extras)
         extras["config"] = asdict(cfg)

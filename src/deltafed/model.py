@@ -13,15 +13,23 @@ analytic and verified against central finite differences in the tests.
 A step's arrays are small (a batch's logits are a few hundred positions by
 a few dozen symbols), so the number of numpy calls sets its pace more than
 the arithmetic does. A step therefore runs on a `Workspace`, built once per
-round: every matrix product is written into it with `np.dot(..., out=)`,
+round: every matrix product is written into it with `ndarray.dot(..., out=)`,
 and all of a step's dropout masks come from one `rng.random` call, in the
-order one call per mask would draw them. The recurrences run in place:
-the forward pass gathers every step's input term into its output slot and
-completes each slot with `cur += prev @ U^T; tanh(cur)`, and the backward
-pass turns dL/dh into dL/da in the same buffer, one
-`prev += da_i @ U; prev *= gate` per step. Logits are vocab-major, (V, n) for n predicted positions, so the
-softmax's max and sums run down the columns, a target's logit sits at flat
-index `target * n + position`, and the output gradients come from the same
+order one call per mask would draw them. No numpy Python frame runs inside
+a step: the kernels call the C entry points numpy's Python wrappers
+dispatch to (`ndarray.dot` for `np.dot`, `ndarray.take` for `np.take`,
+`np.maximum.reduce` for `np.max`, `np.add.reduce` for `np.sum` and
+`ndarray.sum`), which run the same C code on the same operands, so each
+call sheds its wrapper's microseconds and every result stays bitwise the
+same.
+
+The recurrences run in place: the forward pass gathers every step's input
+term into its output slot and completes each slot with
+`cur += prev @ U^T; tanh(cur)`, and the backward pass turns dL/dh into
+dL/da in the same buffer, one `prev += da_i @ U; prev *= gate` per step.
+Logits are vocab-major, (V, n) for n predicted positions, so the softmax's
+max and sums run down the columns, a target's logit sits at flat index
+`target * n + position`, and the output gradients come from the same
 layout (`out.b`'s is the row sums, `dz @ h` the weight's).
 
 Adapters (see lora.py) ride along as extra entries named
@@ -165,16 +173,20 @@ class Windows:
     def batch(self, idx: np.ndarray) -> list[np.ndarray]:
         """The rows at `idx` as one (count, length) id matrix per distinct
         length, shortest first, each row kept in `idx` order within its
-        matrix."""
-        if len(self.widths) == 1:
-            return [self.ids[idx, : self.widths[0]]]
-        lengths = self.lengths[idx]
-        groups = []
-        for n in self.widths:
-            sel = idx[lengths == n]
-            if sel.size:
-                groups.append(self.ids[sel, :n])
-        return groups
+        matrix. A batch with no row shorter than the widest, as every batch
+        of one-width windows and most of a shard with a tail row are, is
+        gathered in one call."""
+        top = self.widths[-1]
+        if len(self.widths) > 1:
+            lengths = self.lengths[idx]
+            if np.minimum.reduce(lengths, initial=top) < top:
+                groups = []
+                for n in self.widths:
+                    sel = idx[lengths == n]
+                    if sel.size:
+                        groups.append(self.ids[sel, :n])
+                return groups
+        return [self.ids[idx, :top]]
 
     def tolist(self) -> list[list[int]]:
         return [row[:n].tolist() for row, n in zip(self.ids, self.lengths)]
@@ -216,16 +228,20 @@ class Workspace:
     has, so a short or two-width batch gets its own), and, once a gradient
     is asked for, the gradient vector with its entry views and the
     accumulators of the effective weights' gradients. Every matrix product
-    of a step is written into it with `np.dot(..., out=)`, so a step
-    allocates next to nothing. Buffers are overwritten by the next call
-    that uses them: a gradient returned from a step with a workspace lives
-    only until the next step with that workspace.
+    of a step is written into it with `ndarray.dot(..., out=)`, so a step
+    allocates next to nothing, and what a step would otherwise work out
+    each time (the adapters' factor entry names, a window group's position
+    count) is worked out here once. Buffers are overwritten by the next
+    call that uses them: a gradient returned from a step with a workspace
+    lives only until the next step with that workspace.
     """
 
     def __init__(self, model: LmModel):
         v, d = model.cfg.vocab_size, model.cfg.embed_dim
         self.model = model
         self.vd = (v, d)
+        # target -> its (A, B) factor entry names
+        self.factors = {t: (f"{t}.lora.A", f"{t}.lora.B") for t in model.adapters}
         ad_w = model.adapters.get("embed.W")
         ad_u = model.adapters.get("rnn.U")
         p_w = ad_w.dropout_p if ad_w is not None else 0.0
@@ -272,6 +288,7 @@ class _Shape:
         steps = length - 1
         n = steps * bsz
         self.n = n
+        self.inv = 1.0 / n  # the loss scale of a batch of this group alone
         self.hs = np.empty((steps, bsz, d))  # hidden states that predict
         self.rows = list(self.hs)
         self.hm = self.hs.reshape(n, d)
@@ -343,8 +360,9 @@ class _Effective:
     mask_u: np.ndarray | None = None       # over embed columns
 
 
-def _adapter_product(values, target: str, scaling: float, out: np.ndarray) -> np.ndarray:
-    np.dot(values[f"{target}.lora.A"], values[f"{target}.lora.B"], out=out)
+def _adapter_product(values, factors: tuple[str, str], scaling: float, out: np.ndarray) -> np.ndarray:
+    a, b = factors
+    values[a].dot(values[b], out=out)
     out *= scaling
     return out
 
@@ -370,7 +388,7 @@ def _effective(model: LmModel, values: Mapping[str, np.ndarray], ws: Workspace, 
 
     ad_w = model.adapters.get("embed.W")
     if ad_w is not None:
-        prod = _adapter_product(values, "embed.W", ad_w.scaling, ws.prod_w)
+        prod = _adapter_product(values, ws.factors["embed.W"], ad_w.scaling, ws.prod_w)
         if masked and ws.mask_lookup is not None:
             eff.mask_lookup, eff.mask_out = ws.mask_lookup, ws.mask_out
             eff.w_lookup = np.multiply(prod, eff.mask_lookup, out=ws.w_lookup)
@@ -383,7 +401,7 @@ def _effective(model: LmModel, values: Mapping[str, np.ndarray], ws: Workspace, 
 
     ad_u = model.adapters.get("rnn.U")
     if ad_u is not None:
-        prod = _adapter_product(values, "rnn.U", ad_u.scaling, ws.prod_u)
+        prod = _adapter_product(values, ws.factors["rnn.U"], ad_u.scaling, ws.prod_u)
         if masked and ws.mask_u is not None:
             eff.mask_u = ws.mask_u
             eff.u = np.multiply(prod, eff.mask_u, out=ws.u)
@@ -401,23 +419,23 @@ def _recur(eff: _Effective, xt: np.ndarray, f: _Shape, h: np.ndarray | None = No
 
     Each step's input term is gathered into its output slot, which the step
     then completes in place: cur += prev @ U^T, tanh(cur)."""
-    np.take(eff.w_lookup, xt, axis=0, out=f.hs, mode="clip")  # ids are checked
+    eff.w_lookup.take(xt, axis=0, out=f.hs, mode="clip")  # ids are checked
     f.hs += eff.b
     # the transposed view, not a contiguous copy: BLAS sums some shapes
     # (batch 1, d = 64) in another order for the copy
-    u_t, carry, dot, tanh = eff.u.T, f.carry, np.dot, np.tanh
+    u_t, carry, tanh = eff.u.T, f.carry, np.tanh
     prev = h
     for cur in f.rows:
         if prev is not None:
-            cur += dot(prev, u_t, out=carry)
+            cur += prev.dot(u_t, out=carry)
         tanh(cur, out=cur)
         prev = cur
     return f.hs
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=-1, keepdims=True)
-    return z - m - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
+    m = np.maximum.reduce(z, axis=-1, keepdims=True)
+    return z - m - np.log(np.add.reduce(np.exp(z - m), axis=-1, keepdims=True))
 
 
 def _nll(eff: _Effective, x: np.ndarray, f: _Shape) -> float:
@@ -430,14 +448,14 @@ def _nll(eff: _Effective, x: np.ndarray, f: _Shape) -> float:
     """
     xt = x.T
     _recur(eff, xt[:-1], f)
-    z = np.dot(eff.w_out, f.hm.T, out=f.z)  # vocab-major: reductions run down columns
+    z = eff.w_out.dot(f.hm.T, out=f.z)  # vocab-major: reductions run down columns
     z += eff.c[:, None]
-    z -= np.max(z, axis=0, out=f.col)
+    z -= np.maximum.reduce(z, axis=0, out=f.col)
     _flat_index(xt[1:], f.base, f.at_rows)
-    target_logits = np.take(f.z_flat, f.at, out=f.col, mode="clip").sum()
+    target_logits = np.add.reduce(f.z_flat.take(f.at, out=f.col, mode="clip"))
     np.exp(z, out=z)
-    s = np.sum(z, axis=0, out=f.s)
-    return float(np.log(s, out=f.col).sum() - target_logits)
+    s = np.add.reduce(z, axis=0, out=f.s)
+    return float(np.add.reduce(np.log(s, out=f.col)) - target_logits)
 
 
 def _flat_index(ids: np.ndarray, base: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -476,13 +494,13 @@ def trainable_loss_and_grad(
     gb.acc.fill(0.0)
 
     total_nll = 0.0
-    inv = 1.0 / sum(x.size - x.shape[0] for x in groups)
-    for x in groups:
-        f = ws.shape(*x.shape)
+    shapes = [ws.shape(*x.shape) for x in groups]
+    inv = shapes[0].inv if len(shapes) == 1 else 1.0 / sum(f.n for f in shapes)
+    for x, f in zip(groups, shapes):
         total_nll += _nll(eff, x, f)
         _backward(eff, x, f, gb, inv)
 
-    _assemble_grads(model, eff, values, gb)
+    _assemble_grads(model, eff, values, ws)
     return total_nll * inv, gb.g
 
 
@@ -494,25 +512,25 @@ def _backward(eff: _Effective, x: np.ndarray, f: _Shape, gb: _Grads, inv: float)
     dz *= np.divide(inv, f.s, out=f.s)
     f.z_flat[f.at] -= inv
     if gb.d_c is not None:
-        gb.d_c += np.sum(dz, axis=1, out=gb.tmp_v)
+        gb.d_c += np.add.reduce(dz, axis=1, out=gb.tmp_v)
     if gb.embed:
-        gb.d_w_out += np.dot(dz, f.hm, out=gb.tmp_vd)
-    da = np.dot(dz.T, eff.w_out, out=b.da)  # dL/dh, then dL/da
+        gb.d_w_out += dz.dot(f.hm, out=gb.tmp_vd)
+    da = dz.T.dot(eff.w_out, out=b.da)  # dL/dh, then dL/da
     gate = np.multiply(f.hs, f.hs, out=b.gate)
     np.subtract(1.0, gate, out=gate)
 
     # only the carry recursion runs step by step, in place in da
-    rows, gates, u, carry, dot = b.da_rows, b.gate_rows, eff.u, f.carry, np.dot
+    rows, gates, u, carry = b.da_rows, b.gate_rows, eff.u, f.carry
     rows[-1] *= gates[-1]
     for i in range(len(rows) - 1, 0, -1):
         prev = rows[i - 1]
-        prev += dot(rows[i], u, out=carry)
+        prev += rows[i].dot(u, out=carry)
         prev *= gates[i - 1]
 
     if gb.d_b is not None:
-        gb.d_b += np.sum(da, axis=0, out=gb.tmp_d)
+        gb.d_b += np.add.reduce(da, axis=0, out=gb.tmp_d)
     if gb.d_u is not None:
-        gb.d_u += np.dot(b.da_head, b.hs_tail, out=gb.tmp_dd)
+        gb.d_u += b.da_head.dot(b.hs_tail, out=gb.tmp_dd)
     if gb.embed:
         # scatter-add of every step's da onto its input row, as one matmul
         # with the (V, n) one-hot input matrix, built in dz's spent buffer
@@ -520,14 +538,15 @@ def _backward(eff: _Effective, x: np.ndarray, f: _Shape, gb: _Grads, inv: float)
         dz.fill(0.0)
         _flat_index(x.T[:-1], f.base, b.at_rows)
         f.z_flat[b.at] = 1.0
-        gb.d_w_lookup += np.dot(dz, da, out=gb.tmp_vd)
+        gb.d_w_lookup += dz.dot(da, out=gb.tmp_vd)
 
 
-def _assemble_grads(model, eff, values, gb: _Grads) -> None:
-    """Gradients of the effective weights -> gb.grad, views of the stored
-    trainable entries, where the rest already accumulated theirs. An adapted
-    base entry gets none: only its factors see the gradient. The
+def _assemble_grads(model, eff, values, ws: Workspace) -> None:
+    """Gradients of the effective weights -> ws.grads.grad, views of the
+    stored trainable entries, where the rest already accumulated theirs. An
+    adapted base entry gets none: only its factors see the gradient. The
     accumulators are spent in place."""
+    gb = ws.grads
     grad = gb.grad
     ad_w = model.adapters.get("embed.W")
     if ad_w is None:
@@ -540,7 +559,7 @@ def _assemble_grads(model, eff, values, gb: _Grads) -> None:
             gb.d_w_out *= eff.mask_out
         dp += gb.d_w_out
         dp *= ad_w.scaling
-        _factor_grads(grad, values, "embed.W", dp)
+        _factor_grads(grad, values, ws.factors["embed.W"], dp)
 
     ad_u = model.adapters.get("rnn.U")
     if ad_u is not None:
@@ -548,16 +567,16 @@ def _assemble_grads(model, eff, values, gb: _Grads) -> None:
         if eff.mask_u is not None:
             dp *= eff.mask_u
         dp *= ad_u.scaling
-        _factor_grads(grad, values, "rnn.U", dp)
+        _factor_grads(grad, values, ws.factors["rnn.U"], dp)
 
 
-def _factor_grads(grad, values, target: str, dp: np.ndarray) -> None:
+def _factor_grads(grad, values, factors: tuple[str, str], dp: np.ndarray) -> None:
     """The factors' gradients from dp, the scaled gradient of their product."""
-    a, b = f"{target}.lora.A", f"{target}.lora.B"
+    a, b = factors
     if a in grad:
-        np.dot(dp, values[b].T, out=grad[a])
+        dp.dot(values[b].T, out=grad[a])
     if b in grad:
-        np.dot(values[a].T, dp, out=grad[b])
+        values[a].T.dot(dp, out=grad[b])
 
 
 def perplexity_of(model: LmModel, ids: Sequence[int]) -> float:
@@ -629,6 +648,6 @@ def greedy_decode(model: LmModel, prefix, n_tokens: int) -> np.ndarray:
         h = _recur(eff, seq[:, done:end].T, ws.shape(b, end - done + 1), h)[-1].copy()
         done = end
         probs = np.exp(_log_softmax(h @ eff.w_out.T + eff.c))
-        seq[:, end] = np.argmax(probs, axis=1)
+        seq[:, end] = probs.argmax(axis=1)
     picks = seq[:, cut:]
     return picks[0] if ids.ndim == 1 else picks

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -97,7 +99,7 @@ def lr_at(step: int, cfg: OptimizerConfig) -> float:
 
 
 def _grad_norm(g: np.ndarray) -> float:
-    return math.sqrt(float(np.dot(g, g)))
+    return math.sqrt(float(g.dot(g)))
 
 
 def _nonfinite(
@@ -148,11 +150,13 @@ def _adamw_flat(
     p -= np.divide(m_hat, denom, out=s1)
 
 
-def _epoch_batches(
-    n: int, batch_size: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    order = rng.permutation(n)
-    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
+def _batch_order(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Row indices of each step's batch, epoch after epoch: an epoch's
+    permutation is drawn as its first batch is asked for."""
+    while True:
+        order = rng.permutation(n)
+        for i in range(0, n, batch_size):
+            yield order[i : i + batch_size]
 
 
 def local_train_round(
@@ -195,11 +199,8 @@ def local_train_round(
 
     step = state.step
     losses: list[float] = []
-    pending: list[np.ndarray] = []
-    for _ in range(steps):
-        if not pending:
-            pending = _epoch_batches(len(windows), batch_size, rng)
-        batch = windows.batch(pending.pop(0))
+    for idx in islice(_batch_order(len(windows), batch_size, rng), steps):
+        batch = windows.batch(idx)
         loss, g = trainable_loss_and_grad(model, batch, rng=rng, values=values, ws=ws)
         norm = _grad_norm(g)
         if not (math.isfinite(loss) and math.isfinite(norm)):

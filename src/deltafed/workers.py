@@ -8,8 +8,9 @@ the client collected last (`hand`), that client's round t+1 job carries
 the score, and the worker scores the model with `model.perplexity_of`
 right after it replies to the training, while the driving thread folds the
 round; `score` reads the perplexity, a second reply. The final model goes
-alone, in a score job. So scoring overlaps the server's fold, not any
-training, and no training job waits behind it. All else stays on the one
+alone, in a score job that `send_score` sends before the driving thread
+works out the model's BLEU. So scoring overlaps the server's fold and the
+final BLEU, not any training, and no training job waits behind it. All else stays on the one
 thread that drives the federation.
 
 The pool is forked once per process, by the first federation of two or more
@@ -399,14 +400,20 @@ class WorkerTrainer:
             worker.queue[0]._start()
         return model.with_params(trained), loss
 
-    def score(self) -> float:
-        """-> the perplexity of the model handed last: read from behind the
-        training reply that carried it, or scored alone now. The session
-        must be bound and its worker owe no training reply."""
+    def send_score(self) -> None:
+        """Send the model handed last to be scored alone, unless a training
+        job took it or it was sent already; `score` reads its perplexity.
+        The session must be bound and its worker owe no training reply."""
         worker = self._worker
         if self._handed is not None:  # no training job took it
-            with suppress(OSError):  # a dead worker fails the read below
+            with suppress(OSError):  # a dead worker fails the read in `score`
                 _send(worker.conn, ("score", self._sid, worker.area.size, False, *self._score_fields()))
+
+    def score(self) -> float:
+        """-> the perplexity of the model handed last: read from behind the
+        training reply that carried it, or scored alone (see `send_score`)."""
+        self.send_score()
+        worker = self._worker
         try:
             status, ppl = worker.conn.recv()
         except (EOFError, OSError):

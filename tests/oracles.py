@@ -41,7 +41,6 @@ from deltafed.optim import (
     OptimizerState,
     _adamw_flat,
     _clip_flat,
-    _epoch_batches,
     _grad_norm,
     _nonfinite,
     lr_at,
@@ -86,6 +85,12 @@ def length_groups(cfg, batch):
         _check_ids(cfg, x)
         groups.append(x)
     return groups
+
+
+def _epoch_batches(n, batch_size, rng):
+    """One epoch's batches of row indices, from one permutation."""
+    order = rng.permutation(n)
+    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
 def list_train_round(model, state, shard, cfg, rng, *, batch_size, steps):

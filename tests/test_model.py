@@ -204,6 +204,34 @@ def step_groups(shape: str):
     return windows.batch(np.arange(len(windows)))
 
 
+class TestWindowsBatch:
+    """A two-width shard's batches: one group when no row is short, else
+    one per width, each as the rows grouped by length by hand."""
+
+    rows = [list(range(i, i + STEP_CONTEXT + 1)) for i in range(5)] + [[3, 1, 4, 1]]
+    windows = as_windows(rows)
+
+    def by_length(self, idx):
+        lengths = sorted({len(self.rows[i]) for i in idx})
+        return [np.array([self.rows[i] for i in idx if len(self.rows[i]) == n]) for n in lengths]
+
+    def check(self, idx, n_groups):
+        got = self.windows.batch(np.array(idx))
+        want = self.by_length(idx)
+        assert len(got) == len(want) == n_groups
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_batch_without_the_short_row_is_one_group(self):
+        assert len(self.windows.widths) == 2
+        self.check([4, 0, 2], 1)
+
+    def test_batch_with_the_short_row_is_one_group_per_width(self):
+        self.check([4, 5, 0, 2], 2)  # shortest first, each in idx order
+        self.check([5], 1)
+
+
 class TestStepAgainstReference:
     """The training step's in-place, vocab-major kernels against the
     row-major step they replaced: the same loss and gradient up to the order

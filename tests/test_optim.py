@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from deltafed import optim
 from deltafed.errors import ArgumentError, NumericalError, StructureError
 from deltafed.lora import attach
-from deltafed.model import LmConfig, as_windows, init_model
+from deltafed.model import EVAL_BLOCK, LmConfig, as_windows, init_model, perplexity_of
 from deltafed.optim import (
     OptimizerConfig,
     _adamw_flat,
@@ -526,3 +528,74 @@ def test_blow_up_at_a_later_step_names_that_step_and_entry(case, step):
             np.random.default_rng(5), batch_size=4, steps=12,
         )
     assert str(got.value) == str(want.value)
+
+
+# -- no numpy Python frame inside a step ---------------------------------------
+
+NUMPY_DIR = os.path.dirname(np.__file__) + os.sep
+
+
+def numpy_frames(fn) -> int:
+    """The Python frames under numpy's package entered while fn runs:
+    its wrappers (np.dot's dispatcher, np.take, np.sum, ndarray.sum's
+    _methods, ...), which the C entry points they dispatch to skip."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(NUMPY_DIR):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_numpy_frames_counts_a_wrapper():
+    a = np.ones((2, 2))
+    assert numpy_frames(lambda: np.dot(a, a)) >= 1
+    assert numpy_frames(lambda: a.dot(a)) == 0
+
+
+# 23 full windows and a tail row: batches of 4 make a 6-step epoch, so the
+# steps counted below draw one permutation, and at seed 4 the tail row's
+# batch, two widths, is step 5
+_GUARD_SHARD = tiny_shard(np.random.default_rng(8), 23, 7, length=9) + [[1, 2, 3, 4]]
+_GUARD_SEED = 4
+
+STEP_GUARD_CASES = {
+    "rank4-dropout": lambda: _adapted(0.1),
+    "full-d16": lambda: init_model(LmConfig(vocab_size=7, embed_dim=16, context=8), seed=11),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_GUARD_CASES))
+def test_a_training_step_enters_no_numpy_python_frame(case):
+    # the round's own numpy calls (checking the shard, the epoch's
+    # permutation, the mean loss) come once; 4 more steps must add none
+    model = STEP_GUARD_CASES[case]()
+    cfg = OptimizerConfig(lr=0.05, total_steps=20, max_grad_norm=0.3, warmup_ratio=0.1)
+    order = np.random.default_rng(_GUARD_SEED).permutation(len(_GUARD_SHARD))
+    assert list(order).index(len(_GUARD_SHARD) - 1) // 4 == 4
+
+    def train(steps):
+        local_train_round(
+            model, init_state(model.params), _GUARD_SHARD, cfg,
+            np.random.default_rng(_GUARD_SEED), batch_size=4, steps=steps,
+        )
+
+    assert numpy_frames(lambda: train(2)) == numpy_frames(lambda: train(6))
+
+
+def test_a_perplexity_block_enters_no_numpy_python_frame():
+    model = _adapted(0.1)
+    ctx = model.cfg.context
+    rng = np.random.default_rng(3)
+    one, three = (rng.integers(0, 7, size=k * EVAL_BLOCK * ctx + 5) for k in (1, 3))
+    assert numpy_frames(lambda: perplexity_of(model, one)) == numpy_frames(
+        lambda: perplexity_of(model, three)
+    )

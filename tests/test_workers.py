@@ -447,6 +447,48 @@ class TestScoringOnTheLastWorker:
         assert jobs == [("train", False), ("train", False), ("train", True)] * 2 + [("score", True)]
         assert all(w.scores == 0 for w in workers._pool)
 
+    def test_final_bleu_runs_while_the_final_model_scores(self, corpus_path, monkeypatch, fresh_pool):
+        """The final model's score job is sent before its BLEU is worked
+        out on this thread, and read after it."""
+        send, bleu_of, score = workers._send, harness.bleu_of, workers.WorkerTrainer.score
+        events = []
+
+        def recorded(conn, job):
+            events.append(job[0])
+            return send(conn, job)
+
+        def bleu(*args, **kw):
+            events.append("bleu")
+            return bleu_of(*args, **kw)
+
+        def read(trainer):
+            events.append("read")
+            return score(trainer)
+
+        monkeypatch.setattr(workers, "_send", recorded)
+        monkeypatch.setattr(harness, "bleu_of", bleu)
+        monkeypatch.setattr(workers.WorkerTrainer, "score", read)
+        pool_of_two(monkeypatch)
+        run_experiment(small_cfg(corpus_path, clients=2, rounds=2), report=False)
+        assert events[events.index("bleu") - 2 :][:4] == ["read", "score", "bleu", "read"]
+        assert events.count("bleu") == 1
+
+    def test_bleu_error_leaves_no_score_reply_owed(self, corpus_path, monkeypatch, fresh_pool):
+        pool_of_two(monkeypatch)
+        cfg = small_cfg(corpus_path, rounds=2)
+        ref = run_experiment(cfg, report=False)
+        bleu_of = harness.bleu_of
+
+        def broken(*args, **kw):
+            raise RuntimeError("injected BLEU fault")
+
+        monkeypatch.setattr(harness, "bleu_of", broken)
+        with pytest.raises(RuntimeError, match="injected BLEU fault"):
+            run_experiment(cfg, report=False)
+        assert all(w.scores == 0 and not w.queue for w in workers._pool)
+        monkeypatch.setattr(harness, "bleu_of", bleu_of)
+        assert outcome(run_experiment(cfg, report=False)) == outcome(ref)
+
 
 class TestScoringFailFast:
     """A scoring fault fails the run at once as the server's, naming the
@@ -511,6 +553,22 @@ class TestScoringFailFast:
         message = self.fail_then_recover(corpus_path, transport, marker, calls, DeltaFedError)
         assert message == "server: round 2: scoring worker exited with code 3"
         assert_no_zombie()
+
+    def test_final_scoring_error_fails_at_the_last_round(
+        self, corpus_path, tmp_path, monkeypatch, fresh_pool
+    ):
+        """The final model is scored alone, beside its BLEU; a fault there
+        still names the last round, and the next run succeeds."""
+        def fault():
+            raise RuntimeError("injected scoring fault")
+
+        self.inject(monkeypatch, tmp_path, fault)
+        cfg = small_cfg(corpus_path, rounds=2)
+        with pytest.raises(RuntimeError) as exc:
+            run_experiment(cfg, report=False)
+        assert str(exc.value) == "server: round 2: injected scoring fault"
+        assert all(w.scores == 0 and not w.queue for w in workers._pool)
+        assert len(run_experiment(cfg, report=False).records) == 2
 
     def test_in_process_scoring_error_fails_at_its_round(self, corpus_path, monkeypatch):
         """Without a pool each round is scored here as it ends."""
