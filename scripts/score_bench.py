@@ -15,7 +15,10 @@ the tree's `src/` and prints, per round, the driving thread's fold phase
 time in the round-end callback that scores or reads the score, and the
 span in which a worker scored the previous round's model, with the part of
 that span that ran before the callback began, hidden behind the round's
-own work. Clocks are CLOCK_MONOTONIC, which every process shares.
+own work; and the run's tail, the driving thread's time from `run_server`'s
+return until `_result` has built the run's result: the final model's score
+and BLEU, the workers given back and the channels closed.
+Clocks are CLOCK_MONOTONIC, which every process shares.
 """
 
 from __future__ import annotations
@@ -95,6 +98,15 @@ def timeline(args) -> dict:
         return out
 
     workers.WorkerTrainer.collect = timed_collect
+    tail: list[float] = []  # run_server's return, then _result's
+    result = harness._result
+
+    def timed_result(*a, **kw):
+        out = result(*a, **kw)
+        tail.append(time.perf_counter())
+        return out
+
+    harness._result = timed_result
     scored_in_worker = hasattr(workers, "perplexity_of")
     if scored_in_worker:  # patched before the pool forks, so the workers have it
         score = workers.perplexity_of
@@ -116,7 +128,9 @@ def timeline(args) -> dict:
             on_round(t, model)
             marks.append(("round_end", start, time.perf_counter()))
 
-        return run_server(*a, on_round=round_end, **kw)
+        out = run_server(*a, on_round=round_end, **kw)
+        tail[:] = [time.perf_counter()]
+        return out
 
     harness.run_server = timed_server
     workers.planned_workers = lambda clients: min(clients, 2)
@@ -125,6 +139,7 @@ def timeline(args) -> dict:
         cfg = make_config(wl, args.seed, wl.rounds, Path(tmp), make_corpus)
         harness.run_experiment(cfg, report=False)  # warm-up; forks the pool
         marks.clear()
+        tail.clear()
         spans_file.write_text("")
         start = time.perf_counter()
         harness.run_experiment(cfg, report=False)
@@ -151,7 +166,8 @@ def timeline(args) -> dict:
     keys = {k for r in rounds for k in r} - {"round"}
     medians = {k: statistics.median(r[k] for r in rounds if k in r) for k in sorted(keys)}
     return {"tree": str(tree), "seed": args.seed, "scored_in_worker": scored_in_worker,
-            "run_s": run_s, "median": medians, "rounds": rounds}
+            "run_s": run_s, "tail_ms": (tail[-1] - tail[0]) * 1e3, "median": medians,
+            "rounds": rounds}
 
 
 def main(argv=None) -> None:

@@ -225,7 +225,10 @@ def two_trees(src: Path, against: Path, quick: bool) -> dict:
             proc.join()
     shapes = {}
     for name in SHAPES:
-        row = {"steps_per_round": {side: built[side][0][name] for side in sides}}
+        steps = {built[side][0][name] for side in sides}
+        if len(steps) > 1:  # rounds of different lengths do not compare
+            raise SystemExit(f"{name}: the two trees train {sorted(steps)} steps per round")
+        row = {"steps_per_round": steps.pop()}
         for kernel in KERNELS:
             parent, change = (times[name, kernel, side] for side in sides)
             row[kernel] = {

@@ -224,10 +224,10 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup) -> tuple:
             )
             if scorer is not None:
                 scorer.send_score()  # the final model, scored beside its BLEU
-            bleus = [bleu_of(model, setup)]
-            if scorer is not None:
-                with prefixed(f"round {cfg.rounds}"):
-                    ppls.append(scorer.score())
+        bleus = [bleu_of(model, setup)]
+        if scorer is not None:
+            with blame("server"), prefixed(f"round {cfg.rounds}"):
+                ppls.append(scorer.score())
     for client in clients:
         check_client_ledger(ledger, client.id, client.ledger)
     walls = [ledger.wall_ms(t) for t in range(1, cfg.rounds + 1)]

@@ -288,7 +288,6 @@ class _Shape:
         steps = length - 1
         n = steps * bsz
         self.n = n
-        self.inv = 1.0 / n  # the loss scale of a batch of this group alone
         self.hs = np.empty((steps, bsz, d))  # hidden states that predict
         self.rows = list(self.hs)
         self.hm = self.hs.reshape(n, d)
@@ -495,7 +494,7 @@ def trainable_loss_and_grad(
 
     total_nll = 0.0
     shapes = [ws.shape(*x.shape) for x in groups]
-    inv = shapes[0].inv if len(shapes) == 1 else 1.0 / sum(f.n for f in shapes)
+    inv = 1.0 / sum(f.n for f in shapes)
     for x, f in zip(groups, shapes):
         total_nll += _nll(eff, x, f)
         _backward(eff, x, f, gb, inv)

@@ -337,10 +337,10 @@ class WorkerTrainer:
     def hand(self, model, ids: np.ndarray) -> None:
         """Write `model` into the second slot of the worker's area, to be
         scored on `ids` right after the worker replies to this trainer's
-        next training job, or alone in `score` if none takes it. The worker
-        must owe no reply: `score` reads each perplexity before the next
-        model is handed. This trainer's replies must be the last its worker
-        sends, as a federation's last client's are."""
+        next training job, or alone by `send_score` if none takes it. The
+        worker must owe no reply: `score` reads each perplexity before the
+        next model is handed. This trainer's replies must be the last its
+        worker sends, as a federation's last client's are."""
         params = model.params
         nt = params.layout.trainable_size
         n = nt + params.layout.frozen_size
