@@ -11,7 +11,9 @@ pairs the change won on each metric.
 
 `timeline` runs the `wide-q4-tcp` workload once (after a warm-up run) from
 the tree's `src/` and prints, per round, the driving thread's fold phase
-(from the last client's collected training to the end of the fold), its
+(from reading the last client's answer out of its worker, or, on a tree from
+before `workers.WorkerClient`, from collecting its trained values, to the
+end of the fold: the last client's encode, its receipt and the fold), its
 time in the round-end callback that scores or reads the score, and the
 span in which a worker scored the previous round's model, with the part of
 that span that ran before the callback began, hidden behind the round's
@@ -90,14 +92,18 @@ def timeline(args) -> dict:
     marks: list[tuple[str, float, float]] = []  # (what, start, end) on this thread
     spans_file = Path(tempfile.mkstemp(prefix="score-spans-")[1])
 
-    collect = workers.WorkerTrainer.collect
+    if hasattr(workers, "WorkerClient"):
+        owner, name = workers.WorkerClient, "_answer"  # the shutdown's too, after the last round
+    else:  # a tree whose pooled clients still collect from a trainer
+        owner, name = workers.WorkerTrainer, "collect"
+    collect = getattr(owner, name)
 
     def timed_collect(self):
         out = collect(self)
         marks.append(("collected", time.perf_counter(), 0.0))
         return out
 
-    workers.WorkerTrainer.collect = timed_collect
+    setattr(owner, name, timed_collect)
     tail: list[float] = []  # run_server's return, then _result's
     result = harness._result
 

@@ -4,12 +4,13 @@ The modes share one setup and one result, and differ only in how a round
 is played. `_setup` shuffles the training windows once into a read-only
 copy, central's shard; client i's shard is rows i, i+K, ... of it, as views.
 `run_federated` drives the server and its K clients through
-`protocol.run_server` on this thread; `run_alone` plays lone
-`protocol.Client`s with no channel: central's one at the summed step
-budget, or local client i on shard i. `_result` turns what either played
-into records and extras. Values still take the f32 wire casts, so K=1
-local, central and K=1 federated runs are bitwise equal, in a pool worker
-as in process. An error names who raised it: `client <i>: ...` or `server: ...`.
+`protocol.run_server` on this thread; `run_alone` plays lone clients with
+no channel: central's one at the summed step budget, or local client i on
+shard i. Both take their clients from `workers.pooled_clients`, in a pool
+worker or in process. `_result` turns what either played into records and
+extras. Values still take the f32 wire casts, so K=1 local, central and K=1
+federated runs are bitwise equal, in a pool worker as in process. An error
+names who raised it: `client <i>: ...` or `server: ...`.
 
 Every round's model is scored off the round clock. A pooled federation
 scores round t's on the worker of its last client, right behind that
@@ -52,7 +53,6 @@ from .model import (
 )
 from .optim import OptimizerConfig
 from .protocol import (
-    Client,
     ClientTask,
     TrafficLedger,
     blame,
@@ -64,7 +64,7 @@ from .protocol import (
 )
 from .transport import Hub, TcpListener, memory_pairs, tcp_connect
 from .wire import decode_message, encode_message
-from .workers import WorkerTrainer, client_trainers
+from .workers import WorkerClient, pooled_clients
 
 BLEU_SAMPLES = 24
 
@@ -192,20 +192,19 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup) -> tuple:
     """The server and its K clients, all driven by `run_server` on this
     thread; -> what `_result` takes. Each round's global model is scored off
     the round clock and only the score is kept. On a pool, round t's model
-    goes to the worker of the client collected last, which scores it right
-    behind its round t+1 training reply, while this thread encodes,
-    receives, decodes and folds that round; the score is read as round t+1
-    ends, and the final model's after the last round, once this thread has
-    worked out the final model's BLEU beside it. Without a pool each model
-    is scored here as its round ends. A scoring error fails the run as
+    goes to the worker of the last client, which scores it right behind
+    its answer to round t+1, while this thread encodes, receives, decodes
+    and folds that round; the score is read as round t+1 ends, and the
+    final model's after the last round, once this thread has worked out
+    the final model's BLEU beside it. Without a pool each model is scored
+    here as its round ends. A scoring error fails the run as
     `server: round <t>: ...`."""
     tasks = _tasks(cfg, setup)
     counts = {i: len(shard) for i, shard in enumerate(setup.shards)}
     ppls: list[float] = []
     # the pool, if any, forks before a channel exists
-    with client_trainers(tasks) as trainers, _channels(cfg) as (server_ends, client_ends):
-        clients = [Client(setup.model, trainer, cfg) for trainer in trainers]
-        scorer = trainers[-1] if isinstance(trainers[-1], WorkerTrainer) else None
+    with pooled_clients(setup.model, tasks, cfg) as clients, _channels(cfg) as (server_ends, client_ends):
+        scorer = clients[-1] if isinstance(clients[-1], WorkerClient) else None
 
         def score(t: int, model: LmModel) -> None:
             if scorer is None:
@@ -240,16 +239,15 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup) -> tuple:
 
 def run_alone(cfg: ExperimentConfig, setup: _Setup) -> tuple:
     """Central or local mode: lone clients, one after another, each playing
-    the federation's rounds with no channel on a worker it borrows; -> what
-    `_result` takes. Central is the exact K=1 federated trajectory; local
-    client i plays federated client i's rounds on shard i. Each round is
-    timed alone and scored after the clock stops; a round's wall sums the
-    clients'."""
+    the federation's rounds with no channel, on a worker it borrows if one
+    is idle; -> what `_result` takes. Central is the exact K=1 federated
+    trajectory; local client i plays federated client i's rounds on shard i.
+    Each round is timed alone and scored after the clock stops; a round's
+    wall sums the clients'."""
     curves, models, bleus = [], [], []
     for task in _tasks(cfg, setup):
         curve, model = [], setup.model
-        with client_trainers([task]) as (trainer,):
-            client = Client(model, trainer, cfg)
+        with pooled_clients(model, [task], cfg) as (client,):
             count = {client.id: len(task.shard)}
             for t in range(1, cfg.rounds + 1):
                 start = time.perf_counter()

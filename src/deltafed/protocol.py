@@ -2,22 +2,24 @@
 
 A round is the server's `broadcast` of the global model (the full set in
 round 1, then only the trainable entries under delta aggregation with factor
-deltas); each client's install, training (`submit`, then `collect`) and
-update, all in `Client`, one client's side as bytes in and bytes out with
-its own ledger; and the server's `fold_updates`, which checks each update
+deltas); each client's install, training and update, all in `Client`, one
+client's side as bytes in and bytes out with its own ledger, task, optimizer
+state and RNG; and the server's `fold_updates`, which checks each update
 once, as it arrives, against the layout its `RoundPolicy` names. Joins are
 round 0 and the shutdown round T+1. Bytes are counted on encoded messages,
 so memory and TCP transports account identically.
 
 `run_server` is the one round loop. On one thread it holds the server's
 channel ends and each in-process client with its own end: the broadcast
-goes out on every channel and each client submits its training; then, in
-client-id order, each client collects and sends its update and the server
-receives it. A client's error is prefixed `client <i>: ` as it is raised
-(`blame`) and carries the client's ledger. Central and local mode drive
-lone `Client`s with no channel (`harness.run_alone`), under the same
-`blame`. A client trains through a `LocalTrainer` in this process or a
-`workers.WorkerTrainer`.
+goes out on every channel and each client `receive`s it; then, in client-id
+order, each client sends its `update` and the server receives it. A client
+here is a `Client`, or a `workers.WorkerClient`, which plays the same
+`Client` in a pool worker and encodes its `delta` here, with the same
+`encode_update`. A client books its update at the size that encoding gives
+it. A client's error is prefixed `client <i>: ` as it is raised (`blame`),
+and a ProtocolError carries the client's ledger. Central and local mode
+drive lone clients with no channel (`harness.run_alone`), under the same
+`blame`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .params import Layout, ParameterSet, differences, subtract_trainable
 from .wire import (
     FLAG_FACTORS,
     FLAG_QUANTIZED,
+    HEADER_LEN,
     KIND_DELTA_UPDATE,
     KIND_FULL_MODEL_UPDATE,
     KIND_GLOBAL_BROADCAST,
@@ -57,6 +60,7 @@ from .wire import (
     deserialize_params,
     encode_message,
     serialize_params,
+    serialized_size,
 )
 
 SERVER_SENDER = 0xFFFFFFFF
@@ -364,55 +368,37 @@ class ClientTask:
         return np.random.default_rng([self.seed, SEED_CLIENT, self.client_id])
 
 
-class LocalTrainer:
-    """A client's training in this process, run inside `submit`: its task,
-    and the optimizer state and shuffle/dropout RNG it carries across rounds."""
-
-    def __init__(self, task: ClientTask) -> None:
-        self.task = task
-        self.client_id = task.client_id
-        self._rng = task.rng()
-        self._state: OptimizerState | None = None
-        self._result: tuple[LmModel, float] | None = None
-
-    def submit(self, model: LmModel) -> None:
-        """One round of local steps from `model`, kept for `collect`."""
-        if self._state is None:
-            self._state = init_state(model.params)
-        task = self.task
-        model, self._state, loss = local_train_round(
-            model, self._state, task.shard, task.opt_cfg, self._rng,
-            batch_size=task.batch_size, steps=task.steps_per_round,
-        )
-        self._result = model, loss
-
-    def collect(self) -> tuple[LmModel, float]:
-        """-> (trained model, mean loss) of the submitted round."""
-        return self._result
+def join_ack(client_id: int) -> bytes:
+    """A client's join: the round-0 ack that names it to the server."""
+    return encode_message(WireMessage(KIND_ROUND_ACK, 0, client_id))
 
 
 class Client:
     """One client's side of the protocol, without I/O: `join`, then `receive`
-    each server message and answer each broadcast with `update`. The bytes
-    are booked in the client's own ledger, which its ProtocolErrors carry."""
+    each server message, training on a broadcast, and answer it with
+    `update`. It carries its optimizer state and RNG across rounds, and
+    books the bytes in its own ledger, which its ProtocolErrors carry."""
 
-    def __init__(self, model: LmModel, trainer, cfg: ExperimentConfig) -> None:
-        self.id = trainer.client_id
+    def __init__(self, model: LmModel, task: ClientTask, cfg: ExperimentConfig) -> None:
+        self.id = task.client_id
         self.model = model  # installed, then trained
-        self.trainer = trainer
+        self.task = task
         self.cfg = cfg
         self.ledger = TrafficLedger()
         self.losses: list[float] = []
+        self._rng = task.rng()
+        self._state: OptimizerState | None = None
         self._start: ParameterSet | None = None  # the round-start values
+        self._loss: float | None = None  # the round's, until its update
 
     def join(self) -> bytes:
-        raw = encode_message(WireMessage(KIND_ROUND_ACK, 0, self.id))
+        raw = join_ack(self.id)
         self.ledger.add_up(0, self.id, len(raw))
         return raw
 
     def receive(self, raw: bytes) -> bool:
-        """Take one message from the server: install a broadcast and submit
-        its training; -> False at the shutdown."""
+        """Take one message from the server: install a broadcast and train
+        a round from it; -> False at the shutdown."""
         rnd = len(self.losses) + 1
         with prefixed(None, self.ledger):
             msg = decode_message(raw)
@@ -431,22 +417,47 @@ class Client:
             self._start = params.with_trainable(incoming.trainable_flat) if factors else incoming
             self.model = self.model.with_params(self._start)
             with prefixed(f"round {rnd}"):
-                self.trainer.submit(self.model)
+                self._loss = self.train()
         return True
 
+    def train(self) -> float:
+        """One round of local steps from the installed model; -> their mean loss."""
+        if self._state is None:
+            self._state = init_state(self.model.params)
+        task = self.task
+        self.model, self._state, loss = local_train_round(
+            self.model, self._state, task.shard, task.opt_cfg, self._rng,
+            batch_size=task.batch_size, steps=task.steps_per_round,
+        )
+        return loss
+
     def update(self) -> bytes:
-        """Collect the round's training; -> its encoded update."""
+        """-> the encoded update of the round trained on the last broadcast."""
+        return encode_update(self.delta(), len(self.losses), self.id, self.cfg)
+
+    def delta(self) -> ParameterSet:
+        """-> what the round trained on the last broadcast uplinks, for
+        `encode_update`; booked in the ledger at that message's length."""
         rnd = len(self.losses) + 1
-        with prefixed(f"round {rnd}"):
-            self.model, loss = self.trainer.collect()
-        self.losses.append(loss)
-        policy = _policy(self.cfg)
-        quantize = self.cfg.quantize_payload and policy.form is not None  # never full models
-        payload = serialize_params(policy.encode(self.model, self._start), "all", quantize_payload=quantize)
-        flags = policy.uplink_flags | (FLAG_QUANTIZED if quantize else 0)
-        raw = encode_message(WireMessage(policy.uplink_kind, rnd, self.id, flags, payload))
-        self.ledger.add_up(rnd, self.id, len(raw))
-        return raw
+        self.losses.append(self._loss)
+        params = _policy(self.cfg).encode(self.model, self._start)
+        size = HEADER_LEN + serialized_size(params, "all", quantize_payload=_quantizes(self.cfg))
+        self.ledger.add_up(rnd, self.id, size)
+        return params
+
+
+def _quantizes(cfg: ExperimentConfig) -> bool:
+    """Whether updates go 4-bit: deltas only, never full models."""
+    return cfg.quantize_payload and _policy(cfg).form is not None
+
+
+def encode_update(params: ParameterSet, rnd: int, client_id: int, cfg: ExperimentConfig) -> bytes:
+    """A client's round-`rnd` update message carrying `params`, a `Client.delta`."""
+    policy = _policy(cfg)
+    quantize = _quantizes(cfg)
+    payload = serialize_params(params, "all", quantize_payload=quantize)
+    flags = policy.uplink_flags | (FLAG_QUANTIZED if quantize else 0)
+    return encode_message(WireMessage(policy.uplink_kind, rnd, client_id, flags, payload))
 
 
 def check_client_ledger(

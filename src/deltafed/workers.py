@@ -1,38 +1,32 @@
-"""Training workers: clients train in forked processes, one core each.
+"""Training workers: pooled clients play their rounds in forked processes,
+one core each.
 
-A client's trainer sends the installed values to a persistent worker process
-on `submit` and reads back the trained values and the mean loss on
-`collect`; the worker runs the client's `LocalTrainer`. A federation also
-scores its rounds there: round t's global model is handed to the trainer of
-the client collected last (`hand`), that client's round t+1 job carries
-the score, and the worker scores the model with `model.perplexity_of`
-right after it replies to the training, while the driving thread folds the
-round; `score` reads the perplexity, a second reply. The final model goes
-alone, in a score job that `send_score` sends before the driving thread
-works out the model's BLEU. So scoring overlaps the server's fold and the
-final BLEU, not any training, and no training job waits behind it. All else stays on the one
-thread that drives the federation.
+A pooled client is a `WorkerClient` here and, in a persistent worker, the
+same `protocol.Client` that plays in process. The server's message goes in
+as wire bytes through the worker's shared area; the worker's client decodes
+it, trains, and writes the round's `delta` over it as float64, which this
+side encodes (`protocol.encode_update`), so the uplink codec runs where the
+server runs. A session is bound with its first message, so `join` makes the
+ack here and the worker's client books it; the shutdown's answer brings the
+client's ledger home.
+
+A federation also scores its rounds there: round t's global model goes into
+the worker's second slot (`hand`), and the last client's round t+1 job
+carries the score, so the worker scores it right after answering the round,
+while the driving thread folds; `score` reads the perplexity, a second
+reply. The final model goes alone (`send_score`), scored beside its BLEU.
 
 The pool is forked once per process, by the first federation of two or more
 clients that can use it: W = min(K, C) workers for K clients on C usable
 cores, only while the caller runs no other thread, and none with W < 2,
 without `os.fork` or after a failed fork. Each idle worker is lent to one
-run at a time: a federation borrows up to W, and client i trains on the
+run at a time: a federation borrows up to W, and client i plays on the
 (i mod n)-th of the n it got; a lone client borrows one; a run that borrows
-none trains in process. A worker runs one job at a time; one submitted
-while another is in flight waits in the worker's queue until that one is
-collected. It keeps a session per client (task, optimizer state, RNG, the
-held-out ids it scores on) until its run ends, which first reads every
-reply still owed. A worker that dies fails its run and is discarded alone;
-the next federation forks anew.
-
-Values travel through a float64 area of shared memory both processes map:
-the trainable vector in and the trained one out, plus the frozen vector when
-a full broadcast replaced it; and behind them, in a second slot, both
-vectors of a global model to score, written when the model is handed, off
-the round clock, and rewritten only once its score is read. Jobs are pickled with their arrays out of band, so a shard is copied
-once, to make it contiguous. Both paths run the same arithmetic on the same
-float64 values, so they agree bit for bit.
+none plays in process. A worker runs one job at a time; one queued behind
+another starts once that one is answered. It keeps a session per client
+until its run ends, which first reads every reply still owed. A worker that
+dies fails its run and is discarded alone; the next federation forks anew.
+Jobs are pickled with their arrays out of band, so a shard is copied once.
 """
 
 from __future__ import annotations
@@ -43,6 +37,7 @@ import itertools
 import mmap
 import os
 import pickle
+import re
 import signal
 import tempfile
 import threading
@@ -55,7 +50,8 @@ import numpy as np
 from .errors import DeltaFedError
 from .model import perplexity_of
 from .params import ParameterSet
-from .protocol import ClientTask, LocalTrainer
+from .protocol import Client, ClientTask, encode_update, join_ack
+from .wire import HEADER_LEN, KIND_SHUTDOWN, parse_header
 
 REAP_SECONDS = 1.0  # how long to wait for a worker to end before killing it
 
@@ -78,9 +74,8 @@ def planned_workers(clients: int) -> int:
 
 
 class _Area:
-    """A worker's shared float64 scratch memory: one file both processes
-    inherit and map, grown by the parent, remapped by the worker to the size
-    each job names."""
+    """Shared scratch memory of a worker: one file both processes inherit
+    and map. Either side grows it; each maps as much of it as it needs."""
 
     def __init__(self) -> None:
         if hasattr(os, "memfd_create"):
@@ -91,20 +86,16 @@ class _Area:
         self.size = 0
         self._map = None
 
-    def vector(self, size: int) -> np.ndarray:
-        """The first `size` bytes as float64, mapped anew if the size changed."""
-        if size != self.size:
+    def view(self, n: int) -> memoryview:
+        """The first n bytes, the file grown and mapped anew if need be."""
+        if n > self.size:
+            size = os.fstat(self.fd).st_size
+            if n > size:
+                size = max(n, 2 * size)
+                os.ftruncate(self.fd, size)
             self._map = mmap.mmap(self.fd, size)
             self.size = size
-        return np.frombuffer(self._map, dtype=np.float64)
-
-    def fit(self, n: int) -> np.ndarray:
-        """Parent side: grow to hold n values; -> the whole area as float64."""
-        size = self.size
-        if 8 * n > size:
-            size = max(8 * n, 2 * size)
-            os.ftruncate(self.fd, size)
-        return self.vector(size)
+        return memoryview(self._map)[:n]
 
     def close(self) -> None:
         self._map = None
@@ -114,22 +105,35 @@ class _Area:
 class _Worker:
     """The parent's handle on one worker process."""
 
-    def __init__(self, pid: int, conn, area: _Area) -> None:
-        self.pid = pid
+    def __init__(self, conn) -> None:
+        self.pid = 0  # once forked
         self.conn = conn
-        self.area = area
-        self.queue: collections.deque = collections.deque()  # trainers awaiting replies; the first's in flight
+        self.area = _Area()  # the round's message, then the delta
+        self.slot = _Area()  # the global model to score
+        self.queue: collections.deque = collections.deque()  # clients awaiting replies; the first's in flight
         self.scores = 0  # score replies sent for, not yet read
         self.failure: str | None = None  # how it ended, once reaped
         self.lent = False  # to a run, under _pool_lock
 
-    def settle(self) -> None:
+    def close(self) -> None:
+        self.conn.close()
+        self.area.close()
+        self.slot.close()
+
+    def read(self) -> tuple:
+        """-> the next reply: ("ok", value), ("err", error) or ("lost", why)."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return "lost", self.reap(REAP_SECONDS)
+
+    def settle(self, deadline: float) -> None:
         """Read every reply still owed, the job in flight's and any score's,
-        so the pipe holds nothing stale; kill a worker that takes too long."""
+        so the pipe holds nothing stale; kill the worker at `deadline`."""
         owed = bool(self.queue) + self.scores
         while owed and self.failure is None:
             try:
-                if self.conn.poll(REAP_SECONDS):
+                if self.conn.poll(max(0.0, deadline - time.monotonic())):
                     self.conn.recv()
                 else:
                     self.reap(0.0)
@@ -184,7 +188,8 @@ def _receive(conn):
 
 def _outcome(what: str, run) -> bytes:
     """A job's reply: ("ok", run()), or ("err", what it raised), or a
-    DeltaFedError naming that when it does not pickle."""
+    DeltaFedError naming that, after its round prefix, when it does not
+    pickle."""
     try:
         return pickle.dumps(("ok", run()))
     except Exception as e:
@@ -192,67 +197,77 @@ def _outcome(what: str, run) -> bytes:
             reply = pickle.dumps(("err", e))
             pickle.loads(reply)
         except Exception:
-            reply = pickle.dumps(("err", DeltaFedError(f"{what} raised {e!r}")))
+            # the one prefix a worker's client puts on: `Client.receive`'s, on training
+            head = re.match(r"round \d+: ", e.args[0] if e.args and isinstance(e.args[0], str) else "")
+            prefix = head.group() if head else ""
+            e.args = (e.args[0][len(prefix):], *e.args[1:]) if prefix else e.args
+            reply = pickle.dumps(("err", DeltaFedError(f"{prefix}{what} raised {e!r}")))
         return reply
 
 
-def _from_slot(model, vec: np.ndarray, slot: int, frozen: bool = True):
-    """`model` with copies of the values in the area's `slot` (0: the job's,
-    1: the global model to score); keeps its frozen vector unless `frozen`."""
-    layout = model.params.layout
-    nt, nf = layout.trainable_size, layout.frozen_size
-    lo = slot * (nt + nf)
-    kept = vec[lo + nt : lo + nt + nf].copy() if frozen else model.params.frozen_flat
-    return model.with_params(ParameterSet.from_vectors(layout, vec[lo : lo + nt].copy(), kept))
+def _write_params(area: _Area, params: ParameterSet) -> None:
+    """Write `params`' trainable vector, then its frozen one, into `area` as float64."""
+    nt = params.layout.trainable_size
+    vec = np.frombuffer(area.view(8 * (nt + params.layout.frozen_size)), dtype=np.float64)
+    vec[:nt] = params.trainable_flat
+    vec[nt:] = params.frozen_flat
 
 
-def _train(trainer: LocalTrainer, model, vec: np.ndarray) -> float:
-    """One round from `model`; the trained values go to the area's first slot."""
-    trainer.submit(model)
-    model, loss = trainer.collect()
-    vec[: model.params.layout.trainable_size] = model.params.trainable_flat
-    return loss
+def _read_params(area: _Area, layout) -> ParameterSet:
+    """-> a copy of the set laid out as `layout` that `_write_params` wrote."""
+    nt = layout.trainable_size
+    vec = np.frombuffer(area.view(8 * (nt + layout.frozen_size)), dtype=np.float64)
+    return ParameterSet.from_vectors(layout, vec[:nt].copy(), vec[nt:].copy())
 
 
-def _score(model, vec: np.ndarray, ids: np.ndarray) -> float:
-    """The perplexity on `ids` of the global model in the area's second
-    slot, laid out as `model`."""
-    return perplexity_of(_from_slot(model, vec, 1), ids)
+def _play(client: Client, area: _Area, n: int):
+    """The client's answer to the message in the area's first n bytes:
+    (mean loss, the layout of its delta, written over it), or its ledger."""
+    if not client.receive(bytes(area.view(n))):
+        return client.ledger
+    delta = client.delta()
+    _write_params(area, delta)
+    return client.losses[-1], delta.layout
 
 
-def _serve(conn, area: _Area) -> None:
-    """A worker's loop: bind, train, score and unbind sessions until the
-    pipe closes. A job that scores replies twice: first for its training,
-    then with the perplexity."""
-    sessions: dict[int, list] = {}  # id -> [trainer, its latest round-start model, held-out ids]
+def _score(model, slot: _Area, ids: np.ndarray) -> float:
+    """The perplexity on `ids` of the global model in the second slot, laid
+    out as `model`."""
+    return perplexity_of(model.with_params(_read_params(slot, model.params.layout)), ids)
+
+
+def _serve(conn, area: _Area, slot: _Area) -> None:
+    """A worker's loop: bind, play, score and unbind sessions until the pipe
+    closes. A job that scores replies twice: first for its round, then with
+    the perplexity."""
+    sessions: dict[int, list] = {}  # id -> [its client, the held-out ids it scores on]
     while True:
         try:
             op, sid, *args = _receive(conn)
         except EOFError:
             return
         except Exception as e:  # a job that does not unpickle, say
-            error = DeltaFedError(f"training worker could not read its job: {e!r}")
-            conn.send_bytes(pickle.dumps(("err", error)))
+            conn.send_bytes(pickle.dumps(("lost", f"could not read its job: {e!r}")))
             continue
         if op == "unbind":
             sessions.pop(sid, None)
             continue
-        vec = area.vector(args[0])
-        score = False
+        n, *args = args
         if op == "bind":
-            task, model = args[1:]
-            session = sessions[sid] = [LocalTrainer(task), model, None]
+            task, model, cfg, joined = args
+            session = sessions[sid] = [Client(model, task, cfg), None]
+            if joined:
+                session[0].join()
+            score = False
         else:
             session = sessions[sid]
-            send_frozen, score, ids = args[1:]
+            score, ids = args
             if ids is not None:
-                session[2] = ids
-            if op == "train":
-                session[1] = _from_slot(session[1], vec, 0, send_frozen)
+                session[1] = ids
         if op != "score":
-            conn.send_bytes(_outcome("training", lambda: _train(session[0], session[1], vec)))
+            conn.send_bytes(_outcome("training", lambda: _play(session[0], area, n)))
         if score:  # the parent rewrites the second slot only once it has read this
-            conn.send_bytes(_outcome("scoring", lambda: _score(session[1], vec, session[2])))
+            conn.send_bytes(_outcome("scoring", lambda: _score(session[0].model, slot, session[1])))
 
 
 def _forget_pool() -> None:
@@ -261,8 +276,7 @@ def _forget_pool() -> None:
     lock may have been held by a thread the child does not have."""
     global _pool, _pool_lock
     for w in _pool:
-        w.conn.close()
-        w.area.close()
+        w.close()
     _pool = []
     _pool_lock = threading.Lock()
 
@@ -274,25 +288,24 @@ def _grow(n: int) -> None:
         return
     while len(_pool) < n:
         parent_end, child_end = Pipe()
-        area = _Area()
+        worker = _Worker(parent_end)
         try:
-            pid = os.fork()
-        except OSError:  # out of processes, say: the clients train in process
-            parent_end.close()
+            worker.pid = os.fork()
+        except OSError:  # out of processes, say: the clients play in process
+            worker.close()
             child_end.close()
-            area.close()
             return
-        if pid == 0:  # the worker; it never returns into the caller's stack
+        if worker.pid == 0:  # the worker; it never returns into the caller's stack
             code = 1
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
                 parent_end.close()
-                _serve(child_end, area)
+                _serve(child_end, worker.area, worker.slot)
                 code = 0
             finally:
                 os._exit(code)
         child_end.close()
-        _pool.append(_Worker(pid, parent_end, area))
+        _pool.append(worker)
 
 
 def _discard(pool: list[_Worker]) -> None:
@@ -302,7 +315,7 @@ def _discard(pool: list[_Worker]) -> None:
     deadline = time.monotonic() + REAP_SECONDS
     for w in pool:
         w.reap(deadline - time.monotonic())
-        w.area.close()
+        w.close()
 
 
 def shutdown() -> None:
@@ -313,45 +326,91 @@ def shutdown() -> None:
     _discard(pool)
 
 
-class WorkerTrainer:
-    """A client's trainer whose rounds run in a pool worker."""
+class WorkerClient:
+    """A client whose `Client` plays in a session of a pool worker."""
 
-    def __init__(self, worker: _Worker, task: ClientTask) -> None:
-        self.client_id = task.client_id
+    def __init__(self, worker: _Worker, model, task: ClientTask, cfg) -> None:
+        self.id = task.client_id
+        self.ledger = None  # the worker's client's, sent home at the shutdown
+        self.losses: list[float] = []
+        self._cfg = cfg
         self._worker = worker
-        self._task = task
         self._sid = next(_sessions)
-        self._bound = False
-        self._frozen = None  # the frozen vector the worker holds
-        self._model = None  # the submitted round-start model
+        self._bind = (task, model, cfg)  # what the session is made of, until sent
+        self._joined = False
+        self._raw = None  # the message queued for the worker
         self._handed = None  # the held-out ids to score the second slot on, until a job takes them
         self._ids = None  # the held-out ids the worker holds
 
-    def submit(self, model) -> None:
-        """Queue a round of training from `model`; it starts once the jobs before it are collected."""
-        self._model = model
-        self._worker.queue.append(self)
-        if len(self._worker.queue) == 1:
+    def join(self) -> bytes:
+        """-> the join ack, made here; the worker's client books it when bound."""
+        self._joined = True
+        return join_ack(self.id)
+
+    def receive(self, raw: bytes) -> bool:
+        """Queue a server message for the worker's client; -> False at the
+        shutdown, which is answered at once."""
+        worker = self._worker
+        shutdown = parse_header(raw[:HEADER_LEN])[0] == KIND_SHUTDOWN
+        self._raw = raw, shutdown
+        worker.queue.append(self)
+        if len(worker.queue) == 1:
             self._start()
+        if not shutdown:
+            return True
+        self.ledger = self._answer()
+        return False
+
+    def update(self) -> bytes:
+        """-> the update the worker's client answered its broadcast with,
+        its delta encoded here."""
+        loss, delta = self._answer()
+        self.losses.append(loss)
+        return encode_update(delta, len(self.losses), self.id, self._cfg)
+
+    def _start(self) -> None:
+        """Write the queued message into the worker's area and send its job."""
+        worker, (raw, shutdown) = self._worker, self._raw
+        self._raw = None
+        worker.area.view(len(raw))[:] = raw
+        if self._bind is not None:
+            job = ("bind", self._sid, len(raw), *self._bind, self._joined)
+            self._bind = None
+        else:  # a round's job may carry the score; the shutdown's does not
+            score = (False, None) if shutdown else self._score_fields()
+            job = ("round", self._sid, len(raw), *score)
+        # a worker that died fails this job's own answer, not its caller
+        with suppress(OSError):
+            _send(worker.conn, job)
+
+    def _answer(self):
+        """-> the worker's answer to this client's job in flight: (mean loss,
+        the delta) or, at the shutdown, the ledger; then starts its next."""
+        worker = self._worker
+        status, value = worker.read()
+        worker.queue.popleft()
+        if status != "ok":
+            worker.queue.clear()  # the run ends here
+            if status == "err":
+                raise value
+            raise DeltaFedError(f"round {len(self.losses) + 1}: training worker {value}")
+        if isinstance(value, tuple):
+            value = value[0], _read_params(worker.area, value[1])
+        if worker.queue:
+            worker.queue[0]._start()
+        return value
 
     def hand(self, model, ids: np.ndarray) -> None:
-        """Write `model` into the second slot of the worker's area, to be
-        scored on `ids` right after the worker replies to this trainer's
-        next training job, or alone by `send_score` if none takes it. The
-        worker must owe no reply: `score` reads each perplexity before the
-        next model is handed. This trainer's replies must be the last its
-        worker sends, as a federation's last client's are."""
-        params = model.params
-        nt = params.layout.trainable_size
-        n = nt + params.layout.frozen_size
-        vec = self._worker.area.fit(2 * n)
-        vec[n : n + nt] = params.trainable_flat
-        vec[n + nt : 2 * n] = params.frozen_flat
+        """Write `model` into the worker's second slot, to be scored on `ids`
+        behind this client's next round, or alone by `send_score`. The
+        worker must owe no reply, and this client's replies must be the last
+        it sends, as a federation's last client's are."""
+        _write_params(self._worker.slot, model.params)
         self._handed = ids
 
     def _score_fields(self) -> tuple:
-        """-> a job's (score, ids) fields: whether it scores the handed
-        model, and the held-out ids unless the worker holds them."""
+        """-> a job's (score, ids): whether it scores the handed model, and
+        the held-out ids unless the worker holds them."""
         if self._handed is None:
             return False, None
         ids, self._handed = self._handed, None
@@ -359,78 +418,35 @@ class WorkerTrainer:
         self._worker.scores += 1
         return True, sent
 
-    def _start(self) -> None:
-        """Write the job's values into the worker's area and send it."""
-        params = self._model.params
-        nt, nf = params.layout.trainable_size, params.layout.frozen_size
-        worker = self._worker
-        vec = worker.area.fit(nt + nf)
-        if self._bound:
-            vec[:nt] = params.trainable_flat
-            # the worker keeps the frozen vector it last saw
-            send_frozen = params.frozen_flat is not self._frozen
-            if send_frozen:
-                vec[nt : nt + nf] = params.frozen_flat
-            job = ("train", self._sid, worker.area.size, send_frozen, *self._score_fields())
-        else:
-            job = ("bind", self._sid, worker.area.size, self._task, self._model)
-            self._bound = True
-        self._frozen = params.frozen_flat
-        # a worker that died fails this job's own `collect`, not its caller
-        with suppress(OSError):
-            _send(worker.conn, job)
-
-    def collect(self):
-        """-> (trained model, mean loss), as `LocalTrainer.collect`. The
-        trained model shares the frozen vector of the submitted one."""
-        worker = self._worker
-        try:
-            status, loss = worker.conn.recv()
-        except (EOFError, OSError):
-            raise DeltaFedError(f"training worker {worker.reap(REAP_SECONDS)}") from None
-        worker.queue.popleft()
-        if status == "err":
-            worker.queue.clear()  # the run ends here
-            raise loss
-        model, self._model = self._model, None
-        params = model.params
-        nt = params.layout.trainable_size
-        trained = params.with_trainable(worker.area.fit(nt)[:nt].copy())
-        if worker.queue:
-            worker.queue[0]._start()
-        return model.with_params(trained), loss
-
     def send_score(self) -> None:
-        """Send the model handed last to be scored alone, unless a training
-        job took it or it was sent already; `score` reads its perplexity.
-        The session must be bound and its worker owe no training reply."""
-        worker = self._worker
-        if self._handed is not None:  # no training job took it
+        """Send the model handed last to be scored alone, unless a job took
+        it; its worker must owe no other reply."""
+        if self._handed is not None:
             with suppress(OSError):  # a dead worker fails the read in `score`
-                _send(worker.conn, ("score", self._sid, worker.area.size, False, *self._score_fields()))
+                _send(self._worker.conn, ("score", self._sid, 0, *self._score_fields()))
 
     def score(self) -> float:
         """-> the perplexity of the model handed last: read from behind the
-        training reply that carried it, or scored alone (see `send_score`)."""
+        round's answer that carried it, or scored alone (see `send_score`)."""
         self.send_score()
         worker = self._worker
-        try:
-            status, ppl = worker.conn.recv()
-        except (EOFError, OSError):
-            raise DeltaFedError(f"scoring worker {worker.reap(REAP_SECONDS)}") from None
+        status, value = worker.read()
         worker.scores -= 1
         if status == "err":
-            raise ppl
-        return ppl
+            raise value
+        if status == "lost":
+            raise DeltaFedError(f"scoring worker {value}")
+        return value
 
     def unbind(self) -> None:
-        if self._bound and self._worker.failure is None:
+        if self._bind is None and self._worker.failure is None:
             _send(self._worker.conn, ("unbind", self._sid))
 
 
 @contextmanager
-def client_trainers(tasks: list[ClientTask]):
-    """Yield one trainer per task: on workers borrowed from the pool, or in
+def pooled_clients(model, tasks: list[ClientTask], cfg):
+    """Yield one client per task, each starting from `model`: a
+    `WorkerClient` on a worker borrowed from the pool, or a `Client` in
     process when none is idle.
 
     A federation of two or more clients first grows the pool to
@@ -443,13 +459,13 @@ def client_trainers(tasks: list[ClientTask]):
         _grow(want)
     lent = _borrow(want)
     if not lent:
-        yield [LocalTrainer(task) for task in tasks]
+        yield [Client(model, task, cfg) for task in tasks]
         return
-    trainers = [WorkerTrainer(lent[i % len(lent)], task) for i, task in enumerate(tasks)]
+    clients = [WorkerClient(lent[i % len(lent)], model, task, cfg) for i, task in enumerate(tasks)]
     try:
-        yield trainers
+        yield clients
     finally:
-        _give_back(lent, trainers)
+        _give_back(lent, clients)
 
 
 def _borrow(n: int) -> list[_Worker]:
@@ -461,16 +477,17 @@ def _borrow(n: int) -> list[_Worker]:
     return lent
 
 
-def _give_back(lent: list[_Worker], trainers: list[WorkerTrainer]) -> None:
+def _give_back(lent: list[_Worker], clients: list[WorkerClient]) -> None:
     """Unbind the sessions and return the workers; discard the dead ones."""
     global _pool
+    deadline = time.monotonic() + REAP_SECONDS  # one wait for them all
     for w in lent:
-        w.settle()
-    for trainer in trainers:
+        w.settle(deadline)
+    for client in clients:
         try:
-            trainer.unbind()
+            client.unbind()
         except OSError:  # its worker died between jobs
-            trainer._worker.reap(REAP_SECONDS)
+            client._worker.reap(REAP_SECONDS)
     dead = [w for w in lent if w.failure is not None]
     with _pool_lock:
         for w in lent:

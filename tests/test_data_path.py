@@ -19,7 +19,7 @@ from deltafed.lora import attach
 from deltafed.metrics import bleu
 from deltafed.model import LmConfig, Vocab, as_windows, greedy_decode, init_model
 from deltafed.optim import OptimizerConfig, init_state, local_train_round
-from deltafed.protocol import LocalTrainer
+from deltafed.protocol import Client
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -188,9 +188,9 @@ def assert_decodes_like_serial(model, setup):
 
 def trained(setup, cfg):
     """The initial model after client 0's first round."""
-    trainer = LocalTrainer(harness._client_task(cfg, 0, setup.shards[0], setup.steps[0]))
-    trainer.submit(setup.model)
-    return trainer.collect()[0]
+    client = Client(setup.model, harness._client_task(cfg, 0, setup.shards[0], setup.steps[0]), cfg)
+    client.train()
+    return client.model
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

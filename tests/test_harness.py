@@ -182,18 +182,18 @@ class TestFailFast:
     def fail_training(self, cfg, monkeypatch, client, rnd):
         """Run cfg with client `client`'s training raising in round `rnd`;
         -> (the error, seconds from the fault to the raise)."""
-        submit = protocol.LocalTrainer.submit
+        train = protocol.Client.train
         calls = Counter()
         injected_at = []
 
-        def flaky(self, model):
-            calls[self.client_id] += 1
-            if self.client_id == client and calls[client] == rnd:
+        def flaky(self):
+            calls[self.id] += 1
+            if self.id == client and calls[client] == rnd:
                 injected_at.append(time.monotonic())
                 raise RuntimeError("injected training fault")
-            return submit(self, model)
+            return train(self)
 
-        monkeypatch.setattr(protocol.LocalTrainer, "submit", flaky)
+        monkeypatch.setattr(protocol.Client, "train", flaky)
         return self.run_and_time(cfg, injected_at)
 
     @pytest.mark.parametrize("transport", ["memory", "tcp"])
@@ -275,7 +275,7 @@ class TestFailFast:
 
 
 class TestOneThread:
-    """A federated run drives the server, its clients and their training
+    """A federated run drives the server, its clients and their workers'
     jobs from the calling thread: no thread is started for a client."""
 
     @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "in-process"])
@@ -292,15 +292,16 @@ class TestOneThread:
 
         if pooled:
             monkeypatch.setattr(workers, "planned_workers", lambda clients: min(clients, 2))
-            trainer = workers.WorkerTrainer
+            client = workers.WorkerClient
         else:
             monkeypatch.setattr(workers, "planned_workers", lambda clients: 0)
-            trainer = protocol.LocalTrainer
-        for name in ("submit", "collect"):
-            monkeypatch.setattr(trainer, name, counted(getattr(trainer, name)))
+            client = protocol.Client
+        for name in ("receive", "update"):
+            monkeypatch.setattr(client, name, counted(getattr(client, name)))
         cfg = small_cfg(corpus_path, transport=transport, clients=3)
         run_experiment(cfg, report=False)
-        assert counts == [1] * (2 * cfg.clients * cfg.rounds)
+        # a receive per broadcast and the shutdown, an update per broadcast
+        assert counts == [1] * (cfg.clients * (2 * cfg.rounds + 1))
 
     def test_more_clients_than_the_listen_backlog(self, corpus_path, monkeypatch):
         # the listener's backlog is 16, and Linux queues one connection more
@@ -333,23 +334,34 @@ class TestMemory:
         assert peak(15) - peak(3) < model_bytes
 
 
+class _Skewed(protocol.TrafficLedger):
+    """Books one byte too many in round 2; module-level, so a worker's
+    client can send it home."""
+
+    def add_up(self, rnd, client_id, nbytes):
+        super().add_up(rnd, client_id, nbytes + (rnd == 2))
+
+
+class _SkewedClient(protocol.Client):
+    """Client 1 keeps a skewed ledger."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        if self.id == 1:
+            self.ledger = _Skewed()
+
+
 class TestClientLedgers:
-    def test_client_ledger_mismatch_named(self, corpus_path, monkeypatch):
-        class Skewed(protocol.TrafficLedger):
-            """Client 1's own ledger books one byte too many in round 2."""
-
-            def add_up(self, rnd, client_id, nbytes):
-                super().add_up(rnd, client_id, nbytes + (rnd == 2))
-
-        class SkewedClient(protocol.Client):
-            def __init__(self, *args):
-                super().__init__(*args)
-                if self.id == 1:
-                    self.ledger = Skewed()
-
-        monkeypatch.setattr(harness, "Client", SkewedClient)
-        with pytest.raises(ProtocolError) as exc:
-            run_experiment(small_cfg(corpus_path), report=False)
+    @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "in-process"])
+    def test_client_ledger_mismatch_named(self, corpus_path, pooled, monkeypatch):
+        workers.shutdown()  # a pool forked from here on plays the skewed client
+        monkeypatch.setattr(workers, "Client", _SkewedClient)
+        monkeypatch.setattr(workers, "planned_workers", lambda clients: min(clients, 2) * pooled)
+        try:
+            with pytest.raises(ProtocolError) as exc:
+                run_experiment(small_cfg(corpus_path), report=False)
+        finally:
+            workers.shutdown()
         assert str(exc.value).startswith("client 1's ledger holds ")
         assert " uplink bytes in round 2, the server's " in str(exc.value)
 

@@ -16,7 +16,6 @@ from deltafed.protocol import (
     SERVER_SENDER,
     Client,
     ClientTask,
-    LocalTrainer,
     TrafficLedger,
     check_client_ledger,
     run_server,
@@ -72,7 +71,7 @@ def tasks_for(model, shards, steps=2, lr=0.05, rounds=3, seed=0, batch_size=3):
 
 def federate(model, tasks, cfg, server_chs, client_chs, sample_counts=None):
     """The server and one in-process client per task, all on this thread."""
-    clients = [Client(model, LocalTrainer(task), cfg) for task in tasks]
+    clients = [Client(model, task, cfg) for task in tasks]
     final, ledger = run_server(
         model, server_chs, cfg, sample_counts, clients=list(zip(client_chs, clients))
     )
@@ -478,7 +477,7 @@ class TestFactorBroadcast:
     def fed(model, payloads):
         """A client fed broadcasts of these payloads for rounds 1, 2, ...,
         answering each but the last; -> (the client, the ProtocolError it raised)."""
-        client = Client(model, LocalTrainer(tasks_for(model, shards_for(model, 1))[0]), ExperimentConfig())
+        client = Client(model, tasks_for(model, shards_for(model, 1))[0], ExperimentConfig())
         client.join()
         with pytest.raises(ProtocolError) as exc:
             for rnd, payload in enumerate(payloads, start=1):

@@ -21,9 +21,17 @@ import deltafed.protocol as protocol
 import deltafed.workers as workers
 import test_harness
 from deltafed.config import ExperimentConfig, override
-from deltafed.errors import DeltaFedError
+from deltafed.errors import DeltaFedError, ProtocolError
 from deltafed.harness import compare_modes, run_experiment
-from oracles import replace_values
+from deltafed.transport import memory_pairs
+from deltafed.wire import (
+    FLAG_FACTORS,
+    KIND_GLOBAL_BROADCAST,
+    WireMessage,
+    encode_message,
+    serialize_params,
+)
+from oracles import drop
 
 corpus_path = test_harness.corpus_path  # the module-scoped corpus fixture
 small_cfg = test_harness.small_cfg
@@ -126,21 +134,22 @@ class TestPoolMatchesInProcess:
         assert outcome(pooled) == outcome(ref)
 
     def test_shared_worker_takes_its_clients_in_turn(self, corpus_path, monkeypatch, fresh_pool):
-        """Client i trains on worker i mod 2, one job at a time: a client's
-        job starts once the worker's previous one is collected."""
-        start = workers.WorkerTrainer._start
+        """Client i plays on worker i mod 2, one job at a time: a client's
+        job starts once the worker's previous one is answered, in every
+        round and at the shutdown."""
+        start = workers.WorkerClient._start
         started = []
 
         def recorded(self):
-            started.append((self.client_id, self._worker.pid, self._worker.queue[0] is self))
+            started.append((self.id, self._worker.pid, self._worker.queue[0] is self))
             return start(self)
 
-        monkeypatch.setattr(workers.WorkerTrainer, "_start", recorded)
+        monkeypatch.setattr(workers.WorkerClient, "_start", recorded)
         pool_of_two(monkeypatch)
         cfg = small_cfg(corpus_path, clients=5, rounds=2)
         run_experiment(cfg, report=False)
         pids = pool_pids()
-        assert started == [(i, pids[i % 2], True) for i in range(5)] * cfg.rounds
+        assert started == [(i, pids[i % 2], True) for i in range(5)] * (cfg.rounds + 1)
 
 
 class TestPoolFailFast:
@@ -153,18 +162,18 @@ class TestPoolFailFast:
     """
 
     def inject(self, monkeypatch, tmp_path, fault):
-        submit = protocol.LocalTrainer.submit
+        train = protocol.Client.train
         marker = tmp_path / "injected"
         calls = {}
 
-        def flaky(self, model):
-            calls[self.client_id] = calls.get(self.client_id, 0) + 1
-            if self.client_id == 1 and calls[1] == 2 and not marker.exists():
+        def flaky(self):
+            calls[self.id] = calls.get(self.id, 0) + 1
+            if self.id == 1 and calls[1] == 2 and not marker.exists():
                 marker.write_text(f"{time.monotonic()!r} {os.getpid()}")
                 fault()
-            return submit(self, model)
+            return train(self)
 
-        monkeypatch.setattr(protocol.LocalTrainer, "submit", flaky)
+        monkeypatch.setattr(protocol.Client, "train", flaky)
         pool_of_two(monkeypatch)
         return marker
 
@@ -188,10 +197,14 @@ class TestPoolFailFast:
         message = self.fail_then_recover(corpus_path, marker, RuntimeError)
         assert message == "client 1: round 2: injected training fault"
 
+    # the round prefix goes on through str(), which quotes a KeyError's key
+    @pytest.mark.parametrize(
+        "base, shown", [(Exception, "'odd'"), (KeyError, '"\'odd\'"')], ids=["Exception", "KeyError"]
+    )
     def test_unpicklable_error_becomes_deltafed_error(
-        self, corpus_path, tmp_path, monkeypatch, fresh_pool
+        self, corpus_path, tmp_path, monkeypatch, fresh_pool, base, shown
     ):
-        class Local(Exception):  # a local class does not pickle
+        class Local(base):  # a local class does not pickle
             pass
 
         def fault():
@@ -199,7 +212,7 @@ class TestPoolFailFast:
 
         marker = self.inject(monkeypatch, tmp_path, fault)
         message = self.fail_then_recover(corpus_path, marker, DeltaFedError)
-        assert message == "client 1: round 2: training raised Local('odd')"
+        assert message == f"client 1: round 2: training raised Local({shown})"
 
     def test_worker_exit_named(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
         marker = self.inject(monkeypatch, tmp_path, lambda: os._exit(3))
@@ -318,14 +331,14 @@ class TestCompareLanes:
     def test_central_and_local_train_on_different_workers(
         self, corpus_path, tmp_path, monkeypatch, fresh_pool
     ):
-        submit = workers.WorkerTrainer.submit
+        receive = workers.WorkerClient.receive
         seen = []
 
-        def recorded(self, model):
+        def recorded(self, raw):
             seen.append((threading.current_thread().name, self._worker.pid))
-            return submit(self, model)
+            return receive(self, raw)
 
-        monkeypatch.setattr(workers.WorkerTrainer, "submit", recorded)
+        monkeypatch.setattr(workers.WorkerClient, "receive", recorded)
         pool_of_two(monkeypatch)
         compare_modes(small_cfg(corpus_path), tmp_path)
         central = {pid for who, pid in seen if who == "central"}
@@ -341,7 +354,7 @@ class TestCompareLanes:
         central_steps = sum(setup.steps.values())
         local_started = tmp_path / "local-started"
         marker = tmp_path / "injected"
-        submit = protocol.LocalTrainer.submit
+        train = protocol.Client.train
         calls = {}
 
         def started(mode_cfg, *args, **kw):
@@ -349,9 +362,9 @@ class TestCompareLanes:
                 local_started.touch()
             return run_experiment(mode_cfg, *args, **kw)
 
-        def flaky(self, model):
+        def flaky(self):
             if in_local:
-                key = self.client_id if local_started.exists() else None
+                key = self.id if local_started.exists() else None
                 fires = key == 1
             else:
                 key = "central" if self.task.steps_per_round == central_steps else None
@@ -360,10 +373,10 @@ class TestCompareLanes:
             if fires and calls[key] == 2 and not marker.exists():
                 marker.write_text(f"{time.monotonic()!r} {os.getpid()}")
                 fault()
-            return submit(self, model)
+            return train(self)
 
         monkeypatch.setattr(harness, "run_experiment", started)
-        monkeypatch.setattr(protocol.LocalTrainer, "submit", flaky)
+        monkeypatch.setattr(protocol.Client, "train", flaky)
         pool_of_two(monkeypatch)
         return cfg, marker
 
@@ -430,44 +443,46 @@ class TestScoringOnTheLastWorker:
 
     def test_scores_behind_the_last_clients_training(self, corpus_path, monkeypatch, fresh_pool):
         """Round t's model rides on the last client's round t+1 job; the
-        final model is scored by a job of its own."""
+        final model is scored by a job of its own, after the shutdown's."""
         send = workers._send
         jobs = []
 
         def recorded(conn, job):
-            if job[0] in ("train", "score"):
-                jobs.append((job[0], job[4]))
+            if job[0] in ("round", "score"):
+                jobs.append((job[0], job[3]))
             return send(conn, job)
 
         monkeypatch.setattr(workers, "_send", recorded)
         pool_of_two(monkeypatch)
         cfg = small_cfg(corpus_path, clients=3, rounds=3)
         run_experiment(cfg, report=False)
-        # clients 0 and 1 train plain; client 2 carries the score from round 2
-        assert jobs == [("train", False), ("train", False), ("train", True)] * 2 + [("score", True)]
+        # clients 0 and 1 play plain; client 2 carries the score from round 2
+        plain = [("round", False)] * 2
+        assert jobs == (plain + [("round", True)]) * 2 + plain + [("round", False), ("score", True)]
         assert all(w.scores == 0 for w in workers._pool)
 
     def test_final_bleu_runs_while_the_final_model_scores(self, corpus_path, monkeypatch, fresh_pool):
         """The final model's score job is sent before its BLEU is worked
         out on this thread, and read after it."""
-        send, bleu_of, score = workers._send, harness.bleu_of, workers.WorkerTrainer.score
+        send, bleu_of, score = workers._send, harness.bleu_of, workers.WorkerClient.score
         events = []
 
         def recorded(conn, job):
-            events.append(job[0])
+            if job[0] == "score":
+                events.append(job[0])
             return send(conn, job)
 
         def bleu(*args, **kw):
             events.append("bleu")
             return bleu_of(*args, **kw)
 
-        def read(trainer):
+        def read(client):
             events.append("read")
-            return score(trainer)
+            return score(client)
 
         monkeypatch.setattr(workers, "_send", recorded)
         monkeypatch.setattr(harness, "bleu_of", bleu)
-        monkeypatch.setattr(workers.WorkerTrainer, "score", read)
+        monkeypatch.setattr(workers.WorkerClient, "score", read)
         pool_of_two(monkeypatch)
         run_experiment(small_cfg(corpus_path, clients=2, rounds=2), report=False)
         assert events[events.index("bleu") - 2 :][:4] == ["read", "score", "bleu", "read"]
@@ -594,16 +609,29 @@ class TestScoringFailFast:
 
 
 # A federated run of 200 rounds whose scoring worker prints a line once it
-# has scored round 1; argv: source directory, corpus path, transport.
+# has scored round 1; argv: source directory, corpus path, transport, and
+# "slow" to make every worker's rounds from its third on take 5 s.
 _INTERRUPTED_RUN = """
 import sys
+import time
 sys.path.insert(0, sys.argv[1])
 import deltafed.harness as harness
+import deltafed.protocol as protocol
 import deltafed.workers as workers
 from deltafed.config import ExperimentConfig
 
 workers.planned_workers = lambda clients: min(clients, 2)
 score = workers.perplexity_of
+train, trained = protocol.local_train_round, []
+
+def slow(*args, **kw):
+    trained.append(1)
+    if len(trained) > 2:
+        time.sleep(5)
+    return train(*args, **kw)
+
+if sys.argv[4] == "slow":
+    protocol.local_train_round = slow
 
 def announced(*args, **kw):
     workers.perplexity_of = score
@@ -626,8 +654,17 @@ class TestInterrupt:
         """^C at a terminal sends SIGINT to the foreground process group.
         Workers ignore it; the run ends at once with KeyboardInterrupt and
         reaps them on its way out."""
+        self.interrupt(corpus_path, transport, "fast")
+
+    def test_ctrl_c_while_every_worker_trains_a_long_round(self, corpus_path):
+        """The replies the workers owe get one second between them, not one
+        each, before the workers are killed."""
+        self.interrupt(corpus_path, "memory", "slow")
+
+    @staticmethod
+    def interrupt(corpus_path, transport, pace):
         src = os.path.dirname(os.path.dirname(harness.__file__))
-        argv = [sys.executable, "-c", _INTERRUPTED_RUN, src, str(corpus_path), transport]
+        argv = [sys.executable, "-c", _INTERRUPTED_RUN, src, str(corpus_path), transport, pace]
         with subprocess.Popen(
             argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             start_new_session=True,
@@ -635,6 +672,8 @@ class TestInterrupt:
             try:
                 assert select.select([child.stdout], [], [], 30.0)[0], "round 1 never ended"
                 assert child.stdout.readline() == "round 1 scored\n"
+                if pace == "slow":
+                    time.sleep(0.3)  # into round 3, where both workers sleep
                 os.killpg(child.pid, signal.SIGINT)
                 sent = time.monotonic()
                 child.wait(timeout=2.0)
@@ -659,8 +698,8 @@ class TestLending:
         def borrower():
             try:
                 for _ in range(200):
-                    with workers.client_trainers([task]) as (trainer,):
-                        pid = getattr(getattr(trainer, "_worker", None), "pid", None)
+                    with workers.pooled_clients(None, [task], None) as (client,):
+                        pid = getattr(getattr(client, "_worker", None), "pid", None)
                         with guard:
                             assert pid not in held, f"worker {pid} lent twice"
                             if pid is not None:
@@ -699,15 +738,15 @@ class TestNoLeaks:
 
         # a worker killed mid-round: the run fails, that worker alone is
         # discarded and reaped
-        submit = protocol.LocalTrainer.submit
+        train = protocol.Client.train
 
-        def killer(self, model):
-            if self.client_id == 1:
+        def killer(self):
+            if self.id == 1:
                 os.kill(os.getpid(), 9)
-            return submit(self, model)
+            return train(self)
 
         workers.shutdown()
-        monkeypatch.setattr(protocol.LocalTrainer, "submit", killer)
+        monkeypatch.setattr(protocol.Client, "train", killer)
         with pytest.raises(DeltaFedError, match="^client 1: round 1: training worker killed by signal 9$"):
             run_experiment(cfg, report=False)
         second = pool_pids()
@@ -726,38 +765,84 @@ class TestNoLeaks:
         assert_no_zombie()
 
 
-class TestSharedFrozenVector:
-    """A trained model shares its round-start set's layout and frozen vector,
-    whether its worker or this process trained it; and a worker trains on
-    new frozen values once a set brings them."""
+class TestClientInItsWorker:
+    """A pooled client is the in-process `Client`, played in its worker: it
+    sends the same update bytes in every round and ends with the same
+    ledger, on factor broadcasts and on full ones that bring new frozen
+    values after round 1; a ProtocolError it raises there carries its
+    ledger home."""
 
-    @staticmethod
-    def three_rounds(trainer, model):
-        trained = []
-        for rnd in range(3):
-            if rnd == 2:  # as a full broadcast would: new frozen values
-                bumped = model.params.array("rnn.U") + 0.5
-                model = model.with_params(replace_values(model.params, {"rnn.U": bumped}))
-            start = model.params
-            trainer.submit(model)
-            model, _ = trainer.collect()
-            assert model.params.layout is start.layout
-            assert model.params.frozen_flat is start.frozen_flat
-            trained.append(model.params.trainable_flat.tobytes())
-        return trained
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"delta_form": "dense", "quantize_payload": True}, {"aggregation": "fedavg"}],
+        ids=["factors", "dense-q4", "fedavg"],
+    )
+    def test_same_update_bytes_and_ledger(self, corpus_path, kw, monkeypatch, fresh_pool):
+        sent = []
 
-    @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "in-process"])
-    def test_trained_model_shares_frozen_vector(self, pooled, fresh_pool):
+        def recorded(update):
+            def call(self):
+                raw = update(self)
+                sent.append((self.id, raw))  # a pooled client's handle encodes, here
+                return raw
+
+            return call
+
+        for cls in (protocol.Client, workers.WorkerClient):
+            monkeypatch.setattr(cls, "update", recorded(cls.update))
+        cfg = small_cfg(corpus_path, **kw)
+        setup = harness._setup(cfg)
+
+        def play():
+            sent.clear()
+            frozen = []  # each round's global frozen values
+            server_ends, client_ends = memory_pairs(cfg.clients)
+            with workers.pooled_clients(setup.model, harness._tasks(cfg, setup), cfg) as clients:
+                final, _ = protocol.run_server(
+                    setup.model, server_ends, cfg, clients=list(zip(client_ends, clients)),
+                    on_round=lambda t, model: frozen.append(model.params.frozen_flat.tobytes()),
+                )
+            ledgers = [client.ledger.byte_table() for client in clients]
+            return list(sent), ledgers, params_bytes(final), frozen, {type(c) for c in clients}
+
+        in_process(monkeypatch)
+        ref = play()
+        pool_of_two(monkeypatch)
+        pooled = play()
+        assert ref[-1] == {protocol.Client} and pooled[-1] == {workers.WorkerClient}
+        assert len(pooled[0]) == cfg.clients * cfg.rounds
+        assert pooled[:-1] == ref[:-1]
+        # dense folds move the base entries, so later broadcasts bring new frozen values
+        frozen = pooled[3]
+        assert (frozen[0] != frozen[-1]) == (kw.get("delta_form") == "dense")
+
+    def test_protocol_error_carries_the_clients_ledger(self, fresh_pool):
         from test_protocol import adapted_model, shards_for, tasks_for
 
         model = adapted_model()
         task = tasks_for(model, shards_for(model, 1))[0]
-        if pooled:
-            workers._grow(1)
-        with workers.client_trainers([task]) as (trainer,):
-            assert isinstance(trainer, workers.WorkerTrainer) == pooled
-            trained = self.three_rounds(trainer, model)
-        assert trained == self.three_rounds(protocol.LocalTrainer(task), model)
+        cfg = ExperimentConfig()
+        full = serialize_params(model.params)
+        short = serialize_params(drop(model.params.trainable_subset(), ["rnn.U.lora.B"]))
+
+        def fed(client):
+            client.join()
+            with pytest.raises(ProtocolError) as exc:
+                for rnd, payload in enumerate([full, short], start=1):
+                    client.receive(encode_message(
+                        WireMessage(KIND_GLOBAL_BROADCAST, rnd, protocol.SERVER_SENDER, FLAG_FACTORS, payload)
+                    ))
+                    client.update()
+            return exc.value
+
+        workers._grow(1)
+        with workers.pooled_clients(model, [task], cfg) as (client,):
+            assert isinstance(client, workers.WorkerClient)
+            pooled = fed(client)
+        here = fed(protocol.Client(model, task, cfg))
+        assert str(pooled) == str(here) == "round 2 broadcast lacks trainable entry 'rnn.U.lora.B'"
+        assert pooled.ledger.byte_table() == here.ledger.byte_table()
+        assert pooled.ledger.byte_table()[0]["up"] == {0: 26}  # the join, booked when bound
 
 
 class TestBindJob:
@@ -770,7 +855,7 @@ class TestBindJob:
         setup = harness._setup(cfg)
         task = harness._tasks(cfg, setup)[1]
         assert not task.shard.ids.flags.c_contiguous
-        return ("bind", 0, 8, task, setup.model), task.shard.ids.nbytes + task.shard.lengths.nbytes
+        return ("bind", 0, 8, task, setup.model, cfg, True), task.shard.ids.nbytes + task.shard.lengths.nbytes
 
     def test_sending_peaks_at_one_and_a_half_shards(self):
         class Discarding:
@@ -797,13 +882,13 @@ class TestBindJob:
         sender = threading.Thread(target=workers._send, args=(parent_end, job))
         sender.start()
         try:
-            op, sid, size, task, model = workers._receive(child_end)
+            op, sid, size, task, model, cfg, joined = workers._receive(child_end)
         finally:
             sender.join()
             parent_end.close()
             child_end.close()
         shard = job[3].shard
-        assert (op, sid, size) == job[:3]
+        assert (op, sid, size, cfg, joined) == (*job[:3], *job[5:])
         assert np.array_equal(task.shard.ids, shard.ids)
         assert np.array_equal(task.shard.lengths, shard.lengths)
         assert params_bytes(model) == params_bytes(job[4])
