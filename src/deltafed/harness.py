@@ -1,16 +1,18 @@
 """Experiment driver: federated, central, and local runs from one config.
 
-The modes share one setup and one result, and differ only in how a round
-is played. `_setup` shuffles the training windows once into a read-only
-copy, central's shard; client i's shard is rows i, i+K, ... of it, as views.
-`run_federated` drives the server and its K clients through
-`protocol.run_server` on this thread; `run_alone` plays lone clients with
-no channel: central's one at the summed step budget, or local client i on
-shard i. Both take their clients from `workers.pooled_clients`, in a pool
-worker or in process. `_result` turns what either played into records and
-extras. Values still take the f32 wire casts, so K=1 local, central and K=1
-federated runs are bitwise equal, in a pool worker as in process. An error
-names who raised it: `client <i>: ...` or `server: ...`.
+The modes share one setup, one round loop and one result, and differ only
+in who plays the rounds. `_setup` shuffles the training windows once into a
+read-only copy, central's shard; client i's shard is rows i, i+K, ... of it,
+as views. Every mode's rounds are `protocol.run_server` calls on this
+thread (`_federate`): a federated run is one, of the server and its K
+clients over channels; central's one client at the summed step budget, and
+local client i on shard i, one after another, are each a federation of one
+with no channel and no join. The clients come from
+`workers.pooled_clients`, in a pool worker or in process. `_result` turns
+what the rounds played into records and extras. Values still take the f32
+wire casts, so K=1 local, central and K=1 federated runs are bitwise equal,
+in a pool worker as in process. An error names who raised it:
+`client <i>: ...` or `server: ...`.
 
 Every round's model is scored off the round clock. A pooled federation
 scores round t's on the worker of its last client, right behind that
@@ -18,8 +20,8 @@ client's round t+1 training, so the scoring overlaps the server's encode,
 receive, decode and fold of round t+1 instead of sitting between rounds
 on this thread; the workers train nothing then, so no training waits. The
 final model's score runs on that worker while this thread works out its
-BLEU. Runs without a pool, and lone clients, whose one worker has no idle
-window, score on this thread.
+BLEU. Runs without a pool, and central's and local's clients, whose one
+worker has no idle window, score on this thread, under the server's name.
 
 `compare_modes` reads the corpus once for all three modes. The federated
 run goes first and alone, so its round times stay comparable; then central
@@ -32,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -56,14 +57,11 @@ from .protocol import (
     ClientTask,
     TrafficLedger,
     blame,
-    broadcast,
     check_client_ledger,
-    fold_updates,
     prefixed,
     run_server,
 )
 from .transport import Hub, TcpListener, memory_pairs, tcp_connect
-from .wire import decode_message, encode_message
 from .workers import WorkerClient, pooled_clients
 
 BLEU_SAMPLES = 24
@@ -163,13 +161,17 @@ def _tasks(cfg: ExperimentConfig, setup: _Setup) -> list[ClientTask]:
     return [_client_task(cfg, i, shard, setup.steps[i]) for i, shard in enumerate(setup.shards)]
 
 
-# -- federated ---------------------------------------------------------------
+# -- every mode's rounds: federations -----------------------------------------
 
 
 @contextmanager
 def _channels(cfg: ExperimentConfig):
-    """-> (server ends, client ends), index-aligned. Each TCP client is
+    """-> (server ends, client ends), index-aligned; central's or a local
+    client's one end is None, with no server end. Each TCP client is
     accepted before the next connects, so K may exceed the listen backlog."""
+    if cfg.mode != "federated":
+        yield [], [None]
+        return
     if cfg.transport == "memory":
         yield memory_pairs(cfg.clients)
         return
@@ -188,23 +190,24 @@ def _channels(cfg: ExperimentConfig):
             end.close()
 
 
-def run_federated(cfg: ExperimentConfig, setup: _Setup) -> tuple:
-    """The server and its K clients, all driven by `run_server` on this
-    thread; -> what `_result` takes. Each round's global model is scored off
-    the round clock and only the score is kept. On a pool, round t's model
-    goes to the worker of the last client, which scores it right behind
-    its answer to round t+1, while this thread encodes, receives, decodes
-    and folds that round; the score is read as round t+1 ends, and the
-    final model's after the last round, once this thread has worked out
-    the final model's BLEU beside it. Without a pool each model is scored
-    here as its round ends. A scoring error fails the run as
-    `server: round <t>: ...`."""
-    tasks = _tasks(cfg, setup)
-    counts = {i: len(shard) for i, shard in enumerate(setup.shards)}
+def _federate(cfg: ExperimentConfig, setup: _Setup, tasks: list[ClientTask]) -> tuple:
+    """The server and `tasks`' clients, all driven by `run_server` on this
+    thread; -> (final global model, its BLEU, each client's losses, each
+    round's perplexity, each round's wall ms, the server's ledger). Each
+    round's global model is scored off the round clock and only the score
+    is kept. In a federated run on the pool, round t's model goes to the
+    worker of the last client, which scores it right behind its answer to
+    round t+1, while this thread encodes, receives, decodes and folds that
+    round; the score is read as round t+1 ends, and the final model's after
+    the last round, once this thread has worked out the final model's BLEU
+    beside it. Otherwise each model is scored here as its round ends. A
+    scoring error fails the run as `server: round <t>: ...`."""
+    counts = {i: len(shard) for i, shard in enumerate(setup.shards)}  # a lone client's weight is 1
     ppls: list[float] = []
     # the pool, if any, forks before a channel exists
     with pooled_clients(setup.model, tasks, cfg) as clients, _channels(cfg) as (server_ends, client_ends):
-        scorer = clients[-1] if isinstance(clients[-1], WorkerClient) else None
+        pooled = cfg.mode == "federated" and isinstance(clients[-1], WorkerClient)
+        scorer = clients[-1] if pooled else None
 
         def score(t: int, model: LmModel) -> None:
             if scorer is None:
@@ -223,45 +226,28 @@ def run_federated(cfg: ExperimentConfig, setup: _Setup) -> tuple:
             )
             if scorer is not None:
                 scorer.send_score()  # the final model, scored beside its BLEU
-        bleus = [bleu_of(model, setup)]
+        bleu = bleu_of(model, setup)
         if scorer is not None:
             with blame("server"), prefixed(f"round {cfg.rounds}"):
                 ppls.append(scorer.score())
     for client in clients:
         check_client_ledger(ledger, client.id, client.ledger)
     walls = [ledger.wall_ms(t) for t in range(1, cfg.rounds + 1)]
-    losses = np.array([client.losses for client in clients])
-    return [model], bleus, losses, np.array([ppls]), walls, ledger
+    return model, bleu, [client.losses for client in clients], ppls, walls, ledger
 
 
-# -- central and local: federations of one client ----------------------------
-
-
-def run_alone(cfg: ExperimentConfig, setup: _Setup) -> tuple:
-    """Central or local mode: lone clients, one after another, each playing
-    the federation's rounds with no channel, on a worker it borrows if one
-    is idle; -> what `_result` takes. Central is the exact K=1 federated
-    trajectory; local client i plays federated client i's rounds on shard i.
-    Each round is timed alone and scored after the clock stops; a round's
-    wall sums the clients'."""
-    curves, models, bleus = [], [], []
-    for task in _tasks(cfg, setup):
-        curve, model = [], setup.model
-        with pooled_clients(model, [task], cfg) as (client,):
-            count = {client.id: len(task.shard)}
-            for t in range(1, cfg.rounds + 1):
-                start = time.perf_counter()
-                with blame(f"client {client.id}", client.ledger):
-                    client.receive(encode_message(broadcast(model, t, cfg)))
-                    update = decode_message(client.update())
-                model = fold_updates(model, t, [(client.id, update)], cfg, count)
-                wall_ms = (time.perf_counter() - start) * 1000.0
-                curve.append((client.losses[-1], perplexity_of(model, setup.val_ids), wall_ms))
-        curves.append(curve)
-        models.append(model)
-        bleus.append(bleu_of(model, setup))
-    losses, ppls, walls = np.moveaxis(np.array(curves), 2, 0)  # each (clients, rounds)
-    return models, bleus, losses, ppls, walls.sum(axis=0), None
+def _play(cfg: ExperimentConfig, setup: _Setup) -> tuple:
+    """cfg's mode, as federations; -> what `_result` takes. A federated run
+    is one of K clients. Central and local mode are lone clients, one after
+    another, each a federation of one with no channel and its own scores:
+    central is the exact K=1 federated trajectory, and local client i plays
+    federated client i's rounds on shard i. Their bytes stay off the
+    records, and a round's wall sums the clients'."""
+    tasks = _tasks(cfg, setup)
+    lanes = [tasks] if cfg.mode == "federated" else [[task] for task in tasks]
+    models, bleus, losses, ppls, walls, ledgers = zip(*(_federate(cfg, setup, lane) for lane in lanes))
+    ledger = ledgers[0] if cfg.mode == "federated" else None
+    return list(models), bleus, np.concatenate(losses), np.array(ppls), np.sum(walls, axis=0), ledger
 
 
 # -- one result for every mode -----------------------------------------------
@@ -317,8 +303,7 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run cfg's mode; `setup`, if given, is `_setup(cfg)` already made."""
     setup = setup or _setup(cfg)
-    play = run_federated if cfg.mode == "federated" else run_alone
-    result = _result(cfg, *play(cfg, setup)) if cfg.rounds else _eval_only(cfg, setup)
+    result = _result(cfg, *_play(cfg, setup)) if cfg.rounds else _eval_only(cfg, setup)
     if report:
         extras = dict(result.extras)
         extras["config"] = asdict(cfg)

@@ -9,17 +9,19 @@ once, as it arrives, against the layout its `RoundPolicy` names. Joins are
 round 0 and the shutdown round T+1. Bytes are counted on encoded messages,
 so memory and TCP transports account identically.
 
-`run_server` is the one round loop. On one thread it holds the server's
-channel ends and each in-process client with its own end: the broadcast
-goes out on every channel and each client `receive`s it; then, in client-id
-order, each client sends its `update` and the server receives it. A client
-here is a `Client`, or a `workers.WorkerClient`, which plays the same
-`Client` in a pool worker and encodes its `delta` here, with the same
-`encode_update`. A client books its update at the size that encoding gives
-it. A client's error is prefixed `client <i>: ` as it is raised (`blame`),
-and a ProtocolError carries the client's ledger. Central and local mode
-drive lone clients with no channel (`harness.run_alone`), under the same
-`blame`.
+`run_server` is the one round loop, for every mode. On one thread it holds
+the server's channel ends and each in-process client with its own end: the
+broadcast goes out on every channel and each client `receive`s it; then, in
+client-id order, each client sends its `update` and the server receives
+it. A client with no channel end (central's, or one of local's, each a
+one-client federation) is bound by its id and never joins: it takes the
+bytes the server encoded, and its update bytes go straight to the server's
+decode, checks, ledger and fold. A client here is a `Client`, or a
+`workers.WorkerClient`, which plays the same `Client` in a pool worker and
+encodes its `delta` here, with the same `encode_update`. A client books its
+update at the size that encoding gives it. A client's error is prefixed
+`client <i>: ` as it is raised (`blame`), and a ProtocolError carries the
+client's ledger.
 """
 
 from __future__ import annotations
@@ -278,22 +280,26 @@ def fold_updates(
 def run_server(
     model: LmModel, channels: list, cfg: ExperimentConfig,
     sample_counts: dict[int, int] | None = None, on_round=None,
-    clients: Iterable[tuple[object, Client]] = (),
+    clients: Iterable[tuple[object | None, Client]] = (),
 ) -> tuple[LmModel, TrafficLedger]:
     """Drive T = cfg.rounds rounds on this thread; -> (final global model,
     server ledger). `channels` are the server's ends, one per client, in any
     order; the join ack's sender_id binds them. `clients` pairs each
-    in-process `Client` with its own end of one; any other client answers
-    from the far end. `on_round(t, model)` fires after each round, off the
-    round clock."""
+    in-process `Client` with its own end of one, or with None: a client with
+    no channel is bound by its id, with no join, since a join only binds a
+    channel. Any other client answers from the far end. `on_round(t, model)`
+    fires after each round, off the round clock."""
     ledger = TrafficLedger()
-    _expect(bool(channels), "a federation needs at least one client channel", ledger)
-    ours: dict[int, tuple[object, Client]] = {}
+    ours: dict[int, tuple[object | None, Client]] = {}
+    by_client: dict[int, object | None] = {}  # the server's end; None for a client with none
     for end, client in clients:
+        ours[client.id] = end, client
+        if end is None:
+            by_client[client.id] = None
+            continue
         with blame(f"client {client.id}", client.ledger):
             end.send(client.join())
-        ours[client.id] = end, client
-    by_client: dict[int, object] = {}
+    _expect(bool(channels or by_client), "a federation needs at least one client channel", ledger)
     for ch in channels:
         with prefixed(None, ledger):
             raw = ch.recv()
@@ -313,11 +319,12 @@ def run_server(
         """Send `msg` on every channel; each in-process client takes it."""
         raw = encode_message(msg)
         for cid in client_ids:
-            by_client[cid].send(raw)
+            if by_client[cid] is not None:
+                by_client[cid].send(raw)
             ledger.add_down(msg.round, cid, len(raw))
         for cid, (end, client) in sorted(ours.items()):
             with blame(f"client {cid}", client.ledger):
-                client.receive(end.recv())
+                client.receive(raw if end is None else end.recv())
 
     def updates(rnd: int):
         """Each client's update, in id order; an in-process client sends its own first."""
@@ -325,9 +332,12 @@ def run_server(
             if cid in ours:
                 end, client = ours[cid]
                 with blame(f"client {cid}", client.ledger):
-                    end.send(client.update())
-            with prefixed(f"no update from client {cid} for round {rnd}", ledger):
-                raw = by_client[cid].recv()
+                    raw = client.update()
+                    if end is not None:
+                        end.send(raw)
+            if by_client[cid] is not None:
+                with prefixed(f"no update from client {cid} for round {rnd}", ledger):
+                    raw = by_client[cid].recv()
             ledger.add_up(rnd, cid, len(raw))
             yield cid, decode_message(raw)
 

@@ -25,7 +25,8 @@ run at a time: a federation borrows up to W, and client i plays on the
 none plays in process. A worker runs one job at a time; one queued behind
 another starts once that one is answered. It keeps a session per client
 until its run ends, which first reads every reply still owed. A worker that
-dies fails its run and is discarded alone; the next federation forks anew.
+dies, or does not answer within the channel timeout (then it is killed),
+fails its run and is discarded alone; the next federation forks anew.
 Jobs are pickled with their arrays out of band, so a shard is copied once.
 """
 
@@ -51,6 +52,7 @@ from .errors import DeltaFedError
 from .model import perplexity_of
 from .params import ParameterSet
 from .protocol import Client, ClientTask, encode_update, join_ack
+from .transport import DEFAULT_TIMEOUT
 from .wire import HEADER_LEN, KIND_SHUTDOWN, parse_header
 
 REAP_SECONDS = 1.0  # how long to wait for a worker to end before killing it
@@ -121,11 +123,15 @@ class _Worker:
         self.slot.close()
 
     def read(self) -> tuple:
-        """-> the next reply: ("ok", value), ("err", error) or ("lost", why)."""
+        """-> the next reply: ("ok", value), ("err", error) or ("lost", why).
+        A worker that has not answered within DEFAULT_TIMEOUT is killed."""
         try:
-            return self.conn.recv()
+            if self.conn.poll(DEFAULT_TIMEOUT):
+                return self.conn.recv()
         except (EOFError, OSError):
             return "lost", self.reap(REAP_SECONDS)
+        self.reap(0.0)
+        return "lost", f"did not answer within {DEFAULT_TIMEOUT:g} s"
 
     def settle(self, deadline: float) -> None:
         """Read every reply still owed, the job in flight's and any score's,

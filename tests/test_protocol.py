@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from deltafed import protocol
-from deltafed.config import ExperimentConfig
+from deltafed.config import ExperimentConfig, override
 from deltafed.errors import ConfigError, FormatError, ProtocolError
 from deltafed.lora import attach
 from deltafed.model import LmConfig, init_model
@@ -400,6 +400,58 @@ class TestEndToEndMemory:
         name = model.params.trainable_names()[0]
         moved = final.params.array(name) - model.params.array(name)
         assert np.allclose(moved, 0.75, atol=1e-12)
+
+
+class _Recording(Client):
+    """A client that keeps the bytes of each update it sends."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sent = []
+
+    def update(self):
+        self.sent.append(super().update())
+        return self.sent[-1]
+
+
+class TestClientWithoutChannel:
+    """A client paired with no channel end is bound by its id, never joins,
+    and trades the server's own bytes: the rounds are those it plays over a
+    channel."""
+
+    def play(self, cfg, k, channel):
+        """-> (final model, server ledger, {id: client}, {id: its update bytes})."""
+        model = adapted_model()
+        tasks = tasks_for(model, shards_for(model, k), rounds=cfg.rounds)
+        clients = [_Recording(model, task, cfg) for task in tasks]
+        server_chs, client_chs = memory_pairs(k) if channel else ([], [None] * k)
+        final, ledger = run_server(model, server_chs, cfg, clients=list(zip(client_chs, clients)))
+        return final, ledger, {c.id: c for c in clients}, {c.id: c.sent for c in clients}
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_same_updates_and_final_model_as_over_a_channel(self, policy, k):
+        cfg = override(POLICIES[policy][0], rounds=3, quantize_payload=policy != "fedavg")
+        final, ledger, clients, sent = self.play(cfg, k, channel=False)
+        ref_final, ref_ledger, _, ref_sent = self.play(cfg, k, channel=True)
+        assert sent == ref_sent and all(len(raw) == 3 for raw in sent.values())
+        assert final.params.trainable_flat.tobytes() == ref_final.params.trainable_flat.tobytes()
+        assert final.params.frozen_flat.tobytes() == ref_final.params.frozen_flat.tobytes()
+
+        table, ref_table = ledger.byte_table(), ref_ledger.byte_table()
+        assert sorted(ref_table) == [0, 1, 2, 3, 4] and sorted(table) == [1, 2, 3, 4]
+        assert table == {rnd: ref_table[rnd] for rnd in table}
+        for cid, client in clients.items():
+            check_client_ledger(ledger, cid, client.ledger)
+
+    def test_join_with_its_id_rejected(self):
+        model = adapted_model()
+        cfg = ExperimentConfig(rounds=1)
+        (task,) = tasks_for(model, shards_for(model, 1), rounds=1)
+        server_chs, client_chs = memory_pairs(1)
+        scripted_join(client_chs[0], 0)
+        with pytest.raises(ProtocolError, match="^duplicate join from client 0$"):
+            run_server(model, server_chs, cfg, clients=[(None, Client(model, task, cfg))])
 
 
 def test_apply_dense_folds_the_mean_into_the_base_entries():

@@ -219,6 +219,21 @@ class TestPoolFailFast:
         message = self.fail_then_recover(corpus_path, marker, DeltaFedError)
         assert message == "client 1: round 2: training worker exited with code 3"
 
+    def test_worker_that_stops_answering_is_killed_and_named(
+        self, corpus_path, tmp_path, monkeypatch, fresh_pool
+    ):
+        """A worker that hangs in a round fails the run once the bound
+        passes; it is killed and reaped, and the next run forks anew."""
+        monkeypatch.setattr(workers, "DEFAULT_TIMEOUT", 0.5)
+        marker = self.inject(monkeypatch, tmp_path, lambda: time.sleep(60))
+        message = self.fail_then_recover(corpus_path, marker, DeltaFedError)
+        assert message == "client 1: round 2: training worker did not answer within 0.5 s"
+        hung = int(marker.read_text().split()[1])
+        assert hung not in pool_pids() and len(pool_pids()) == 2
+        with pytest.raises(ProcessLookupError):
+            os.kill(hung, 0)
+        assert_no_zombie()
+
     def test_a_failed_round_leaves_no_stale_score(
         self, corpus_path, tmp_path, monkeypatch, fresh_pool
     ):
@@ -570,6 +585,19 @@ class TestScoringFailFast:
         assert message == "server: round 2: scoring worker exited with code 3"
         assert_no_zombie()
 
+    def test_worker_that_stops_scoring_is_killed_and_named(
+        self, corpus_path, tmp_path, monkeypatch, fresh_pool
+    ):
+        monkeypatch.setattr(workers, "DEFAULT_TIMEOUT", 0.5)
+        marker, calls = self.inject(monkeypatch, tmp_path, lambda: time.sleep(60))
+        message = self.fail_then_recover(corpus_path, "memory", marker, calls, DeltaFedError)
+        assert message == "server: round 2: scoring worker did not answer within 0.5 s"
+        hung = int(marker.read_text().split()[1])
+        assert hung not in pool_pids()
+        with pytest.raises(ProcessLookupError):
+            os.kill(hung, 0)
+        assert_no_zombie()
+
     def test_final_scoring_error_fails_at_the_last_round(
         self, corpus_path, tmp_path, monkeypatch, fresh_pool
     ):
@@ -606,6 +634,42 @@ class TestScoringFailFast:
         assert time.monotonic() - injected_at[0] < 2.0
         assert str(exc.value) == "server: round 2: injected scoring fault"
         assert len(calls) == 2  # no round was scored after it
+
+    @pytest.mark.parametrize("mode", ["central", "local"])
+    def test_lone_clients_name_a_scoring_error_as_the_server(self, corpus_path, mode, monkeypatch):
+        """Central's client, and each local one, is a federation of one,
+        scored on this thread as its round ends."""
+        score = harness.perplexity_of
+        calls = []
+
+        def flaky(*args, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("injected scoring fault")
+            return score(*args, **kw)
+
+        monkeypatch.setattr(harness, "perplexity_of", flaky)
+        with pytest.raises(RuntimeError) as exc:
+            run_experiment(small_cfg(corpus_path, mode=mode, rounds=5), report=False)
+        assert str(exc.value) == "server: round 2: injected scoring fault"
+        assert len(calls) == 2
+
+    def test_compare_names_central_scoring_error(self, corpus_path, tmp_path, monkeypatch):
+        score = harness.perplexity_of
+        calls = []
+
+        def flaky(*args, **kw):
+            if threading.current_thread().name == "central":
+                calls.append(1)
+                if len(calls) == 2:
+                    raise RuntimeError("injected scoring fault")
+            return score(*args, **kw)
+
+        monkeypatch.setattr(harness, "perplexity_of", flaky)
+        with pytest.raises(RuntimeError) as exc:
+            compare_modes(small_cfg(corpus_path), tmp_path)
+        assert str(exc.value) == "central: server: round 2: injected scoring fault"
+        assert threading.active_count() == 1
 
 
 # A federated run of 200 rounds whose scoring worker prints a line once it
