@@ -1,8 +1,10 @@
 """Corpus ingestion and the IID round-robin partition.
 
-Token ids are int64 arrays from the corpus on: the splits are slices of the
-encoded stream, the windows one id matrix (`model.Windows`), shuffled once
-into a read-only copy, and each shard a strided row view of that copy.
+Token ids are uint8 arrays from the corpus on, one byte per id, as the
+byte-level vocabulary allows: the splits are slices of the encoded stream,
+the windows one id matrix (`model.Windows`), shuffled once into a read-only
+copy, and each shard a strided row view of that copy. Id lists become int64
+arrays; an integer array keeps its dtype.
 """
 
 from __future__ import annotations
@@ -12,15 +14,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError
-from .model import SEED_PARTITION, Vocab, Windows, as_windows
+from .model import SEED_PARTITION, Vocab, Windows, as_windows, id_array
 
 
 def split_stream(ids, split: float) -> tuple[np.ndarray, np.ndarray]:
-    """Front fraction for training, remainder for evaluation, as int64
-    arrays (slices of `ids` when it is one)."""
+    """Front fraction for training, remainder for evaluation, as arrays of
+    `ids`' integer dtype (slices of `ids` when it is an integer array)."""
     if not 0.0 < split < 1.0:
         raise ArgumentError(f"split must be in (0, 1), got {split}")
-    arr = np.asarray(ids, dtype=np.int64)
+    arr = id_array(ids)
     cut = int(len(arr) * split)
     train, val = arr[:cut], arr[cut:]
     if len(train) < 2 or len(val) < 2:
@@ -38,13 +40,13 @@ def sequences_of(ids, context: int) -> Windows:
     """
     if context < 1:
         raise ArgumentError(f"context must be >= 1, got {context}")
-    arr = np.asarray(ids, dtype=np.int64)
+    arr = id_array(ids)
     width = context + 1
     n_full, rest = divmod(arr.size, width)
     full = arr[: n_full * width].reshape(n_full, width)
     if rest < 2:
         return Windows(full, np.full(n_full, width))
-    rows = np.zeros((n_full + 1, width), dtype=np.int64)
+    rows = np.zeros((n_full + 1, width), dtype=arr.dtype)
     rows[:n_full] = full
     rows[n_full, :rest] = arr[n_full * width :]
     return Windows(rows, np.append(np.full(n_full, width), rest))

@@ -87,7 +87,7 @@ class Vocab:
             raise ArgumentError(f"byte 0x{unknown[0]:02x} not in vocabulary")
         table = np.zeros(256, dtype=np.uint8)  # byte -> id; ids fit a byte
         table[np.frombuffer(self.symbols, dtype=np.uint8)] = np.arange(self.size)
-        return np.frombuffer(data.translate(table.tobytes()), dtype=np.uint8).astype(np.int64)
+        return np.frombuffer(data.translate(table.tobytes()), dtype=np.uint8)
 
     def decode(self, ids: Sequence[int]) -> bytes:
         arr = np.asarray(ids, dtype=np.int64)
@@ -137,6 +137,14 @@ def init_model(cfg: LmConfig, seed: int) -> LmModel:
     return LmModel(cfg, ParameterSet.from_vectors(*pack(entries)))
 
 
+def id_array(ids) -> np.ndarray:
+    """`ids` itself if it is an integer array, as a corpus's uint8 ids are,
+    else its values as int64."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
+        return ids
+    return np.asarray(ids, dtype=np.int64)
+
+
 def _check_ids(cfg: LmConfig, ids: np.ndarray) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise ArgumentError("token id out of range for the model vocabulary")
@@ -152,7 +160,7 @@ class Windows:
     rows in its own order.
     """
 
-    ids: np.ndarray  # (n, width) int64
+    ids: np.ndarray  # (n, width), any integer dtype: uint8 from a corpus, int64 from lists
     lengths: np.ndarray  # (n,) int64, each in [2, width]
     widths: np.ndarray = field(init=False)  # the distinct lengths, ascending
 
@@ -459,8 +467,12 @@ def _nll(eff: _Effective, x: np.ndarray, f: _Shape) -> float:
 
 def _flat_index(ids: np.ndarray, base: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Flat index of (ids[i, j], k) in a C-ordered (V, n) array, k the
-    position i * bsz + j that `base` (k's (steps, bsz) grid) holds."""
-    np.multiply(ids, base.size, out=out)
+    position i * bsz + j that `base` (k's (steps, bsz) grid) holds.
+
+    The one place ids are widened: the product is formed in int64, since
+    uint8 ids times a Python int of 255 or less would multiply in uint8 and
+    wrap, and the clipped take of the target logits would hide it."""
+    np.multiply(ids, base.size, out=out, dtype=np.int64)
     out += base
     return out
 
@@ -586,7 +598,7 @@ def perplexity_of(model: LmModel, ids: Sequence[int]) -> float:
     once. Full windows are scored EVAL_BLOCK at a time, as strided views of
     the stream, so the memory an evaluation takes does not grow with it.
     """
-    arr = np.asarray(ids, dtype=np.int64)
+    arr = id_array(ids)
     if arr.ndim != 1 or arr.size < 2:
         raise ArgumentError("perplexity needs at least 2 tokens")
     ctx = model.cfg.context
@@ -627,7 +639,7 @@ def greedy_decode(model: LmModel, prefix, n_tokens: int) -> np.ndarray:
     """
     if n_tokens < 0:
         raise ArgumentError("n_tokens must be >= 0")
-    ids = np.asarray(prefix, dtype=np.int64)
+    ids = id_array(prefix)
     rows = ids[None, :] if ids.ndim == 1 else ids
     if rows.ndim != 2 or rows.size == 0:
         raise ArgumentError("prefix must be non-empty")

@@ -25,8 +25,9 @@ run at a time: a federation borrows up to W, and client i plays on the
 none plays in process. A worker runs one job at a time; one queued behind
 another starts once that one is answered. It keeps a session per client
 until its run ends, which first reads every reply still owed. A worker that
-dies, or does not answer within the channel timeout (then it is killed),
-fails its run and is discarded alone; the next federation forks anew.
+dies, or spends a whole channel timeout without answering or using any CPU
+time (then it is killed), fails its run and is discarded alone; the next
+federation forks anew. A busy worker is waited for as long as it computes.
 Jobs are pickled with their arrays out of band, so a shard is copied once.
 """
 
@@ -124,14 +125,20 @@ class _Worker:
 
     def read(self) -> tuple:
         """-> the next reply: ("ok", value), ("err", error) or ("lost", why).
-        A worker that has not answered within DEFAULT_TIMEOUT is killed."""
+        The wait goes in DEFAULT_TIMEOUT slices and lasts while the worker's
+        CPU time grows from one slice to the next: a worker that spent a
+        slice without CPU time, or any once its CPU time cannot be read, is
+        killed."""
+        cpu = _cpu_ticks(self.pid)
         try:
-            if self.conn.poll(DEFAULT_TIMEOUT):
-                return self.conn.recv()
+            while not self.conn.poll(DEFAULT_TIMEOUT):
+                last, cpu = cpu, _cpu_ticks(self.pid)
+                if cpu is None or cpu == last:
+                    self.reap(0.0)
+                    return "lost", f"did not answer within {DEFAULT_TIMEOUT:g} s"
+            return self.conn.recv()
         except (EOFError, OSError):
             return "lost", self.reap(REAP_SECONDS)
-        self.reap(0.0)
-        return "lost", f"did not answer within {DEFAULT_TIMEOUT:g} s"
 
     def settle(self, deadline: float) -> None:
         """Read every reply still owed, the job in flight's and any score's,
@@ -168,6 +175,17 @@ class _Worker:
             code = os.waitstatus_to_exitcode(status)
             self.failure = f"killed by signal {-code}" if code < 0 else f"exited with code {code}"
         return self.failure
+
+
+def _cpu_ticks(pid: int) -> int | None:
+    """The process's user + system CPU time in clock ticks, fields 14 and
+    15 of /proc/<pid>/stat; None where that cannot be read."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as f:
+            fields = f.read().rpartition(b")")[2].split()  # the name may hold spaces
+        return int(fields[11]) + int(fields[12])
+    except (OSError, IndexError, ValueError):
+        return None
 
 
 _pool: list[_Worker] = []

@@ -2,6 +2,7 @@
 round, batched greedy decoding, and the benchmark's step count."""
 
 import importlib.util
+import pickle
 import sys
 from pathlib import Path
 
@@ -77,7 +78,7 @@ def test_data_path_matches_list_oracle(drawn):
 
     want_train, want_val = oracles.split_stream(ids.tolist(), split)
     train, val = split_stream(ids, split)
-    assert train.dtype == val.dtype == np.int64
+    assert train.dtype == val.dtype == np.uint8  # one byte per id, as encoded
     assert (train.tolist(), val.tolist()) == (want_train, want_val)
 
     want_windows = oracles.sequences_of(want_train, context)
@@ -94,7 +95,7 @@ def test_data_path_matches_list_oracle(drawn):
 def test_setup_shards_are_views_of_one_shuffle(tmp_path):
     """The setup shuffles the training windows once: that read-only copy is
     central's shard, and each client's shard is a row view of it, with the
-    rows `partition_iid` deals."""
+    rows `partition_iid` deals. Every id array it makes is uint8."""
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(make_corpus(1000, 1), encoding="ascii")
     cfg = ExperimentConfig(corpus_path=str(corpus), split=0.7, clients=3, seed=1, rounds=1)
@@ -118,6 +119,20 @@ def test_setup_shards_are_views_of_one_shuffle(tmp_path):
         setup.sequences.lengths[0] = 2
     with pytest.raises(ValueError, match="read-only"):
         setup.shards[2].ids[0, 0] = 0
+
+    # one byte per id everywhere, and in a shard's bind job, out of band
+    assert setup.val_ids.dtype == np.uint8
+    for w in (setup.sequences, setup.bleu_windows, *setup.shards):
+        assert w.ids.dtype == np.uint8
+        assert all(g.dtype == np.uint8 for g in w.batch(np.arange(len(w))))
+    shard = setup.shards[1]
+    buffers = []
+    pickle.dumps(shard, protocol=5, buffer_callback=buffers.append)
+    id_bytes, length_bytes = (b.raw() for b in buffers)
+    rows, width = shard.ids.shape
+    assert id_bytes.nbytes == rows * width
+    assert bytes(id_bytes) == np.ascontiguousarray(shard.ids).tobytes()
+    assert length_bytes.nbytes == 8 * rows
 
 
 # -- one training round -----------------------------------------------------------

@@ -74,6 +74,12 @@ class TestVocab:
         ids = v.encode(b"lode")
         assert v.decode(ids) == b"lode"
 
+    def test_ids_are_bytes(self):
+        v = Vocab.from_corpus(bytes(range(256)))
+        ids = v.encode(bytes(range(255, -1, -1)))
+        assert ids.dtype == np.uint8
+        assert ids.tolist() == list(range(255, -1, -1))
+
     def test_symbols_sorted_distinct(self):
         v = Vocab.from_corpus(b"banana")
         assert v.symbols == b"abn"
@@ -412,3 +418,50 @@ class TestGreedyDecode:
     def test_empty_prefix_rejected(self, tiny_model):
         with pytest.raises(ArgumentError):
             greedy_decode(tiny_model, [], 3)
+
+
+class TestByteIds:
+    """Ids held as uint8, as a corpus gives them, against int64 copies of
+    the same ids: every loss, gradient, perplexity and pick is bitwise the
+    same. A target's flat index `id * n + position` passes 255 here while
+    n, the group's position count, is at most 255, where a product formed
+    in uint8 would wrap; the clipped take would not notice."""
+
+    def check(self, model, rows, stream, prefixes, n_tokens):
+        for rng in (None, 5):
+            got = [
+                trainable_loss_and_grad(
+                    model, [x], rng=None if rng is None else np.random.default_rng(rng)
+                )
+                for x in (rows, rows.astype(np.int64))
+            ]
+            (loss8, g8), (loss64, g64) = got
+            assert loss8 == loss64
+            assert g8.tobytes() == g64.tobytes()
+        assert perplexity_of(model, stream) == perplexity_of(model, stream.astype(np.int64))
+        picks = greedy_decode(model, prefixes, n_tokens)
+        assert picks.tobytes() == greedy_decode(model, prefixes.astype(np.int64), n_tokens).tobytes()
+
+    @pytest.mark.parametrize("adapters", ["embed.W,rnn.U", "full"])
+    def test_flat_index_past_a_byte(self, adapters):
+        model = step_model(16, adapters)
+        rng = np.random.default_rng(12)
+        rows = rng.integers(0, STEP_VOCAB, (4, STEP_CONTEXT + 1)).astype(np.uint8)
+        rows[-1, -1] = STEP_VOCAB - 1  # the last position's target: 23 * 64 + 63
+        # five full windows (80 positions) and a 7-token tail block
+        stream = rng.integers(0, STEP_VOCAB, 5 * STEP_CONTEXT + 1 + 6).astype(np.uint8)
+        prefixes = rows[:, :8]
+        self.check(model, rows, stream, prefixes, 12)  # the decode slides past the context
+
+    def test_every_byte_value(self):
+        model = init_model(LmConfig(256, 8, STEP_CONTEXT), seed=5)
+        model = model.with_params(
+            model.params.with_trainable(
+                np.random.default_rng(1).standard_normal(model.params.layout.trainable_size)
+            )
+        )
+        values = np.arange(256, dtype=np.uint8)
+        rows = np.random.default_rng(2).permutation(values)[: 4 * 17].reshape(4, 17)
+        rows[0, 1:3] = [0, 255]
+        stream = np.concatenate([values, values[::-1]])
+        self.check(model, rows, stream, values.reshape(16, 16)[:, :6], 6)

@@ -234,6 +234,26 @@ class TestPoolFailFast:
             os.kill(hung, 0)
         assert_no_zombie()
 
+    def test_busy_worker_is_waited_for(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
+        """A worker that computes past the bound is not killed: its CPU
+        time grows in every slice of the wait, and the run ends as an
+        unhindered one does."""
+        cfg = small_cfg(corpus_path)
+        pool_of_two(monkeypatch)
+        ref = run_experiment(cfg, report=False)
+        workers.shutdown()  # the next pool forks with the spin in it
+
+        def spin():
+            end = time.monotonic() + 1.0
+            while time.monotonic() < end:
+                pass
+
+        monkeypatch.setattr(workers, "DEFAULT_TIMEOUT", 0.2)
+        marker = self.inject(monkeypatch, tmp_path, spin)
+        res = run_experiment(cfg, report=False)
+        assert int(marker.read_text().split()[1]) in pool_pids()  # it spun in a worker, which lives on
+        assert outcome(res) == outcome(ref)
+
     def test_a_failed_round_leaves_no_stale_score(
         self, corpus_path, tmp_path, monkeypatch, fresh_pool
     ):
