@@ -14,19 +14,19 @@ wire casts, so K=1 local, central and K=1 federated runs are bitwise equal,
 in a pool worker as in process. An error names who raised it:
 `client <i>: ...` or `server: ...`.
 
-Every round's model is scored off the round clock. A pooled federation
-scores round t's on the worker of its last client, right behind that
-client's round t+1 training, so the scoring overlaps the server's encode,
-receive, decode and fold of round t+1 instead of sitting between rounds
-on this thread; the workers train nothing then, so no training waits. The
-final model's score runs on that worker while this thread works out its
-BLEU. Runs without a pool, and central's and local's clients, whose one
-worker has no idle window, score on this thread, under the server's name.
+Every round's model is scored off the round clock, alike in every lane
+(one `run_server` call: the federation, central's client, or one local
+client). On the pool, round t's is scored on the worker of the lane's last
+client, right behind that client's round t+1 job, so the scoring overlaps
+the server's encode, receive, decode and fold of round t+1 instead of
+sitting between rounds on this thread; the final model's follows the
+shutdown, beside its BLEU on this thread. Runs without a pool score on this
+thread, under the server's name.
 
 `compare_modes` reads the corpus once for all three modes. The federated
 run goes first and alone, so its round times stay comparable; then central
 runs on a helper thread beside local on the calling thread, each training
-on a worker of its own.
+and scoring on a worker of its own.
 """
 
 from __future__ import annotations
@@ -195,19 +195,15 @@ def _federate(cfg: ExperimentConfig, setup: _Setup, tasks: list[ClientTask]) -> 
     thread; -> (final global model, its BLEU, each client's losses, each
     round's perplexity, each round's wall ms, the server's ledger). Each
     round's global model is scored off the round clock and only the score
-    is kept. In a federated run on the pool, round t's model goes to the
-    worker of the last client, which scores it right behind its answer to
-    round t+1, while this thread encodes, receives, decodes and folds that
-    round; the score is read as round t+1 ends, and the final model's after
-    the last round, once this thread has worked out the final model's BLEU
-    beside it. Otherwise each model is scored here as its round ends. A
-    scoring error fails the run as `server: round <t>: ...`."""
+    is kept: on the pool, round t's score is read as round t+1 ends, and
+    the final model's once this thread has worked out its BLEU; without a
+    pool each model is scored here as its round ends. A scoring error fails
+    the run as `server: round <t>: ...`."""
     counts = {i: len(shard) for i, shard in enumerate(setup.shards)}  # a lone client's weight is 1
     ppls: list[float] = []
     # the pool, if any, forks before a channel exists
     with pooled_clients(setup.model, tasks, cfg) as clients, _channels(cfg) as (server_ends, client_ends):
-        pooled = cfg.mode == "federated" and isinstance(clients[-1], WorkerClient)
-        scorer = clients[-1] if pooled else None
+        scorer = clients[-1] if isinstance(clients[-1], WorkerClient) else None
 
         def score(t: int, model: LmModel) -> None:
             if scorer is None:
@@ -224,8 +220,6 @@ def _federate(cfg: ExperimentConfig, setup: _Setup, tasks: list[ClientTask]) -> 
                 setup.model, server_ends, cfg, counts, on_round=score,
                 clients=list(zip(client_ends, clients)),
             )
-            if scorer is not None:
-                scorer.send_score()  # the final model, scored beside its BLEU
         bleu = bleu_of(model, setup)
         if scorer is not None:
             with blame("server"), prefixed(f"round {cfg.rounds}"):

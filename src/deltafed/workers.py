@@ -10,11 +10,11 @@ server runs. A session is bound with its first message, so `join` makes the
 ack here and the worker's client books it; the shutdown's answer brings the
 client's ledger home.
 
-A federation also scores its rounds there: round t's global model goes into
-the worker's second slot (`hand`), and the last client's round t+1 job
-carries the score, so the worker scores it right after answering the round,
-while the driving thread folds; `score` reads the perplexity, a second
-reply. The final model goes alone (`send_score`), scored beside its BLEU.
+A lane (a federation, or central's or a local client) also scores its
+rounds there: round t's global model goes into the worker's second slot
+(`hand`), and a `score` job follows the last client's next job, its round
+t+1 or its shutdown, while the driving thread folds or works out the final
+BLEU; `score` reads the perplexity. Every job but an unbind gets one reply.
 
 The pool is forked once per process, by the first federation of two or more
 clients that can use it: W = min(K, C) workers for K clients on C usable
@@ -22,11 +22,13 @@ cores, only while the caller runs no other thread, and none with W < 2,
 without `os.fork` or after a failed fork. Each idle worker is lent to one
 run at a time: a federation borrows up to W, and client i plays on the
 (i mod n)-th of the n it got; a lone client borrows one; a run that borrows
-none plays in process. A worker runs one job at a time; one queued behind
-another starts once that one is answered. It keeps a session per client
-until its run ends, which first reads every reply still owed. A worker that
-dies, or spends a whole channel timeout without answering or using any CPU
-time (then it is killed), fails its run and is discarded alone; the next
+none plays in process. A worker runs one job at a time; a client's job
+queued behind another client's is sent once that one is answered, a score
+job at once. It keeps a session per client
+until its run ends, which first reads every reply still owed (after a
+KeyboardInterrupt, kills its workers instead). A worker that dies, or
+spends a whole channel timeout without answering or using any CPU time
+(then it is killed), fails its run and is discarded alone; the next
 federation forks anew. A busy worker is waited for as long as it computes.
 Jobs are pickled with their arrays out of band, so a shard is copied once.
 """
@@ -113,8 +115,8 @@ class _Worker:
         self.conn = conn
         self.area = _Area()  # the round's message, then the delta
         self.slot = _Area()  # the global model to score
-        self.queue: collections.deque = collections.deque()  # clients awaiting replies; the first's in flight
-        self.scores = 0  # score replies sent for, not yet read
+        self.queue: collections.deque = collections.deque()  # clients with a job to answer; the first's is sent
+        self.owed = 0  # replies to jobs sent, not yet read
         self.failure: str | None = None  # how it ended, once reaped
         self.lent = False  # to a run, under _pool_lock
 
@@ -122,6 +124,13 @@ class _Worker:
         self.conn.close()
         self.area.close()
         self.slot.close()
+
+    def send(self, job) -> None:
+        """Send a job that owes a reply; a worker that died fails the read
+        of that reply, not this."""
+        with suppress(OSError):
+            _send(self.conn, job)
+        self.owed += 1
 
     def read(self) -> tuple:
         """-> the next reply: ("ok", value), ("err", error) or ("lost", why).
@@ -136,15 +145,16 @@ class _Worker:
                 if cpu is None or cpu == last:
                     self.reap(0.0)
                     return "lost", f"did not answer within {DEFAULT_TIMEOUT:g} s"
-            return self.conn.recv()
+            reply = self.conn.recv()
         except (EOFError, OSError):
             return "lost", self.reap(REAP_SECONDS)
+        self.owed -= 1
+        return reply
 
     def settle(self, deadline: float) -> None:
-        """Read every reply still owed, the job in flight's and any score's,
-        so the pipe holds nothing stale; kill the worker at `deadline`."""
-        owed = bool(self.queue) + self.scores
-        while owed and self.failure is None:
+        """Read every reply still owed, so the pipe holds nothing stale;
+        kill the worker at `deadline`."""
+        while self.owed and self.failure is None:
             try:
                 if self.conn.poll(max(0.0, deadline - time.monotonic())):
                     self.conn.recv()
@@ -152,9 +162,9 @@ class _Worker:
                     self.reap(0.0)
             except (EOFError, OSError):
                 self.reap(REAP_SECONDS)
-            owed -= 1
+            self.owed -= 1
+        self.owed = 0
         self.queue.clear()
-        self.scores = 0
 
     def reap(self, seconds: float) -> str:
         """Wait up to `seconds` for the process to end, kill it after that;
@@ -262,8 +272,7 @@ def _score(model, slot: _Area, ids: np.ndarray) -> float:
 
 def _serve(conn, area: _Area, slot: _Area) -> None:
     """A worker's loop: bind, play, score and unbind sessions until the pipe
-    closes. A job that scores replies twice: first for its round, then with
-    the perplexity."""
+    closes, with one reply to every job but an unbind."""
     sessions: dict[int, list] = {}  # id -> [its client, the held-out ids it scores on]
     while True:
         try:
@@ -276,22 +285,19 @@ def _serve(conn, area: _Area, slot: _Area) -> None:
         if op == "unbind":
             sessions.pop(sid, None)
             continue
-        n, *args = args
         if op == "bind":
-            task, model, cfg, joined = args
-            session = sessions[sid] = [Client(model, task, cfg), None]
+            task, model, cfg, joined = args[1:]
+            sessions[sid] = [Client(model, task, cfg), None]
             if joined:
-                session[0].join()
-            score = False
+                sessions[sid][0].join()
+        session = sessions[sid]
+        if op == "score":  # the parent rewrites the second slot only once it has read this
+            if args[0] is not None:
+                session[1] = args[0]
+            reply = _outcome("scoring", lambda: _score(session[0].model, slot, session[1]))
         else:
-            session = sessions[sid]
-            score, ids = args
-            if ids is not None:
-                session[1] = ids
-        if op != "score":
-            conn.send_bytes(_outcome("training", lambda: _play(session[0], area, n)))
-        if score:  # the parent rewrites the second slot only once it has read this
-            conn.send_bytes(_outcome("scoring", lambda: _score(session[0].model, slot, session[1])))
+            reply = _outcome("training", lambda: _play(session[0], area, args[0]))
+        conn.send_bytes(reply)
 
 
 def _forget_pool() -> None:
@@ -363,7 +369,7 @@ class WorkerClient:
         self._bind = (task, model, cfg)  # what the session is made of, until sent
         self._joined = False
         self._raw = None  # the message queued for the worker
-        self._handed = None  # the held-out ids to score the second slot on, until a job takes them
+        self._handed = None  # the held-out ids to score the second slot on, until its job is sent
         self._ids = None  # the held-out ids the worker holds
 
     def join(self) -> bytes:
@@ -375,12 +381,11 @@ class WorkerClient:
         """Queue a server message for the worker's client; -> False at the
         shutdown, which is answered at once."""
         worker = self._worker
-        shutdown = parse_header(raw[:HEADER_LEN])[0] == KIND_SHUTDOWN
-        self._raw = raw, shutdown
+        self._raw = raw
         worker.queue.append(self)
         if len(worker.queue) == 1:
             self._start()
-        if not shutdown:
+        if parse_header(raw[:HEADER_LEN])[0] != KIND_SHUTDOWN:
             return True
         self.ledger = self._answer()
         return False
@@ -393,19 +398,21 @@ class WorkerClient:
         return encode_update(delta, len(self.losses), self.id, self._cfg)
 
     def _start(self) -> None:
-        """Write the queued message into the worker's area and send its job."""
-        worker, (raw, shutdown) = self._worker, self._raw
+        """Write the queued message into the worker's area and send its job,
+        then the job that scores the model handed last, if any, with the
+        held-out ids unless the worker holds them."""
+        worker, raw = self._worker, self._raw
         self._raw = None
         worker.area.view(len(raw))[:] = raw
         if self._bind is not None:
-            job = ("bind", self._sid, len(raw), *self._bind, self._joined)
+            worker.send(("bind", self._sid, len(raw), *self._bind, self._joined))
             self._bind = None
-        else:  # a round's job may carry the score; the shutdown's does not
-            score = (False, None) if shutdown else self._score_fields()
-            job = ("round", self._sid, len(raw), *score)
-        # a worker that died fails this job's own answer, not its caller
-        with suppress(OSError):
-            _send(worker.conn, job)
+        else:
+            worker.send(("round", self._sid, len(raw)))
+        if self._handed is not None:
+            ids, self._handed = self._handed, None
+            worker.send(("score", self._sid, None if ids is self._ids else ids))
+            self._ids = ids
 
     def _answer(self):
         """-> the worker's answer to this client's job in flight: (mean loss,
@@ -426,36 +433,17 @@ class WorkerClient:
 
     def hand(self, model, ids: np.ndarray) -> None:
         """Write `model` into the worker's second slot, to be scored on `ids`
-        behind this client's next round, or alone by `send_score`. The
-        worker must owe no reply, and this client's replies must be the last
-        it sends, as a federation's last client's are."""
+        by a job sent right behind this client's next one, its next round or
+        its shutdown. The worker must owe no reply, and no other client's
+        job may follow this client's on it until `score` has read the
+        perplexity, as holds for a lane's last client."""
         _write_params(self._worker.slot, model.params)
         self._handed = ids
 
-    def _score_fields(self) -> tuple:
-        """-> a job's (score, ids): whether it scores the handed model, and
-        the held-out ids unless the worker holds them."""
-        if self._handed is None:
-            return False, None
-        ids, self._handed = self._handed, None
-        sent, self._ids = (None if ids is self._ids else ids), ids
-        self._worker.scores += 1
-        return True, sent
-
-    def send_score(self) -> None:
-        """Send the model handed last to be scored alone, unless a job took
-        it; its worker must owe no other reply."""
-        if self._handed is not None:
-            with suppress(OSError):  # a dead worker fails the read in `score`
-                _send(self._worker.conn, ("score", self._sid, 0, *self._score_fields()))
-
     def score(self) -> float:
-        """-> the perplexity of the model handed last: read from behind the
-        round's answer that carried it, or scored alone (see `send_score`)."""
-        self.send_score()
-        worker = self._worker
-        status, value = worker.read()
-        worker.scores -= 1
+        """-> the perplexity of the model handed last: the reply to its score
+        job, read once the answer to the job it followed has been read."""
+        status, value = self._worker.read()
         if status == "err":
             raise value
         if status == "lost":
@@ -476,7 +464,8 @@ def pooled_clients(model, tasks: list[ClientTask], cfg):
     A federation of two or more clients first grows the pool to
     `planned_workers` (before the caller starts any thread) and borrows up
     to that many; a lone client borrows one. On exit unbinds the sessions
-    and returns the workers, discarding any that died.
+    and returns the workers, discarding any that died: after a
+    KeyboardInterrupt, say, all of them, killed at once.
     """
     want = planned_workers(len(tasks)) if len(tasks) > 1 else 1
     if want > 1:
@@ -488,6 +477,11 @@ def pooled_clients(model, tasks: list[ClientTask], cfg):
     clients = [WorkerClient(lent[i % len(lent)], model, task, cfg) for i, task in enumerate(tasks)]
     try:
         yield clients
+    except BaseException as e:
+        if not isinstance(e, Exception):  # not waiting out a reply a long round away
+            for w in lent:
+                w.reap(0.0)
+        raise
     finally:
         _give_back(lent, clients)
 

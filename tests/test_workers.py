@@ -67,6 +67,13 @@ def outcome(res):
     return params_bytes(res.model), res.ledger.byte_table(), recs, res.extras["bleu"]
 
 
+def timeless(res):
+    """A result's models, records without their walls, and extras."""
+    models = [res.model] if res.model is not None else res.client_models
+    recs = [(r.round, r.train_loss, r.perplexity, r.uplink_bytes, r.downlink_bytes) for r in res.records]
+    return [params_bytes(m) for m in models], recs, res.extras
+
+
 def assert_no_zombie():
     try:
         assert os.waitpid(-1, os.WNOHANG) == (0, 0)
@@ -257,9 +264,9 @@ class TestPoolFailFast:
     def test_a_failed_round_leaves_no_stale_score(
         self, corpus_path, tmp_path, monkeypatch, fresh_pool
     ):
-        """Client 1 fails in round 2 while client 2's job, which carries
-        round 1's score, is in flight on worker 0; the next run on that
-        worker reads its own replies, not the leftover score."""
+        """Client 1 fails in round 2 while client 2's job, and the job
+        behind it that scores round 1, are in flight on worker 0; the next
+        run on that worker reads its own replies, not the leftover score."""
         def fault():
             raise RuntimeError("injected training fault")
 
@@ -267,7 +274,7 @@ class TestPoolFailFast:
         cfg = small_cfg(corpus_path)
         with pytest.raises(RuntimeError):
             run_experiment(cfg, report=False)
-        assert all(w.scores == 0 and not w.queue for w in workers._pool)
+        assert all(w.owed == 0 and not w.queue for w in workers._pool)
         pooled = run_experiment(cfg, report=False)
         assert marker.exists() and len(pool_pids()) == 2
         in_process(monkeypatch)
@@ -334,14 +341,6 @@ class TestCompareLanes:
         monkeypatch.setattr(harness, "run_experiment", run_experiment)
         return csv_path.read_bytes(), results
 
-    def timeless(self, results):
-        out = {}
-        for mode, res in results.items():
-            models = [res.model] if res.model is not None else res.client_models
-            recs = [(r.round, r.train_loss, r.perplexity, r.uplink_bytes, r.downlink_bytes) for r in res.records]
-            out[mode] = ([params_bytes(m) for m in models], recs, res.extras)
-        return out
-
     def test_pool_matches_in_process(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
         train = protocol.local_train_round
         here = []
@@ -360,7 +359,7 @@ class TestCompareLanes:
         csv, pooled = self.compare(cfg, tmp_path / "pooled", monkeypatch)
         assert not here and len(pool_pids()) == 2  # every mode trained in the workers
         assert csv == ref_csv
-        assert self.timeless(pooled) == self.timeless(ref)
+        assert {m: timeless(r) for m, r in pooled.items()} == {m: timeless(r) for m, r in ref.items()}
         assert pooled["local"].extras["clients"] == ref["local"].extras["clients"]
 
     def test_central_and_local_train_on_different_workers(
@@ -477,24 +476,29 @@ class TestScoringOnTheLastWorker:
         assert outcome(pooled) == outcome(ref)
 
     def test_scores_behind_the_last_clients_training(self, corpus_path, monkeypatch, fresh_pool):
-        """Round t's model rides on the last client's round t+1 job; the
-        final model is scored by a job of its own, after the shutdown's."""
+        """Round t's model is scored by a job of its own, sent right behind
+        the last client's round t+1 job; the final model's follows that
+        client's shutdown job. Only the first score job carries the ids."""
         send = workers._send
-        jobs = []
+        clients, jobs = {}, []  # session id -> client id; (op, client, ids sent)
 
         def recorded(conn, job):
-            if job[0] in ("round", "score"):
-                jobs.append((job[0], job[3]))
+            if job[0] == "bind":
+                clients[job[1]] = job[3].client_id
+            jobs.append((job[0], clients.get(job[1]), job[0] == "score" and job[2] is not None))
             return send(conn, job)
 
         monkeypatch.setattr(workers, "_send", recorded)
         pool_of_two(monkeypatch)
-        cfg = small_cfg(corpus_path, clients=3, rounds=3)
-        run_experiment(cfg, report=False)
-        # clients 0 and 1 play plain; client 2 carries the score from round 2
-        plain = [("round", False)] * 2
-        assert jobs == (plain + [("round", True)]) * 2 + plain + [("round", False), ("score", True)]
-        assert all(w.scores == 0 for w in workers._pool)
+        run_experiment(small_cfg(corpus_path, clients=3, rounds=3), report=False)
+        # client 2 shares worker 0 with client 0 and starts once client 0 is answered
+        binds = [("bind", i, False) for i in range(3)]
+        rounds = [("round", i, False) for i in range(3)]  # rounds 2 and 3, then the shutdown
+        unbinds = [("unbind", i, False) for i in range(3)]
+        assert jobs == (
+            binds + rounds + [("score", 2, True)] + (rounds + [("score", 2, False)]) * 2 + unbinds
+        )
+        assert all(w.owed == 0 and not w.queue for w in workers._pool)
 
     def test_final_bleu_runs_while_the_final_model_scores(self, corpus_path, monkeypatch, fresh_pool):
         """The final model's score job is sent before its BLEU is worked
@@ -523,6 +527,27 @@ class TestScoringOnTheLastWorker:
         assert events[events.index("bleu") - 2 :][:4] == ["read", "score", "bleu", "read"]
         assert events.count("bleu") == 1
 
+    @pytest.mark.parametrize("mode", ["central", "local"])
+    def test_lone_clients_score_on_their_workers(self, corpus_path, mode, monkeypatch, fresh_pool):
+        """With a pool to borrow from, central's client and each local one
+        are scored on its worker, with the records of a run in process."""
+        score = harness.perplexity_of
+        here = []
+
+        def counted(*args, **kw):
+            here.append(1)
+            return score(*args, **kw)
+
+        monkeypatch.setattr(harness, "perplexity_of", counted)
+        cfg = small_cfg(corpus_path, mode=mode, rounds=3)
+        ref = run_experiment(cfg, report=False)
+        assert len(here) == (1 if mode == "central" else cfg.clients) * cfg.rounds
+        here.clear()
+        workers._grow(2)
+        pooled = run_experiment(cfg, report=False)
+        assert not here and len(pool_pids()) == 2
+        assert timeless(pooled) == timeless(ref)
+
     def test_bleu_error_leaves_no_score_reply_owed(self, corpus_path, monkeypatch, fresh_pool):
         pool_of_two(monkeypatch)
         cfg = small_cfg(corpus_path, rounds=2)
@@ -536,7 +561,7 @@ class TestScoringOnTheLastWorker:
         with pytest.raises(RuntimeError) as failure:
             run_experiment(cfg, report=False)
         assert str(failure.value) == "injected BLEU fault"
-        assert all(w.scores == 0 and not w.queue for w in workers._pool)
+        assert all(w.owed == 0 and not w.queue for w in workers._pool)
         monkeypatch.setattr(harness, "bleu_of", bleu_of)
         assert outcome(run_experiment(cfg, report=False)) == outcome(ref)
 
@@ -631,7 +656,7 @@ class TestScoringFailFast:
         with pytest.raises(RuntimeError) as exc:
             run_experiment(cfg, report=False)
         assert str(exc.value) == "server: round 2: injected scoring fault"
-        assert all(w.scores == 0 and not w.queue for w in workers._pool)
+        assert all(w.owed == 0 and not w.queue for w in workers._pool)
         assert len(run_experiment(cfg, report=False).records) == 2
 
     def test_in_process_scoring_error_fails_at_its_round(self, corpus_path, monkeypatch):
@@ -655,26 +680,39 @@ class TestScoringFailFast:
         assert str(exc.value) == "server: round 2: injected scoring fault"
         assert len(calls) == 2  # no round was scored after it
 
-    @pytest.mark.parametrize("mode", ["central", "local"])
-    def test_lone_clients_name_a_scoring_error_as_the_server(self, corpus_path, mode, monkeypatch):
+    @pytest.mark.parametrize(
+        "mode, pooled",
+        [("central", False), ("local", False), ("central", True), ("local", True)],
+        ids=["central", "local", "central-pooled", "local-pooled"],
+    )
+    def test_lone_clients_name_a_scoring_error_as_the_server(
+        self, corpus_path, tmp_path, mode, pooled, monkeypatch, fresh_pool
+    ):
         """Central's client, and each local one, is a federation of one,
-        scored on this thread as its round ends."""
-        score = harness.perplexity_of
-        calls = []
+        scored on the worker it borrows from the pool, or with none on this
+        thread as its round ends; a fault is the server's either way, and a
+        worker lives on."""
+        def fault():
+            raise RuntimeError("injected scoring fault")
 
-        def flaky(*args, **kw):
-            calls.append(1)
-            if len(calls) == 2:
-                raise RuntimeError("injected scoring fault")
-            return score(*args, **kw)
-
-        monkeypatch.setattr(harness, "perplexity_of", flaky)
+        marker, calls = self.inject(monkeypatch, tmp_path, fault)
+        monkeypatch.setattr(harness, "perplexity_of", workers.perplexity_of)  # the same fault here
+        if pooled:
+            workers._grow(2)  # a lone client borrows, but never grows the pool
+        pids = pool_pids()
+        cfg = small_cfg(corpus_path, mode=mode, rounds=5)
         with pytest.raises(RuntimeError) as exc:
-            run_experiment(small_cfg(corpus_path, mode=mode, rounds=5), report=False)
+            run_experiment(cfg, report=False)
         assert str(exc.value) == "server: round 2: injected scoring fault"
-        assert len(calls) == 2
+        assert (int(marker.read_text().split()[1]) in pids) == pooled
+        assert len(calls.read_text().splitlines()) == 2  # no round was scored after it
+        assert all(w.owed == 0 and not w.queue for w in workers._pool)
+        assert len(run_experiment(cfg, report=False).records) == cfg.rounds
+        assert pool_pids() == pids
 
-    def test_compare_names_central_scoring_error(self, corpus_path, tmp_path, monkeypatch):
+    def test_compare_names_central_scoring_error(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
+        """In process, central is scored on its helper thread, and a fault
+        there is named with its mode once both lanes have ended."""
         score = harness.perplexity_of
         calls = []
 
@@ -686,10 +724,12 @@ class TestScoringFailFast:
             return score(*args, **kw)
 
         monkeypatch.setattr(harness, "perplexity_of", flaky)
+        in_process(monkeypatch)
         with pytest.raises(RuntimeError) as exc:
             compare_modes(small_cfg(corpus_path), tmp_path)
         assert str(exc.value) == "central: server: round 2: injected scoring fault"
         assert threading.active_count() == 1
+        assert pool_pids() == []
 
 
 # A federated run of 200 rounds whose scoring worker prints a line once it
@@ -741,9 +781,32 @@ class TestInterrupt:
         self.interrupt(corpus_path, transport, "fast")
 
     def test_ctrl_c_while_every_worker_trains_a_long_round(self, corpus_path):
-        """The replies the workers owe get one second between them, not one
-        each, before the workers are killed."""
+        """The workers are killed at once, not waited for."""
         self.interrupt(corpus_path, "memory", "slow")
+
+    def test_interrupt_while_sending_a_job(self, corpus_path, monkeypatch, fresh_pool):
+        """A KeyboardInterrupt while a job is being sent, before the worker
+        has it, waits on no reply: the run's workers are killed and reaped
+        at once, and the next federation forks anew."""
+        send, rounds, raised = workers._send, [], []
+
+        def interrupted(conn, job):
+            if job[0] == "round":
+                rounds.append(1)
+                if len(rounds) == 3:
+                    raised.append(time.monotonic())
+                    raise KeyboardInterrupt
+            return send(conn, job)
+
+        monkeypatch.setattr(workers, "_send", interrupted)
+        pool_of_two(monkeypatch)
+        cfg = small_cfg(corpus_path, rounds=3)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg, report=False)
+        assert time.monotonic() - raised[0] < 0.3
+        assert pool_pids() == []
+        assert_no_zombie()
+        assert len(run_experiment(cfg, report=False).records) == cfg.rounds
 
     @staticmethod
     def interrupt(corpus_path, transport, pace):
