@@ -62,7 +62,7 @@ from .protocol import (
     run_server,
 )
 from .transport import Hub, TcpListener, memory_pairs, tcp_connect
-from .workers import WorkerClient, pooled_clients
+from .workers import WorkerClient, kill_lent, pooled_clients
 
 BLEU_SAMPLES = 24
 
@@ -317,7 +317,10 @@ def compare_modes(cfg: ExperimentConfig, out_dir: str | Path | None = None):
     config and seed reproduces it byte for byte on the memory transport.
     The corpus is read once. Federated runs first and alone; then central
     runs on a helper thread beside local on this one. A failure in either
-    lane is raised, prefixed with its mode, once both have ended.
+    lane is raised, prefixed with its mode, once both have ended. A
+    KeyboardInterrupt here kills the workers lent to central, so its lane
+    fails at its next read and the interrupt is raised at once; a central
+    lane that plays in process (no pool) still runs to its end first.
     """
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     setup = _setup(cfg)
@@ -338,8 +341,11 @@ def compare_modes(cfg: ExperimentConfig, out_dir: str | Path | None = None):
     helper.start()
     try:
         run("local")
-    finally:
         helper.join()
+    except BaseException:  # ^C, say: central's pooled lane ends at its next read
+        kill_lent()
+        helper.join()
+        raise
     if failures:
         raise failures[0]
     records = [rec for mode in MODES for rec in results[mode].records]

@@ -8,13 +8,13 @@ it, trains, and writes the round's `delta` over it as float64, which this
 side encodes (`protocol.encode_update`), so the uplink codec runs where the
 server runs. A session is bound with its first message, so `join` makes the
 ack here and the worker's client books it; the shutdown's answer brings the
-client's ledger home.
+client's ledger home and ends the session.
 
 A lane (a federation, or central's or a local client) also scores its
 rounds there: round t's global model goes into the worker's second slot
 (`hand`), and a `score` job follows the last client's next job, its round
 t+1 or its shutdown, while the driving thread folds or works out the final
-BLEU; `score` reads the perplexity. Every job but an unbind gets one reply.
+BLEU; `score` reads the perplexity. Every job gets exactly one reply.
 
 The pool is forked once per process, by the first federation of two or more
 clients that can use it: W = min(K, C) workers for K clients on C usable
@@ -24,13 +24,14 @@ run at a time: a federation borrows up to W, and client i plays on the
 (i mod n)-th of the n it got; a lone client borrows one; a run that borrows
 none plays in process. A worker runs one job at a time; a client's job
 queued behind another client's is sent once that one is answered, a score
-job at once. It keeps a session per client
-until its run ends, which first reads every reply still owed (after a
-KeyboardInterrupt, kills its workers instead). A worker that dies, or
-spends a whole channel timeout without answering or using any CPU time
-(then it is killed), fails its run and is discarded alone; the next
-federation forks anew. A busy worker is waited for as long as it computes.
-Jobs are pickled with their arrays out of band, so a shard is copied once.
+job at once. A run that succeeds has read every reply and returns its
+workers as they are; a run that fails in any way, a KeyboardInterrupt
+included, kills its workers at once and discards them, so no reply is ever
+left behind for the next run, and the next federation forks anew. A worker
+that dies, or spends a whole channel timeout without answering or using any
+CPU time (then it is killed), fails its run. A busy worker is waited for as
+long as it computes. Jobs are pickled with their arrays out of band, so a
+shard is copied once.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ class _Worker:
         self.conn = conn
         self.area = _Area()  # the round's message, then the delta
         self.slot = _Area()  # the global model to score
+        self.ids = None  # the held-out ids the worker scores on
         self.queue: collections.deque = collections.deque()  # clients with a job to answer; the first's is sent
-        self.owed = 0  # replies to jobs sent, not yet read
         self.failure: str | None = None  # how it ended, once reaped
         self.lent = False  # to a run, under _pool_lock
 
@@ -126,14 +127,13 @@ class _Worker:
         self.slot.close()
 
     def send(self, job) -> None:
-        """Send a job that owes a reply; a worker that died fails the read
-        of that reply, not this."""
+        """Send a job; a worker that died fails the read of its reply, not this."""
         with suppress(OSError):
             _send(self.conn, job)
-        self.owed += 1
 
-    def read(self) -> tuple:
-        """-> the next reply: ("ok", value), ("err", error) or ("lost", why).
+    def read(self, what: str):
+        """-> the value of the next reply; raises the error the worker sent
+        back, or a DeltaFedError "<what> worker <why>" when no reply comes.
         The wait goes in DEFAULT_TIMEOUT slices and lasts while the worker's
         CPU time grows from one slice to the next: a worker that spent a
         slice without CPU time, or any once its CPU time cannot be read, is
@@ -144,27 +144,15 @@ class _Worker:
                 last, cpu = cpu, _cpu_ticks(self.pid)
                 if cpu is None or cpu == last:
                     self.reap(0.0)
-                    return "lost", f"did not answer within {DEFAULT_TIMEOUT:g} s"
-            reply = self.conn.recv()
+                    raise DeltaFedError(f"{what} worker did not answer within {DEFAULT_TIMEOUT:g} s")
+            status, value = self.conn.recv()
         except (EOFError, OSError):
-            return "lost", self.reap(REAP_SECONDS)
-        self.owed -= 1
-        return reply
-
-    def settle(self, deadline: float) -> None:
-        """Read every reply still owed, so the pipe holds nothing stale;
-        kill the worker at `deadline`."""
-        while self.owed and self.failure is None:
-            try:
-                if self.conn.poll(max(0.0, deadline - time.monotonic())):
-                    self.conn.recv()
-                else:
-                    self.reap(0.0)
-            except (EOFError, OSError):
-                self.reap(REAP_SECONDS)
-            self.owed -= 1
-        self.owed = 0
-        self.queue.clear()
+            status, value = "lost", self.reap(REAP_SECONDS)
+        if status == "ok":
+            return value
+        if status == "err":
+            raise value
+        raise DeltaFedError(f"{what} worker {value}")
 
     def reap(self, seconds: float) -> str:
         """Wait up to `seconds` for the process to end, kill it after that;
@@ -254,10 +242,13 @@ def _read_params(area: _Area, layout) -> ParameterSet:
     return ParameterSet.from_vectors(layout, vec[:nt].copy(), vec[nt:].copy())
 
 
-def _play(client: Client, area: _Area, n: int):
-    """The client's answer to the message in the area's first n bytes:
-    (mean loss, the layout of its delta, written over it), or its ledger."""
+def _play(sessions: dict[int, Client], sid: int, area: _Area, n: int):
+    """Session `sid`'s client's answer to the message in the area's first n
+    bytes: (mean loss, the layout of its delta, written over it), or at the
+    shutdown its ledger, which ends the session."""
+    client = sessions[sid]
     if not client.receive(bytes(area.view(n))):
+        del sessions[sid]
         return client.ledger
     delta = client.delta()
     _write_params(area, delta)
@@ -271,32 +262,31 @@ def _score(model, slot: _Area, ids: np.ndarray) -> float:
 
 
 def _serve(conn, area: _Area, slot: _Area) -> None:
-    """A worker's loop: bind, play, score and unbind sessions until the pipe
-    closes, with one reply to every job but an unbind."""
-    sessions: dict[int, list] = {}  # id -> [its client, the held-out ids it scores on]
+    """A worker's loop: bind and play sessions, each until its shutdown, and
+    score, until the pipe closes, with one reply to every job."""
+    sessions: dict[int, Client] = {}  # id -> its client
+    model = ids = None  # laid out as the model to score: the last job's client's; the held-out ids
     while True:
         try:
-            op, sid, *args = _receive(conn)
+            op, *args = _receive(conn)
         except EOFError:
             return
         except Exception as e:  # a job that does not unpickle, say
             conn.send_bytes(pickle.dumps(("lost", f"could not read its job: {e!r}")))
             continue
-        if op == "unbind":
-            sessions.pop(sid, None)
-            continue
-        if op == "bind":
-            task, model, cfg, joined = args[1:]
-            sessions[sid] = [Client(model, task, cfg), None]
-            if joined:
-                sessions[sid][0].join()
-        session = sessions[sid]
         if op == "score":  # the parent rewrites the second slot only once it has read this
             if args[0] is not None:
-                session[1] = args[0]
-            reply = _outcome("scoring", lambda: _score(session[0].model, slot, session[1]))
+                ids = args[0]
+            reply = _outcome("scoring", lambda: _score(model, slot, ids))
         else:
-            reply = _outcome("training", lambda: _play(session[0], area, args[0]))
+            sid, n = args[:2]
+            if op == "bind":
+                task, initial, cfg, joined = args[2:]
+                sessions[sid] = Client(initial, task, cfg)
+                if joined:
+                    sessions[sid].join()
+            model = sessions[sid].model
+            reply = _outcome("training", lambda: _play(sessions, sid, area, n))
         conn.send_bytes(reply)
 
 
@@ -370,7 +360,6 @@ class WorkerClient:
         self._joined = False
         self._raw = None  # the message queued for the worker
         self._handed = None  # the held-out ids to score the second slot on, until its job is sent
-        self._ids = None  # the held-out ids the worker holds
 
     def join(self) -> bytes:
         """-> the join ack, made here; the worker's client books it when bound."""
@@ -411,20 +400,15 @@ class WorkerClient:
             worker.send(("round", self._sid, len(raw)))
         if self._handed is not None:
             ids, self._handed = self._handed, None
-            worker.send(("score", self._sid, None if ids is self._ids else ids))
-            self._ids = ids
+            worker.send(("score", None if ids is worker.ids else ids))
+            worker.ids = ids
 
     def _answer(self):
         """-> the worker's answer to this client's job in flight: (mean loss,
         the delta) or, at the shutdown, the ledger; then starts its next."""
         worker = self._worker
-        status, value = worker.read()
         worker.queue.popleft()
-        if status != "ok":
-            worker.queue.clear()  # the run ends here
-            if status == "err":
-                raise value
-            raise DeltaFedError(f"round {len(self.losses) + 1}: training worker {value}")
+        value = worker.read(f"round {len(self.losses) + 1}: training")
         if isinstance(value, tuple):
             value = value[0], _read_params(worker.area, value[1])
         if worker.queue:
@@ -434,25 +418,16 @@ class WorkerClient:
     def hand(self, model, ids: np.ndarray) -> None:
         """Write `model` into the worker's second slot, to be scored on `ids`
         by a job sent right behind this client's next one, its next round or
-        its shutdown. The worker must owe no reply, and no other client's
-        job may follow this client's on it until `score` has read the
-        perplexity, as holds for a lane's last client."""
+        its shutdown. The model handed before must have been scored, and no
+        other client's job may follow this client's on it until `score` has
+        read the perplexity, as holds for a lane's last client."""
         _write_params(self._worker.slot, model.params)
         self._handed = ids
 
     def score(self) -> float:
         """-> the perplexity of the model handed last: the reply to its score
         job, read once the answer to the job it followed has been read."""
-        status, value = self._worker.read()
-        if status == "err":
-            raise value
-        if status == "lost":
-            raise DeltaFedError(f"scoring worker {value}")
-        return value
-
-    def unbind(self) -> None:
-        if self._bind is None and self._worker.failure is None:
-            _send(self._worker.conn, ("unbind", self._sid))
+        return self._worker.read("scoring")
 
 
 @contextmanager
@@ -463,10 +438,11 @@ def pooled_clients(model, tasks: list[ClientTask], cfg):
 
     A federation of two or more clients first grows the pool to
     `planned_workers` (before the caller starts any thread) and borrows up
-    to that many; a lone client borrows one. On exit unbinds the sessions
-    and returns the workers, discarding any that died: after a
-    KeyboardInterrupt, say, all of them, killed at once.
+    to that many; a lone client borrows one. On exit returns the workers: a
+    run that succeeded has read every reply, and one that raised anything
+    kills and discards them all at once.
     """
+    global _pool
     want = planned_workers(len(tasks)) if len(tasks) > 1 else 1
     if want > 1:
         _grow(want)
@@ -474,16 +450,29 @@ def pooled_clients(model, tasks: list[ClientTask], cfg):
     if not lent:
         yield [Client(model, task, cfg) for task in tasks]
         return
-    clients = [WorkerClient(lent[i % len(lent)], model, task, cfg) for i, task in enumerate(tasks)]
     try:
-        yield clients
-    except BaseException as e:
-        if not isinstance(e, Exception):  # not waiting out a reply a long round away
-            for w in lent:
-                w.reap(0.0)
+        yield [WorkerClient(lent[i % len(lent)], model, task, cfg) for i, task in enumerate(tasks)]
+    except BaseException:
+        for w in lent:
+            w.reap(0.0)
         raise
     finally:
-        _give_back(lent, clients)
+        dead = [w for w in lent if w.failure is not None]
+        with _pool_lock:
+            for w in lent:
+                w.lent = False
+            _pool = [w for w in _pool if w not in dead]
+        _discard(dead)
+
+
+def kill_lent() -> None:
+    """SIGKILL every worker lent to a run, from any thread: each such run
+    fails at its next read, naming the kill, and discards its workers."""
+    with _pool_lock:
+        for w in _pool:
+            if w.lent and w.failure is None:
+                with suppress(ProcessLookupError):
+                    os.kill(w.pid, signal.SIGKILL)
 
 
 def _borrow(n: int) -> list[_Worker]:
@@ -493,25 +482,6 @@ def _borrow(n: int) -> list[_Worker]:
         for w in lent:
             w.lent = True
     return lent
-
-
-def _give_back(lent: list[_Worker], clients: list[WorkerClient]) -> None:
-    """Unbind the sessions and return the workers; discard the dead ones."""
-    global _pool
-    deadline = time.monotonic() + REAP_SECONDS  # one wait for them all
-    for w in lent:
-        w.settle(deadline)
-    for client in clients:
-        try:
-            client.unbind()
-        except OSError:  # its worker died between jobs
-            client._worker.reap(REAP_SECONDS)
-    dead = [w for w in lent if w.failure is not None]
-    with _pool_lock:
-        for w in lent:
-            w.lent = False
-        _pool = [w for w in _pool if w not in dead]
-    _discard(dead)
 
 
 atexit.register(shutdown)

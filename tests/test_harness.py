@@ -49,6 +49,20 @@ def small_cfg(corpus_path, **kw):
     return ExperimentConfig(**base)
 
 
+def compare_kept(cfg, out_dir):
+    """-> (compare.csv bytes, {mode: result}) of one `compare_modes` call."""
+    results = {}
+
+    def kept(mode_cfg, *args, **kw):
+        results[mode_cfg.mode] = run_experiment(mode_cfg, *args, **kw)
+        return results[mode_cfg.mode]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "run_experiment", kept)
+        csv_path, _ = compare_modes(cfg, out_dir)
+    return csv_path.read_bytes(), results
+
+
 def params_bytes(model):
     return {n: model.params.array(n).tobytes() for n in model.params.names()}
 

@@ -1,22 +1,27 @@
 """The north-star guarantees as properties over drawn configs: memory and
-TCP runs agree bit for bit, and so do pooled and in-process ones.
+TCP runs agree bit for bit, and so do pooled and in-process ones; with one
+client the federated, central and local runs agree bit for bit; and two
+`compare_modes` calls write the same CSV.
 
 Each example is a small federation on a `scripts/make_corpus.py` corpus cut
 so that its training split leaves a ragged tail row, so the ids that cross
-into the workers as bytes include a padded row.
+into the workers as bytes include a padded row. The example count comes
+from the Hypothesis profile (`tests/conftest.py`): tier-1's default runs a
+fixed, derandomized set, and `--hypothesis-profile=deep` draws more.
 """
 
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import deltafed.harness as harness
 import deltafed.workers as workers
+from deltafed.aggregate import WEIGHT_SAMPLES, WEIGHT_UNIFORM
 from deltafed.config import ExperimentConfig
 from test_data_path import make_corpus
-from test_harness import params_bytes
+from test_harness import compare_kept, params_bytes
 
 CONTEXT, SPLIT = 8, 0.7
 
@@ -40,10 +45,12 @@ def configs(draw):
         clients=draw(st.integers(1, 3)),
         embed_dim=draw(st.integers(4, 16)),
         rounds=draw(st.integers(1, 2)),
+        local_epochs=draw(st.integers(1, 2)),
         lora_rank=rank,
         lora_dropout=draw(st.sampled_from([0.0, 0.1])) if rank else 0.0,
         aggregation=aggregation,
         delta_form=form,
+        delta_weighting=draw(st.sampled_from([WEIGHT_UNIFORM, WEIGHT_SAMPLES])),
         quantize_payload=draw(st.booleans()),
         context=CONTEXT,
         split=SPLIT,
@@ -63,15 +70,24 @@ def outcome(res):
     return params_bytes(res.model), recs, res.ledger.byte_table(), res.extras["bleu"]
 
 
+def trajectory(res):
+    """The final parameters, and each round's training loss and perplexity."""
+    model = res.model if res.model is not None else res.client_models[0]
+    return params_bytes(model), [(r.round, r.train_loss, r.perplexity) for r in res.records]
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     yield tmp_path_factory.mktemp("corpora")
     workers.shutdown()
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
 @given(configs())
-def test_transports_and_pool_agree(corpus_dir, drawn):
+def test_guarantees_hold(corpus_dir, drawn):
+    """One compare on the pool and one in process, and a federated run over
+    TCP on the pool: the federated runs agree with each other, the two
+    compares write the same CSV from the same results, and with one client
+    every mode plays the same trajectory."""
     fields, size, corpus_seed = drawn
     corpus = corpus_dir / f"{size}-{corpus_seed}.txt"
     text = ragged_corpus(size, corpus_seed)
@@ -80,15 +96,21 @@ def test_transports_and_pool_agree(corpus_dir, drawn):
     setup = harness._setup(cfg)
     assert len(setup.sequences.widths) == 2  # the tail row
 
+    out = corpus_dir / f"{size}-{corpus_seed}"
     with pytest.MonkeyPatch.context() as mp:
         # two workers whatever the core count, so a lone client borrows one too
         mp.setattr(workers, "planned_workers", lambda clients: min(clients, 2))
         workers._grow(2)
-        memory = outcome(harness.run_experiment(cfg, report=False))
+        csv, pooled = compare_kept(cfg, out / "pooled")
         tcp = outcome(harness.run_experiment(dataclasses.replace(cfg, transport="tcp"), report=False))
         assert len(workers._pool) == 2
         workers.shutdown()  # and with no pool to borrow from, every client plays here
         mp.setattr(workers, "planned_workers", lambda clients: 0)
-        here = outcome(harness.run_experiment(cfg, report=False))
-    assert tcp == memory
-    assert here == memory
+        csv_here, here = compare_kept(cfg, out / "here")
+    assert tcp == outcome(pooled["federated"])
+    assert outcome(here["federated"]) == outcome(pooled["federated"])
+    assert csv_here == csv
+    assert {m: trajectory(r) for m, r in here.items()} == {m: trajectory(r) for m, r in pooled.items()}
+    if cfg.clients == 1:
+        assert trajectory(pooled["central"]) == trajectory(pooled["federated"])
+        assert trajectory(pooled["local"]) == trajectory(pooled["federated"])

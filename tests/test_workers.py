@@ -81,6 +81,21 @@ def assert_no_zombie():
         pass  # no child at all
 
 
+def assert_gone(pids):
+    """These workers are out of the pool, killed and reaped: no process and
+    no zombie is left of them."""
+    assert not set(pids) & set(pool_pids())
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    assert_no_zombie()
+
+
+def assert_forked_anew(pids):
+    """The pool holds two workers again, none of them one of `pids`."""
+    assert len(pool_pids()) == 2 and not set(pids) & set(pool_pids())
+
+
 class TestPoolSize:
     def test_bounded_by_cores(self, monkeypatch):
         assert workers.pool_size(64, 2) == 2
@@ -265,18 +280,57 @@ class TestPoolFailFast:
         self, corpus_path, tmp_path, monkeypatch, fresh_pool
     ):
         """Client 1 fails in round 2 while client 2's job, and the job
-        behind it that scores round 1, are in flight on worker 0; the next
-        run on that worker reads its own replies, not the leftover score."""
+        behind it that scores round 1, are in flight on worker 0; that
+        worker is killed with the other, so no leftover score can reach the
+        next run, which forks anew."""
         def fault():
             raise RuntimeError("injected training fault")
 
         marker = self.inject(monkeypatch, tmp_path, fault)
+        workers._grow(2)  # with the fault in it
+        pids = pool_pids()
         cfg = small_cfg(corpus_path)
         with pytest.raises(RuntimeError):
             run_experiment(cfg, report=False)
-        assert all(w.owed == 0 and not w.queue for w in workers._pool)
+        assert_gone(pids)
         pooled = run_experiment(cfg, report=False)
-        assert marker.exists() and len(pool_pids()) == 2
+        assert marker.exists()
+        assert_forked_anew(pids)
+        in_process(monkeypatch)
+        assert outcome(pooled) == outcome(run_experiment(cfg, report=False))
+
+    def test_a_failed_fold_does_not_wait_for_a_round_in_flight(
+        self, corpus_path, tmp_path, monkeypatch, fresh_pool
+    ):
+        """The fold raises after client 0's update while client 1's round 2,
+        and the job behind it that scores round 1, still run on worker 1 for
+        2 s: the run fails at once, its workers are killed and reaped, and
+        the next run forks anew and equals one in process."""
+        marker = self.inject(monkeypatch, tmp_path, lambda: time.sleep(2.0))
+        workers._grow(2)  # with the sleep in it
+        pids = pool_pids()
+        fold, raised = protocol.fold_updates, []
+
+        def failing(model, rnd, updates, *args, **kw):
+            if rnd == 2:
+                next(iter(updates))  # client 0's update
+                raised.append(time.monotonic())
+                raise RuntimeError("injected fold fault")
+            return fold(model, rnd, updates, *args, **kw)
+
+        monkeypatch.setattr(protocol, "fold_updates", failing)
+        cfg = small_cfg(corpus_path, clients=2)
+        with pytest.raises(RuntimeError) as exc:
+            run_experiment(cfg, report=False)
+        assert time.monotonic() - raised[0] < 0.3
+        assert str(exc.value) == "server: injected fold fault"
+        assert marker.exists()  # client 1's round 2 was sleeping in its worker
+        assert pool_pids() == []
+        assert_gone(pids)
+        monkeypatch.undo()
+        pool_of_two(monkeypatch)
+        pooled = run_experiment(cfg, report=False)
+        assert_forked_anew(pids)
         in_process(monkeypatch)
         assert outcome(pooled) == outcome(run_experiment(cfg, report=False))
 
@@ -299,18 +353,19 @@ class TestPoolFailFast:
 
         monkeypatch.setattr(harness, "_client_task", unreadable_for_client_1)
         pool_of_two(monkeypatch)
+        workers._grow(2)
+        pids = pool_pids()
         cfg = small_cfg(corpus_path)
         with pytest.raises(DeltaFedError) as exc:
             run_experiment(cfg, report=False)
         assert str(exc.value) == (
             "client 1: round 1: training worker could not read its job: ValueError('shard refused')"
         )
-        pids = pool_pids()
-        assert len(pids) == 2  # the worker lives on and serves the next run
+        assert_gone(pids)  # the worker answered, but its run failed: it is killed with the other
         monkeypatch.setattr(harness, "_client_task", task_of)
         res = run_experiment(cfg, report=False)
         assert len(res.records) == cfg.rounds
-        assert pool_pids() == pids
+        assert_forked_anew(pids)
 
 
 def _refuse_to_unpickle():
@@ -328,19 +383,6 @@ class TestCompareLanes:
     """compare_modes runs central on a helper thread beside local, each on a
     worker of its own, with the same results as in process."""
 
-    def compare(self, cfg, out_dir, monkeypatch):
-        """-> (compare.csv bytes, {mode: result}) of one compare_modes call."""
-        results = {}
-
-        def kept(mode_cfg, *args, **kw):
-            results[mode_cfg.mode] = run_experiment(mode_cfg, *args, **kw)
-            return results[mode_cfg.mode]
-
-        monkeypatch.setattr(harness, "run_experiment", kept)
-        csv_path, _ = compare_modes(cfg, out_dir)
-        monkeypatch.setattr(harness, "run_experiment", run_experiment)
-        return csv_path.read_bytes(), results
-
     def test_pool_matches_in_process(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
         train = protocol.local_train_round
         here = []
@@ -352,11 +394,11 @@ class TestCompareLanes:
         monkeypatch.setattr(protocol, "local_train_round", counted)
         cfg = small_cfg(corpus_path)
         in_process(monkeypatch)
-        ref_csv, ref = self.compare(cfg, tmp_path / "ref", monkeypatch)
+        ref_csv, ref = test_harness.compare_kept(cfg, tmp_path / "ref")
         assert here and pool_pids() == []
         here.clear()
         pool_of_two(monkeypatch)
-        csv, pooled = self.compare(cfg, tmp_path / "pooled", monkeypatch)
+        csv, pooled = test_harness.compare_kept(cfg, tmp_path / "pooled")
         assert not here and len(pool_pids()) == 2  # every mode trained in the workers
         assert csv == ref_csv
         assert {m: timeless(r) for m, r in pooled.items()} == {m: timeless(r) for m, r in ref.items()}
@@ -477,28 +519,37 @@ class TestScoringOnTheLastWorker:
 
     def test_scores_behind_the_last_clients_training(self, corpus_path, monkeypatch, fresh_pool):
         """Round t's model is scored by a job of its own, sent right behind
-        the last client's round t+1 job; the final model's follows that
-        client's shutdown job. Only the first score job carries the ids."""
+        the last client's round t+1 job on that client's worker; the final
+        model's follows that client's shutdown job. A score job names no
+        session, and only the first one a worker gets carries the ids; no
+        job follows the shutdowns, which end the sessions."""
         send = workers._send
-        clients, jobs = {}, []  # session id -> client id; (op, client, ids sent)
+        clients, jobs = {}, []  # session id -> client id; (op, client or worker, ids sent)
 
         def recorded(conn, job):
-            if job[0] == "bind":
-                clients[job[1]] = job[3].client_id
-            jobs.append((job[0], clients.get(job[1]), job[0] == "score" and job[2] is not None))
+            if job[0] == "score":
+                worker = [w.pid for w in workers._pool if w.conn is conn]
+                jobs.append(("score", worker, job[1] is not None))
+            else:
+                if job[0] == "bind":
+                    clients[job[1]] = job[3].client_id
+                jobs.append((job[0], clients[job[1]], False))
             return send(conn, job)
 
         monkeypatch.setattr(workers, "_send", recorded)
         pool_of_two(monkeypatch)
-        run_experiment(small_cfg(corpus_path, clients=3, rounds=3), report=False)
+        cfg = small_cfg(corpus_path, clients=3, rounds=3)
+        run_experiment(cfg, report=False)
         # client 2 shares worker 0 with client 0 and starts once client 0 is answered
+        scorer = [pool_pids()[0]]
         binds = [("bind", i, False) for i in range(3)]
         rounds = [("round", i, False) for i in range(3)]  # rounds 2 and 3, then the shutdown
-        unbinds = [("unbind", i, False) for i in range(3)]
-        assert jobs == (
-            binds + rounds + [("score", 2, True)] + (rounds + [("score", 2, False)]) * 2 + unbinds
-        )
-        assert all(w.owed == 0 and not w.queue for w in workers._pool)
+        assert jobs == binds + rounds + [("score", scorer, True)] + (rounds + [("score", scorer, False)]) * 2
+        jobs.clear()
+        run_experiment(cfg, report=False)  # a new setup: its held-out ids are sent again
+        scores = [job for job in jobs if job[0] == "score"]
+        assert scores == [("score", scorer, True)] + [("score", scorer, False)] * 2
+        assert len(pool_pids()) == 2 and not any(w.queue for w in workers._pool)
 
     def test_final_bleu_runs_while_the_final_model_scores(self, corpus_path, monkeypatch, fresh_pool):
         """The final model's score job is sent before its BLEU is worked
@@ -558,12 +609,14 @@ class TestScoringOnTheLastWorker:
             raise RuntimeError("injected BLEU fault")
 
         monkeypatch.setattr(harness, "bleu_of", broken)
+        pids = pool_pids()
         with pytest.raises(RuntimeError) as failure:
             run_experiment(cfg, report=False)
         assert str(failure.value) == "injected BLEU fault"
-        assert all(w.owed == 0 and not w.queue for w in workers._pool)
+        assert_gone(pids)  # the final score's reply died with its worker
         monkeypatch.setattr(harness, "bleu_of", bleu_of)
         assert outcome(run_experiment(cfg, report=False)) == outcome(ref)
+        assert_forked_anew(pids)
 
 
 class TestScoringFailFast:
@@ -601,6 +654,8 @@ class TestScoringFailFast:
         assert int(pid) != os.getpid()  # the fault fired in a worker
         assert elapsed - float(injected_at) < 2.0
         assert len(calls.read_text().splitlines()) == 2  # no round was scored after it
+        assert pool_pids() == []  # the failed run's workers are discarded
+        assert_no_zombie()
         res = run_experiment(cfg, report=False)  # the next run succeeds
         assert len(res.records) == cfg.rounds
         assert len(pool_pids()) == 2
@@ -619,7 +674,10 @@ class TestScoringFailFast:
         pids = pool_pids()
         message = self.fail_then_recover(corpus_path, transport, marker, calls, RuntimeError)
         assert message == "server: round 2: injected scoring fault"
-        assert pool_pids() == pids  # the worker lives on and served the next run
+        assert_forked_anew(pids)  # the scoring worker answered, but its run failed
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     @pytest.mark.parametrize("transport", ["memory", "tcp"])
     def test_worker_exit_while_scoring_named(
@@ -652,12 +710,15 @@ class TestScoringFailFast:
             raise RuntimeError("injected scoring fault")
 
         self.inject(monkeypatch, tmp_path, fault)
+        workers._grow(2)  # with the fault in it
+        pids = pool_pids()
         cfg = small_cfg(corpus_path, rounds=2)
         with pytest.raises(RuntimeError) as exc:
             run_experiment(cfg, report=False)
         assert str(exc.value) == "server: round 2: injected scoring fault"
-        assert all(w.owed == 0 and not w.queue for w in workers._pool)
+        assert_gone(pids)
         assert len(run_experiment(cfg, report=False).records) == 2
+        assert_forked_anew(pids)
 
     def test_in_process_scoring_error_fails_at_its_round(self, corpus_path, monkeypatch):
         """Without a pool each round is scored here as it ends."""
@@ -690,8 +751,9 @@ class TestScoringFailFast:
     ):
         """Central's client, and each local one, is a federation of one,
         scored on the worker it borrows from the pool, or with none on this
-        thread as its round ends; a fault is the server's either way, and a
-        worker lives on."""
+        thread as its round ends; a fault is the server's either way. The
+        failed run's worker is killed; the other, never lent to it, serves
+        the next run, since a lone client never grows the pool."""
         def fault():
             raise RuntimeError("injected scoring fault")
 
@@ -704,11 +766,13 @@ class TestScoringFailFast:
         with pytest.raises(RuntimeError) as exc:
             run_experiment(cfg, report=False)
         assert str(exc.value) == "server: round 2: injected scoring fault"
-        assert (int(marker.read_text().split()[1]) in pids) == pooled
+        scorer = int(marker.read_text().split()[1])
+        assert (scorer in pids) == pooled
         assert len(calls.read_text().splitlines()) == 2  # no round was scored after it
-        assert all(w.owed == 0 and not w.queue for w in workers._pool)
+        assert_gone([scorer] if pooled else [])
+        assert pool_pids() == pids[1:]  # the first idle worker was lent, and killed
         assert len(run_experiment(cfg, report=False).records) == cfg.rounds
-        assert pool_pids() == pids
+        assert pool_pids() == pids[1:]
 
     def test_compare_names_central_scoring_error(self, corpus_path, tmp_path, monkeypatch, fresh_pool):
         """In process, central is scored on its helper thread, and a fault
@@ -771,6 +835,37 @@ cfg = ExperimentConfig(
 harness.run_experiment(cfg, report=False)
 """
 
+# A compare of 3 rounds whose central client takes 5 s for each round from
+# its second on, and whose worker prints a line as it starts the first of
+# them, while local plays beside it; argv: source directory, corpus path,
+# output directory.
+_INTERRUPTED_COMPARE = """
+import sys
+import time
+sys.path.insert(0, sys.argv[1])
+import deltafed.harness as harness
+import deltafed.protocol as protocol
+import deltafed.workers as workers
+from deltafed.config import ExperimentConfig
+
+workers.planned_workers = lambda clients: min(clients, 2)
+cfg = ExperimentConfig(
+    corpus_path=sys.argv[2], rounds=3, clients=2, context=8, embed_dim=8, lr=0.01,
+    batch_size=8, lora_rank=2, lora_dropout=0.0, seed=1,
+)
+central_steps = sum(harness._setup(cfg).steps.values())
+train = protocol.Client.train
+
+def slow(self):
+    if self.task.steps_per_round == central_steps and self.losses:
+        print("central trains a slow round", flush=True)
+        time.sleep(5)
+    return train(self)
+
+protocol.Client.train = slow  # the pool forks with it
+harness.compare_modes(cfg, sys.argv[3])
+"""
+
 
 class TestInterrupt:
     @pytest.mark.parametrize("transport", ["memory", "tcp"])
@@ -778,11 +873,20 @@ class TestInterrupt:
         """^C at a terminal sends SIGINT to the foreground process group.
         Workers ignore it; the run ends at once with KeyboardInterrupt and
         reaps them on its way out."""
-        self.interrupt(corpus_path, transport, "fast")
+        self.interrupt(_INTERRUPTED_RUN, [str(corpus_path), transport, "fast"], "round 1 scored\n")
 
     def test_ctrl_c_while_every_worker_trains_a_long_round(self, corpus_path):
         """The workers are killed at once, not waited for."""
-        self.interrupt(corpus_path, "memory", "slow")
+        # into round 3, where both workers sleep
+        self.interrupt(_INTERRUPTED_RUN, [str(corpus_path), "memory", "slow"], "round 1 scored\n", 0.3)
+
+    def test_ctrl_c_during_compare_ends_central_too(self, corpus_path, tmp_path):
+        """^C while central trains a slow round on its worker beside local:
+        the workers lent to central are killed, so its lane ends at its next
+        read, and the process does not wait out central's run."""
+        self.interrupt(
+            _INTERRUPTED_COMPARE, [str(corpus_path), str(tmp_path)], "central trains a slow round\n"
+        )
 
     def test_interrupt_while_sending_a_job(self, corpus_path, monkeypatch, fresh_pool):
         """A KeyboardInterrupt while a job is being sent, before the worker
@@ -809,18 +913,20 @@ class TestInterrupt:
         assert len(run_experiment(cfg, report=False).records) == cfg.rounds
 
     @staticmethod
-    def interrupt(corpus_path, transport, pace):
+    def interrupt(script, args, ready, pause=0.0):
+        """Run `script` on `args` in a session of its own, wait for the line
+        `ready` and `pause` seconds more, then ^C it: it must exit within
+        2 s with KeyboardInterrupt and leave no process in its group."""
         src = os.path.dirname(os.path.dirname(harness.__file__))
-        argv = [sys.executable, "-c", _INTERRUPTED_RUN, src, str(corpus_path), transport, pace]
+        argv = [sys.executable, "-c", script, src, *args]
         with subprocess.Popen(
             argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             start_new_session=True,
         ) as child:
             try:
-                assert select.select([child.stdout], [], [], 30.0)[0], "round 1 never ended"
-                assert child.stdout.readline() == "round 1 scored\n"
-                if pace == "slow":
-                    time.sleep(0.3)  # into round 3, where both workers sleep
+                assert select.select([child.stdout], [], [], 30.0)[0], f"never printed {ready!r}"
+                assert child.stdout.readline() == ready
+                time.sleep(pause)
                 os.killpg(child.pid, signal.SIGINT)
                 sent = time.monotonic()
                 child.wait(timeout=2.0)
@@ -883,8 +989,8 @@ class TestNoLeaks:
         assert len(first) == 2
         assert_no_zombie()
 
-        # a worker killed mid-round: the run fails, that worker alone is
-        # discarded and reaped
+        # a worker killed mid-round: the run fails, and both its workers,
+        # the dead one and the live one, are discarded and reaped
         train = protocol.Client.train
 
         def killer(self):
@@ -894,17 +1000,18 @@ class TestNoLeaks:
 
         workers.shutdown()
         monkeypatch.setattr(protocol.Client, "train", killer)
+        workers._grow(2)  # with the killer in it
+        second = pool_pids()
         with pytest.raises(DeltaFedError, match="^client 1: round 1: training worker killed by signal 9$"):
             run_experiment(cfg, report=False)
-        second = pool_pids()
-        assert len(second) == 1  # client 0's worker
-        assert not any(w.lent for w in workers._pool)
-        assert_no_zombie()
+        assert_gone(second)
+        assert pool_pids() == []
         monkeypatch.undo()
 
         pool_of_two(monkeypatch)
         run_experiment(override(cfg, transport="tcp"), report=False)
         third = pool_pids()
+        assert_forked_anew(second)
         workers.shutdown()
         for pid in first + third:
             with pytest.raises(ProcessLookupError):
