@@ -19,35 +19,15 @@ _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"
 
 
 def _loaded_libraries() -> list[str]:
-    """Paths of the shared libraries this process has loaded, by glibc's
-    `dl_iterate_phdr`; [] where there is none."""
-    import ctypes
-
-    class Info(ctypes.Structure):
-        _fields_ = [
-            ("addr", ctypes.c_void_p),
-            ("name", ctypes.c_char_p),
-            ("phdr", ctypes.c_void_p),
-            ("phnum", ctypes.c_uint16),
-        ]
-
-    visit = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(Info), ctypes.c_size_t, ctypes.c_void_p)
+    """Paths of the shared libraries this process has mapped, read from
+    /proc/self/maps; [] where there is none."""
     try:
-        dl_iterate_phdr = ctypes.CDLL(None).dl_iterate_phdr
-    except (OSError, AttributeError):
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
+            # address perms offset dev inode [path], where a path may hold spaces
+            fields = [line.split(maxsplit=5) for line in maps.read().splitlines()]
+    except OSError:
         return []
-    dl_iterate_phdr.argtypes = (visit, ctypes.c_void_p)
-    dl_iterate_phdr.restype = ctypes.c_int
-    paths: list[str] = []
-
-    @visit
-    def each(info, size, data):
-        if info.contents.name:
-            paths.append(os.fsdecode(info.contents.name))
-        return 0
-
-    dl_iterate_phdr(each, None)
-    return paths
+    return list(dict.fromkeys(f[5] for f in fields if len(f) == 6 and ".so" in f[5]))
 
 
 def _pin_loaded_blas() -> None:

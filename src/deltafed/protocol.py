@@ -49,8 +49,6 @@ from .model import SEED_CLIENT, LmModel, Windows
 from .optim import OptimizerConfig, OptimizerState, init_state, local_train_round
 from .params import Layout, ParameterSet, differences, subtract_trainable
 from .wire import (
-    FLAG_FACTORS,
-    FLAG_QUANTIZED,
     HEADER_LEN,
     KIND_DELTA_UPDATE,
     KIND_FULL_MODEL_UPDATE,
@@ -157,7 +155,6 @@ class RoundPolicy:
 
     factor_broadcasts: bool  # rounds >= 2 broadcast the trainable entries only
     uplink_kind: int
-    uplink_flags: int  # FLAG_QUANTIZED is added when a delta is quantized
     form: str | None  # the uplink's delta form; None for full models
     covers: str  # what an update's entries are, for errors
     layout: Callable  # global params -> the layout every update must have
@@ -174,22 +171,22 @@ def _dense_layout(params: ParameterSet) -> Layout:
 
 # Full models carry no delta form, so both fedavg keys share one entry.
 _FEDAVG = RoundPolicy(
-    False, KIND_FULL_MODEL_UPDATE, 0, None, "global model",
+    False, KIND_FULL_MODEL_UPDATE, None, "global model",
     lambda params: params.layout,
     lambda model, start: model.params,
     lambda params, updates, weighting: fedavg_aggregate(updates),
 )
 _POLICIES = {
     (AGG_GRADUALDIFF, FORM_FACTORS): RoundPolicy(
-        True, KIND_DELTA_UPDATE, FLAG_FACTORS, FORM_FACTORS, "trainable set",
+        True, KIND_DELTA_UPDATE, FORM_FACTORS, "trainable set",
         lambda params: params.layout.trainable_only,
         lambda model, start: subtract_trainable(model.params, start),
         lambda params, updates, weighting: gradualdiff_aggregate(params, updates, weighting),
     ),
     (AGG_GRADUALDIFF, FORM_DENSE): RoundPolicy(
-        False, KIND_DELTA_UPDATE, 0, FORM_DENSE, "adapted targets",
+        False, KIND_DELTA_UPDATE, FORM_DENSE, "adapted targets",
         _dense_layout,
-        lambda model, start: dense_delta(model, start),
+        lambda model, start: dense_delta(model),
         lambda params, updates, weighting: apply_dense(params, mean_delta(updates, weighting)),
     ),
     (AGG_FEDAVG, FORM_FACTORS): _FEDAVG,
@@ -203,11 +200,8 @@ def _policy(cfg: ExperimentConfig) -> RoundPolicy:
 
 def broadcast(model: LmModel, rnd: int, cfg: ExperimentConfig) -> WireMessage:
     """The server's round-`rnd` broadcast of the global model."""
-    factors_only = _policy(cfg).factor_broadcasts
-    subset = "trainable" if factors_only and rnd > 1 else "all"
-    flags = FLAG_FACTORS if factors_only else 0
-    payload = serialize_params(model.params, subset)
-    return WireMessage(KIND_GLOBAL_BROADCAST, rnd, SERVER_SENDER, flags, payload)
+    subset = "trainable" if _policy(cfg).factor_broadcasts and rnd > 1 else "all"
+    return WireMessage(KIND_GLOBAL_BROADCAST, rnd, SERVER_SENDER, serialize_params(model.params, subset))
 
 
 def _misfit(rnd: int, want: Layout, got: Layout, factors: bool) -> ProtocolError:
@@ -307,6 +301,8 @@ def run_server(
         why = f"expected a join ack, got kind {msg.kind} round {msg.round}"
         _expect(msg.kind == KIND_ROUND_ACK and msg.round == 0, why, ledger)
         _expect(msg.sender_id not in by_client, f"duplicate join from client {msg.sender_id}", ledger)
+        why = f"round 0 join from client {msg.sender_id} carries {len(msg.payload)} payload bytes"
+        _expect(not msg.payload, why, ledger)
         by_client[msg.sender_id] = ch
         ledger.add_up(0, msg.sender_id, len(raw))
     client_ids = sorted(by_client)
@@ -413,17 +409,27 @@ class Client:
         with prefixed(None, self.ledger):
             msg = decode_message(raw)
             self.ledger.add_down(msg.round, self.id, len(raw))
-            if msg.kind == KIND_SHUTDOWN and msg.round == rnd:
-                return False
+            what = {KIND_GLOBAL_BROADCAST: "broadcast", KIND_SHUTDOWN: "shutdown"}.get(msg.kind)
             why = f"expected round {rnd}, got kind {msg.kind} round {msg.round}"
-            _expect(msg.kind == KIND_GLOBAL_BROADCAST and msg.round == rnd, why, self.ledger)
+            _expect(what is not None and msg.round == rnd, why, self.ledger)
+            why = f"round {rnd} {what} from sender {msg.sender_id}, not the server"
+            _expect(msg.sender_id == SERVER_SENDER, why, self.ledger)
+            if what == "shutdown":
+                why = f"round {rnd} shutdown carries {len(msg.payload)} payload bytes"
+                _expect(not msg.payload, why, self.ledger)
+                return False
             # a factor broadcast keeps the frozen vector; each kind must fit exactly
             params = self.model.params
             incoming = deserialize_params(msg.payload, trainable=set(params.trainable_names()))
-            factors = rnd > 1 and _policy(self.cfg).factor_broadcasts
+            policy = _policy(self.cfg)
+            factors = rnd > 1 and policy.factor_broadcasts
             want = params.layout.trainable_only if factors else params.layout
             if incoming.layout != want:
                 raise _misfit(rnd, want, incoming.layout, factors)
+            if policy.form == FORM_DENSE:  # `dense_delta` counts on every B starting at zero
+                name = next((n for n in want.names if n.endswith(".lora.B") and incoming.array(n).any()), None)
+                why = f"round {rnd} dense broadcast has a non-zero {name!r}; dense rounds start at zero factors"
+                _expect(name is None, why, self.ledger)
             self._start = params.with_trainable(incoming.trainable_flat) if factors else incoming
             self.model = self.model.with_params(self._start)
             with prefixed(f"round {rnd}"):
@@ -463,11 +469,8 @@ def _quantizes(cfg: ExperimentConfig) -> bool:
 
 def encode_update(params: ParameterSet, rnd: int, client_id: int, cfg: ExperimentConfig) -> bytes:
     """A client's round-`rnd` update message carrying `params`, a `Client.delta`."""
-    policy = _policy(cfg)
-    quantize = _quantizes(cfg)
-    payload = serialize_params(params, "all", quantize_payload=quantize)
-    flags = policy.uplink_flags | (FLAG_QUANTIZED if quantize else 0)
-    return encode_message(WireMessage(policy.uplink_kind, rnd, client_id, flags, payload))
+    payload = serialize_params(params, "all", quantize_payload=_quantizes(cfg))
+    return encode_message(WireMessage(_policy(cfg).uplink_kind, rnd, client_id, payload))
 
 
 def check_client_ledger(
@@ -489,17 +492,15 @@ def check_client_ledger(
                 )
 
 
-def dense_delta(model: LmModel, start: ParameterSet) -> ParameterSet:
-    """Each adapted target's change in scaling * A @ B since `start`, laid
-    out as `_dense_layout(start)`."""
-    def product(ps: ParameterSet, target: str) -> np.ndarray:
-        return ps.array(f"{target}.lora.A") @ ps.array(f"{target}.lora.B")
-
-    layout = _dense_layout(start)
+def dense_delta(model: LmModel) -> ParameterSet:
+    """Each adapted target's scaling * A @ B, laid out as
+    `_dense_layout(model.params)`: its change over a round, which starts
+    from every `lora.B` at zero (`Client.receive` checks that)."""
+    layout = _dense_layout(model.params)
     if not layout.names:
         raise ProtocolError("dense deltas require an adapted model")
     vec = np.empty(layout.trainable_size)
     for target, view in layout.views(vec).items():
-        change = product(model.params, target) - product(start, target)
-        view[...] = model.adapters[target].scaling * change
+        product = model.params.array(f"{target}.lora.A") @ model.params.array(f"{target}.lora.B")
+        view[...] = model.adapters[target].scaling * product
     return ParameterSet.from_vectors(layout, vec, np.zeros(0))

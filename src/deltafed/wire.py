@@ -1,13 +1,16 @@
 """Binary wire format: fixed 26-byte headers and the parameter entry codec.
 
-All integers are little-endian. The header layout is
+All integers are little-endian. The header layout, each field after its
+byte offset, is
 
-    magic "GDFL" | version u8 | kind u8 | round u32 | sender_id u32 |
-    flags u8 | 3 reserved zero bytes | payload_len u64
+    0 magic "GDFL" | 4 version u8 | 5 kind u8 | 6 round u32 |
+    10 sender_id u32 | 14 four reserved zero bytes | 18 payload_len u64
 
-which pins every message header to exactly HEADER_LEN bytes. Parameter
-payloads are `[u32 entry_count]` followed by one record per entry in
-lexicographic name order:
+which pins every message header to exactly HEADER_LEN bytes. Every byte is
+read or rejected: a header whose reserved bytes are not all zero fails.
+
+Parameter payloads are `[u32 entry_count]` followed by one record per entry
+in lexicographic name order:
 
     [u16 name_len][name utf-8][u8 dtype][u8 rank][u32 dim...][data]
 
@@ -39,10 +42,8 @@ KIND_ROUND_ACK = 4
 KIND_SHUTDOWN = 5
 _KINDS = range(1, 6)
 
-FLAG_QUANTIZED = 0x01
-FLAG_FACTORS = 0x02
-
-_HEADER = struct.Struct("<4sBBIIB3sQ")
+_HEADER = struct.Struct("<4sBBII4sQ")
+_RESERVED = bytes(4)
 assert _HEADER.size == HEADER_LEN
 
 # Largest payload a header may declare: 256 MiB, a full f32 model of 64M
@@ -59,7 +60,6 @@ class WireMessage:
     kind: int
     round: int
     sender_id: int
-    flags: int = 0
     payload: bytes = b""
 
     def __post_init__(self) -> None:
@@ -69,58 +69,47 @@ class WireMessage:
             raise FormatError(f"round {self.round} out of u32 range")
         if not 0 <= self.sender_id <= 0xFFFFFFFF:
             raise FormatError(f"sender_id {self.sender_id} out of u32 range")
-        if not 0 <= self.flags <= 0xFF:
-            raise FormatError(f"flags {self.flags} out of u8 range")
 
 
 def encode_message(msg: WireMessage) -> bytes:
     header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        msg.kind,
-        msg.round,
-        msg.sender_id,
-        msg.flags,
-        b"\x00\x00\x00",
-        len(msg.payload),
+        MAGIC, VERSION, msg.kind, msg.round, msg.sender_id, _RESERVED, len(msg.payload)
     )
     return header + msg.payload
 
 
-def parse_header(header: bytes) -> tuple[int, int, int, int, int]:
-    """-> (kind, round, sender_id, flags, payload_len); strict on every field."""
+def parse_header(header: bytes) -> tuple[int, int, int, int]:
+    """-> (kind, round, sender_id, payload_len); strict on every field."""
     if len(header) != HEADER_LEN:
         raise FormatError(
             f"header must be {HEADER_LEN} bytes, got {len(header)}"
         )
-    magic, version, kind, round_, sender, flags, reserved, payload_len = (
-        _HEADER.unpack(header)
-    )
+    magic, version, kind, round_, sender, reserved, payload_len = _HEADER.unpack(header)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
     if kind not in _KINDS:
         raise FormatError(f"unknown message kind {kind}")
-    if reserved != b"\x00\x00\x00":
+    if reserved != _RESERVED:
         raise FormatError("reserved header bytes must be zero")
     if payload_len > MAX_PAYLOAD_LEN:
         raise FormatError(
             f"declared payload length {payload_len} exceeds {MAX_PAYLOAD_LEN}"
         )
-    return kind, round_, sender, flags, payload_len
+    return kind, round_, sender, payload_len
 
 
 def decode_message(data: bytes) -> WireMessage:
     if len(data) < HEADER_LEN:
         raise FormatError(f"message truncated at {len(data)} bytes")
-    kind, round_, sender, flags, payload_len = parse_header(data[:HEADER_LEN])
+    kind, round_, sender, payload_len = parse_header(data[:HEADER_LEN])
     if len(data) != HEADER_LEN + payload_len:
         raise FormatError(
             f"payload length {len(data) - HEADER_LEN} does not match "
             f"declared {payload_len}"
         )
-    return WireMessage(kind, round_, sender, flags, data[HEADER_LEN:])
+    return WireMessage(kind, round_, sender, data[HEADER_LEN:])
 
 
 def _subset(params: ParameterSet, subset: str) -> ParameterSet:

@@ -105,7 +105,7 @@ class TestEffectiveWeight:
                 }
             )
         )
-        delta = dense_delta(bumped, adapted.params)
+        delta = dense_delta(bumped)
         p = bumped.params
         for t, ad in bumped.adapters.items():
             a, b = p.array(f"{t}.lora.A"), p.array(f"{t}.lora.B")

@@ -42,11 +42,12 @@ def configs(draw):
     aggregation = draw(st.sampled_from(["gradualdiff", "fedavg"]))
     form = draw(st.sampled_from(["factors", "dense"] if rank else ["factors"]))
     fields = dict(
-        clients=draw(st.integers(1, 3)),
+        clients=draw(st.integers(1, 4)),  # from 3, a worker serves two clients
         embed_dim=draw(st.integers(4, 16)),
         rounds=draw(st.integers(1, 2)),
         local_epochs=draw(st.integers(1, 2)),
         lora_rank=rank,
+        lora_targets=draw(st.sampled_from(["embed.W,rnn.U", "rnn.U", "embed.W"])),
         lora_dropout=draw(st.sampled_from([0.0, 0.1])) if rank else 0.0,
         aggregation=aggregation,
         delta_form=form,
@@ -54,7 +55,7 @@ def configs(draw):
         quantize_payload=draw(st.booleans()),
         context=CONTEXT,
         split=SPLIT,
-        batch_size=8,
+        batch_size=draw(st.integers(3, 16)),
         lr=0.01,
         seed=draw(st.integers(0, 2**16)),
     )

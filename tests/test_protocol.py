@@ -1,3 +1,4 @@
+import dataclasses
 import socket
 import time
 from collections import Counter
@@ -22,7 +23,6 @@ from deltafed.protocol import (
 )
 from deltafed.transport import Hub, TcpChannel, TcpListener, memory_pairs, tcp_connect
 from deltafed.wire import (
-    FLAG_FACTORS,
     HEADER_LEN,
     KIND_DELTA_UPDATE,
     KIND_FULL_MODEL_UPDATE,
@@ -31,6 +31,7 @@ from deltafed.wire import (
     KIND_SHUTDOWN,
     WireMessage,
     decode_message,
+    deserialize_params,
     encode_message,
     serialize_params,
     serialized_size,
@@ -89,7 +90,6 @@ def scripted_delta(ch, cid, rnd, delta_params):
                 KIND_DELTA_UPDATE,
                 rnd,
                 cid,
-                FLAG_FACTORS,
                 serialize_params(delta_params),
             )
         )
@@ -122,16 +122,16 @@ POLICIES = {
 
 
 def fitting_update(model, policy):
-    """(kind, flags, params) of a round-1 update with the policy's layout."""
+    """(kind, params) of a round-1 update with the policy's layout."""
     p = model.params
     if policy == "factors":
-        return KIND_DELTA_UPDATE, FLAG_FACTORS, delta_like(p, 0.0)
+        return KIND_DELTA_UPDATE, delta_like(p, 0.0)
     if policy == "dense":
         targets = ("embed.W", "rnn.U")
-        return KIND_DELTA_UPDATE, 0, ParameterSet(
+        return KIND_DELTA_UPDATE, ParameterSet(
             [(t, np.zeros(p.array(t).shape), True) for t in targets]
         )
-    return KIND_FULL_MODEL_UPDATE, 0, p
+    return KIND_FULL_MODEL_UPDATE, p
 
 
 class TestScriptedServer:
@@ -218,7 +218,7 @@ class TestScriptedServer:
         payload = bytearray(serialize_params(delta))
         payload[-4:] = np.float32(np.nan).tobytes()  # the last entry's last value
         client_chs[0].send(
-            encode_message(WireMessage(KIND_DELTA_UPDATE, 1, 0, FLAG_FACTORS, bytes(payload)))
+            encode_message(WireMessage(KIND_DELTA_UPDATE, 1, 0, bytes(payload)))
         )
         last = max(delta.names())
         with pytest.raises(FormatError) as exc:
@@ -233,7 +233,7 @@ class TestScriptedServer:
     def test_misfit_update_names_client_round_and_entry(self, policy, misfit, k):
         cfg, who, covers, entry, shape = POLICIES[policy]
         model = adapted_model()
-        kind, flags, fits = fitting_update(model, policy)
+        kind, fits = fitting_update(model, policy)
         if misfit == "missing":
             bad = drop(fits, [entry])
             why = f" does not cover the {covers}: missing [{entry!r}], extra []"
@@ -250,7 +250,7 @@ class TestScriptedServer:
             scripted_join(client_chs[cid], cid)
             params = bad if cid == last else fits
             client_chs[cid].send(
-                encode_message(WireMessage(kind, 1, cid, flags, serialize_params(params)))
+                encode_message(WireMessage(kind, 1, cid, serialize_params(params)))
             )
         with pytest.raises(ProtocolError) as exc:
             run_server(model, server_chs, cfg)
@@ -454,6 +454,78 @@ class TestClientWithoutChannel:
             run_server(model, server_chs, cfg, clients=[(None, Client(model, task, cfg))])
 
 
+class _Tampering:
+    """The server's end of a channel that rewrites each message it sends
+    with `rewrite`, a function of the decoded message."""
+
+    def __init__(self, end, rewrite):
+        self.end, self.rewrite = end, rewrite
+
+    def send(self, raw):
+        self.end.send(encode_message(self.rewrite(decode_message(raw))))
+
+    def recv(self):
+        return self.end.recv()
+
+
+class TestServerMessagesChecked:
+    """A client reads every field of what the server sends it: a message
+    not from the server, a shutdown with a payload and a dense broadcast
+    whose factors do not start at zero each fail, naming the round and the
+    client, with the client's ledger. So does a join with a payload, at the
+    server."""
+
+    def tampered(self, cfg, kind, rnd, change):
+        """-> the ProtocolError of a two-round federation of one client whose
+        server message of this kind and round went out with `change` made."""
+        model = adapted_model()
+        (task,) = tasks_for(model, shards_for(model, 1), rounds=2)
+        client = Client(model, task, cfg)
+
+        def rewrite(msg):
+            return dataclasses.replace(msg, **change(msg)) if (msg.kind, msg.round) == (kind, rnd) else msg
+
+        server_chs, client_chs = memory_pairs(1)
+        with pytest.raises(ProtocolError) as exc:
+            run_server(model, [_Tampering(server_chs[0], rewrite)], cfg, clients=[(client_chs[0], client)])
+        assert exc.value.ledger is client.ledger
+        assert client.ledger.downlink_bytes(rnd) > 0  # the tampered message is booked
+        return exc.value
+
+    @pytest.mark.parametrize("kind, rnd, what", [(KIND_GLOBAL_BROADCAST, 2, "broadcast"), (KIND_SHUTDOWN, 3, "shutdown")])
+    def test_sender_other_than_the_server_rejected(self, kind, rnd, what):
+        e = self.tampered(ExperimentConfig(rounds=2), kind, rnd, lambda msg: {"sender_id": 7})
+        assert str(e) == f"client 0: round {rnd} {what} from sender 7, not the server"
+
+    def test_shutdown_with_a_payload_rejected(self):
+        e = self.tampered(ExperimentConfig(rounds=2), KIND_SHUTDOWN, 3, lambda msg: {"payload": b"bye"})
+        assert str(e) == "client 0: round 3 shutdown carries 3 payload bytes"
+
+    @pytest.mark.parametrize("rnd", [1, 2])
+    def test_dense_broadcast_with_nonzero_factors_rejected(self, rnd):
+        def nonzero_b(msg):
+            params = deserialize_params(msg.payload)
+            b = np.full(params.array("rnn.U.lora.B").shape, 0.5)
+            return {"payload": serialize_params(replace_values(params, {"rnn.U.lora.B": b}))}
+
+        cfg = ExperimentConfig(rounds=2, delta_form="dense")
+        e = self.tampered(cfg, KIND_GLOBAL_BROADCAST, rnd, nonzero_b)
+        assert str(e) == (
+            f"client 0: round {rnd} dense broadcast has a non-zero 'rnn.U.lora.B'; "
+            "dense rounds start at zero factors"
+        )
+
+    def test_join_with_a_payload_rejected(self):
+        model = adapted_model()
+        server_chs, client_chs = memory_pairs(2)
+        scripted_join(client_chs[0], 0)
+        client_chs[1].send(encode_message(WireMessage(KIND_ROUND_ACK, 0, 1, payload=b"hi")))
+        with pytest.raises(ProtocolError) as exc:
+            run_server(model, server_chs, ExperimentConfig(rounds=1))
+        assert str(exc.value) == "round 0 join from client 1 carries 2 payload bytes"
+        assert exc.value.ledger is not None
+
+
 def test_apply_dense_folds_the_mean_into_the_base_entries():
     rng = np.random.default_rng(4)
     params = adapted_model().params
@@ -535,7 +607,7 @@ class TestFactorBroadcast:
             for rnd, payload in enumerate(payloads, start=1):
                 client.receive(
                     encode_message(
-                        WireMessage(KIND_GLOBAL_BROADCAST, rnd, SERVER_SENDER, FLAG_FACTORS, payload)
+                        WireMessage(KIND_GLOBAL_BROADCAST, rnd, SERVER_SENDER, payload)
                     )
                 )
                 client.update()
@@ -563,7 +635,7 @@ class TestFactorBroadcast:
         def short_in_round_2(model, rnd, cfg):
             msg = real(model, rnd, cfg)
             if rnd == 2:
-                msg = WireMessage(msg.kind, rnd, msg.sender_id, msg.flags, serialize_params(short))
+                msg = WireMessage(msg.kind, rnd, msg.sender_id, serialize_params(short))
             return msg
 
         monkeypatch.setattr(protocol, "broadcast", short_in_round_2)

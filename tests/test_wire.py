@@ -7,8 +7,6 @@ from deltafed.errors import FormatError
 from deltafed.params import Layout, ParameterSet
 from deltafed.quant import dequantize, quantize
 from deltafed.wire import (
-    FLAG_FACTORS,
-    FLAG_QUANTIZED,
     HEADER_LEN,
     KIND_DELTA_UPDATE,
     KIND_GLOBAL_BROADCAST,
@@ -35,15 +33,12 @@ class TestHeader:
             msg = WireMessage(kind, 3, 7, payload=b"abc")
             assert len(encode_message(msg)) == HEADER_LEN + 3
 
-    def test_round_trip_all_fields(self):
-        msg = WireMessage(
-            KIND_DELTA_UPDATE,
-            round=12,
-            sender_id=4,
-            flags=FLAG_QUANTIZED | FLAG_FACTORS,
-            payload=b"\x01\x02",
-        )
-        assert decode_message(encode_message(msg)) == msg
+    @pytest.mark.parametrize("rnd, sender", [(12, 4), (0xFFFFFFFF, 0xFFFFFFFF)])
+    def test_round_trip_all_fields(self, rnd, sender):
+        msg = WireMessage(KIND_DELTA_UPDATE, round=rnd, sender_id=sender, payload=b"\x01\x02")
+        raw = encode_message(msg)
+        assert raw[6:14] == struct.pack("<II", rnd, sender)
+        assert decode_message(raw) == msg
 
     def test_header_bytes_frozen(self):
         raw = encode_message(WireMessage(KIND_ROUND_ACK, 0, 2))
@@ -69,11 +64,14 @@ class TestHeader:
         with pytest.raises(FormatError, match="kind"):
             decode_message(bytes(raw))
 
-    def test_nonzero_reserved_rejected(self):
+    @pytest.mark.parametrize("offset", [14, 15, 16, 17])
+    def test_nonzero_reserved_rejected(self, offset):
         raw = bytearray(encode_message(WireMessage(1, 1, 1)))
-        raw[15] = 1
-        with pytest.raises(FormatError, match="reserved"):
+        raw[offset] = 1
+        with pytest.raises(FormatError, match="^reserved header bytes must be zero$"):
             decode_message(bytes(raw))
+        with pytest.raises(FormatError, match="^reserved header bytes must be zero$"):
+            parse_header(bytes(raw))
 
     def test_truncated_header(self):
         with pytest.raises(FormatError, match="truncated"):
@@ -103,10 +101,10 @@ class TestHeader:
             WireMessage(6, 1, 1)
         with pytest.raises(FormatError):
             WireMessage(1, -1, 1)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="^round 4294967296 out of u32 range$"):
+            WireMessage(1, 2**32, 1)
+        with pytest.raises(FormatError, match="^sender_id 4294967296 out of u32 range$"):
             WireMessage(1, 1, 2**32)
-        with pytest.raises(FormatError):
-            WireMessage(1, 1, 1, flags=256)
 
 
 class TestSerializeParams:
@@ -218,6 +216,23 @@ class TestSerializeParams:
         ps = ParameterSet.from_vectors(layout, np.zeros(1), np.zeros(0))
         with pytest.raises(FormatError, match="rank"):
             serialize_params(ps)
+
+    def test_longest_name_round_trips(self):
+        name = "x" * 65535
+        raw = serialize_params(param_set(**{name: [1.0]}))
+        assert raw[4:6] == b"\xff\xff"
+        assert len(raw) == serialized_size(param_set(**{name: [1.0]}))
+        assert deserialize_params(raw).names() == [name]
+
+    def test_largest_rank_round_trips(self):
+        shape = (2,) + (1,) * 254
+        layout = Layout(("w",), (shape,), (True,))
+        ps = ParameterSet.from_vectors(layout, np.array([1.0, -2.0]), np.zeros(0))
+        raw = serialize_params(ps)
+        assert raw[8] == 255  # count(4) + name_len(2) + name(1) + dtype(1) -> rank
+        out = deserialize_params(raw)
+        assert out.layout == layout
+        assert out.trainable_flat.tolist() == [1.0, -2.0]
 
 
 class TestDeserializeErrors:

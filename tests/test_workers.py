@@ -25,7 +25,6 @@ from deltafed.errors import DeltaFedError, ProtocolError
 from deltafed.harness import compare_modes, run_experiment
 from deltafed.transport import memory_pairs
 from deltafed.wire import (
-    FLAG_FACTORS,
     KIND_GLOBAL_BROADCAST,
     WireMessage,
     encode_message,
@@ -1084,7 +1083,7 @@ class TestClientInItsWorker:
             with pytest.raises(ProtocolError) as exc:
                 for rnd, payload in enumerate([full, short], start=1):
                     client.receive(encode_message(
-                        WireMessage(KIND_GLOBAL_BROADCAST, rnd, protocol.SERVER_SENDER, FLAG_FACTORS, payload)
+                        WireMessage(KIND_GLOBAL_BROADCAST, rnd, protocol.SERVER_SENDER, payload)
                     ))
                     client.update()
             return exc.value
