@@ -9,7 +9,10 @@ round is made of:
 - `clip_adamw`: `optim._clip_flat` + `optim._adamw_flat` on its gradient,
   with AdamW's scratch built once as the round builds it;
 - `round`: one `optim.local_train_round` of a client's steps per round;
-- `perplexity`: `model.perplexity_of` over the held-out stream.
+- `perplexity`: `model.perplexity_of` over the held-out stream;
+- `q4_encode`, `q4_decode`: `wire.serialize_params` and
+  `wire.deserialize_params` of a client's round-1 delta, 4-bit, at the
+  `full-d256-b8` shape only (the uplink codec of `wide-q4-tcp`).
 
 Each at three shapes, built as `harness._setup` builds a run, seed 1:
 
@@ -66,6 +69,12 @@ SEED = 1
 SAMPLES = 15
 PAIRS = 60  # samples a side, taken in turns, with --against
 KERNELS = ("grad", "clip_adamw", "round", "perplexity")
+CODEC_SHAPE = "full-d256-b8"  # the shape whose uplink is 4-bit
+CODEC_KERNELS = ("q4_encode", "q4_decode")
+
+
+def kernel_names(shape: str) -> tuple[str, ...]:
+    return KERNELS + CODEC_KERNELS if shape == CODEC_SHAPE else KERNELS
 
 
 def load_module(name: str, path: Path):
@@ -87,7 +96,7 @@ def summary(times: list[float]) -> dict:
     return {"best_ms": round(min(times), 4), "median_ms": round(statistics.median(times), 4)}
 
 
-def kernels(settings: dict, corpus_bytes, work_dir: Path, quick: bool) -> tuple[int, dict]:
+def kernels(shape: str, work_dir: Path, quick: bool) -> tuple[int, dict]:
     """One shape's steps per round, and its kernels: name -> (fn, calls
     per sample)."""
     import numpy as np
@@ -97,7 +106,10 @@ def kernels(settings: dict, corpus_bytes, work_dir: Path, quick: bool) -> tuple[
     from deltafed import ExperimentConfig
     from deltafed.model import perplexity_of, trainable_loss_and_grad
     from deltafed.optim import _adamw_flat, _clip_flat, _grad_norm, init_state, local_train_round
+    from deltafed.params import subtract_trainable
+    from deltafed.wire import deserialize_params, serialize_params
 
+    settings, corpus_bytes = SHAPES[shape]
     fields = dict(settings)
     if corpus_bytes is not None:
         make_corpus = load_module("make_corpus", ROOT / "scripts" / "make_corpus.py").make_corpus
@@ -142,12 +154,22 @@ def kernels(settings: dict, corpus_bytes, work_dir: Path, quick: bool) -> tuple[
         perplexity_of(model, setup.val_ids)
 
     calls = 1 if quick else 20
-    return steps, {
+    timed = {
         "grad": (grad, calls),
         "clip_adamw": (clip_adamw, calls),
         "round": (train_round, 1),
         "perplexity": (perplexity, 1 if quick else 5),
     }
+    if shape == CODEC_SHAPE:  # a round-1 delta, as a client uplinks it
+        trained = local_train_round(
+            model, init_state(params), shard, task.opt_cfg, task.rng(),
+            batch_size=cfg.batch_size, steps=steps,
+        )[0]
+        delta = subtract_trainable(trained.params, params)
+        raw = serialize_params(delta, "all", quantize_payload=True)
+        timed["q4_encode"] = (lambda: serialize_params(delta, "all", quantize_payload=True), calls)
+        timed["q4_decode"] = (lambda: deserialize_params(raw), calls)
+    return steps, timed
 
 
 def import_tree(src: Path) -> None:
@@ -169,8 +191,8 @@ def one_tree(src: Path, quick: bool) -> dict:
     samples = 2 if quick else SAMPLES
     shapes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (settings, corpus_bytes) in SHAPES.items():
-            steps, timed = kernels(settings, corpus_bytes, Path(tmp), quick)
+        for name in SHAPES:
+            steps, timed = kernels(name, Path(tmp), quick)
             shapes[name] = {"steps_per_round": steps}
             for kernel, (fn, calls) in timed.items():
                 shapes[name][kernel] = summary([sample_ms(fn, calls) for _ in range(samples)])
@@ -184,10 +206,7 @@ def serve(src: Path, quick: bool, conn) -> None:
     with one sample, until None comes."""
     import_tree(src)
     with tempfile.TemporaryDirectory() as tmp:
-        built = {
-            name: kernels(settings, corpus_bytes, Path(tmp), quick)
-            for name, (settings, corpus_bytes) in SHAPES.items()
-        }
+        built = {name: kernels(name, Path(tmp), quick) for name in SHAPES}
         conn.send(({name: steps for name, (steps, _) in built.items()}, fingerprint()))
         for name, kernel in iter(conn.recv, None):
             fn, calls = built[name][1][kernel]
@@ -209,11 +228,11 @@ def two_trees(src: Path, against: Path, quick: bool) -> dict:
             procs[-1].start()
             conns[side] = here
         built = {side: conn.recv() for side, conn in conns.items()}
-        times = {(name, kernel, side): [] for name in SHAPES for kernel in KERNELS for side in sides}
+        times = {(name, kernel, side): [] for name in SHAPES for kernel in kernel_names(name) for side in sides}
         for i in range(turns):
             order = ("change", "parent") if i % 2 else ("parent", "change")
             for name in SHAPES:
-                for kernel in KERNELS:
+                for kernel in kernel_names(name):
                     for side in order:
                         conns[side].send((name, kernel))
                         times[name, kernel, side].append(conns[side].recv())
@@ -229,7 +248,7 @@ def two_trees(src: Path, against: Path, quick: bool) -> dict:
         if len(steps) > 1:  # rounds of different lengths do not compare
             raise SystemExit(f"{name}: the two trees train {sorted(steps)} steps per round")
         row = {"steps_per_round": steps.pop()}
-        for kernel in KERNELS:
+        for kernel in kernel_names(name):
             parent, change = (times[name, kernel, side] for side in sides)
             row[kernel] = {
                 "parent": summary(parent),

@@ -42,6 +42,7 @@ import numpy as np
 
 from .config import MODES, ExperimentConfig, override
 from .data import corpus_tokens, partition_iid, round_robin, sequences_of, split_stream
+from .errors import DeltaFedError
 from .lora import attach
 from .metrics import RoundRecord, bleu, emit_report, format_rows, mode_totals
 from .model import (
@@ -86,6 +87,7 @@ class _Setup:
     bleu_windows: Windows  # the held-out windows BLEU continues
     model: LmModel
     steps: dict[int, int]
+    stop: threading.Event = field(default_factory=threading.Event)  # once set, each lane ends at its next round end
 
 
 def _setup(cfg: ExperimentConfig) -> _Setup:
@@ -206,6 +208,8 @@ def _federate(cfg: ExperimentConfig, setup: _Setup, tasks: list[ClientTask]) -> 
         scorer = clients[-1] if isinstance(clients[-1], WorkerClient) else None
 
         def score(t: int, model: LmModel) -> None:
+            if setup.stop.is_set():
+                raise DeltaFedError(f"stopped after round {t}: the run was interrupted")
             if scorer is None:
                 with prefixed(f"round {t}"):
                     ppls.append(perplexity_of(model, setup.val_ids))
@@ -320,7 +324,7 @@ def compare_modes(cfg: ExperimentConfig, out_dir: str | Path | None = None):
     lane is raised, prefixed with its mode, once both have ended. A
     KeyboardInterrupt here kills the workers lent to central, so its lane
     fails at its next read and the interrupt is raised at once; a central
-    lane that plays in process (no pool) still runs to its end first.
+    lane that plays in process (no pool) ends with the round it is in.
     """
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     setup = _setup(cfg)
@@ -342,7 +346,8 @@ def compare_modes(cfg: ExperimentConfig, out_dir: str | Path | None = None):
     try:
         run("local")
         helper.join()
-    except BaseException:  # ^C, say: central's pooled lane ends at its next read
+    except BaseException:  # ^C, say: central's lane ends at its next read or round end
+        setup.stop.set()
         kill_lent()
         helper.join()
         raise

@@ -15,7 +15,9 @@ in lexicographic name order:
     [u16 name_len][name utf-8][u8 dtype][u8 rank][u32 dim...][data]
 
 dtype 0 stores raw little-endian f32; dtype 1 stores the 4-bit block layout
-from `quant`.
+from `quant`. An encoder writes a message's values in one pass: one f32
+cast per vector, or one `quant.quantize` of every entry end to end, whose
+blocks restart at each entry. A decoder reads entry by entry.
 """
 
 from __future__ import annotations
@@ -123,26 +125,37 @@ def _subset(params: ParameterSet, subset: str) -> ParameterSet:
 def serialize_params(
     params: ParameterSet, subset: str = "all", quantize_payload: bool = False
 ) -> bytes:
+    """The entry stream of `params`' `subset`. Every name and rank is
+    checked before any value is encoded. Values are encoded in one pass: one
+    f32 cast per vector, or one `quantize` of all the entries end to end,
+    which for a delta is its trainable vector itself; each entry's data is
+    then a slice of that."""
     params = _subset(params, subset)
     layout = params.layout
-    if not quantize_payload:  # one f32 cast per vector
-        f32 = (params.frozen_flat.astype("<f4"), params.trainable_flat.astype("<f4"))
-    dtype = DTYPE_Q4 if quantize_payload else DTYPE_F32
-    chunks = [struct.pack("<I", len(layout.names))]
-    for name, (flag, lo, hi, shape) in layout.slots.items():
+    heads = []  # each entry's bytes before its data
+    for name, (_, _, _, shape) in layout.slots.items():
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise FormatError(f"entry name {name[:32]!r}... exceeds 65535 bytes")
         if len(shape) > 0xFF:
             raise FormatError(f"entry {name!r} rank {len(shape)} exceeds 255")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<BB", dtype, len(shape)))
-        chunks.append(struct.pack(f"<{len(shape)}I", *shape))
-        if quantize_payload:  # each entry on its own
-            chunks.append(quant_to_bytes(quantize(params.array(name))))
-        else:
-            chunks.append(f32[flag][lo:hi].tobytes())
+        heads.append(struct.pack(f"<H{len(encoded)}sBB{len(shape)}I", len(encoded), encoded,
+                                 DTYPE_Q4 if quantize_payload else DTYPE_F32, len(shape), *shape))
+    vectors = (params.frozen_flat, params.trainable_flat)
+    chunks = [struct.pack("<I", len(layout.names))]
+    if quantize_payload:
+        sizes = [hi - lo for _, lo, hi, _ in layout.slots.values()]
+        values = vectors[True] if not layout.frozen_size else np.concatenate(
+            [vectors[flag][lo:hi] for flag, lo, hi, _ in layout.slots.values()]
+        )
+        records, at = memoryview(quant_to_bytes(quantize(values, sizes))), 0
+        for head, n in zip(heads, sizes):
+            chunks += [head, records[at : at + packed_size(n)]]
+            at += packed_size(n)
+    else:
+        f32 = [v.astype("<f4") for v in vectors]
+        for head, (flag, lo, hi, _) in zip(heads, layout.slots.values()):
+            chunks += [head, f32[flag][lo:hi].tobytes()]
     return b"".join(chunks)
 
 

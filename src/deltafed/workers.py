@@ -19,7 +19,9 @@ BLEU; `score` reads the perplexity. Every job gets exactly one reply.
 The pool is forked once per process, by the first federation of two or more
 clients that can use it: W = min(K, C) workers for K clients on C usable
 cores, only while the caller runs no other thread, and none with W < 2,
-without `os.fork` or after a failed fork. Each idle worker is lent to one
+without `os.fork` or after a failed fork. Each worker makes itself a
+SCHED_BATCH task where it can, so a job that wakes it does not preempt the
+thread that sends the round's other jobs. Each idle worker is lent to one
 run at a time: a federation borrows up to W, and client i plays on the
 (i mod n)-th of the n it got; a lone client borrows one; a run that borrows
 none plays in process. A worker runs one job at a time; a client's job
@@ -301,6 +303,15 @@ def _forget_pool() -> None:
     _pool_lock = threading.Lock()
 
 
+def _run_as_batch() -> None:
+    """Make this process a SCHED_BATCH task, where the call exists and is
+    allowed: a woken batch task does not preempt the thread that woke it,
+    so the driving thread sends all of a round's jobs before it yields its
+    core. Else it stays as it was."""
+    with suppress(AttributeError, OSError):
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+
+
 def _grow(n: int) -> None:
     """Fork workers until the pool has n; none while other threads are live,
     no more after a fork fails."""
@@ -319,6 +330,7 @@ def _grow(n: int) -> None:
             code = 1
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
+                _run_as_batch()
                 parent_end.close()
                 _serve(child_end, worker.area, worker.slot)
                 code = 0

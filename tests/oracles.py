@@ -18,14 +18,19 @@ step's gradient, clip and AdamW update as ParameterSet front ends of the
 flat kernels, for tests that compare them entry by entry and compose a
 round from them. `with_flags`, `merged_with`, `drop` and `replace_values`
 build the odd parameter sets tests feed to the checks, entry by entry.
+`entry_quantize`, `entry_to_bytes` and `q4_payload` are the 4-bit wire
+encode as it was before it took a message's entries in one pass: each
+entry quantized and packed on its own, its name and rank checked just
+before its values; the one-pass encode must match their bytes and errors.
 """
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from deltafed.errors import ArgumentError, StructureError
+from deltafed.errors import ArgumentError, FormatError, StructureError
 from deltafed.model import (
     SEED_PARTITION,
     _check_ids,
@@ -46,6 +51,8 @@ from deltafed.optim import (
     lr_at,
 )
 from deltafed.params import ParameterSet, check_layout
+from deltafed.quant import BLOCK, QuantizedTensor
+from deltafed.wire import DTYPE_Q4
 
 
 def vocab_symbols(data: bytes) -> bytes:
@@ -517,3 +524,54 @@ def snapshot_train_round(model, state, windows, cfg, rng, *, batch_size, steps):
         step += 1
         losses.append(loss)
     return p, OptimizerState(step, state.layout, m, v), float(np.mean(losses))
+
+
+def entry_quantize(values):
+    """One entry's values as 4-bit blocks, blocks from its first value."""
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(flat)):
+        raise ArgumentError("cannot quantize non-finite values")
+    n = flat.size
+    starts = np.arange(0, n, BLOCK)
+    mn = np.minimum.reduceat(flat, starts)
+    mx = np.maximum.reduceat(flat, starts)
+    rmin = np.minimum(mn, 0.0)
+    with np.errstate(over="ignore"):
+        rng = np.maximum(mx, 0.0) - rmin
+        scale = (rng / 15).astype(np.float32)
+        const_scale = np.abs(mn).astype(np.float32)
+    short = scale.astype(np.float64) * 15 < rng
+    scale[short] = np.nextafter(scale[short], np.float32(np.inf))
+    const = (mn == mx) & np.isfinite(const_scale)
+    if not np.all(np.isfinite(scale[~const])):
+        raise ArgumentError("block range exceeds the 4-bit codec's f32 scale")
+    scale = np.where(const, const_scale, scale)
+    dust = scale == 0.0
+    scale[dust] = 1.0
+    step = np.where(const & ~dust, np.abs(mn), scale)
+    zps = np.clip(np.ceil(-rmin / step - 0.5), 0, 15).astype(np.uint8)
+    sizes = np.diff(np.append(starts, n))
+    q = np.floor(flat / np.repeat(step, sizes) + np.repeat(zps, sizes) + 0.5)
+    return QuantizedTensor((n,), scale, zps, np.clip(q, 0, 15).astype(np.uint8))
+
+
+def entry_to_bytes(q):
+    """One entry's record: its count, block headers and packed codes."""
+    headers = b"".join(struct.pack("<fB3x", s, z) for s, z in zip(q.scales.tolist(), q.zero_points.tolist()))
+    codes = np.append(q.codes, np.zeros(q.n % 2, dtype=np.uint8))
+    return struct.pack("<I", q.n) + headers + (codes[0::2] | (codes[1::2] << 4)).tobytes()
+
+
+def q4_payload(params):
+    """serialize_params(params, "all", quantize_payload=True), entry by
+    entry."""
+    chunks = [struct.pack("<I", len(params.names()))]
+    for name in params.names():
+        encoded, shape = name.encode("utf-8"), params.layout.slots[name][3]
+        if len(encoded) > 0xFFFF:
+            raise FormatError(f"entry name {name[:32]!r}... exceeds 65535 bytes")
+        if len(shape) > 0xFF:
+            raise FormatError(f"entry {name!r} rank {len(shape)} exceeds 255")
+        chunks.append(struct.pack(f"<H{len(encoded)}sBB{len(shape)}I", len(encoded), encoded, DTYPE_Q4, len(shape), *shape))
+        chunks.append(entry_to_bytes(entry_quantize(params.array(name))))
+    return b"".join(chunks)

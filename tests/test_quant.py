@@ -466,3 +466,68 @@ def test_codec_emits_no_runtime_warning():
                 continue
             back = from_bytes(to_bytes(q), arr.shape)
             assert np.all(np.isfinite(dequantize(back)))
+
+
+# -- a message's entries in one pass -----------------------------------------
+
+
+@st.composite
+def entry_runs(draw):
+    """1-5 arrays drawn with codec_arrays, as one flat run and its sizes."""
+    arrays = draw(st.lists(codec_arrays(), min_size=1, max_size=5))
+    return np.concatenate([a.reshape(-1) for a in arrays]), tuple(a.size for a in arrays)
+
+
+def split(flat, sizes):
+    return np.split(flat, np.cumsum(sizes[:-1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(entry_runs())
+def test_entries_match_the_oracle_one_by_one(run):
+    """Blocks restart at each entry: the records are the oracle's for each
+    entry on its own, end to end, and so are the decoded values."""
+    flat, sizes = run
+    q = quantize(flat, sizes)
+    assert to_bytes(q) == b"".join(oracle_bytes(entry) for entry in split(flat, sizes))
+    want = [dequantize(quantize(entry)) for entry in split(flat, sizes)]
+    assert np.array_equal(dequantize(q), np.concatenate(want))
+
+
+class TestEntries:
+    def test_one_entry_is_the_default(self):
+        arr = np.linspace(-1.0, 2.0, 130).reshape(10, 13)
+        one, default = quantize(arr, (130,)), quantize(arr)
+        assert to_bytes(one) == to_bytes(default) == oracle_bytes(arr)
+        assert dequantize(one).shape == (10, 13)
+
+    @pytest.mark.parametrize("sizes", [(3, 5), (8,), (-1, 8), (9, -2)])
+    def test_sizes_must_tile_the_values(self, sizes):
+        with pytest.raises(ArgumentError, match=r"do not tile 7 values$"):
+            quantize(np.ones(7), sizes)
+
+    def test_empty_entries_write_empty_records(self):
+        q = quantize(np.arange(3.0), (0, 3, 0))
+        assert to_bytes(q) == oracle_bytes(np.array([])) + oracle_bytes(np.arange(3.0)) + oracle_bytes(np.array([]))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [np.ones(70), np.array([1e308, -1e308]), np.array([np.nan])],  # range first
+            [np.ones(70), np.array([np.inf, 1.0]), np.array([1e308, -1e308])],  # values first
+            [np.array([1e308, -1e308, np.nan]), np.ones(3)],  # one entry holding both
+            [np.ones(3), np.ones(64), np.full(65, -np.inf)],
+        ],
+    )
+    def test_errors_are_the_first_entrys(self, entries):
+        want = next(v for v in (verdict(oracle_bytes, e) for e in entries) if v[0] != "ok")
+        flat, sizes = np.concatenate(entries), tuple(e.size for e in entries)
+        assert verdict(quantize, flat, sizes) == want
+
+    def test_bad_code_names_its_block_across_entries(self):
+        # entries of 3 and 70 values: blocks [0:3], [3:67], [67:73]
+        codes = np.zeros(73, dtype=np.uint8)
+        codes[68] = 16
+        q = QuantizedTensor((73,), np.ones(3, dtype=np.float32), np.zeros(3, dtype=np.uint8), codes, (3, 70))
+        with pytest.raises(ArgumentError, match=r"^block 2: code 16 out of range$"):
+            to_bytes(q)

@@ -2,9 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from deltafed.errors import FormatError
-from deltafed.params import Layout, ParameterSet
+from deltafed.errors import ArgumentError, FormatError
+from deltafed.params import Layout, ParameterSet, pack
 from deltafed.quant import dequantize, quantize
 from deltafed.wire import (
     HEADER_LEN,
@@ -21,6 +23,8 @@ from deltafed.wire import (
     serialize_params,
     serialized_size,
 )
+from oracles import q4_payload
+from test_quant import codec_arrays, verdict
 
 
 def param_set(**arrays):
@@ -315,3 +319,73 @@ class TestRandomRoundTrips:
                 assert out.array(name).shape == ps.array(name).shape
                 a, b = ps.array(name), out.array(name)
                 assert np.allclose(a, b, rtol=2.0**-23, atol=1e-300)
+
+
+# -- 4-bit payloads against the per-entry oracle -----------------------------
+
+
+@st.composite
+def q4_sets(draw):
+    """1-5 entries drawn with codec_arrays, each trainable or frozen."""
+    names = draw(st.lists(st.text("abcdefgh.", min_size=1, max_size=6), min_size=1, max_size=5, unique=True))
+    return ParameterSet([(name, draw(codec_arrays()), draw(st.booleans())) for name in names])
+
+
+@given(q4_sets())
+def test_q4_payload_matches_the_per_entry_oracle(ps):
+    """One quantize per message writes the bytes of quantizing each entry
+    on its own, for the whole set and for its trainable entries."""
+    raw = serialize_params(ps, "all", quantize_payload=True)
+    assert raw == q4_payload(ps)
+    assert len(raw) == serialized_size(ps, "all", quantize_payload=True)
+    if ps.layout.trainable_size:
+        trainable = ps.trainable_subset()
+        assert serialize_params(ps, "trainable", quantize_payload=True) == q4_payload(trainable)
+
+
+def unchecked_set(entries):
+    """A set over (name, shape, trainable, values) entries whose values are
+    not checked for finiteness, as a set taking over read-only vectors is."""
+    layout, trainable, frozen = pack(entries)
+    for vec in (trainable, frozen):
+        vec.setflags(write=False)
+    return ParameterSet.from_vectors(layout, trainable, frozen)
+
+
+class TestQ4Errors:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"a": [1.0, np.nan], "b": [2.0]},
+            {"a": [1.0, 2.0], "b": [np.inf] * 65},
+            {"a": [1e308, -1e308], "b": [1.0]},
+            {"a": [1e308, -1e308], "b": [np.nan]},  # a's range comes first
+            {"a": [1.0] * 3, "b": [-np.inf, 1e308, -1e308]},  # b's values come first
+            {"a": [np.nan], "b": [1e308, -1e308], "c": [1.0]},
+        ],
+    )
+    @pytest.mark.parametrize("flags", [(True, True, True), (False, True, False)])
+    def test_the_oracles_error_text(self, values, flags):
+        ps = unchecked_set(
+            (name, (len(v),), flag, np.array(v)) for (name, v), flag in zip(values.items(), flags)
+        )
+        want = verdict(q4_payload, ps)
+        assert want[0] == "ArgumentError"
+        assert verdict(serialize_params, ps, "all", True) == want
+
+    def test_a_bad_name_comes_before_bad_values(self):
+        """Every name and rank is checked before any value is quantized, so
+        a bad name later in the payload wins over bad values earlier in it,
+        where the per-entry oracle names the values first."""
+        ps = unchecked_set([("a", (2,), True, np.array([1.0, np.nan])), ("b" * 65536, (1,), True, np.ones(1))])
+        with pytest.raises(ArgumentError, match="non-finite"):
+            q4_payload(ps)
+        with pytest.raises(FormatError, match="exceeds 65535 bytes"):
+            serialize_params(ps, quantize_payload=True)
+
+    def test_a_bad_rank_comes_before_bad_values(self):
+        ps = unchecked_set([("a", (2,), True, np.array([1e308, -1e308])), ("b", (1,) * 256, True, np.ones(1))])
+        with pytest.raises(ArgumentError, match="f32 scale"):
+            q4_payload(ps)
+        with pytest.raises(FormatError, match="rank 256 exceeds 255"):
+            serialize_params(ps, quantize_payload=True)

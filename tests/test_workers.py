@@ -866,6 +866,39 @@ harness.compare_modes(cfg, sys.argv[3])
 """
 
 
+# A compare of 12 rounds played all in process, whose central client takes
+# 0.4 s more for each round from its second on and prints a line as it
+# starts the first of them, while local plays beside it; argv: source
+# directory, corpus path, output directory.
+_INTERRUPTED_IN_PROCESS_COMPARE = """
+import sys
+import time
+sys.path.insert(0, sys.argv[1])
+import deltafed.harness as harness
+import deltafed.protocol as protocol
+import deltafed.workers as workers
+from deltafed.config import ExperimentConfig
+
+workers.planned_workers = lambda clients: 0
+cfg = ExperimentConfig(
+    corpus_path=sys.argv[2], rounds=12, clients=2, context=8, embed_dim=8, lr=0.01,
+    batch_size=8, lora_rank=2, lora_dropout=0.0, seed=1,
+)
+central_steps = sum(harness._setup(cfg).steps.values())
+train = protocol.Client.train
+
+def slow(self):
+    if self.task.steps_per_round == central_steps and self.losses:
+        if len(self.losses) == 1:
+            print("central trains a slow round", flush=True)
+        time.sleep(0.4)
+    return train(self)
+
+protocol.Client.train = slow
+harness.compare_modes(cfg, sys.argv[3])
+"""
+
+
 class TestInterrupt:
     @pytest.mark.parametrize("transport", ["memory", "tcp"])
     def test_ctrl_c_ends_the_run_and_its_workers(self, corpus_path, transport):
@@ -885,6 +918,14 @@ class TestInterrupt:
         read, and the process does not wait out central's run."""
         self.interrupt(
             _INTERRUPTED_COMPARE, [str(corpus_path), str(tmp_path)], "central trains a slow round\n"
+        )
+
+    def test_ctrl_c_during_compare_ends_an_in_process_central_too(self, corpus_path, tmp_path):
+        """With no pool, central's lane plays on its helper thread in
+        process: it ends with the round it is in, not after its whole run."""
+        self.interrupt(
+            _INTERRUPTED_IN_PROCESS_COMPARE, [str(corpus_path), str(tmp_path)],
+            "central trains a slow round\n",
         )
 
     def test_interrupt_while_sending_a_job(self, corpus_path, monkeypatch, fresh_pool):
@@ -936,6 +977,37 @@ class TestInterrupt:
                     os.killpg(child.pid, signal.SIGKILL)
         with pytest.raises(ProcessLookupError):
             os.killpg(child.pid, 0)  # no worker left in the group
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getscheduler"), reason="no scheduling policies to read")
+class TestBatchPolicy:
+    """Pool workers run as SCHED_BATCH tasks, so a job that wakes one does
+    not preempt the driving thread; where that is refused, or the call is
+    missing, they serve as before."""
+
+    def test_workers_are_batch_tasks(self, corpus_path, monkeypatch, fresh_pool):
+        own = os.sched_getscheduler(0)
+        pool_of_two(monkeypatch)
+        run_experiment(small_cfg(corpus_path), report=False)
+        assert [os.sched_getscheduler(pid) for pid in pool_pids()] == [os.SCHED_BATCH] * 2
+        assert os.sched_getscheduler(0) == own
+
+    @pytest.mark.parametrize("how", ["refused", "missing"])
+    def test_without_the_policy_the_pool_serves_as_before(self, corpus_path, how, monkeypatch, fresh_pool):
+        own = os.sched_getscheduler(0)
+        if how == "refused":
+            def refuse(*args):
+                raise PermissionError(1, "Operation not permitted")
+
+            monkeypatch.setattr(os, "sched_setscheduler", refuse)  # the pool forks with it
+        else:
+            monkeypatch.delattr(os, "sched_setscheduler")
+        pool_of_two(monkeypatch)
+        cfg = small_cfg(corpus_path, quantize_payload=True)
+        pooled = run_experiment(cfg, report=False)
+        assert [os.sched_getscheduler(pid) for pid in pool_pids()] == [own] * 2
+        in_process(monkeypatch)
+        assert outcome(pooled) == outcome(run_experiment(cfg, report=False))
 
 
 class TestLending:
