@@ -18,18 +18,22 @@ with no padding. A single array is the one-entry case. A constant block of
 value c stores the f32 cast of |c| as its scale, so it decodes exactly; a
 constant beyond the f32 range is fitted like any other block.
 
-Byte layout of one entry's record, little-endian; `to_bytes` writes the
-entries' records end to end:
-    [u32 n_elements]
-    [per block: f32 scale, u8 zero_point, 3 zero bytes]
-    [codes packed two per byte, low nibble first, an odd count padded
-     with a zero nibble]
+Byte layout of one entry's record of n values in nb = ceil(n / 64)
+blocks, little-endian; `to_bytes` writes the entries' records end to end:
+    [f32 scale per block]
+    [zero points, two per byte, low nibble first]
+    [codes, two per byte, low nibble first]
+A nibble run of odd count ends in a zero nibble. The record holds no count:
+the entry header's dims give n, and n fixes its 4 nb + ceil(nb / 2) +
+ceil(n / 2) bytes. A full block of 64 values takes 32 + 4 + 256 bits, 4.56
+bits per value.
 """
 
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -37,8 +41,6 @@ from .errors import ArgumentError, FormatError
 
 BLOCK = 64
 _LEVELS = 15  # codes span 0..15
-_HEADER = np.dtype([("scale", "<f4"), ("zp", "u1"), ("pad", "V3")])
-_NO_PAD = np.void(b"\x00\x00\x00")
 
 
 @dataclass(frozen=True)
@@ -169,16 +171,18 @@ def dequantize(q: QuantizedTensor, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def packed_size(n: int) -> int:
-    """Serialized byte count for n elements: u32 header + block headers + nibbles."""
-    n_blocks = -(-n // BLOCK) if n else 0
-    return 4 + 8 * n_blocks + (n + 1) // 2
+    """Byte length of the record of n values: a 4-byte scale per block, then
+    the blocks' zero points and the n codes, two per byte each."""
+    blocks = -(-n // BLOCK)
+    return 4 * blocks + (blocks + 1) // 2 + (n + 1) // 2
 
 
 def _check_nibbles(q: QuantizedTensor) -> None:
     """Raise ArgumentError naming the first block with a zero point or a code
     outside 0..15; the wire would keep only its low nibble."""
     zps, codes = np.asarray(q.zero_points), np.asarray(q.codes)
-    if all(a.size == 0 or (a.min() >= 0 and a.max() <= _LEVELS) for a in (zps, codes)):
+    # a uint8, as quantize makes them, cannot be negative
+    if all(a.size == 0 or ((a.dtype == np.uint8 or a.min() >= 0) and a.max() <= _LEVELS) for a in (zps, codes)):
         return
     bad_zp = (zps < 0) | (zps > _LEVELS)
     bad_code = (codes < 0) | (codes > _LEVELS)
@@ -190,62 +194,61 @@ def _check_nibbles(q: QuantizedTensor) -> None:
     raise ArgumentError(f"block {code_block}: code {int(codes[code_at])} out of range")
 
 
+def _nibbles(values: np.ndarray, sizes) -> np.ndarray:
+    """`values`, each at most 15, packed two per byte, low nibble first, in
+    runs of `sizes` values; each run starts a byte, so an odd run ends in a
+    zero nibble."""
+    odd = [end for end, n in zip(accumulate(sizes), sizes) if n % 2]
+    values = np.ascontiguousarray(np.insert(values, odd, 0) if odd else values, dtype=np.uint8)
+    pairs = values.view("<u2")  # values 2i and 2i + 1
+    packed = pairs >> 4
+    packed |= pairs
+    return packed.astype(np.uint8)  # the low byte: value 2i | value 2i + 1 << 4
+
+
 def to_bytes(q: QuantizedTensor) -> bytes:
-    """Each entry's record, end to end. Every block header is written in
-    one pass and every code packed in another; each record is then cut
-    from them."""
+    """Each entry's record, end to end. Every scale is cast, and every zero
+    point and code packed, in one pass each; each record is then cut from
+    them."""
     _check_nibbles(q)
-    headers = np.zeros(q.scales.size, dtype=_HEADER)
-    headers["scale"] = q.scales
-    headers["zp"] = q.zero_points
-    sizes = np.asarray(q.sizes)
-    odd = np.cumsum(sizes)[sizes % 2 == 1]
-    codes = np.ascontiguousarray(np.insert(q.codes, odd, 0) if odd.size else q.codes, dtype=np.uint8)
-    pairs = codes.view("<u2")  # codes 2i and 2i + 1, a zero after each odd entry's last
-    nibbles = (pairs | pairs >> 4).astype(np.uint8)  # the low byte: code 2i | code 2i + 1 << 4
-    head, packed = memoryview(headers.tobytes()), memoryview(nibbles.tobytes())
-    records, b, c = [], 0, 0  # the entry's first block header and code byte
-    for n in q.sizes:
-        blocks, nbytes = -(-n // BLOCK), (n + 1) // 2
-        records += [struct.pack("<I", n), head[8 * b : 8 * (b + blocks)], packed[c : c + nbytes]]
-        b, c = b + blocks, c + nbytes
+    blocks = [-(-n // BLOCK) for n in q.sizes]
+    scales = memoryview(np.ascontiguousarray(q.scales, dtype="<f4").view(np.uint8))
+    zps, codes = memoryview(_nibbles(q.zero_points, blocks)), memoryview(_nibbles(q.codes, q.sizes))
+    records, b, z, c = [], 0, 0, 0  # the entry's first scale, zero point and code byte
+    for n, k in zip(q.sizes, blocks):
+        records += [scales[4 * b : 4 * (b + k)], zps[z : z + (k + 1) // 2], codes[c : c + (n + 1) // 2]]
+        b, z, c = b + k, z + (k + 1) // 2, c + (n + 1) // 2
     return b"".join(records)
 
 
+def _unnibble(data: bytes, offset: int, count: int, what: str) -> np.ndarray:
+    """The `count` values packed two per byte from `offset`; the pad nibble
+    of an odd count must be zero."""
+    raw = np.frombuffer(data, dtype=np.uint8, count=(count + 1) // 2, offset=offset)
+    values = np.empty(2 * raw.size, dtype=np.uint8)
+    values[0::2] = raw & 0x0F
+    values[1::2] = raw >> 4
+    if count % 2 and values[count]:
+        raise FormatError(f"nonzero pad nibble after the last {what}")
+    return values[:count]
+
+
 def from_bytes(data: bytes, shape: tuple[int, ...]) -> QuantizedTensor:
-    if len(data) < 4:
-        raise FormatError(f"quantized payload truncated: {len(data)} bytes")
-    (n,) = struct.unpack_from("<I", data, 0)
-    expect = int(np.prod(shape)) if shape else 0
-    if n != expect:
-        raise FormatError(f"quantized payload says {n} elements, shape wants {expect}")
+    """One record of `shape`'s values. Every byte is read or rejected: a
+    record of the wrong length, a scale that is not positive finite (the
+    first such block is named) and a nonzero pad nibble raise FormatError,
+    in wire order. A nibble cannot exceed 15, so no zero point or code is
+    out of range."""
+    n = math.prod(shape) if shape else 0
+    blocks = -(-n // BLOCK)
     if len(data) != packed_size(n):
-        raise FormatError(
-            f"quantized payload is {len(data)} bytes, expected {packed_size(n)}"
-        )
-    n_blocks = -(-n // BLOCK) if n else 0
-    headers = np.frombuffer(data, dtype=_HEADER, count=n_blocks, offset=4)
-    scales = headers["scale"].astype(np.float32)
-    zps = headers["zp"].astype(np.uint8)
-    bad_pad = headers["pad"] != _NO_PAD
-    bad_scale = ~(scales > 0) | ~np.isfinite(scales)
-    bad_zp = zps > _LEVELS
-    bad = bad_pad | bad_scale | bad_zp
+        raise FormatError(f"quantized record is {len(data)} bytes, {n} values need {packed_size(n)}")
+    scales = np.frombuffer(data, dtype="<f4", count=blocks).astype(np.float32)
+    bad = ~((scales > 0) & (scales < np.inf))  # NaN fails both
     if bad.any():
-        i = int(np.argmax(bad))  # the first bad block, checked in wire order
-        if bad_pad[i]:
-            raise FormatError("nonzero padding in quantized block header")
-        if bad_scale[i]:
-            raise FormatError(
-                f"block {i}: scale must be positive finite, got {float(scales[i])}"
-            )
-        raise FormatError(f"block {i}: zero point {int(zps[i])} out of range")
-    raw = np.frombuffer(data, dtype=np.uint8, offset=4 + 8 * n_blocks)
-    codes = np.empty(raw.size * 2, dtype=np.uint8)
-    codes[0::2] = raw & 0x0F
-    codes[1::2] = raw >> 4
-    if n % 2 and codes.size and codes[n] != 0:
-        raise FormatError("nonzero padding nibble in quantized codes")
-    codes = codes[:n].copy()
+        i = int(np.argmax(bad))
+        raise FormatError(f"block {i}: scale must be positive finite, got {float(scales[i])}")
+    zps = _unnibble(data, 4 * blocks, blocks, "zero point")
+    codes = _unnibble(data, 4 * blocks + (blocks + 1) // 2, n, "code")
     _frozen(scales, zps, codes)
     return QuantizedTensor(tuple(shape), scales, zps, codes)

@@ -14,10 +14,14 @@ in lexicographic name order:
 
     [u16 name_len][name utf-8][u8 dtype][u8 rank][u32 dim...][data]
 
-dtype 0 stores raw little-endian f32; dtype 1 stores the 4-bit block layout
-from `quant`. An encoder writes a message's values in one pass: one f32
-cast per vector, or one `quant.quantize` of every entry end to end, whose
-blocks restart at each entry. A decoder reads entry by entry.
+dtype 0 stores raw little-endian f32; dtype 1 stores `quant`'s 4-bit record:
+an f32 scale per block of 64 values, then the blocks' zero points and the
+values' codes, two per byte, 4.56 bits per value in full blocks. The dims
+give the record's value count, so it repeats none. VERSION 2 is this
+record; a message of any other version is refused at its header. An
+encoder writes a message's values in one pass: one f32 cast per vector, or
+one `quant.quantize` of every entry end to end, whose blocks restart at
+each entry. A decoder reads entry by entry.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .params import ParameterSet, pack
 from .quant import dequantize, from_bytes as quant_from_bytes, packed_size, quantize, to_bytes as quant_to_bytes
 
 MAGIC = b"GDFL"
-VERSION = 1
+VERSION = 2
 HEADER_LEN = 26
 
 KIND_GLOBAL_BROADCAST = 1
@@ -215,7 +219,11 @@ def deserialize_params(
                 raise FormatError(f"entry {name!r}: non-finite f32 values")
         else:
             raw = r.take(packed_size(n), f"q4 data of {name!r}")
-            values = partial(dequantize, quant_from_bytes(raw, dims))  # decoded into its slot
+            try:
+                q = quant_from_bytes(raw, dims)
+            except FormatError as e:
+                raise FormatError(f"entry {name!r}: {e}") from None
+            values = partial(dequantize, q)  # decoded into its slot
         flag = True if trainable is None else name in trainable
         entries.append((name, tuple(dims), flag, values))
     if r.pos != len(data):

@@ -22,6 +22,8 @@ build the odd parameter sets tests feed to the checks, entry by entry.
 encode as it was before it took a message's entries in one pass: each
 entry quantized and packed on its own, its name and rank checked just
 before its values; the one-pass encode must match their bytes and errors.
+`entry_to_bytes` packs a record with plain per-block `struct` calls and
+`nibble_bytes`, which the per-block oracle in `test_quant.py` shares.
 """
 
 import math
@@ -556,10 +558,18 @@ def entry_quantize(values):
 
 
 def entry_to_bytes(q):
-    """One entry's record: its count, block headers and packed codes."""
-    headers = b"".join(struct.pack("<fB3x", s, z) for s, z in zip(q.scales.tolist(), q.zero_points.tolist()))
-    codes = np.append(q.codes, np.zeros(q.n % 2, dtype=np.uint8))
-    return struct.pack("<I", q.n) + headers + (codes[0::2] | (codes[1::2] << 4)).tobytes()
+    """One entry's record: its block scales, then its zero points and its
+    codes, each packed two per byte, low nibble first, a run of odd count
+    ending in a zero nibble."""
+    scales = b"".join(struct.pack("<f", s) for s in q.scales.tolist())
+    return scales + nibble_bytes(q.zero_points.tolist()) + nibble_bytes(q.codes.tolist())
+
+
+def nibble_bytes(values):
+    """4-bit values two per byte, low nibble first, an odd count padded
+    with a zero nibble."""
+    values = list(values) + [0] * (len(values) % 2)
+    return bytes(values[i] | values[i + 1] << 4 for i in range(0, len(values), 2))
 
 
 def q4_payload(params):

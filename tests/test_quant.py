@@ -17,6 +17,7 @@ from deltafed.quant import (
     quantize,
     to_bytes,
 )
+from oracles import entry_quantize, nibble_bytes
 
 F32_MAX = float(np.finfo(np.float32).max)
 
@@ -60,51 +61,49 @@ def _oracle_block(x):
 
 
 def oracle_bytes(x):
-    """to_bytes(quantize(x)) of the per-block codec, block 64."""
+    """to_bytes(quantize(x)) of the per-block codec, block 64: every
+    block's scale, then every zero point and every code, two per byte."""
     flat = np.asarray(x, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(flat)):
         raise ArgumentError("cannot quantize non-finite values")
-    parts = [struct.pack("<I", flat.size)]
-    codes = []
+    scales, zps, codes = [], [], []
     for lo in range(0, flat.size, 64):
         s, z, q = _oracle_block(flat[lo : lo + 64])
-        parts.append(struct.pack("<fB3x", float(s), z))
+        scales.append(struct.pack("<f", float(s)))
+        zps.append(z)
         codes.extend(int(c) for c in q)
-    if len(codes) % 2:
-        codes.append(0)
-    parts.append(bytes(codes[i] | (codes[i + 1] << 4) for i in range(0, len(codes), 2)))
-    return b"".join(parts)
+    return b"".join(scales) + nibble_bytes(zps) + nibble_bytes(codes)
+
+
+def oracle_nibbles(raw, count, what):
+    """The `count` 4-bit values packed in `raw`; the pad nibble of an odd
+    count must be zero."""
+    values = []
+    for b in raw:
+        values += [b & 0x0F, b >> 4]
+    if count % 2 and values[count] != 0:
+        raise FormatError(f"nonzero pad nibble after the last {what}")
+    return values[:count]
 
 
 def oracle_from_bytes(data, shape):
     """-> (scales, zero points, codes) as lists; raises what from_bytes must."""
-    if len(data) < 4:
-        raise FormatError(f"quantized payload truncated: {len(data)} bytes")
-    (n,) = struct.unpack_from("<I", data, 0)
-    expect = math.prod(shape) if shape else 0
-    if n != expect:
-        raise FormatError(f"quantized payload says {n} elements, shape wants {expect}")
-    if len(data) != packed_size(n):
-        raise FormatError(f"quantized payload is {len(data)} bytes, expected {packed_size(n)}")
-    scales, zps = [], []
-    off = 4
-    for i in range(-(-n // 64)):
-        s, z = struct.unpack_from("<fB", data, off)
-        if data[off + 5 : off + 8] != b"\x00\x00\x00":
-            raise FormatError("nonzero padding in quantized block header")
+    n = math.prod(shape) if shape else 0
+    blocks = -(-n // 64)
+    zp_bytes, code_bytes = (blocks + 1) // 2, (n + 1) // 2
+    size = 4 * blocks + zp_bytes + code_bytes
+    if len(data) != size:
+        raise FormatError(f"quantized record is {len(data)} bytes, {n} values need {size}")
+    scales = []
+    for i in range(blocks):
+        (s,) = struct.unpack_from("<f", data, 4 * i)
         if not (s > 0) or not np.isfinite(s):
             raise FormatError(f"block {i}: scale must be positive finite, got {s}")
-        if z > 15:
-            raise FormatError(f"block {i}: zero point {z} out of range")
         scales.append(s)
-        zps.append(z)
-        off += 8
-    codes = []
-    for b in data[off:]:
-        codes += [b & 0x0F, b >> 4]
-    if n % 2 and codes[n] != 0:
-        raise FormatError("nonzero padding nibble in quantized codes")
-    return scales, zps, codes[:n]
+    off = 4 * blocks
+    zps = oracle_nibbles(data[off : off + zp_bytes], blocks, "zero point")
+    codes = oracle_nibbles(data[off + zp_bytes :], n, "code")
+    return scales, zps, codes
 
 
 def verdict(fn, *args):
@@ -137,8 +136,8 @@ class TestExactCases:
         out = roundtrip(np.array([]))
         assert out.size == 0
         q = quantize(np.array([]))
-        assert to_bytes(q) == b"\x00\x00\x00\x00"
-        back = from_bytes(b"\x00\x00\x00\x00", (0,))
+        assert to_bytes(q) == b""
+        back = from_bytes(b"", (0,))
         assert back.n == 0
 
 
@@ -182,27 +181,37 @@ class TestIdempotence:
 
 class TestLayout:
     def test_packed_size_formula(self):
-        for n in [0, 1, 2, 63, 64, 65, 128, 1000, 1024, 4096]:
-            n_blocks = -(-n // 64) if n else 0
-            assert packed_size(n) == 4 + 8 * n_blocks + (n + 1) // 2
+        for n in [0, 1, 2, 63, 64, 65, 128, 129, 1000, 1024, 4096]:
+            n_blocks = -(-n // 64)
+            assert packed_size(n) == 4 * n_blocks + math.ceil(n_blocks / 2) + math.ceil(n / 2)
 
     def test_compression_ratio_bound(self):
-        # against plain f32 payloads the 4-bit form stays under 0.16 for n >= 1024
+        # against plain f32 payloads the 4-bit form stays under 0.144 for
+        # n >= 1024; full blocks take 4.5625 of 32 bits, 0.1426
         for n in [1024, 1025, 1089, 4096, 65536]:
             ratio = packed_size(n) / (4 * n)
-            assert ratio <= 0.16
-        assert packed_size(1024) == 644  # 4 + 8*16 + 512
+            assert ratio <= 0.144
+        assert packed_size(1024) == 584  # 4*16 + 8 + 512
+        assert packed_size(65536) / (4 * 65536) == 4.5625 / 32
 
     def test_nibble_order_low_first(self):
         # codes [0,15,7,1] at scale 1 zp 0 -> bytes f0 17
         q = quantize(np.array([0.0, 15.0, 7.0, 1.0]))
         raw = to_bytes(q)
-        assert raw[:4] == b"\x04\x00\x00\x00"
-        assert raw[4:8] == np.float32(1.0).tobytes()
-        assert raw[8] == 0  # zero point
-        assert raw[9:12] == b"\x00\x00\x00"
-        assert raw[12] == 0x00 | (15 << 4)
-        assert raw[13] == 0x07 | (1 << 4)
+        assert len(raw) == 7
+        assert raw[:4] == np.float32(1.0).tobytes()
+        assert raw[4] == 0  # zero point 0, then its pad nibble
+        assert raw[5] == 0x00 | (15 << 4)
+        assert raw[6] == 0x07 | (1 << 4)
+
+    def test_zero_points_two_per_byte(self):
+        # three blocks with zero points 0, 15 and 1 -> bytes f0 01
+        arr = np.concatenate([np.full(64, 2.0), np.full(64, -3.0) + np.arange(64) / 64, np.full(5, -1.0)])
+        q = quantize(arr)
+        assert q.zero_points.tolist() == [0, 15, 1]
+        raw = to_bytes(q)
+        assert raw[12:14] == bytes([0xF0, 0x01])
+        assert len(raw) == 12 + 2 + 67
 
     def test_bytes_round_trip(self):
         rng = np.random.default_rng(5)
@@ -218,7 +227,8 @@ class TestLayout:
     def test_odd_length_pad_nibble_zero(self):
         q = quantize(np.array([1.0, 2.0, 3.0]))
         raw = to_bytes(q)
-        assert raw[-1] >> 4 == 0
+        assert raw[4] >> 4 == 0  # after the one zero point
+        assert raw[-1] >> 4 == 0  # after the third code
 
 
 class TestOutOfRangeNibbles:
@@ -256,37 +266,48 @@ class TestOutOfRangeNibbles:
 
 class TestFormatErrors:
     def good(self):
-        return to_bytes(quantize(np.arange(10.0)))
+        return to_bytes(quantize(np.arange(10.0)))  # 1 block: 4 + 1 + 5 bytes
 
-    def test_truncated(self):
-        with pytest.raises(FormatError):
+    def test_truncated(self):  # one byte short
+        with pytest.raises(FormatError, match=r"^quantized record is 9 bytes, 10 values need 10$"):
             from_bytes(self.good()[:-1], (10,))
 
-    def test_wrong_count(self):
-        with pytest.raises(FormatError):
-            from_bytes(self.good(), (11,))
-
-    def test_trailing_garbage(self):
-        with pytest.raises(FormatError):
+    def test_trailing_garbage(self):  # one byte long
+        with pytest.raises(FormatError, match=r"^quantized record is 11 bytes, 10 values need 10$"):
             from_bytes(self.good() + b"\x00", (10,))
 
-    def test_nonzero_header_pad(self):
+    def test_wrong_count(self):
+        with pytest.raises(FormatError, match=r"^quantized record is 10 bytes, 11 values need 11$"):
+            from_bytes(self.good(), (11,))
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_scale(self, scale):
         raw = bytearray(self.good())
-        raw[9] = 1  # first pad byte of the block header
-        with pytest.raises(FormatError):
+        raw[0:4] = np.float32(scale).tobytes()
+        with pytest.raises(FormatError, match=rf"^block 0: scale must be positive finite, got {float(scale)}$"):
             from_bytes(bytes(raw), (10,))
 
-    def test_bad_scale(self):
+    def test_nonzero_zero_point_pad_nibble(self):
         raw = bytearray(self.good())
-        raw[4:8] = np.float32(0.0).tobytes()
-        with pytest.raises(FormatError):
+        raw[4] |= 0x10  # one block: its zero point, then the pad nibble
+        with pytest.raises(FormatError, match=r"^nonzero pad nibble after the last zero point$"):
             from_bytes(bytes(raw), (10,))
 
-    def test_nonzero_pad_nibble(self):
+    def test_nonzero_pad_nibble(self):  # after the last code
         raw = bytearray(to_bytes(quantize(np.array([1.0, 2.0, 3.0]))))
         raw[-1] |= 0xF0
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=r"^nonzero pad nibble after the last code$"):
             from_bytes(bytes(raw), (3,))
+
+    def test_even_counts_have_no_pad_nibble(self):
+        # two blocks and 66 codes: every nibble is a value
+        arr = np.arange(66.0)
+        raw = bytearray(to_bytes(quantize(arr)))
+        raw[8] ^= 0xF0  # block 1's zero point
+        raw[-1] ^= 0xF0  # code 65
+        back = from_bytes(bytes(raw), arr.shape)
+        assert back.zero_points[1] == quantize(arr).zero_points[1] ^ 0xF
+        assert back.codes[65] == quantize(arr).codes[65] ^ 0xF
 
 
 @settings(max_examples=150, deadline=None)
@@ -400,12 +421,13 @@ class TestCorruption:
     """Corrupted payloads get the oracle's verdict and message."""
 
     ARR = np.random.default_rng(3).uniform(-2.0, 2.0, 4 * 64 + 5)  # 5 blocks, odd n
+    SIZE = 5 * 4 + 3 + 131  # scales, zero points, codes
 
     @settings(max_examples=400, deadline=None)
     @given(
         st.lists(
             st.tuples(
-                st.one_of(st.integers(0, 4 + 5 * 8 - 1), st.integers(0, 175)),
+                st.one_of(st.integers(0, 5 * 4 + 3 - 1), st.integers(0, SIZE - 1)),
                 st.integers(1, 255),
             ),
             min_size=1,
@@ -428,19 +450,27 @@ class TestCorruption:
         else:
             assert got == want
 
-    def test_first_bad_block_is_named(self):
-        good = to_bytes(quantize(self.ARR))
-        raw = bytearray(good)
-        h1, h3 = 4 + 8 * 1, 4 + 8 * 3  # block headers follow the u32 count
-        raw[h3 + 4] = 16                                  # block 3: zero point
-        raw[h1 : h1 + 4] = np.float32(-1.0).tobytes()    # block 1: scale
-        with pytest.raises(FormatError, match=r"^block 1: scale must be positive finite, got -1.0$"):
+    def test_size(self):
+        assert len(to_bytes(quantize(self.ARR))) == self.SIZE
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_first_bad_block_is_named(self, scale):
+        raw = bytearray(to_bytes(quantize(self.ARR)))
+        raw[4 * 3 : 4 * 4] = np.float32(-2.0).tobytes()  # block 3
+        raw[4 * 1 : 4 * 2] = np.float32(scale).tobytes()  # block 1
+        with pytest.raises(FormatError, match=rf"^block 1: scale must be positive finite, got {float(scale)}$"):
             from_bytes(bytes(raw), self.ARR.shape)
-        raw[h1 + 6] = 1                                   # block 1: pad, checked first
-        with pytest.raises(FormatError, match="nonzero padding in quantized block header"):
+
+    def test_scales_come_before_pad_nibbles(self):
+        raw = bytearray(to_bytes(quantize(self.ARR)))
+        raw[-1] |= 0xF0  # the codes' pad nibble
+        with pytest.raises(FormatError, match=r"^nonzero pad nibble after the last code$"):
             from_bytes(bytes(raw), self.ARR.shape)
-        raw[h1 : h1 + 8] = good[h1 : h1 + 8]
-        with pytest.raises(FormatError, match=r"^block 3: zero point 16 out of range$"):
+        raw[4 * 5 + 2] |= 0xF0  # the zero points' pad nibble, after block 4's
+        with pytest.raises(FormatError, match=r"^nonzero pad nibble after the last zero point$"):
+            from_bytes(bytes(raw), self.ARR.shape)
+        raw[4 * 4 : 4 * 5] = np.float32(0.0).tobytes()  # block 4's scale
+        with pytest.raises(FormatError, match=r"^block 4: scale must be positive finite, got 0.0$"):
             from_bytes(bytes(raw), self.ARR.shape)
 
 
@@ -492,6 +522,29 @@ def test_entries_match_the_oracle_one_by_one(run):
     assert to_bytes(q) == b"".join(oracle_bytes(entry) for entry in split(flat, sizes))
     want = [dequantize(quantize(entry)) for entry in split(flat, sizes)]
     assert np.array_equal(dequantize(q), np.concatenate(want))
+
+
+def oracle_values(q):
+    """scale * (code - zp) of each value, block by block in Python floats."""
+    scales, zps, codes = q.scales.tolist(), q.zero_points.tolist(), q.codes.tolist()
+    return [scales[i // 64] * (c - zps[i // 64]) for i, c in enumerate(codes)]
+
+
+@given(entry_runs())
+def test_records_decode_to_the_value_oracle(run):
+    """Each entry's record, cut at packed_size, decodes to the value
+    oracle's scale * (code - zp), bit for bit, and the records of a
+    message are exactly as long as packed_size says."""
+    flat, sizes = run
+    raw = to_bytes(quantize(flat, sizes))
+    assert len(raw) == sum(packed_size(n) for n in sizes)
+    at = 0
+    for entry in split(flat, sizes):
+        record = raw[at : at + packed_size(entry.size)]
+        at += packed_size(entry.size)
+        got = dequantize(from_bytes(record, entry.shape))
+        want = np.array(oracle_values(entry_quantize(entry)), dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEntries:

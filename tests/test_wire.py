@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from deltafed.errors import ArgumentError, FormatError
 from deltafed.params import Layout, ParameterSet, pack
-from deltafed.quant import dequantize, quantize
+from deltafed.quant import dequantize, packed_size, quantize
 from deltafed.wire import (
     HEADER_LEN,
     KIND_DELTA_UPDATE,
@@ -47,7 +47,7 @@ class TestHeader:
     def test_header_bytes_frozen(self):
         raw = encode_message(WireMessage(KIND_ROUND_ACK, 0, 2))
         assert raw == b"GDFL" + bytes(
-            [1, 4, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
+            [2, 4, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
         ) + b"\x00" * 8
 
     def test_bad_magic(self):
@@ -60,6 +60,14 @@ class TestHeader:
         raw = bytearray(encode_message(WireMessage(1, 1, 1)))
         raw[4] = 9
         with pytest.raises(FormatError, match="version"):
+            decode_message(bytes(raw))
+
+    def test_version_1_refused(self):
+        # version 1 framed 4-bit records with a count and padded block
+        # headers; no reader for it is kept
+        raw = bytearray(encode_message(WireMessage(KIND_DELTA_UPDATE, 1, 1)))
+        raw[4] = 1
+        with pytest.raises(FormatError, match="^unsupported version 1$"):
             decode_message(bytes(raw))
 
     def test_bad_kind(self):
@@ -300,6 +308,39 @@ class TestDeserializeErrors:
             raw[-4:] = np.float32(bad).tobytes()  # last value of entry 'w'
             with pytest.raises(FormatError, match="entry 'w': non-finite"):
                 deserialize_params(bytes(raw))
+
+
+class TestQ4RecordErrors:
+    """A bad 4-bit record is named by its entry, like a bad f32 entry."""
+
+    def good(self):
+        # 'a': 1 block, odd, so its zero points end in a pad nibble;
+        # 'b': 2 blocks and 71 codes, so its codes end in one
+        ps = param_set(a=np.arange(3.0), b=np.linspace(-1.0, 1.0, 71))
+        return bytearray(serialize_params(ps, quantize_payload=True))
+
+    def test_bad_scale_of_the_second_entry(self):
+        raw = self.good()
+        at = len(raw) - packed_size(71)  # 'b''s record opens with its first scale
+        raw[at : at + 4] = np.float32(-1.0).tobytes()
+        with pytest.raises(FormatError, match=r"^entry 'b': block 0: scale must be positive finite, got -1.0$"):
+            deserialize_params(bytes(raw))
+
+    def test_pad_nibbles(self):
+        raw = self.good()
+        raw[-1] |= 0xF0
+        with pytest.raises(FormatError, match=r"^entry 'b': nonzero pad nibble after the last code$"):
+            deserialize_params(bytes(raw))
+        raw = self.good()
+        at = 4 + 2 + 1 + 2 + 4  # 'a''s record
+        raw[at + 4] |= 0x10
+        with pytest.raises(FormatError, match=r"^entry 'a': nonzero pad nibble after the last zero point$"):
+            deserialize_params(bytes(raw))
+
+    def test_short_record_names_its_entry(self):
+        raw = self.good()
+        with pytest.raises(FormatError, match=r"^payload truncated reading q4 data of 'b' at offset"):
+            deserialize_params(bytes(raw[:-1]))
 
 
 class TestRandomRoundTrips:
